@@ -328,28 +328,6 @@ GLOBAL_NEIGHBOURHOOD = AlgorithmClass("global-neighbourhood", "k", ">1")
 GLOBAL_REDUCTION = AlgorithmClass("global-reduction", 1, "<=1")
 ITERATIVE = AlgorithmClass("iterative", "k", "many")
 
-#: reference classification of common algorithms; entries marked
-#: implemented=False are classified only and have no streaming operator here
-STREAMING_NEEDS = {
-    "intensity-algebra": (SINGLE_PIXEL, True),
-    "masking": (SINGLE_PIXEL, True),
-    "threshold": (SINGLE_PIXEL, True),
-    "linear-filtering": (LOCAL_NEIGHBOURHOOD, True),
-    "median-filtering": (LOCAL_NEIGHBOURHOOD, True),
-    "mathematical-morphology": (LOCAL_NEIGHBOURHOOD, True),
-    "non-maximum-suppression": (LOCAL_NEIGHBOURHOOD, False),
-    "axis-permutation": (GEOMETRIC, True),
-    "reslicing": (GEOMETRIC, True),
-    "affine-transformation": (GEOMETRIC, False),
-    "connected-components": (GLOBAL_NEIGHBOURHOOD, False),
-    "fourier-transformation": (GLOBAL_NEIGHBOURHOOD, False),
-    "histogram": (GLOBAL_REDUCTION, True),
-    "pixel-statistics": (GLOBAL_REDUCTION, True),
-    "energy-norms": (GLOBAL_REDUCTION, False),
-    "pde-solvers": (ITERATIVE, False),
-    "graph-cuts": (ITERATIVE, False),
-}
-
 
 # ---------------------------------------------------------------------------
 # pipeline stages and graphs

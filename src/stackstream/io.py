@@ -42,8 +42,12 @@ def _write_bytes(path: Path, data: bytes):
 
 def _atomic_write(directory: Path, name: str, data: bytes):
     tmp = directory / f".tmp_{name}"
-    _write_bytes(tmp, data)
-    os.replace(tmp, directory / name)
+    try:
+        _write_bytes(tmp, data)
+        os.replace(tmp, directory / name)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _pad_width(depth: int) -> int:

@@ -467,11 +467,6 @@ def tee(name=None) -> PlanStage:
 
 #: op kinds that consume a sliding kernel window and emit valid centers
 KERNEL_OPS = ("convolve", "gaussian", "median", "erode", "dilate")
-#: op kinds that batch w slices per step with stride w
-BATCH_OPS = ("pointwise", "histogram", "write", "write_chunks")
-#: op kinds acting as sources / sinks
-SOURCE_OPS = ("read", "read_chunks", "initialize")
-SINK_OPS = ("write", "write_chunks", "histogram", "sampled_mean")
 
 
 def out_meta(stage: PlanStage, meta: VolumeMeta) -> VolumeMeta:

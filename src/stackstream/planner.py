@@ -225,7 +225,7 @@ class MemoryLedger:
 class RepairAction:
     """One semantics-preserving plan rewrite."""
 
-    kind: str   # midwrite | window_resize | share_window | fuse
+    kind: str   # midwrite | window_resize | share_window
     detail: dict
 
     def line(self) -> str:
@@ -239,8 +239,6 @@ class RepairAction:
             strides = ",".join(str(s) for s in d["strides"])
             return (f"share_window group={'+'.join(d['group'])} w={d['w']} "
                     f"strides={strides}")
-        if self.kind == "fuse":
-            return f"fuse {d['first']}+{d['second']} dims={d['dims']}"
         return self.kind
 
 
@@ -322,33 +320,6 @@ def fuse_convolutions(first: Kernel3D, second: Kernel3D) -> Kernel3D:
     return Kernel3D(out)
 
 
-def fuse_stages(graph: PipelineGraph, first: str, second: str):
-    """Replace two adjacent convolve stages with one fused stage."""
-    fa, fb = graph.node(first), graph.node(second)
-    if fa.op_kind != "convolve" or fb.op_kind != "convolve":
-        raise PlanningError("only convolve stages can be fused")
-    if second not in graph.successors(first):
-        raise PlanningError(f"{second!r} does not follow {first!r}")
-    fused_kernel = fuse_convolutions(fa.params["kernel"], fb.params["kernel"])
-    fused = ops.convolve(fused_kernel, name=f"{first}_x_{second}")
-    nodes = []
-    for st in graph.nodes:
-        if st.name == first:
-            nodes.append(fused)
-        elif st.name != second:
-            nodes.append(st)
-    edges = []
-    for a, b in graph.edges:
-        if (a, b) == (first, second):
-            continue
-        a2 = fused.name if a == second or a == first else a
-        b2 = fused.name if b == first or b == second else b
-        edges.append((a2, b2))
-    action = RepairAction("fuse", {"first": first, "second": second,
-                                   "dims": fused_kernel.dims})
-    return PipelineGraph(nodes, edges, shared_windows=list(graph.shared_windows)), action
-
-
 def share_windows(graph: PipelineGraph, group):
     """Rewrite a tee's kernel branches to read one shared window.
 
@@ -379,11 +350,6 @@ def share_windows(graph: PipelineGraph, group):
     return new, action
 
 
-def _w_caps(graph: PipelineGraph, meta: VolumeMeta):
-    metas = propagate_meta(graph, meta)
-    return {st.name: metas[st.name][0].depth for st in graph.nodes}
-
-
 def _set_window(st: PlanStage, w: int):
     st.w = w
     st.s = (w - st.k_z + 1) if st.op_kind in KERNEL_OPS else w
@@ -399,6 +365,24 @@ def _copy_graph(graph: PipelineGraph) -> PipelineGraph:
                          shared_windows=list(graph.shared_windows))
 
 
+def _minimized(graph: PipelineGraph, meta: VolumeMeta):
+    """Copy of the graph with every tunable window at its minimum.
+
+    Returns (graph, tunables, caps): the copy, its tunable stages in topo
+    order (shared-window members stay fixed), and each stage's window cap,
+    the depth of its input volume.
+    """
+    shared_members = {n for grp in graph.shared_windows for n in grp.members}
+    g = _copy_graph(graph)
+    metas = propagate_meta(g, meta)
+    caps = {st.name: metas[st.name][0].depth for st in g.nodes}
+    tunables = [st for st in g.topo_order()
+                if st.tunable and st.name not in shared_members]
+    for st in tunables:
+        _set_window(st, min(st.w_min, caps[st.name]))
+    return g, tunables, caps
+
+
 def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
                      grow: bool = True, concurrent: bool = False):
     """Pick window sizes maximizing memory use subject to the budget.
@@ -408,46 +392,42 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     minima; if even that overflows the budget, returns None so the caller
     can fall back to mid-write splits. Ties go to upstream stages, which
     gate the sweep.
+
+    Growth is solved, not searched. Every ledger term is affine and
+    nondecreasing in each window w (endpoint and pointwise windows, the
+    w - k_z + 1 kernel outputs, the concurrent handoff batch), and a
+    custom estimate sees only geometry. So growing one window never frees
+    room for another, and the slice-by-slice greedy (give the next slice
+    to the first stage it still fits) ends exactly where this does: take
+    the stages upstream first and give each the largest window that fits,
+    up to its input depth. The slope peak(w + 1) - peak(w), one ledger
+    evaluation per stage, divides the remaining headroom; one final
+    evaluation proves the result fits.
     """
-    shared_members = {n for grp in graph.shared_windows for n in grp.members}
-    g = _copy_graph(graph)
-    original = {st.name: st.w for st in graph.nodes}
-    caps = _w_caps(g, meta)
-    tunables = [st for st in g.topo_order()
-                if st.tunable and st.name not in shared_members]
-    for st in tunables:
-        _set_window(st, min(st.w_min, caps[st.name]))
-    if not estimate_pipeline(g, meta, budget, concurrent).fits():
+    g, tunables, caps = _minimized(graph, meta)
+    led = estimate_pipeline(g, meta, budget, concurrent)
+    if not led.fits():
         return None
     if grow:
-        while True:
-            grown = False
-            for st in tunables:
-                if st.w + 1 > caps[st.name]:
-                    continue
-                _set_window(st, st.w + 1)
-                if estimate_pipeline(g, meta, budget, concurrent).fits():
-                    grown = True
-                    break
-                _set_window(st, st.w - 1)
-            if not grown:
-                break
+        peak = led.formula_peak
+        limit = budget.cap - led.overhead - 1  # largest peak that fits
+        for st in tunables:
+            w, cap = st.w, caps[st.name]
+            if w >= cap:
+                continue
+            _set_window(st, w + 1)
+            slope = estimate_pipeline(g, meta, budget, concurrent).formula_peak - peak
+            new_w = cap if slope == 0 else min(cap, w + (limit - peak) // slope)
+            _set_window(st, new_w)
+            peak += slope * (new_w - w)
+        if not estimate_pipeline(g, meta, budget, concurrent).fits():
+            raise PlanningError("window solve overshot the budget")
+    original = {st.name: st.w for st in graph.nodes}
     actions = [RepairAction("window_resize",
                             {"stage": st.name, "old_w": original[st.name],
                              "new_w": st.w})
                for st in g.topo_order() if st.w != original[st.name]]
     return g, actions
-
-
-def _minimized(graph: PipelineGraph, meta: VolumeMeta) -> PipelineGraph:
-    """Copy of the graph with every tunable window at its minimum."""
-    shared_members = {n for grp in graph.shared_windows for n in grp.members}
-    g = _copy_graph(graph)
-    caps = _w_caps(g, meta)
-    for st in g.topo_order():
-        if st.tunable and st.name not in shared_members:
-            _set_window(st, min(st.w_min, caps[st.name]))
-    return g
 
 
 def _mk_mid_read(path: str, meta: VolumeMeta, idx: int) -> PlanStage:
@@ -595,7 +575,7 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
             verdict = "repaired"
     if verdict == "infeasible":
         if g.is_linear():
-            gm = g if not grow_windows else _minimized(g, meta)
+            gm = g if not grow_windows else _minimized(g, meta)[0]
             res = insert_midwrites(gm, meta, budget, tmpdir, concurrent)
             if res.feasible:
                 actions += res.actions

@@ -2,10 +2,18 @@
 
 Everything here works on whole in-memory volumes with explicit index
 arithmetic (plain loops, coordinate clamping), deliberately sharing no
-code with the streaming operators it checks.
+code with the streaming operators it checks. The one planner oracle,
+greedy_windows, searches window sizes slice by slice against the
+planner's own ledger, so it checks the window solve, not the prices.
 """
 
+import copy
+
 import numpy as np
+
+from stackstream.core import PipelineGraph
+from stackstream.ops import KERNEL_OPS
+from stackstream.planner import RepairAction, estimate_pipeline, propagate_meta
 
 
 def _clamp(i, n):
@@ -138,3 +146,55 @@ def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b
     hi = np.iinfo(a.dtype).max
     return np.minimum(a.astype(np.int64) + b.astype(np.int64), hi).astype(a.dtype)
+
+
+def greedy_windows(graph: PipelineGraph, meta, budget, concurrent=False):
+    """Window growth by stepping: one slice at a time, first fit wins.
+
+    Starts every tunable window (shared-window members excepted) at its
+    minimum and returns None when that overflows. Then it repeatedly
+    gives one more slice to the first tunable stage, in topo order, whose
+    grown window is within its input depth and still fits, re-pricing the
+    whole ledger after every step, until no stage can grow. Returns
+    (graph, window_resize actions) like planner.optimize_windows.
+    """
+    def set_window(st, w):
+        st.w = w
+        st.s = (w - st.k_z + 1) if st.op_kind in KERNEL_OPS else w
+
+    def fits():
+        return estimate_pipeline(g, meta, budget, concurrent).fits()
+
+    nodes = []
+    for st in graph.nodes:
+        c = copy.copy(st)
+        c.params = dict(st.params)
+        nodes.append(c)
+    g = PipelineGraph(nodes, list(graph.edges),
+                      shared_windows=list(graph.shared_windows))
+    shared = {n for grp in graph.shared_windows for n in grp.members}
+    metas = propagate_meta(g, meta)
+    caps = {st.name: metas[st.name][0].depth for st in g.nodes}
+    tunables = [st for st in g.topo_order()
+                if st.tunable and st.name not in shared]
+    for st in tunables:
+        set_window(st, min(st.w_min, caps[st.name]))
+    if not fits():
+        return None
+    grown = True
+    while grown:
+        grown = False
+        for st in tunables:
+            if st.w + 1 > caps[st.name]:
+                continue
+            set_window(st, st.w + 1)
+            if fits():
+                grown = True
+                break
+            set_window(st, st.w - 1)
+    original = {st.name: st.w for st in graph.nodes}
+    actions = [RepairAction("window_resize",
+                            {"stage": st.name, "old_w": original[st.name],
+                             "new_w": st.w})
+               for st in g.topo_order() if st.w != original[st.name]]
+    return g, actions

@@ -131,6 +131,31 @@ def test_interrupted_write_leaves_marker(tmp_path, monkeypatch):
         sio.load_manifest(tmp_path / "v")
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    meta = VolumeMeta(4, 4, 4, U8)
+    vol = sio.synth_volume(meta, "random", seed=6)
+    src = vol_stream(vol, meta)
+    calls = {"n": 0}
+    real = sio._write_bytes
+
+    def partial_then_full_disk(path, data):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            real(path, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+        real(path, data)
+
+    monkeypatch.setattr(sio, "_write_bytes", partial_then_full_disk)
+    with pytest.raises(OSError):
+        sio.write_slice_stack(src, tmp_path / "v", meta)
+    src.close()
+    assert calls["n"] == 3
+    assert list((tmp_path / "v").glob(".tmp_*")) == []
+    assert (tmp_path / "v" / sio.PARTIAL_MARKER).exists()
+    with pytest.raises(PlanningError):
+        sio.load_manifest(tmp_path / "v")
+
+
 def test_multipage_single_file_stack(tmp_path):
     meta = VolumeMeta(4, 4, 5, U16)
     vol = sio.synth_volume(meta, "random", seed=7)

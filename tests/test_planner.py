@@ -1,12 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from stackstream import ops
-from stackstream.core import (F32, U8, Budget, PlanStage, PlanningError,
-                              VolumeMeta, chain, slice_bytes, tee_graph)
+from oracles import greedy_windows
+from stackstream import ops, planner
+from stackstream.core import (F32, MIB, U8, U16, Budget, PlanStage,
+                              PlanningError, VolumeMeta, chain, slice_bytes,
+                              tee_graph)
 from stackstream.planner import (estimate_pipeline,
                                  estimate_stage, insert_midwrites, max_width,
                                  optimize_windows, plan, propagate_meta,
@@ -353,6 +356,135 @@ def test_optimize_returns_none_when_minimum_overflows():
     meta = VolumeMeta(16, 16, 16, U8)
     g = chain(mk_read(meta), ops.square(name="p0"), mk_write())
     assert optimize_windows(g, meta, budget_slices(3, meta, stages=3)) is None
+
+
+# Generated pipelines for the solve-versus-greedy check.
+STAGE_MAKERS = {"square": lambda n: ops.square(name=n),
+                "threshold": lambda n: ops.threshold(100, name=n),
+                "erode": lambda n: ops.erode(1, name=n),
+                "dilate": lambda n: ops.dilate(1, name=n),
+                "median": lambda n: ops.median_filter(1, name=n),
+                "gauss3": lambda n: ops.discrete_gaussian(0.3, name=n),
+                "gauss7": lambda n: ops.discrete_gaussian(0.8, name=n),
+                "box3": lambda n: ops.convolve(ops.Kernel3D.box(3), name=n)}
+
+
+@hst.composite
+def window_cases(draw):
+    """(graph, meta, budget, concurrent): a chain of 0-8 ops or a tee with
+    two branches, joined or each ending in a sink; depth at most 64."""
+    dtype = draw(hst.sampled_from([U8, U16, F32]))
+    # convolve emits f32, so only an f32 input keeps joined branches alike
+    kinds = [k for k in STAGE_MAKERS if k != "box3" or dtype == F32]
+    names = itertools.count()
+
+    def make(kind):
+        return STAGE_MAKERS[kind](f"s{next(names)}")
+
+    def ops_list(lo, hi):
+        return [make(k) for k in draw(hst.lists(hst.sampled_from(kinds),
+                                                min_size=lo, max_size=hi))]
+
+    shape = draw(hst.sampled_from(["chain", "tee", "join"]))
+    if shape == "chain":
+        body = ops_list(0, 8)
+        reduction = sum(st.k_z - 1 for st in body)
+    else:
+        # the branches reduce depth alike: position i holds ops of one k_z
+        pools = {}
+        for k in kinds:
+            pools.setdefault(STAGE_MAKERS[k]("probe").k_z, []).append(k)
+        pools = list(pools.values())
+        a, b = [], []
+        for _ in range(draw(hst.integers(1, 3))):
+            pool = draw(hst.sampled_from(pools))
+            a.append(make(draw(hst.sampled_from(pool))))
+            b.append(make(draw(hst.sampled_from(pool))))
+        post = ops_list(0, 2) if shape == "join" else []
+        reduction = sum(st.k_z - 1 for st in a + post)
+    depth = reduction + draw(hst.integers(1, 64 - reduction))
+    meta = VolumeMeta(draw(hst.integers(2, 12)), draw(hst.integers(2, 12)),
+                      depth, dtype)
+    if shape == "chain":
+        g = chain(mk_read(meta), *body, mk_write())
+    else:
+        pre = [mk_read(meta), ops.tee(name="t")]
+        if shape == "tee":
+            g = tee_graph(pre, [a + [mk_write("wa")], b + [mk_write("wb")]])
+        else:
+            g = tee_graph(pre, [a, b], join=ops.add_join(name="join"),
+                          post=post + [mk_write()])
+        if draw(hst.booleans()):
+            shared = share_windows(g, [a[0].name, b[0].name])
+            g = g if shared is None else shared[0]
+    eps = draw(hst.sampled_from([0, 4096, MIB]))
+    sb = slice_bytes(VolumeMeta(meta.nx, meta.ny, depth, F32))  # widest dtype
+    if draw(hst.integers(0, 3)) == 0:
+        cap = 1 << 40
+    else:
+        # log-uniform from 2 slices to past whole-stack windows
+        octaves = math.log2((len(g.nodes) + 1) * depth)
+        cap = int(2 * sb * 2 ** draw(hst.floats(0, octaves))) + \
+            draw(hst.integers(0, sb))
+    budget = Budget(cap + len(g.nodes) * eps, eps)
+    return g, meta, budget, draw(hst.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(window_cases())
+def test_window_solve_equals_stepping_greedy(case):
+    g, meta, budget, concurrent = case
+    got = optimize_windows(g, meta, budget, concurrent=concurrent)
+    want = greedy_windows(g, meta, budget, concurrent)
+    if want is None:
+        assert got is None
+        return
+    (gg, acts), (wg, wacts) = got, want
+    assert [(st.name, st.w, st.s) for st in gg.nodes] == \
+        [(st.name, st.w, st.s) for st in wg.nodes]
+    assert [a.line() for a in acts] == [a.line() for a in wacts]
+
+
+def test_window_solve_raises_when_ledger_is_not_affine(monkeypatch):
+    # a term convex in w breaks the solve's premise; the final ledger
+    # check must refuse the overshooting windows, not return them
+    from stackstream.core import MemEstimate
+    real = planner.estimate_stage
+
+    def convex(stage, meta):
+        est = real(stage, meta)
+        return MemEstimate(est.input_bytes * stage.w, est.output_bytes,
+                           est.internal_bytes)
+
+    monkeypatch.setattr(planner, "estimate_stage", convex)
+    meta = VolumeMeta(16, 16, 40, U8)
+    g = chain(ops.square(name="p"))
+    with pytest.raises(PlanningError):
+        optimize_windows(g, meta, budget_slices(20, meta, stages=1))
+
+
+def test_deep_chain_plans_in_linear_ledger_calls(monkeypatch):
+    depth = 2048
+    meta = VolumeMeta(64, 64, depth, U8)
+    g = chain(mk_read(meta), ops.erode(1, name="e0"), ops.dilate(1, name="d0"),
+              ops.threshold(100, name="t0"), ops.square(name="sq"),
+              ops.discrete_gaussian(0.8, name="g"), ops.median_filter(1, name="m"),
+              ops.threshold(10, name="t1"), ops.erode(1, name="e1"), mk_write())
+    calls = {"n": 0}
+    real = planner.estimate_pipeline
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "estimate_pipeline", counting)
+    p = plan(g, Budget(1 << 40))
+    tunables = sum(st.tunable for st in g.nodes)
+    assert tunables == 10
+    assert calls["n"] <= 2 * tunables + 4  # the stepping greedy made 20,396
+    # 1 TiB holds every window at its input depth
+    assert [st.w for st in p.segments[0].topo_order()] == \
+        [2048, 2048, 2046, 2044, 2044, 2044, 2038, 2036, 2036, 2034]
 
 
 def test_plan_repairs_with_resize_then_midwrite(tmp_path):
