@@ -245,14 +245,18 @@ def write_slices_steps(src: SliceStream, directory, meta: VolumeMeta):
     return written
 
 
-def write_slice_stack(src: SliceStream, directory, meta: VolumeMeta):
-    """Drain a stream into a slice-stack directory; returns slices written."""
-    steps = write_slices_steps(src, directory, meta)
+def _drain(steps):
+    """Run a stepwise sink to its end; returns its result."""
     while True:
         try:
             next(steps)
         except StopIteration as stop:
             return stop.value
+
+
+def write_slice_stack(src: SliceStream, directory, meta: VolumeMeta):
+    """Drain a stream into a slice-stack directory; returns slices written."""
+    return _drain(write_slices_steps(src, directory, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +366,7 @@ def write_chunks_steps(src: SliceStream, directory, grid: ChunkGrid):
 
 def write_chunk_store(src: SliceStream, directory, grid: ChunkGrid):
     """Drain a stream into a chunk store; returns slices written."""
-    steps = write_chunks_steps(src, directory, grid)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as stop:
-            return stop.value
+    return _drain(write_chunks_steps(src, directory, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,19 @@ def _pad_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
         release(sl)
         return ALLOC.new_slice(out_smeta, data=arr)
 
+    def z_edge(cur, count):
+        # count copies of the z edge: cur itself (clamp) or one zero slice
+        if not count:
+            return
+        edge = cur if mode == "clamp" else ALLOC.new_slice(out_smeta)
+        try:
+            for _ in range(count):
+                st.retain(edge)
+                yield edge
+        finally:
+            if edge is not cur:
+                release(edge)
+
     def gen():
         cur = None
         try:
@@ -230,17 +243,7 @@ def _pad_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
             if first is None:
                 return
             cur = pad_xy(first)
-            if zlo:
-                if mode == "clamp":
-                    for _ in range(zlo):
-                        st.retain(cur)
-                        yield cur
-                else:
-                    zero = ALLOC.new_slice(out_smeta)
-                    for _ in range(zlo):
-                        st.retain(zero)
-                        yield zero
-                    release(zero)
+            yield from z_edge(cur, zlo)
             while True:
                 st.retain(cur)
                 yield cur
@@ -250,17 +253,7 @@ def _pad_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                 release(cur)
                 cur = None
                 cur = pad_xy(nxt)
-            if zhi:
-                if mode == "clamp":
-                    for _ in range(zhi):
-                        st.retain(cur)
-                        yield cur
-                else:
-                    zero = ALLOC.new_slice(out_smeta)
-                    for _ in range(zhi):
-                        st.retain(zero)
-                        yield zero
-                    release(zero)
+            yield from z_edge(cur, zhi)
         finally:
             if cur is not None:
                 release(cur)
@@ -673,9 +666,8 @@ def _mean_steps(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
     ctx.sink_counts[stage.name] = count
 
 
-def _write_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
-                 ctx: RunContext):
-    steps = sio.write_slices_steps(src, stage.params["dir"], out_v)
+def _sink_count_steps(stage: PlanStage, steps, ctx: RunContext):
+    """Drive an io writer's steps; record the slices written, even on failure."""
     written = 0
     try:
         while True:
@@ -687,23 +679,19 @@ def _write_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
             yield
     finally:
         ctx.sink_counts.setdefault(stage.name, written)
+
+
+def _write_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
+                 ctx: RunContext):
+    yield from _sink_count_steps(
+        stage, sio.write_slices_steps(src, stage.params["dir"], out_v), ctx)
 
 
 def _write_chunks_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
                         ctx: RunContext):
     grid = sio.ChunkGrid(out_v, *stage.params["chunks"])
-    steps = sio.write_chunks_steps(src, stage.params["dir"], grid)
-    written = 0
-    try:
-        while True:
-            try:
-                written = next(steps)
-            except StopIteration as stop:
-                ctx.sink_counts[stage.name] = stop.value
-                return
-            yield
-    finally:
-        ctx.sink_counts.setdefault(stage.name, written)
+    yield from _sink_count_steps(
+        stage, sio.write_chunks_steps(src, stage.params["dir"], grid), ctx)
 
 
 # ---------------------------------------------------------------------------

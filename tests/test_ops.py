@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 import oracles
-from helpers import apply_stage
+from helpers import apply_stage, vol_stream
 from stackstream import ops
-from stackstream.core import F32, U8, U16, PlanningError, VolumeMeta
+from stackstream.core import F32, U8, U16, PlanningError, VolumeMeta, release
 from stackstream.io import synth_volume
 from stackstream.planner import fuse_convolutions
+from stackstream.runtime import RunContext, stage_stream
 
 
 def rand_vol(meta, seed):
@@ -246,6 +248,69 @@ def test_even_count_median_takes_lower_middle():
     assert np.array_equal(out, ref)
 
 
+_MORPH_FACTORIES = {"median": ops.median_filter, "erode": ops.erode,
+                    "dilate": ops.dilate}
+
+
+def _fill(rng, dtype, fill, shape):
+    if fill == "ties":  # extremes of u8, so ties straddle every radix bit
+        return rng.choice([0, 1, 254, 255], size=shape).astype(dtype.np_dtype)
+    if fill == "constant":
+        return np.full(shape, rng.choice([0, 1, 128, 255]), dtype=dtype.np_dtype)
+    if fill == "two":
+        return rng.choice(rng.choice(256, size=2), size=shape).astype(dtype.np_dtype)
+    if dtype.kind == "f32":
+        return (rng.standard_normal(shape) * 100).astype(np.float32)
+    return rng.integers(0, np.iinfo(dtype.np_dtype).max, size=shape,
+                        endpoint=True).astype(dtype.np_dtype)
+
+
+@hst.composite
+def morph_cases(draw):
+    """(op, dtype, mask, volume, w): masks keep the centre, may be even-sized."""
+    op = draw(hst.sampled_from(sorted(_MORPH_FACTORIES)))
+    dtype = draw(hst.sampled_from([U8, U16, F32]))
+    shape = tuple(draw(hst.sampled_from([1, 3])) for _ in range(3))
+    bits = draw(hst.lists(hst.booleans(), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    mask[shape[0] // 2, shape[1] // 2, shape[2] // 2] = True
+    kz = shape[0]
+    depth = draw(hst.integers(kz, kz + 4))
+    w = draw(hst.integers(kz, depth))
+    dims = (depth, draw(hst.integers(1, 4)), draw(hst.integers(1, 4)))
+    fill = draw(hst.sampled_from(["random", "ties", "constant", "two"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    return op, dtype, mask, _fill(rng, dtype, fill, dims), w
+
+
+_RNG = np.random.default_rng(57)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=morph_cases())
+# a u8 median over a box with r=3 counts up to 343 entries per voxel
+@example(case=("median", U8, np.ones((7, 7, 7), dtype=bool),
+               _fill(_RNG, U8, "random", (7, 2, 3)), 7))
+@example(case=("median", U8, np.ones((7, 7, 7), dtype=bool),
+               np.full((7, 3, 2), 200, dtype=np.uint8), 7))
+# the centre-only mask is the identity
+@example(case=("median", U16, np.ones((1, 1, 1), dtype=bool),
+               _fill(_RNG, U16, "random", (3, 2, 2)), 1))
+# w=4 over 7 slices: the tail window emits from lo=1
+@example(case=("median", U8, np.ones((3, 3, 3), dtype=bool),
+               _fill(_RNG, U8, "ties", (7, 2, 3)), 4))
+def test_morphology_matches_sort_oracle_on_generated_cases(case):
+    op, dtype, mask, vol, w = case
+    depth, ny, nx = vol.shape
+    meta = VolumeMeta(nx, ny, depth, dtype)
+    se = ops.StructuringElement(mask)
+    out = apply_stage(_MORPH_FACTORIES[op](se, w=w), vol, meta)
+    ref = oracles.morphology(vol, mask, op)
+    assert out.dtype == ref.dtype
+    assert np.array_equal(out, ref)
+
+
 # ---------------------------------------------------------------------------
 # crop / pad / permute
 # ---------------------------------------------------------------------------
@@ -281,6 +346,17 @@ def test_pad_zero_mode_and_xy():
     amounts = (1, 2, 2, 1, 1, 0)
     out = apply_stage(ops.pad(amounts, "zero"), vol, meta)
     assert np.array_equal(out, oracles.pad_volume(vol, amounts, "zero"))
+
+
+def test_zero_pad_closed_inside_z_edge_leaks_nothing():
+    meta = VolumeMeta(3, 3, 2, U8)
+    stage = ops.pad((0, 0, 0, 0, 2, 0), "zero")
+    out = stage_stream(stage, vol_stream(rand_vol(meta, 47), meta), meta,
+                       ops.out_meta(stage, meta), RunContext(tmpdir="."))
+    first = out.pull()
+    assert not first.data.any()
+    release(first)
+    out.close()  # the leak guard checks the shared zero slice was released
 
 
 def test_crop_of_pad_identity():
