@@ -34,7 +34,7 @@ from pathlib import Path
 from . import io as sio
 from . import ops
 from .core import (Budget, EngineError, PipelineGraph, PlanningError,
-                   StageError, VolumeMeta, dtype_by_kind)
+                   StageError, VolumeMeta, chain, dtype_by_kind, tee_graph)
 from .costmodel import layout_report
 from .io import ChunkGrid
 from .planner import plan as make_plan
@@ -65,28 +65,42 @@ def format_bytes(n: int) -> str:
     return f"{n} B"
 
 
-def _kv(tokens, line, allowed, required=()):
-    out = {}
-    col = 1
-    for tok in tokens:
-        col += 1
+_REQUIRED = object()
+
+
+def _values(ln: int, words, syntax):
+    """get(key, conv=str, default) over the values of one stage line.
+
+    words are the (column, text) of the keyword and of each token after
+    it. Every malformed, missing or unknown value is a SpecSyntaxError
+    that names the line and the character column of the token at fault.
+    """
+    n = syntax.positional
+    if len(words) <= n:
+        col, last = words[-1]
+        raise SpecSyntaxError(ln, col + len(last) + 1, f"{syntax.keyword} takes "
+                              + " ".join(syntax.keys[:n]))
+    given = dict(zip(syntax.keys, words[1:n + 1]))
+    for col, tok in words[n + 1:]:
         if "=" not in tok:
-            raise SpecSyntaxError(line, col, f"expected key=value, got {tok!r}")
+            raise SpecSyntaxError(ln, col, f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        if key not in allowed:
-            raise SpecSyntaxError(line, col, f"unknown key {key!r}")
-        out[key] = val
-    for key in required:
-        if key not in out:
-            raise SpecSyntaxError(line, 1, f"missing required key {key!r}")
-    return out
+        if key not in syntax.keys[n:]:
+            raise SpecSyntaxError(ln, col, f"unknown key {key!r}")
+        given[key] = (col, val)
 
+    def get(key, conv=str, default=_REQUIRED):
+        if key not in given:
+            if default is _REQUIRED:
+                raise SpecSyntaxError(ln, words[0][0], f"missing required key {key!r}")
+            return default
+        col, text = given[key]
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise SpecSyntaxError(ln, col, f"bad value for {key}: {text!r} ({exc})") from None
 
-def _num(val, line, integer=False):
-    try:
-        return int(val) if integer else float(val)
-    except ValueError:
-        raise SpecSyntaxError(line, 1, f"bad number {val!r}")
+    return get
 
 
 def parse(text: str):
@@ -116,15 +130,16 @@ def parse(text: str):
         idx += 1
         return f"{op}{idx}"
 
+    keywords = {syn.keyword: syn for rec in ops.OPS.values() for syn in rec.spec}
     lines = text.splitlines()
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = [(m.start() + 1, m.group())
+                 for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not words:
             continue
         if seen_sink:
             raise SpecSyntaxError(ln, 1, "content after sink")
-        tokens = line.split()
-        cmd, args = tokens[0], tokens[1:]
+        cmd, args = words[0][1], [w for _, w in words[1:]]
         if cmd == "source":
             if budget_cap is not None:
                 raise SpecSyntaxError(ln, 1, "duplicate source line")
@@ -156,8 +171,10 @@ def parse(text: str):
                                       f"unknown join function {args!r} (expected add)")
             join_stage = ops.add_join(name=mk_name("add"))
             continue
-        stage = _parse_stage(cmd, args, ln, mk_name)
-        target_list().append(stage)
+        if cmd not in keywords:
+            raise SpecSyntaxError(ln, words[0][0], f"unknown stage {cmd!r}")
+        syntax = keywords[cmd]
+        target_list().append(syntax.parse(_values(ln, words, syntax), mk_name(cmd)))
 
     if budget_cap is None:
         raise SpecSyntaxError(1, 1, "missing 'source <bytes>' line")
@@ -169,200 +186,52 @@ def parse(text: str):
         raise SpecSyntaxError(1, 1, "pipeline has no input stage")
 
     if branches is None:
-        graph = _chain_graph(pre)
+        graph = chain(*pre)
     else:
         if len(branches) != 2 or any(not b for b in branches):
             raise SpecSyntaxError(1, 1, "tee needs exactly two non-empty branches")
-        tee = ops.tee(name=f"tee0")
-        from .core import tee_graph
+        tee = ops.tee(name="tee0")
         graph = tee_graph(pre + [tee], branches, join_stage, post)
     return graph, Budget(cap=budget_cap)
-
-
-def _chain_graph(stages) -> PipelineGraph:
-    from .core import chain
-    return chain(*stages)
-
-
-def _parse_stage(cmd, args, ln, mk_name):
-    if cmd == "read":
-        if len(args) != 1:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "read takes one directory")
-        return sio.read_stage(args[0], name=mk_name("read"))
-    if cmd == "readInChunks":
-        if len(args) != 1:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "readInChunks takes one directory")
-        return sio.read_chunks_stage(args[0], name=mk_name("readInChunks"))
-    if cmd == "write":
-        if len(args) != 1:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "write takes one directory")
-        return sio.write_stage(args[0], name=mk_name("write"))
-    if cmd == "writeInChunks":
-        if not args:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "writeInChunks takes a directory")
-        kv = _kv(args[1:], ln, {"chunks"})
-        chunks = (16, 16, 16)
-        if "chunks" in kv:
-            chunks = tuple(int(v) for v in kv["chunks"].split(","))
-        return sio.write_chunks_stage(args[0], chunks=chunks,
-                                      name=mk_name("writeInChunks"))
-    if cmd == "threshold":
-        kv = _kv(args, ln, {"t", "w"}, required=("t",))
-        return ops.threshold(_num(kv["t"], ln), w=int(kv.get("w", 1)),
-                             name=mk_name("threshold"))
-    if cmd == "square":
-        kv = _kv(args, ln, {"w"})
-        return ops.square(w=int(kv.get("w", 1)), name=mk_name("square"))
-    if cmd == "gaussian":
-        kv = _kv(args, ln, {"sigma", "w"}, required=("sigma",))
-        w = int(kv["w"]) if "w" in kv else None
-        return ops.discrete_gaussian(_num(kv["sigma"], ln), w=w,
-                                     name=mk_name("gaussian"))
-    if cmd == "median":
-        kv = _kv(args, ln, {"r", "w"})
-        w = int(kv["w"]) if "w" in kv else None
-        return ops.median_filter(int(kv.get("r", 1)), w=w, name=mk_name("median"))
-    if cmd in ("erode", "dilate"):
-        kv = _kv(args, ln, {"r", "w"})
-        w = int(kv["w"]) if "w" in kv else None
-        fn = ops.erode if cmd == "erode" else ops.dilate
-        return fn(int(kv.get("r", 1)), w=w, name=mk_name(cmd))
-    if cmd == "convolve":
-        kv = _kv(args, ln, {"kernel", "w"}, required=("kernel",))
-        kern = ops.Kernel3D.load(kv["kernel"])
-        w = int(kv["w"]) if "w" in kv else None
-        stage = ops.convolve(kern, w=w, name=mk_name("convolve"))
-        stage.params["file"] = kv["kernel"]
-        return stage
-    if cmd == "crop":
-        if len(args) != 1:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "crop takes x0,y0,z0,x1,y1,z1")
-        try:
-            box = tuple(int(v) for v in args[0].split(","))
-        except ValueError:
-            raise SpecSyntaxError(ln, len(cmd) + 2, f"bad crop box {args[0]!r}")
-        if len(box) != 6:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "crop box needs six integers")
-        return ops.crop(box, name=mk_name("crop"))
-    if cmd == "pad":
-        kv = _kv(args, ln, {"x", "y", "z", "mode"})
-        amounts = []
-        for axis in ("x", "y", "z"):
-            spec = kv.get(axis, "0,0")
-            parts = spec.split(",")
-            if len(parts) != 2:
-                raise SpecSyntaxError(ln, 1, f"pad {axis} needs lo,hi")
-            amounts.extend(int(p) for p in parts)
-        return ops.pad(tuple(amounts), mode=kv.get("mode", "clamp"),
-                       name=mk_name("pad"))
-    if cmd == "permute":
-        if len(args) != 1:
-            raise SpecSyntaxError(ln, len(cmd) + 2, "permute takes an axis order")
-        if args[0] not in ops.PERMUTE_ORDERS:
-            raise SpecSyntaxError(ln, len(cmd) + 2,
-                                  f"bad axis order {args[0]!r}")
-        return ops.permute_axes(args[0], name=mk_name("permute"))
-    if cmd == "histogram":
-        kv = _kv(args, ln, {"out", "w", "range"})
-        rng = None
-        if "range" in kv:
-            lo, hi = kv["range"].split(",")
-            rng = (float(lo), float(hi))
-        return ops.histogram_op(w=int(kv.get("w", 1)), value_range=rng,
-                                out=kv.get("out"), name=mk_name("histogram"))
-    raise SpecSyntaxError(ln, 1, f"unknown stage {cmd!r}")
 
 
 # ---------------------------------------------------------------------------
 # pretty printing (canonical spec text)
 # ---------------------------------------------------------------------------
 
-def _stage_line(st) -> str:
-    p = st.params
-    k = st.op_kind
-    if k == "read":
-        return f"read {p['dir']}"
-    if k == "read_chunks":
-        return f"readInChunks {p['dir']}"
-    if k == "write":
-        return f"write {p['dir']}"
-    if k == "write_chunks":
-        return f"writeInChunks {p['dir']} chunks={','.join(str(c) for c in p['chunks'])}"
-    if k == "pointwise":
-        if p.get("fn_name") == "threshold":
-            return f"threshold t={p['t']} w={st.w}"
-        if p.get("fn_name") == "square":
-            return f"square w={st.w}"
-        raise PlanningError(f"stage {st.name!r}: custom pointwise has no spec syntax")
-    if k == "gaussian":
-        return f"gaussian sigma={p['sigma']} w={st.w}"
-    if k == "median":
-        r = p["se"].mask.shape[0] // 2
-        return f"median r={r} w={st.w}"
-    if k in ("erode", "dilate"):
-        r = p["se"].mask.shape[0] // 2
-        return f"{k} r={r} w={st.w}"
-    if k == "convolve":
-        return f"convolve kernel={p['file']} w={st.w}"
-    if k == "crop":
-        return "crop " + ",".join(str(v) for v in p["box"])
-    if k == "pad":
-        a = p["amounts"]
-        return (f"pad x={a[0]},{a[1]} y={a[2]},{a[3]} z={a[4]},{a[5]} "
-                f"mode={p['mode']}")
-    if k == "permute":
-        return f"permute {p['order']}"
-    if k == "histogram":
-        parts = ["histogram"]
-        if p.get("out"):
-            parts.append(f"out={p['out']}")
-        parts.append(f"w={st.w}")
-        if p.get("value_range"):
-            lo, hi = p["value_range"]
-            parts.append(f"range={lo},{hi}")
-        return " ".join(parts)
-    raise PlanningError(f"stage {st.name!r} ({k}) has no spec syntax")
+def _stage_text(st) -> str:
+    for syntax in ops.record(st).spec:
+        line = syntax.show(st)
+        if line is not None:
+            return line
+    raise PlanningError(f"stage {st.name!r} ({st.op_kind}) has no spec syntax")
 
 
 def pretty_print(graph: PipelineGraph, budget: Budget) -> str:
     """Canonical spec text; parse(pretty_print(parse(s))) is a fixpoint."""
     lines = [f"source {format_bytes(budget.cap)}"]
-    src = graph.source()
-    node = src
-    while True:
-        succs = graph.successors(node.name)
-        if node.op_kind == "tee":
-            branches = []
-            join_name = None
-            for head in succs:
-                branch = []
-                cur = head
-                while True:
-                    stg = graph.node(cur)
-                    if stg.op_kind == "zip_add":
-                        join_name = cur
-                        break
-                    branch.append(stg)
-                    nxt = graph.successors(cur)
-                    if not nxt:
-                        break
-                    cur = nxt[0]
-                branches.append(branch)
-            lines.append("tee")
-            for i, br in enumerate(branches):
-                if i:
-                    lines.append("---")
-                lines.extend(_stage_line(s) for s in br)
-            lines.append("join add")
-            if join_name is None:
-                break
-            node = graph.node(join_name)
-            succs = graph.successors(join_name)
-        else:
-            lines.append(_stage_line(node))
-        if not succs:
-            break
-        node = graph.node(succs[0])
+
+    def after(name):
+        succs = graph.successors(name)
+        return succs[0] if succs else None
+
+    name = graph.source().name
+    while name is not None:
+        if graph.node(name).op_kind != "tee":
+            lines.append(_stage_text(graph.node(name)))
+            name = after(name)
+            continue
+        lines.append("tee")
+        join = None
+        for i, cur in enumerate(graph.successors(name)):
+            if i:
+                lines.append("---")
+            while cur is not None and graph.node(cur).op_kind != "zip_add":
+                lines.append(_stage_text(graph.node(cur)))
+                cur = after(cur)
+            join = cur or join
+        lines.append("join add")
+        name = after(join) if join else None
     lines.append("sink")
     return "\n".join(lines) + "\n"
 
@@ -386,22 +255,6 @@ def _tmpdir(args) -> str:
     return os.environ.get(TMPDIR_ENV, tempfile.gettempdir())
 
 
-def _kernel_dims_of(graph) -> tuple:
-    dims = (1, 1, 1)
-    for stg in graph.nodes:
-        if stg.op_kind == "convolve":
-            kd = stg.params["kernel"].dims
-        elif stg.op_kind in ("gaussian",):
-            kd = (stg.k_z, stg.k_z, stg.k_z)
-        elif stg.op_kind in ("median", "erode", "dilate"):
-            kz, ky, kx = stg.params["se"].mask.shape
-            kd = (kx, ky, kz)
-        else:
-            continue
-        dims = tuple(max(a, b) for a, b in zip(dims, kd))
-    return dims
-
-
 def _io_report(graph, seed) -> str:
     src = graph.source()
     meta = src.params["meta"]
@@ -410,20 +263,29 @@ def _io_report(graph, seed) -> str:
     else:
         cx = cy = cz = max(1, min(16, meta.nx, meta.ny, meta.depth))
     grid = ChunkGrid(meta, cx, cy, cz)
-    kd = _kernel_dims_of(graph)
+    kd = (1, 1, 1)
+    for stg in graph.nodes:
+        dims_of = ops.record(stg).kernel_dims
+        if dims_of is not None:
+            kd = tuple(max(a, b) for a, b in zip(kd, dims_of(stg)))
     # halo analysis needs odd kernel edges no larger than a chunk
     kd = tuple(k if k <= c else (c if c % 2 else c - 1)
                for k, c in zip(kd, (cx, cy, cz)))
     return layout_report(meta, grid, kd, seed=seed)
 
 
-def cmd_plan(args) -> int:
+def _plan(args):
+    """Parse the spec and plan it with the command's options."""
     graph, budget = _load_spec(args.spec)
     if args.epsilon is not None:
         budget = Budget(budget.cap, args.epsilon)
-    p = make_plan(graph, budget, tmpdir=_tmpdir(args),
-                  grow_windows=not args.force_exact_windows,
-                  concurrent=args.threads > 1)
+    return graph, make_plan(graph, budget, tmpdir=_tmpdir(args),
+                            grow_windows=not args.force_exact_windows,
+                            concurrent=args.threads > 1)
+
+
+def cmd_plan(args) -> int:
+    graph, p = _plan(args)
     print(p.render())
     if args.io:
         print(_io_report(graph, args.seed))
@@ -431,12 +293,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    graph, budget = _load_spec(args.spec)
-    if args.epsilon is not None:
-        budget = Budget(budget.cap, args.epsilon)
-    p = make_plan(graph, budget, tmpdir=_tmpdir(args),
-                  grow_windows=not args.force_exact_windows,
-                  concurrent=args.threads > 1)
+    _, p = _plan(args)
     if p.verdict == "infeasible":
         print(p.render())
         return 2

@@ -174,7 +174,6 @@ class SliceAllocator:
         self.internal_bytes = 0
         self.peak_bytes = 0
         self.peak_slices = 0
-        self.total_allocated = 0
 
     def _bump_peak_locked(self):
         total = self.live_bytes + self.internal_bytes
@@ -199,7 +198,6 @@ class SliceAllocator:
             self.live_slices += 1
             self.live_bytes += meta.nbytes
             self.live_refs += 1
-            self.total_allocated += 1
             self._bump_peak_locked()
         return s
 
@@ -234,7 +232,6 @@ class SliceAllocator:
         with self._lock:
             self.peak_bytes = self.live_bytes + self.internal_bytes
             self.peak_slices = self.live_slices
-            self.total_allocated = 0
 
 
 #: process-wide default allocator; tests may swap in fresh instances
@@ -337,7 +334,7 @@ ITERATIVE = AlgorithmClass("iterative", "k", "many")
 class PlanStage:
     """Descriptor of one pipeline stage.
 
-    w/s/p are the slice window, stride and padding. k_z is the kernel
+    w/s are the slice window and stride. k_z is the kernel
     depth for windowed kernel stages. `params` carries operator-specific
     settings (kernels, thresholds, directories). `mem` optionally
     overrides the planner's built-in estimate formula.
@@ -347,7 +344,6 @@ class PlanStage:
     op_kind: str
     w: int = 1
     s: int = 1
-    p: int = 0
     k_z: int = 1
     params: dict = field(default_factory=dict)
     algo_class: AlgorithmClass = SINGLE_PIXEL
@@ -356,10 +352,8 @@ class PlanStage:
     tunable: bool = False
 
     def validate(self):
-        if self.w < 1 or self.s < 1 or self.p < 0:
-            raise PlanningError(f"stage {self.name!r}: need w >= 1, s >= 1, p >= 0")
-        if self.p > 0 and self.p >= self.w:
-            raise PlanningError(f"stage {self.name!r}: padding must satisfy p < w")
+        if self.w < 1 or self.s < 1:
+            raise PlanningError(f"stage {self.name!r}: need w >= 1, s >= 1")
         # a window smaller than the kernel depth is a planning error,
         # never a silent clamp
         if self.w < self.k_z:

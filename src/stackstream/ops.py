@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import io as sio
 from .core import (F32, GEOMETRIC, GLOBAL_REDUCTION, LOCAL_NEIGHBOURHOOD,
-                   SINGLE_PIXEL, Dtype, PlanStage, PlanningError, VolumeMeta)
+                   SINGLE_PIXEL, Dtype, MemEstimate, PlanStage, PlanningError,
+                   VolumeMeta, slice_bytes)
 
 # ---------------------------------------------------------------------------
 # kernels, structuring elements, histograms
@@ -61,11 +63,15 @@ class Kernel3D:
 
     @classmethod
     def load(cls, path) -> "Kernel3D":
-        tokens = Path(path).read_text().split()
-        if len(tokens) < 3:
+        try:
+            tokens = Path(path).read_text().split()
+            dims = [int(t) for t in tokens[:3]]
+            vals = [float(t) for t in tokens[3:]]
+        except (OSError, ValueError) as exc:  # unreadable, not text, not numbers
+            raise PlanningError(f"kernel file {path}: {exc}") from exc
+        if len(dims) < 3:
             raise PlanningError(f"kernel file {path}: missing dims header")
-        kx, ky, kz = (int(t) for t in tokens[:3])
-        vals = [float(t) for t in tokens[3:]]
+        kx, ky, kz = dims
         if len(vals) != kx * ky * kz:
             raise PlanningError(
                 f"kernel file {path}: expected {kx * ky * kz} weights, got {len(vals)}")
@@ -372,34 +378,29 @@ def square(w: int = 1, name: Optional[str] = None) -> PlanStage:
                      name=name or _auto_name("square"), fn_name="square")
 
 
+def _kernel_stage(kind: str, kz: int, w, name, **params) -> PlanStage:
+    """A stage over a sliding z-window of w slices, kz (its least) by default."""
+    w = kz if w is None else w
+    return PlanStage(name=name or _auto_name(kind), op_kind=kind,
+                     w=w, s=w - kz + 1, k_z=kz, params=params,
+                     algo_class=LOCAL_NEIGHBOURHOOD, w_min=kz, tunable=True)
+
+
 def convolve(kernel: Kernel3D, w: Optional[int] = None,
              name: Optional[str] = None) -> PlanStage:
-    kz = kernel.k_z
-    w = kz if w is None else w
-    return PlanStage(name=name or _auto_name("convolve"), op_kind="convolve",
-                     w=w, s=w - kz + 1, k_z=kz, params={"kernel": kernel},
-                     algo_class=LOCAL_NEIGHBOURHOOD, w_min=kz, tunable=True)
+    return _kernel_stage("convolve", kernel.k_z, w, name, kernel=kernel)
 
 
 def discrete_gaussian(sigma: float, w: Optional[int] = None,
                       name: Optional[str] = None) -> PlanStage:
     g = gaussian_kernel_1d(sigma)
-    kz = len(g)
-    w = kz if w is None else w
-    return PlanStage(name=name or _auto_name("gaussian"), op_kind="gaussian",
-                     w=w, s=w - kz + 1, k_z=kz,
-                     params={"sigma": sigma, "g1d": g},
-                     algo_class=LOCAL_NEIGHBOURHOOD, w_min=kz, tunable=True)
+    return _kernel_stage("gaussian", len(g), w, name, sigma=sigma, g1d=g)
 
 
 def _morph_stage(kind: str, se, w, name) -> PlanStage:
     if isinstance(se, int):
         se = StructuringElement.box(se)
-    kz = se.k_z
-    w = kz if w is None else w
-    return PlanStage(name=name or _auto_name(kind), op_kind=kind,
-                     w=w, s=w - kz + 1, k_z=kz, params={"se": se},
-                     algo_class=LOCAL_NEIGHBOURHOOD, w_min=kz, tunable=True)
+    return _kernel_stage(kind, se.k_z, w, name, se=se)
 
 
 def median_filter(se=1, w=None, name=None) -> PlanStage:
@@ -423,9 +424,12 @@ def crop(box, name=None) -> PlanStage:
                      params={"box": tuple(box)}, algo_class=GEOMETRIC)
 
 
+PAD_MODES = ("zero", "clamp")
+
+
 def pad(amounts, mode: str = "clamp", name=None) -> PlanStage:
     """Grow extents by (xlo,xhi,ylo,yhi,zlo,zhi) voxels; mode zero or clamp."""
-    if mode not in ("zero", "clamp"):
+    if mode not in PAD_MODES:
         raise PlanningError(f"pad mode must be zero or clamp, got {mode!r}")
     if len(tuple(amounts)) != 6 or min(amounts) < 0:
         raise PlanningError(f"invalid pad amounts {amounts}")
@@ -494,64 +498,280 @@ def tee(name=None) -> PlanStage:
                      algo_class=SINGLE_PIXEL)
 
 
+# ---------------------------------------------------------------------------
+# one record per op kind
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Syntax:
+    """One spec keyword: the values its line takes, parsed and printed.
+
+    The first `positional` names in `keys` are bare tokens, the rest are
+    key=value tokens. parse(get, name) builds the stage, where
+    get(key, conv=str, default) converts the key's text with conv, which
+    raises ValueError on malformed text. show(stage) is the stage's spec
+    line, or None when the stage is not one this keyword builds.
+    """
+
+    keyword: str
+    keys: tuple
+    parse: Callable
+    show: Callable
+    positional: int = 0
+
+
+@dataclass(frozen=True)
+class OpKind:
+    """What the engine knows about one op kind.
+
+    estimate(stage, in_meta, out_meta) is a stage's closed-form ledger
+    price, out_meta(stage, meta) the volume geometry downstream of it and
+    batch(stage) the slices it emits per window step, its handoff batch.
+    Kernel kinds consume a sliding z-window and emit its valid centers:
+    window(stage, window, lo, hi) gives the output arrays of the
+    window-relative centers lo..hi, and kernel_dims(stage) the kernel's
+    (kx, ky, kz). spec holds the kind's keywords; structural kinds (tee,
+    join) and priced-only ones have none.
+    """
+
+    estimate: Callable
+    out_meta: Callable = lambda stage, meta: meta
+    batch: Callable = lambda stage: 1
+    window: Optional[Callable] = None
+    kernel_dims: Optional[Callable] = None
+    spec: tuple = ()
+
+
+def _source_meta(stage, meta):
+    return stage.params["meta"]
+
+
+def _crop_meta(stage, meta):
+    x0, y0, z0, x1, y1, z1 = stage.params["box"]
+    if x1 > meta.nx or y1 > meta.ny or z1 > meta.depth:
+        raise PlanningError(f"stage {stage.name!r}: crop box exceeds volume")
+    return VolumeMeta(x1 - x0, y1 - y0, z1 - z0, meta.dtype)
+
+
+def _pad_meta(stage, meta):
+    xlo, xhi, ylo, yhi, zlo, zhi = stage.params["amounts"]
+    return VolumeMeta(meta.nx + xlo + xhi, meta.ny + ylo + yhi,
+                      meta.depth + zlo + zhi, meta.dtype)
+
+
+def _permute_meta(stage, meta):
+    sizes = {"x": meta.nx, "y": meta.ny, "z": meta.depth}
+    return VolumeMeta(*(sizes[a] for a in stage.params["order"]), meta.dtype)
+
+
+def permute_chunk_dims(stage: PlanStage, meta: VolumeMeta):
+    e = stage.params["chunk_edge"]
+    return min(e, meta.nx), min(e, meta.ny), min(e, meta.depth)
+
+
+def _permute_estimate(stage, meta, out):
+    if stage.params["order"][2] == "z":
+        return MemEstimate(slice_bytes(meta), slice_bytes(out), 0)
+    # pass 1 buffers one chunk layer of the input; pass 2 holds two slabs
+    # of chunks along the axis that becomes the new z
+    cx, cy, cz = permute_chunk_dims(stage, meta)
+    b = meta.dtype.byte_width
+    layer = cz * meta.nx * meta.ny * b
+    slab = {"x": cx * meta.ny * meta.depth,
+            "y": cy * meta.nx * meta.depth}[stage.params["order"][2]] * b
+    return MemEstimate(slice_bytes(meta), slice_bytes(out), max(layer, 2 * slab))
+
+
+def _numbers(n, conv=int):
+    """Spec value of n comma-separated numbers."""
+    def parse(text):
+        parts = text.split(",")
+        if len(parts) != n:
+            raise ValueError(f"expected {n} comma-separated values")
+        return tuple(conv(v) for v in parts)
+    return parse
+
+
+def _choice(allowed):
+    def parse(text):
+        if text not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}")
+        return text
+    return parse
+
+
+def _kernel_kind(window, kernel_dims, syntax, dtype=None):
+    """Record of a kernel kind: w slices in, the w - k_z + 1 valid centers
+    out per step, each in `dtype` or else in the input's dtype."""
+    def out_meta(stage, meta):
+        depth = meta.depth - stage.k_z + 1
+        if depth < 1:
+            raise PlanningError(f"stage {stage.name!r}: kernel depth exceeds stack")
+        return VolumeMeta(meta.nx, meta.ny, depth, dtype or meta.dtype)
+
+    return OpKind(lambda st, m, o: MemEstimate(st.w * slice_bytes(m),
+                                               (st.w - st.k_z + 1) * slice_bytes(o), 0),
+                  out_meta, batch=lambda st: st.w - st.k_z + 1,
+                  window=window, kernel_dims=kernel_dims, spec=(syntax,))
+
+
+def _parse_convolve(get, name):
+    w = get("w", int, None)
+    path = get("kernel")
+    stage = convolve(Kernel3D.load(path), w=w, name=name)
+    stage.params["file"] = path
+    return stage
+
+
+def _morph_kind(kind):
+    return _kernel_kind(
+        lambda st, win, lo, hi: morph_window(win, st.params["se"], kind, lo, hi),
+        lambda st: st.params["se"].mask.shape[::-1],
+        Syntax(kind, ("r", "w"),
+               lambda get, name: _morph_stage(kind, get("r", int, 1),
+                                              get("w", int, None), name),
+               lambda st: f"{kind} r={st.params['se'].mask.shape[0] // 2} w={st.w}"))
+
+
+def _pointwise_syntax(fn_name, keys, parse, show):
+    # threshold and square share the pointwise kind; each prints its own
+    return Syntax(fn_name, keys, parse,
+                  lambda st: show(st) if st.params.get("fn_name") == fn_name else None)
+
+
+def _parse_pad(get, name):
+    amounts = sum((get(axis, _numbers(2), (0, 0)) for axis in "xyz"), ())
+    return pad(amounts, mode=get("mode", _choice(PAD_MODES), "clamp"), name=name)
+
+
+def _pad_line(st):
+    a = st.params["amounts"]
+    return (f"pad x={a[0]},{a[1]} y={a[2]},{a[3]} z={a[4]},{a[5]} "
+            f"mode={st.params['mode']}")
+
+
+def _histogram_line(st):
+    p = st.params
+    parts = ["histogram"]
+    if p.get("out"):
+        parts.append(f"out={p['out']}")
+    parts.append(f"w={st.w}")
+    if p.get("value_range"):
+        lo, hi = p["value_range"]
+        parts.append(f"range={lo},{hi}")
+    return " ".join(parts)
+
+
+def _io_syntax(keyword, factory):
+    return Syntax(keyword, ("dir",), lambda get, name: factory(get("dir"), name=name),
+                  lambda st: f"{keyword} {st.params['dir']}", positional=1)
+
+
+#: every op kind the engine plans and runs, keyed by PlanStage.op_kind
+OPS = {
+    "read": OpKind(lambda st, m, o: MemEstimate(0, st.w * slice_bytes(o), 0),
+                   _source_meta, spec=(_io_syntax("read", sio.read_stage),)),
+    "read_chunks": OpKind(
+        lambda st, m, o: MemEstimate(
+            0, slice_bytes(o), 2 * sio.ChunkGrid(o, *st.params["chunks"]).layer_bytes()),
+        _source_meta, spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
+    "initialize": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), 0), _source_meta),
+    "write": OpKind(lambda st, m, o: MemEstimate(st.w * slice_bytes(m), 0, 0),
+                    spec=(_io_syntax("write", sio.write_stage),)),
+    "write_chunks": OpKind(
+        lambda st, m, o: MemEstimate(
+            slice_bytes(m), 0, sio.ChunkGrid(m, *st.params["chunks"]).layer_bytes()),
+        spec=(Syntax("writeInChunks", ("dir", "chunks"),
+                     lambda get, name: sio.write_chunks_stage(
+                         get("dir"), chunks=get("chunks", _numbers(3), (16, 16, 16)),
+                         name=name),
+                     lambda st: (f"writeInChunks {st.params['dir']} chunks="
+                                 + ",".join(str(c) for c in st.params["chunks"])),
+                     positional=1),)),
+    "pointwise": OpKind(
+        lambda st, m, o: MemEstimate(st.w * slice_bytes(m), st.w * slice_bytes(o), 0),
+        batch=lambda st: st.w,
+        spec=(_pointwise_syntax(
+                  "threshold", ("t", "w"),
+                  lambda get, name: threshold(get("t", float), w=get("w", int, 1),
+                                              name=name),
+                  lambda st: f"threshold t={st.params['t']} w={st.w}"),
+              _pointwise_syntax(
+                  "square", ("w",),
+                  lambda get, name: square(w=get("w", int, 1), name=name),
+                  lambda st: f"square w={st.w}"))),
+    "convolve": _kernel_kind(
+        lambda st, win, lo, hi: conv_window(win, st.params["kernel"], lo, hi),
+        lambda st: st.params["kernel"].dims,
+        Syntax("convolve", ("kernel", "w"), _parse_convolve,
+               # a kernel built in code has no file to name
+               lambda st: (f"convolve kernel={st.params['file']} w={st.w}"
+                           if "file" in st.params else None)),
+        dtype=F32),
+    "gaussian": _kernel_kind(
+        lambda st, win, lo, hi: gaussian_window(win, st.params["g1d"], lo, hi),
+        lambda st: (st.k_z,) * 3,
+        Syntax("gaussian", ("sigma", "w"),
+               lambda get, name: discrete_gaussian(get("sigma", float),
+                                                   w=get("w", int, None), name=name),
+               lambda st: f"gaussian sigma={st.params['sigma']} w={st.w}")),
+    "median": _morph_kind("median"),
+    "erode": _morph_kind("erode"),
+    "dilate": _morph_kind("dilate"),
+    "crop": OpKind(
+        lambda st, m, o: MemEstimate(slice_bytes(m), slice_bytes(o), 0), _crop_meta,
+        spec=(Syntax("crop", ("box",),
+                     lambda get, name: crop(get("box", _numbers(6)), name=name),
+                     lambda st: "crop " + ",".join(str(v) for v in st.params["box"]),
+                     positional=1),)),
+    "pad": OpKind(
+        lambda st, m, o: MemEstimate(slice_bytes(m), slice_bytes(o), slice_bytes(o)),
+        _pad_meta, spec=(Syntax("pad", ("x", "y", "z", "mode"), _parse_pad, _pad_line),)),
+    "permute": OpKind(
+        _permute_estimate, _permute_meta,
+        spec=(Syntax("permute", ("order",),
+                     lambda get, name: permute_axes(get("order", _choice(PERMUTE_ORDERS)),
+                                                    name=name),
+                     lambda st: f"permute {st.params['order']}", positional=1),)),
+    "histogram": OpKind(
+        lambda st, m, o: MemEstimate(st.w * slice_bytes(m), 0,
+                                     2 * histogram_bin_count(m.dtype)),
+        spec=(Syntax("histogram", ("out", "w", "range"),
+                     lambda get, name: histogram_op(
+                         w=get("w", int, 1), value_range=get("range", _numbers(2, float), None),
+                         out=get("out", str, None), name=name),
+                     _histogram_line),)),
+    "sampled_mean": OpKind(lambda st, m, o: MemEstimate(slice_bytes(m), 0, 0)),
+    # Priced only. This is the price of the stream.zip functional, which
+    # holds one slice of each input and emits the pair itself, and it has
+    # no builder: a stream of pairs is no volume a downstream stage or
+    # sink could take. The join a spec can name is zip_add.
+    "zip": OpKind(lambda st, m, o: MemEstimate(2 * slice_bytes(m), 0, 0)),
+    "zip_add": OpKind(lambda st, m, o: MemEstimate(2 * slice_bytes(m), slice_bytes(o), 0)),
+    "tee": OpKind(lambda st, m, o: MemEstimate(0, 0, 0)),
+}
+
+
+class _KernelKinds:
+    """The op kinds in OPS with a window function, read at lookup time."""
+
+    def __contains__(self, kind):
+        rec = OPS.get(kind)
+        return rec is not None and rec.window is not None
+
+
 #: op kinds that consume a sliding kernel window and emit valid centers
-KERNEL_OPS = ("convolve", "gaussian", "median", "erode", "dilate")
+KERNEL_OPS = _KernelKinds()
+
+
+def record(stage: PlanStage) -> OpKind:
+    """The OPS record of a stage's kind."""
+    try:
+        return OPS[stage.op_kind]
+    except KeyError:
+        raise PlanningError(f"unknown op kind {stage.op_kind!r}") from None
 
 
 def out_meta(stage: PlanStage, meta: VolumeMeta) -> VolumeMeta:
     """Volume geometry downstream of a stage."""
-    kind = stage.op_kind
-    if kind in ("read", "read_chunks", "initialize"):
-        return stage.params["meta"]
-    if kind in ("pointwise", "write", "write_chunks", "zip", "zip_add", "tee",
-                "histogram", "sampled_mean"):
-        return meta
-    if kind == "convolve":
-        depth = meta.depth - stage.k_z + 1
-        if depth < 1:
-            raise PlanningError(f"stage {stage.name!r}: kernel depth exceeds stack")
-        return VolumeMeta(meta.nx, meta.ny, depth, F32)
-    if kind in ("gaussian", "median", "erode", "dilate"):
-        depth = meta.depth - stage.k_z + 1
-        if depth < 1:
-            raise PlanningError(f"stage {stage.name!r}: kernel depth exceeds stack")
-        return VolumeMeta(meta.nx, meta.ny, depth, meta.dtype)
-    if kind == "crop":
-        x0, y0, z0, x1, y1, z1 = stage.params["box"]
-        if x1 > meta.nx or y1 > meta.ny or z1 > meta.depth:
-            raise PlanningError(f"stage {stage.name!r}: crop box exceeds volume")
-        return VolumeMeta(x1 - x0, y1 - y0, z1 - z0, meta.dtype)
-    if kind == "pad":
-        xlo, xhi, ylo, yhi, zlo, zhi = stage.params["amounts"]
-        return VolumeMeta(meta.nx + xlo + xhi, meta.ny + ylo + yhi,
-                          meta.depth + zlo + zhi, meta.dtype)
-    if kind == "permute":
-        order = stage.params["order"]
-        sizes = {"x": meta.nx, "y": meta.ny, "z": meta.depth}
-        return VolumeMeta(sizes[order[0]], sizes[order[1]], sizes[order[2]],
-                          meta.dtype)
-    raise PlanningError(f"unknown op kind {stage.op_kind!r}")
-
-
-def per_step_output(stage: PlanStage) -> int:
-    """Slices a stage emits per window step (its handoff batch size)."""
-    if stage.op_kind in KERNEL_OPS:
-        return stage.w - stage.k_z + 1
-    if stage.op_kind == "pointwise":
-        return stage.w
-    return 1
-
-
-def kernel_window_fn(stage: PlanStage):
-    """(window, lo, hi) -> list of float64/native output arrays."""
-    kind = stage.op_kind
-    if kind == "convolve":
-        kern = stage.params["kernel"]
-        return lambda win, lo, hi: conv_window(win, kern, lo, hi)
-    if kind == "gaussian":
-        g = stage.params["g1d"]
-        return lambda win, lo, hi: gaussian_window(win, g, lo, hi)
-    if kind in ("median", "erode", "dilate"):
-        se = stage.params["se"]
-        return lambda win, lo, hi: morph_window(win, se, kind, lo, hi)
-    raise PlanningError(f"{kind!r} is not a kernel stage")
+    return record(stage).out_meta(stage, meta)

@@ -48,74 +48,16 @@ def max_width(m: int, k: int, b: int = 1) -> int:
 def estimate_stage(stage: PlanStage, meta: VolumeMeta) -> MemEstimate:
     """Closed-form stage estimate from its input volume geometry.
 
-    Windowed transforms hold w input slices; kernel stages emit the
+    A stage's own `mem` wins; otherwise its kind's `ops.OPS` record prices
+    it. Windowed transforms hold w input slices; kernel stages emit the
     w - k_z + 1 valid centers per step, batch stages emit w. Read/write
     endpoints are modeled at window granularity. Chunk adapters charge
     their layer assembly buffers as internal bytes.
     """
     if stage.mem is not None:
         return stage.mem(meta)
-    kind = stage.op_kind
-    om = ops.out_meta(stage, meta)
-    sb_in = slice_bytes(meta)
-    sb_out = slice_bytes(om)
-    w = stage.w
-    if kind == "read":
-        return MemEstimate(0, w * sb_out, 0)
-    if kind == "initialize":
-        return MemEstimate(0, sb_out, 0)
-    if kind == "read_chunks":
-        cx, cy, cz = stage.params["chunks"]
-        layer = cz * om.nx * om.ny * om.dtype.byte_width
-        return MemEstimate(0, sb_out, 2 * layer)
-    if kind == "write":
-        return MemEstimate(w * sb_in, 0, 0)
-    if kind == "write_chunks":
-        cx, cy, cz = stage.params["chunks"]
-        layer = cz * meta.nx * meta.ny * meta.dtype.byte_width
-        return MemEstimate(sb_in, 0, layer)
-    if kind == "pointwise":
-        return MemEstimate(w * sb_in, w * sb_out, 0)
-    if kind in KERNEL_OPS:
-        return MemEstimate(w * sb_in, (w - stage.k_z + 1) * sb_out, 0)
-    if kind == "histogram":
-        bins = ops.histogram_bin_count(meta.dtype)
-        return MemEstimate(w * sb_in, 0, 2 * bins)
-    if kind == "sampled_mean":
-        return MemEstimate(sb_in, 0, 0)
-    if kind == "zip":
-        return MemEstimate(2 * sb_in, 0, 0)
-    if kind == "zip_add":
-        return MemEstimate(2 * sb_in, sb_out, 0)
-    if kind == "tee":
-        return MemEstimate(0, 0, 0)
-    if kind == "crop":
-        return MemEstimate(sb_in, sb_out, 0)
-    if kind == "pad":
-        return MemEstimate(sb_in, sb_out, sb_out)
-    if kind == "permute":
-        if stage.params["order"][2] == "z":
-            return MemEstimate(sb_in, sb_out, 0)
-        gamma = _permute_buffer_bytes(stage, meta)
-        return MemEstimate(sb_in, sb_out, gamma)
-    raise PlanningError(f"no estimate for op kind {stage.op_kind!r}")
-
-
-def permute_chunk_dims(stage: PlanStage, meta: VolumeMeta):
-    e = stage.params["chunk_edge"]
-    return min(e, meta.nx), min(e, meta.ny), min(e, meta.depth)
-
-
-def _permute_buffer_bytes(stage: PlanStage, meta: VolumeMeta) -> int:
-    # pass 1 buffers one chunk layer of the input; pass 2 holds two slabs
-    # of chunks along the axis that becomes the new z
-    cx, cy, cz = permute_chunk_dims(stage, meta)
-    b = meta.dtype.byte_width
-    layer = cz * meta.nx * meta.ny * b
-    axis = stage.params["order"][2]
-    slab = {"x": cx * meta.ny * meta.depth,
-            "y": cy * meta.nx * meta.depth}[axis] * b
-    return max(layer, 2 * slab)
+    rec = ops.record(stage)
+    return rec.estimate(stage, meta, rec.out_meta(stage, meta))
 
 
 def propagate_meta(graph: PipelineGraph, meta: VolumeMeta):
@@ -264,7 +206,7 @@ def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
                               stage.s, est.input_bytes, est.output_bytes,
                               est.internal_bytes, credit, running))
         if concurrent and graph.successors(stage.name):
-            batch = ops.per_step_output(stage)
+            batch = ops.record(stage).batch(stage)
             queue_bytes += batch * slice_bytes(metas[stage.name][1])
     return rows, running, credits, queue_bytes
 

@@ -15,14 +15,17 @@ import shutil
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
+
 import numpy as np
 
 from . import io as sio
 from . import ops, stream as st
 from .core import (ALLOC, Budget, Dtype, EngineError, PipelineGraph,
                    PlanStage, PlanningError, StageError, VolumeMeta, release)
-from .planner import Plan, permute_chunk_dims, plan as make_plan, propagate_meta
+from .planner import Plan, plan as make_plan, propagate_meta
 from .stream import Stream, release_element, retain_element
 
 
@@ -74,31 +77,20 @@ class RunContext:
 # stage stream builders
 # ---------------------------------------------------------------------------
 
-def _build_source(stage: PlanStage, ctx: RunContext) -> Stream:
-    kind = stage.op_kind
-    if kind == "read":
-        s = sio.open_slice_stream(stage.params["dir"])
-    elif kind == "read_chunks":
-        s = sio.open_chunk_stream(stage.params["dir"])
-    elif kind == "initialize":
-        meta = stage.params["meta"]
-        rng = np.random.default_rng(stage.params.get("seed", ctx.seed))
-        smeta = meta.slice_meta
-        gen_kind = stage.params.get("kind", "constant")
-        value = stage.params.get("value", 0)
-        if gen_kind == "zero":
-            gen_kind, value = "constant", 0
+def _initialize_stream(stage: PlanStage, ctx: RunContext) -> Stream:
+    meta = stage.params["meta"]
+    rng = np.random.default_rng(stage.params.get("seed", ctx.seed))
+    smeta = meta.slice_meta
+    gen_kind = stage.params.get("kind", "constant")
+    value = stage.params.get("value", 0)
+    if gen_kind == "zero":
+        gen_kind, value = "constant", 0
 
-        def g(i):
-            arr = sio.synth_slice_array(meta, i, gen_kind, value, rng)
-            return ALLOC.new_slice(smeta, data=arr)
+    def g(i):
+        arr = sio.synth_slice_array(meta, i, gen_kind, value, rng)
+        return ALLOC.new_slice(smeta, data=arr)
 
-        s = st.initialize(meta.depth, g, smeta)
-    else:
-        raise PlanningError(f"stage {stage.name!r} is not a source")
-    ctx.sources.append((stage.name, s))
-    ctx.stage_sweeps[stage.name] = 1
-    return s
+    return st.initialize(meta.depth, g, smeta)
 
 
 def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
@@ -106,7 +98,7 @@ def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
     w = min(stage.w, in_meta.depth)
     kz = stage.k_z
     s_stride = w - kz + 1
-    fn = ops.kernel_window_fn(stage)
+    fn = partial(ops.record(stage).window, stage)
     out_smeta = out_v.slice_meta
     wp = st.windowed_positions(w, s_stride, src, tail="full")
 
@@ -262,9 +254,6 @@ def _pad_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                   name=stage.name)
 
 
-_AXIS_INDEX = {"z": 0, "y": 1, "x": 2}
-
-
 def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                     out_v: VolumeMeta, ctx: RunContext) -> Stream:
     order = stage.params["order"]
@@ -289,7 +278,7 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
 
     # z moves: two passes through an on-disk chunked intermediate
     ctx.stage_sweeps[stage.name] = 2
-    cx, cy, cz = permute_chunk_dims(stage, in_meta)
+    cx, cy, cz = ops.permute_chunk_dims(stage, in_meta)
     tmp = ctx.new_tmp(stage.name)
     axis = order[2]
     grid = sio.ChunkGrid(in_meta, cx, cy, cz)
@@ -358,26 +347,21 @@ def _zip_add_stream(stage: PlanStage, a: Stream, b: Stream,
     return st.map(add_pair, zipped, name=stage.name, meta=out_smeta)
 
 
-def stage_stream(stage: PlanStage, upstream: Stream, in_meta: VolumeMeta,
-                 out_v: VolumeMeta, ctx: RunContext) -> Stream:
-    """The stream transformer for one mid-pipeline stage."""
-    kind = stage.op_kind
-    if kind in ops.KERNEL_OPS:
-        return _kernel_stream(stage, upstream, in_meta, out_v)
-    if kind == "pointwise":
-        return _pointwise_stream(stage, upstream, in_meta, out_v)
-    if kind == "crop":
-        return _crop_stream(stage, upstream, in_meta, out_v)
-    if kind == "pad":
-        return _pad_stream(stage, upstream, in_meta, out_v)
-    if kind == "permute":
-        return _permute_stream(stage, upstream, in_meta, out_v, ctx)
-    raise PlanningError(f"no stream builder for op {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # tee and shared-window branch groups
 # ---------------------------------------------------------------------------
+
+def _port(owner, consumer, meta, depth, name: str) -> Stream:
+    """The stream of what owner.pull_for(consumer) hands out."""
+    def gen():
+        while True:
+            e = owner.pull_for(consumer)
+            if e is None:
+                return
+            yield e
+
+    return Stream(gen(), meta=meta, depth=depth, upstream=(owner,), name=name)
+
 
 class _TeeSplitter:
     """Fans one stream out by reference; per-branch FIFOs keep alignment."""
@@ -403,15 +387,8 @@ class _TeeSplitter:
             return e
 
     def port(self, consumer) -> Stream:
-        def gen():
-            while True:
-                e = self.pull_for(consumer)
-                if e is None:
-                    return
-                yield e
-
-        return Stream(gen(), meta=self.src.meta, depth=self.src.depth,
-                      upstream=(self,), name=f"tee->{consumer}")
+        return _port(self, consumer, self.src.meta, self.src.depth,
+                     f"tee->{consumer}")
 
     def close(self):
         with self.lock:
@@ -446,7 +423,7 @@ class _SharedGroup:
         for m in members:
             self.state[m.name] = {
                 "next": 0,
-                "fn": ops.kernel_window_fn(m),
+                "fn": partial(ops.record(m).window, m),
                 "out_v": metas[m.name][1],
                 "last": self.d - m.k_z,
                 "stride": self.w - m.k_z + 1,
@@ -491,16 +468,7 @@ class _SharedGroup:
 
     def port(self, name) -> Stream:
         out_v = self.state[name]["out_v"]
-
-        def gen():
-            while True:
-                e = self.pull_for(name)
-                if e is None:
-                    return
-                yield e
-
-        return Stream(gen(), meta=out_v.slice_meta, depth=out_v.depth,
-                      upstream=(self,), name=f"shared->{name}")
+        return _port(self, name, out_v.slice_meta, out_v.depth, f"shared->{name}")
 
     def close(self):
         with self.lock:
@@ -589,23 +557,20 @@ class _ThreadHandoff:
         return Stream(gen(), meta=self.upstream.meta, depth=self.upstream.depth,
                       upstream=(self,), name=f"thread:{self.name}")
 
+    def _drain(self):
+        while True:
+            try:
+                kind, val = self.q.get_nowait()
+            except queue.Empty:
+                return
+            if kind == "item" and val is not None:
+                release_element(val)
+
     def close(self):
         self.stop.set()
-        while True:
-            try:
-                kind, val = self.q.get_nowait()
-                if kind == "item" and val is not None:
-                    release_element(val)
-            except queue.Empty:
-                break
+        self._drain()
         self.thread.join(timeout=10)
-        while True:
-            try:
-                kind, val = self.q.get_nowait()
-                if kind == "item" and val is not None:
-                    release_element(val)
-            except queue.Empty:
-                break
+        self._drain()
         self.upstream.close()
 
 
@@ -695,6 +660,70 @@ def _write_chunks_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
 
 
 # ---------------------------------------------------------------------------
+# the builder table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Builder:
+    """build(stage, inputs, in_meta, out_meta, ctx) makes a stage's stream
+    from its `inputs` input streams, or for a sink the steps _drive runs."""
+
+    inputs: int
+    build: Callable
+    sink: bool = False
+
+
+# Entries name the functions they call, so a function replaced on its
+# module at run time (as perfbench/tracer.py does) is the one called.
+# Every kind in ops.KERNEL_OPS streams through _KERNEL.
+_BUILDERS = {
+    "read": _Builder(0, lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"])),
+    "read_chunks": _Builder(
+        0, lambda stg, ins, i, o, ctx: sio.open_chunk_stream(stg.params["dir"])),
+    "initialize": _Builder(0, lambda stg, ins, i, o, ctx: _initialize_stream(stg, ctx)),
+    "pointwise": _Builder(1, lambda stg, ins, i, o, ctx: _pointwise_stream(stg, ins[0], i, o)),
+    "crop": _Builder(1, lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o)),
+    "pad": _Builder(1, lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o)),
+    "permute": _Builder(
+        1, lambda stg, ins, i, o, ctx: _permute_stream(stg, ins[0], i, o, ctx)),
+    "zip_add": _Builder(2, lambda stg, ins, i, o, ctx: _zip_add_stream(stg, *ins, o)),
+    "write": _Builder(1, lambda stg, ins, i, o, ctx: _write_steps(stg, ins[0], o, ctx),
+                      sink=True),
+    "write_chunks": _Builder(
+        1, lambda stg, ins, i, o, ctx: _write_chunks_steps(stg, ins[0], o, ctx), sink=True),
+    "histogram": _Builder(
+        1, lambda stg, ins, i, o, ctx: _histogram_steps(stg, ins[0], i, ctx), sink=True),
+    "sampled_mean": _Builder(
+        1, lambda stg, ins, i, o, ctx: _mean_steps(stg, ins[0], i, ctx), sink=True),
+}
+_KERNEL = _Builder(1, lambda stg, ins, i, o, ctx: _kernel_stream(stg, ins[0], i, o))
+
+
+def _builder(stage: PlanStage, inputs: int, sink: bool = False) -> _Builder:
+    """The table entry for a stage with `inputs` inputs, at a sink or not."""
+    kind = stage.op_kind
+    if kind in ops.KERNEL_OPS:
+        b = _KERNEL
+    elif kind in _BUILDERS:
+        b = _BUILDERS[kind]
+    else:
+        ops.record(stage)  # a kind unknown to ops fails as unknown
+        raise PlanningError(f"stage {stage.name!r}: op kind {kind!r} is priced "
+                            f"only; it has no stream builder")
+    if (b.inputs, b.sink) != (inputs, sink):
+        ends = "ends" if b.sink else "cannot end"
+        raise PlanningError(f"stage {stage.name!r} ({kind}) takes {b.inputs} "
+                            f"input(s) and {ends} a pipeline")
+    return b
+
+
+def stage_stream(stage: PlanStage, upstream: Stream, in_meta: VolumeMeta,
+                 out_v: VolumeMeta, ctx: RunContext) -> Stream:
+    """The stream transformer for one mid-pipeline stage."""
+    return _builder(stage, 1).build(stage, [upstream], in_meta, out_v, ctx)
+
+
+# ---------------------------------------------------------------------------
 # graph assembly and the drive loop
 # ---------------------------------------------------------------------------
 
@@ -713,95 +742,55 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
         preds = graph.predecessors(name)
         if len(preds) != 1:
             raise PlanningError(f"stage {name!r} needs exactly one input here")
-        p = preds[0]
-        pstage = graph.node(p)
-        if pstage.op_kind == "tee":
-            return tee_port(p, name)
-        return build(p)
+        return input_stream(name, preds[0])
 
     def tee_port(tee_name: str, consumer: str) -> Stream:
-        succs = graph.successors(tee_name)
-        if all(s in shared_members for s in succs):
-            grp_key = ("shared", tee_name)
-            if grp_key not in splitters:
-                upstream = upstream_of(tee_name)
+        if tee_name not in splitters:
+            succs = graph.successors(tee_name)
+            upstream = upstream_of(tee_name)
+            if all(s in shared_members for s in succs):
                 members = [graph.node(s) for s in succs]
-                group = _SharedGroup(upstream, members, metas, ctx)
-                splitters[grp_key] = group
-                ctx.streams.append(group)
-                ctx.stage_sweeps[tee_name] = 1
+                splitters[tee_name] = _SharedGroup(upstream, members, metas, ctx)
                 for m in members:
                     ctx.stage_sweeps[m.name] = 1
-            # the group applies the member op itself; port IS the member output
-            return splitters[grp_key].port(consumer)
-        key = ("tee", tee_name)
-        if key not in splitters:
-            upstream = upstream_of(tee_name)
-            splitters[key] = _TeeSplitter(upstream, succs)
-            ctx.streams.append(splitters[key])
+            else:
+                splitters[tee_name] = _TeeSplitter(upstream, succs)
+            ctx.streams.append(splitters[tee_name])
             ctx.stage_sweeps[tee_name] = 1
-        return splitters[key].port(consumer)
+        # a shared group applies the member op itself: its port IS the member output
+        return splitters[tee_name].port(consumer)
 
     def input_stream(name: str, pred: str) -> Stream:
-        if graph.node(pred).op_kind == "tee" or pred in shared_members:
-            if pred in shared_members:
-                # shared member between tee and consumer: its port is its output
-                return build(pred)
+        if graph.node(pred).op_kind == "tee":
             return tee_port(pred, name)
         return build(pred)
+
+    def make(stage: PlanStage, sink: bool = False):
+        preds = graph.predecessors(stage.name)
+        builder = _builder(stage, len(preds), sink)  # before any input is built
+        out = builder.build(stage, [input_stream(stage.name, p) for p in preds],
+                            *metas[stage.name], ctx)
+        if not preds:
+            ctx.sources.append((stage.name, out))
+        ctx.stage_sweeps.setdefault(stage.name, 1)
+        return out
 
     def build(name: str) -> Stream:
         if name in built:
             return built[name]
-        stage = graph.node(name)
-        if stage.name in shared_members:
+        if name in shared_members:
             # output produced by the shared group, reached via the tee port
             s = upstream_of(name)
-            built[name] = ctx.track(s)
-            return built[name]
-        kind = stage.op_kind
-        in_v = metas[name][0]
-        out_v = metas[name][1]
-        if not graph.predecessors(name):
-            s = _build_source(stage, ctx)
-        elif kind == "zip_add":
-            pa, pb = graph.predecessors(name)
-            s = _zip_add_stream(stage, input_stream(name, pa),
-                                input_stream(name, pb), out_v)
-            ctx.stage_sweeps[name] = 1
         else:
-            s = stage_stream(stage, upstream_of(name), in_v, out_v, ctx)
-            ctx.stage_sweeps.setdefault(name, 1)
-        if ctx.threads > 1 and kind != "tee":
-            handoff = _ThreadHandoff(s, ctx, name)
-            ctx.streams.append(handoff)
-            s = handoff.stream()
+            s = make(graph.node(name))
+            if ctx.threads > 1:
+                handoff = _ThreadHandoff(s, ctx, name)
+                ctx.streams.append(handoff)
+                s = handoff.stream()
         built[name] = ctx.track(s)
         return built[name]
 
-    steppers = []
-    for sink in graph.sinks():
-        kind = sink.op_kind
-        in_v = metas[sink.name][0]
-        out_v = metas[sink.name][1]
-        preds = graph.predecessors(sink.name)
-        if not preds:
-            raise PlanningError(f"sink {sink.name!r} has no input")
-        upstream = input_stream(sink.name, preds[0])
-        if kind == "write":
-            stepper = _write_steps(sink, upstream, out_v, ctx)
-        elif kind == "write_chunks":
-            stepper = _write_chunks_steps(sink, upstream, out_v, ctx)
-        elif kind == "histogram":
-            stepper = _histogram_steps(sink, upstream, in_v, ctx)
-        elif kind == "sampled_mean":
-            stepper = _mean_steps(sink, upstream, in_v, ctx)
-        else:
-            raise PlanningError(f"stage {sink.name!r} ({kind}) cannot terminate "
-                                f"a pipeline")
-        ctx.stage_sweeps.setdefault(sink.name, 1)
-        steppers.append(stepper)
-    return steppers
+    return [make(sink, sink=True) for sink in graph.sinks()]
 
 
 def _drive(steppers):
@@ -864,12 +853,9 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
     tmpdir = Path(tmpdir) if tmpdir is not None else Path(".")
     ctx = RunContext(tmpdir=tmpdir, threads=threads, seed=seed)
     ALLOC.reset_peaks()
-    mid_dirs = []
+    mid_dirs = [a.detail["path"] for a in plan.actions if a.kind == "midwrite"]
     try:
         for seg, seg_meta in zip(plan.segments, plan.segment_metas):
-            for stg in seg.nodes:
-                if stg.op_kind == "write" and stg.name.startswith("midwrite"):
-                    mid_dirs.append(stg.params["dir"])
             steppers = _build_segment(seg, seg_meta, ctx)
             try:
                 _drive(steppers)

@@ -95,11 +95,6 @@ class WindowStream(Stream):
     """Stream of slice windows (ordered slice lists)."""
 
 
-def from_slices(slices, meta: SliceMeta, name: str = "literal") -> SliceStream:
-    """Stream over already-allocated slices; ownership transfers to the consumer."""
-    return SliceStream(iter(list(slices)), meta=meta, depth=len(slices), name=name)
-
-
 # ---------------------------------------------------------------------------
 # windowed
 # ---------------------------------------------------------------------------

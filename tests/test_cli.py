@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stackstream import cli
+from stackstream import cli, ops
 from stackstream import io as sio
 from stackstream.cli import SpecSyntaxError, parse, parse_bytes, pretty_print
-from stackstream.core import U8, VolumeMeta
+from stackstream.core import U8, PlanningError, VolumeMeta
 
 
 def write_vol(tmp_path, name="in", dims=(12, 12, 10), seed=0, chunks=None):
@@ -269,3 +269,82 @@ def test_chunked_source_run_within_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "within_budget true" in out
     assert "leaked_slices 0" in out
+
+
+# ---------------------------------------------------------------------------
+# malformed values are syntax errors at their column
+# ---------------------------------------------------------------------------
+
+# (stage line, column of the token at fault, keyword, key)
+MALFORMED = [
+    ("read", 6, "read", "dir"),
+    ("readInChunks", 14, "readInChunks", "dir"),
+    ("write", 7, "write", "dir"),
+    ("writeInChunks", 15, "writeInChunks", "dir"),
+    ("writeInChunks o chunks=4,4", 17, "writeInChunks", "chunks"),
+    ("threshold t=x", 11, "threshold", "t"),
+    ("threshold t=1 w=abc", 15, "threshold", "w"),
+    ("square w=x", 8, "square", "w"),
+    ("gaussian sigma=x", 10, "gaussian", "sigma"),
+    ("gaussian sigma=1 w=1.5", 18, "gaussian", "w"),
+    ("median r=x", 8, "median", "r"),
+    ("median r=1 w=x", 12, "median", "w"),
+    ("erode r=1.5", 7, "erode", "r"),
+    ("erode w=", 7, "erode", "w"),
+    ("dilate r=", 8, "dilate", "r"),
+    ("dilate w=2,2", 8, "dilate", "w"),
+    ("convolve w=3", 1, "convolve", "kernel"),
+    ("convolve kernel=missing.txt w=x", 29, "convolve", "w"),
+    ("crop 1,2", 6, "crop", "box"),
+    ("pad x=1,a", 5, "pad", "x"),
+    ("pad y=1", 5, "pad", "y"),
+    ("pad z=x,1", 5, "pad", "z"),
+    ("pad mode=bogus", 5, "pad", "mode"),
+    ("permute abc", 9, "permute", "order"),
+    ("histogram out", 11, "histogram", "out"),
+    ("histogram w=x", 11, "histogram", "w"),
+    ("histogram range=1", 11, "histogram", "range"),
+    ("median r=1 q=2", 12, "median", None),
+    ("   median r=x  # indented", 11, "median", None),
+    ("crop 1,1,1,2,2,2 extra", 18, "crop", None),
+]
+
+
+@pytest.mark.parametrize("line,col,keyword,key", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_spec_value_exits_1_at_its_column(tmp_path, capsys, line, col,
+                                                    keyword, key):
+    text = f"source 1 GiB\n{line}\nsink\n"
+    with pytest.raises(SpecSyntaxError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.col) == (2, col)
+    spec = tmp_path / "p.spec"
+    spec.write_text(text)
+    assert cli.main(["plan", str(spec)]) == 1
+    assert f"line 2 col {col}:" in capsys.readouterr().err
+
+
+def test_malformed_cases_cover_every_keyword_and_key():
+    covered = {(kw, key) for _, _, kw, key in MALFORMED}
+    keys = {(s.keyword, k) for rec in ops.OPS.values() for s in rec.spec for k in s.keys}
+    assert keys <= covered
+
+
+@pytest.mark.parametrize("content", [None, "dir", "3 3 x\n", "1 1 1\nabc\n",
+                                     b"\xff\xfe\x00\x01"],
+                         ids=["missing", "directory", "bad-dims", "bad-weight", "binary"])
+def test_unreadable_kernel_file_is_a_planning_error(tmp_path, content):
+    kernel = tmp_path / "k"
+    if content == "dir":
+        kernel.mkdir()
+    elif isinstance(content, bytes):
+        kernel.write_bytes(content)
+    elif content is not None:
+        kernel.write_text(content)
+    with pytest.raises(PlanningError):
+        ops.Kernel3D.load(kernel)
+    write_vol(tmp_path)
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source 1 GiB\nread {tmp_path}/in\nconvolve kernel={kernel}\n"
+                    f"write {tmp_path}/out\nsink\n")
+    assert cli.main(["plan", str(spec)]) == 2

@@ -1,11 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
 import oracles
 from helpers import measure_peak
 from stackstream import io as sio, ops
-from stackstream.core import (ALLOC, F32, U8, Budget, StageError, VolumeMeta,
-                              chain, slice_bytes, tee_graph)
+from stackstream.core import (ALLOC, F32, U8, Budget, PlanningError, PlanStage,
+                              StageError, VolumeMeta, chain, slice_bytes, tee_graph)
 from stackstream.planner import plan, share_windows
 from stackstream.runtime import execute_plan, run_graph
 
@@ -440,3 +442,49 @@ def test_threaded_midwrite_plan_respects_concurrent_ledger(tmp_path):
     rep = execute_plan(p, threads=4, tmpdir=tmp_path)
     assert rep.leaked_slices == 0
     assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+
+
+# ---------------------------------------------------------------------------
+# the plain zip kind is priced only
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_executing_a_plain_zip_names_it_priced_only(tmp_path, threads):
+    write_input(tmp_path, VolumeMeta(8, 8, 6, U8))
+    graph = tee_graph([sio.read_stage(tmp_path / "in"), ops.tee(name="t")],
+                      [[ops.square(name="a")], [ops.square(name="b")]],
+                      join=PlanStage(name="z", op_kind="zip"),
+                      post=[sio.write_stage(tmp_path / "out")])
+    p = plan(graph, Budget(1 << 30), tmpdir=str(tmp_path), grow_windows=False)
+    assert p.verdict == "fits"
+    threads_before = threading.active_count()
+    with pytest.raises(PlanningError, match="'zip' is priced only"):
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert threading.active_count() == threads_before
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_stage_named_midwrite_keeps_its_output(tmp_path):
+    # only the plan's own midwrite intermediates are scratch space
+    vol = write_input(tmp_path, VolumeMeta(8, 8, 6, U8))
+    g = chain(sio.read_stage(tmp_path / "in"),
+              sio.write_stage(tmp_path / "out_keep", name="midwrite_final"))
+    _, rep = run_graph(g, Budget(1 << 30), tmpdir=tmp_path)
+    assert dict(rep.sinks)["midwrite_final"] == 6
+    assert np.array_equal(sio.read_volume(tmp_path / "out_keep"), vol)
+
+
+@pytest.mark.parametrize("stages,message", [
+    (lambda d: [sio.read_stage(d / "in"), ops.square(name="sq")], "cannot end a pipeline"),
+    (lambda d: [sio.read_stage(d / "in"), sio.write_stage(d / "a", name="w"),
+                sio.write_stage(d / "b")], "'w' \\(write\\) takes 1 input\\(s\\) and ends"),
+    (lambda d: [ops.square(name="sq"), sio.write_stage(d / "b")], "'sq' \\(pointwise\\) takes 1"),
+])
+def test_stage_in_the_wrong_place_is_a_planning_error(tmp_path, stages, message):
+    meta = VolumeMeta(8, 8, 6, U8)
+    write_input(tmp_path, meta)
+    p = plan(chain(*stages(tmp_path)), Budget(1 << 30), meta=meta, tmpdir=tmp_path,
+             grow_windows=False)
+    with pytest.raises(PlanningError, match=message):
+        execute_plan(p, tmpdir=tmp_path)
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
