@@ -323,17 +323,23 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _triple(flag: str, text: str):
+    """Three comma-separated integers, or None once the error is printed."""
+    try:
+        return ops._numbers(3)(text)
+    except ValueError as exc:
+        print(f"error: {flag} {text!r}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_gen(args) -> int:
-    dims = tuple(int(v) for v in args.dims.split(","))
-    if len(dims) != 3:
-        print("error: --dims needs nx,ny,nz", file=sys.stderr)
+    dims = _triple("--dims", args.dims)
+    chunks = _triple("--chunks", args.chunks) if args.chunks else ()
+    if dims is None or chunks is None:
         return 1
     meta = VolumeMeta(dims[0], dims[1], dims[2], dtype_by_kind(args.dtype))
     vol = sio.synth_volume(meta, args.kind, value=args.value, seed=args.seed)
-    chunks = None
-    if args.chunks:
-        chunks = tuple(int(v) for v in args.chunks.split(","))
-    sio.write_volume(args.out, vol, meta.dtype, chunks=chunks)
+    sio.write_volume(args.out, vol, meta.dtype, chunks=chunks or None)
     print(f"wrote {meta} ({args.kind}) to {args.out}")
     return 0
 

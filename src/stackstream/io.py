@@ -148,15 +148,19 @@ def load_manifest(directory):
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     if len(lines) < 4 or lines[0] != "version 1":
         raise PlanningError(f"{path}: unsupported manifest header")
-    _, nx, ny, depth = lines[1].split()
-    dtype = dtype_by_kind(lines[2].split()[1])
-    meta = VolumeMeta(int(nx), int(ny), int(depth), dtype)
-    layout = lines[3].split()
-    files = lines[4:]
+    layout, files = lines[3].split(), lines[4:]
+    try:  # a wrong field count, a non-number or an unknown dtype
+        _, nx, ny, depth = lines[1].split()
+        _, dtype = lines[2].split()
+        meta = VolumeMeta(int(nx), int(ny), int(depth), dtype_by_kind(dtype))
+        if layout[:2] == ["layout", "chunks"]:
+            _, _, cx, cy, cz = layout
+            grid = ChunkGrid(meta, int(cx), int(cy), int(cz))
+    except (ValueError, PlanningError) as exc:
+        raise PlanningError(f"{path}: malformed manifest: {exc}") from exc
     if layout[:2] == ["layout", "stack"]:
         return StackManifest(directory, files, meta)
     if layout[:2] == ["layout", "chunks"]:
-        grid = ChunkGrid(meta, int(layout[2]), int(layout[3]), int(layout[4]))
         if files != grid.file_list():
             raise PlanningError(f"{path}: chunk file list does not match grid")
         return grid

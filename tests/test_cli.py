@@ -348,3 +348,38 @@ def test_unreadable_kernel_file_is_a_planning_error(tmp_path, content):
     spec.write_text(f"source 1 GiB\nread {tmp_path}/in\nconvolve kernel={kernel}\n"
                     f"write {tmp_path}/out\nsink\n")
     assert cli.main(["plan", str(spec)]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--dims", "4,a,4"), ("--dims", "4,4"),
+                                        ("--dims", ""), ("--chunks", "2,x,2"),
+                                        ("--chunks", "2,2,2,2")])
+def test_cmd_gen_malformed_triple_exits_1(tmp_path, capsys, flag, value):
+    args = {"--dims": "4,4,4", "--chunks": "2,2,2", flag: value}
+    out = tmp_path / "v"
+    assert run_cli(["gen", "--out", out, *(x for kv in args.items() for x in kv)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} {value!r}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("chunks,old,new", [
+    (None, "dims 12 12 10", "dims 12 x 10"),
+    (None, "dims 12 12 10", "dims 12 12"),
+    (None, "dtype u8", "dtype u9"),
+    (None, "dtype u8", "dtype"),
+    ((4, 4, 4), "layout chunks 4 4 4", "layout chunks 4 a 4"),
+    ((4, 4, 4), "layout chunks 4 4 4", "layout chunks 4 4"),
+], ids=["dims-word", "dims-count", "dtype-unknown", "dtype-missing",
+        "chunks-word", "chunks-count"])
+def test_malformed_manifest_is_a_planning_error(tmp_path, capsys, chunks, old, new):
+    write_vol(tmp_path, chunks=chunks)
+    man = tmp_path / "in" / "manifest.txt"
+    text = man.read_text()
+    assert old + "\n" in text
+    man.write_text(text.replace(old + "\n", new + "\n"))
+    with pytest.raises(PlanningError) as ei:
+        sio.load_manifest(tmp_path / "in")
+    assert str(man) in str(ei.value)
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, ""))
+    assert cli.main(["plan", str(spec)]) == 2
+    assert str(man) in capsys.readouterr().err

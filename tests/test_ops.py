@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as hst
 import oracles
 from helpers import apply_stage, vol_stream
 from stackstream import ops
-from stackstream.core import F32, U8, U16, PlanningError, VolumeMeta, release
+from stackstream.core import ALLOC, F32, U8, U16, PlanningError, VolumeMeta, release
 from stackstream.io import synth_volume
 from stackstream.planner import fuse_convolutions
 from stackstream.runtime import RunContext, stage_stream
@@ -309,6 +309,53 @@ def test_morphology_matches_sort_oracle_on_generated_cases(case):
     ref = oracles.morphology(vol, mask, op)
     assert out.dtype == ref.dtype
     assert np.array_equal(out, ref)
+
+
+@hst.composite
+def wide_window_cases(draw):
+    """(op, dtype, mask, volume, lo): one window over the whole volume."""
+    op = draw(hst.sampled_from(sorted(_MORPH_FACTORIES)))
+    dtype = draw(hst.sampled_from([U8, U16, F32]))
+    shape = tuple(draw(hst.sampled_from([1, 3, 5])) for _ in range(3))
+    bits = draw(hst.lists(hst.booleans(), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    mask[shape[0] // 2, shape[1] // 2, shape[2] // 2] = True
+    dims = (draw(hst.integers(12, 24)), draw(hst.integers(1, 4)), draw(hst.integers(1, 4)))
+    fill = draw(hst.sampled_from(["random", "ties", "two"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    lo = draw(hst.integers(0, 3))
+    return op, dtype, mask, _fill(rng, dtype, fill, dims), lo
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=wide_window_cases())
+@example(case=("erode", U8, np.ones((5, 5, 5), dtype=bool),
+               _fill(_RNG, U8, "random", (24, 4, 3)), 0))
+@example(case=("dilate", U16, np.ones((5, 5, 5), dtype=bool),
+               _fill(_RNG, U16, "random", (20, 3, 4)), 2))
+@example(case=("median", F32, np.ones((5, 5, 5), dtype=bool),
+               _fill(_RNG, F32, "random", (12, 4, 4)), 0))
+@example(case=("median", U8, np.ones((5, 5, 5), dtype=bool),
+               _fill(_RNG, U8, "ties", (16, 2, 5)), 1))
+def test_one_window_call_emits_many_owned_outputs(case):
+    op, dtype, mask, vol, lo = case
+    depth, ny, nx = vol.shape
+    kz = mask.shape[0]
+    smeta = VolumeMeta(nx, ny, depth, dtype).slice_meta
+    window = [ALLOC.new_slice(smeta, data=plane) for plane in vol]
+    try:
+        outs = ops.morph_window(window, ops.StructuringElement(mask), op, lo, depth - kz)
+        ref = oracles.morphology(vol, mask, op)[lo:]
+        assert len(outs) == len(ref)
+        assert np.array_equal(np.stack(outs), ref)
+        for i, out in enumerate(outs):
+            assert out.dtype == ref.dtype and out.base is None
+            assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+            assert not any(np.shares_memory(out, sl.data) for sl in window)
+    finally:
+        for sl in window:
+            release(sl)
 
 
 # ---------------------------------------------------------------------------

@@ -488,3 +488,21 @@ def test_stage_in_the_wrong_place_is_a_planning_error(tmp_path, stages, message)
     with pytest.raises(PlanningError, match=message):
         execute_plan(p, tmpdir=tmp_path)
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+# ---------------------------------------------------------------------------
+# the initialize source
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["zero", "ramp", "random"])
+def test_initialize_source_runs_end_to_end(tmp_path, kind, threads):
+    meta = VolumeMeta(9, 7, 11, U8)
+    g = chain(sio.initialize_stage(meta, kind, seed=3), ops.erode(1, name="e"),
+              sio.write_stage(tmp_path / "out"))
+    rep = execute_plan(plan(g, Budget(1 << 30)), threads=threads, tmpdir=tmp_path)
+    vol = sio.synth_volume(meta, "constant" if kind == "zero" else kind, seed=3)
+    ref = oracles.morphology(vol, ops.StructuringElement.box(1).mask, "erode")
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), ref)
+    assert rep.leaked_slices == 0
+    assert dict(rep.sinks)["write"] == meta.depth - 2
