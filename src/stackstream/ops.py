@@ -181,80 +181,78 @@ def dtype_max(dtype: Dtype):
 
 
 def apply_threshold(arr: np.ndarray, t, dtype: Dtype) -> np.ndarray:
-    out = np.zeros_like(arr)
-    out[arr >= t] = dtype_max(dtype)
+    out = (arr >= t).astype(arr.dtype)
+    out *= dtype_max(dtype)
     return out
 
 
+def _saturating(ufunc, dtype: Dtype, *args) -> np.ndarray:
+    # u8 -> u16, u16 -> u32: wide enough for any square or sum of two voxels
+    wide = ufunc(*args, dtype=np.float64 if dtype.kind == "f32"
+                 else np.dtype(f"u{2 * dtype.byte_width}"))
+    if dtype.kind != "f32":
+        np.minimum(wide, dtype_max(dtype), out=wide)
+    return wide.astype(dtype.np_dtype)
+
+
 def apply_square(arr: np.ndarray, dtype: Dtype) -> np.ndarray:
-    if dtype.kind == "f32":
-        return (arr.astype(np.float64) ** 2).astype(dtype.np_dtype)
-    hi = dtype_max(dtype)
-    sq = arr.astype(np.int64) ** 2
-    return np.minimum(sq, hi).astype(dtype.np_dtype)
+    return _saturating(np.square, dtype, arr)
 
 
 def saturating_add(a: np.ndarray, b: np.ndarray, dtype: Dtype) -> np.ndarray:
-    if dtype.kind == "f32":
-        return (a.astype(np.float64) + b.astype(np.float64)).astype(dtype.np_dtype)
-    hi = dtype_max(dtype)
-    tot = a.astype(np.int64) + b.astype(np.int64)
-    return np.clip(tot, 0, hi).astype(dtype.np_dtype)
+    return _saturating(np.add, dtype, a, b)
 
 
 # ---------------------------------------------------------------------------
 # window compute kernels (shared by the runtime and by fused branch groups)
 # ---------------------------------------------------------------------------
 
-def _pad_xy(arr: np.ndarray, ry: int, rx: int, f64=True) -> np.ndarray:
-    a = arr.astype(np.float64) if f64 else arr
-    if ry == 0 and rx == 0:
-        return a
-    return np.pad(a, ((ry, ry), (rx, rx)), mode="edge")
+def _clamp_edges(buf: np.ndarray, ry: int, rx: int):
+    """Copy the edge rows and columns of buf's interior (last two axes) out over its border."""
+    ny, nx = buf.shape[-2] - 2 * ry, buf.shape[-1] - 2 * rx
+    buf[..., :ry, :] = buf[..., ry:ry + 1, :]
+    buf[..., ry + ny:, :] = buf[..., ry + ny - 1:ry + ny, :]
+    buf[..., :rx] = buf[..., rx:rx + 1]
+    buf[..., rx + nx:] = buf[..., rx + nx - 1:rx + nx]
 
 
-def conv2d_clamp(arr: np.ndarray, k2d: np.ndarray) -> np.ndarray:
-    """Same-size true 2D convolution with clamp-to-edge boundaries."""
-    ky, kx = k2d.shape
-    ry, rx = ky // 2, kx // 2
-    ny, nx = arr.shape
-    ap = _pad_xy(arr, ry, rx)
-    out = np.zeros((ny, nx), dtype=np.float64)
-    for b in range(ky):
-        for c in range(kx):
-            wgt = k2d[b, c]
-            if wgt == 0.0:
-                continue
-            out += wgt * ap[2 * ry - b:2 * ry - b + ny, 2 * rx - c:2 * rx - c + nx]
-    return out
+def _accumulate(acc: np.ndarray, taps, term: np.ndarray):
+    """acc += wgt * src in float64 for each (wgt, src) in order, via term."""
+    for wgt, src in taps:
+        np.multiply(wgt, src, out=term, dtype=np.float64)
+        acc += term
+    return acc
 
 
 def conv_window(window, kernel: Kernel3D, lo: int, hi: int):
-    """Valid-z convolution outputs lo..hi (window-relative) as float64 arrays."""
-    kz = kernel.k_z
+    """Valid-z convolution outputs lo..hi (window-relative) as float64 arrays.
+
+    Output j sums, plane by plane, the 2D clamp-to-edge filter of slice
+    j + kz - 1 - a by kernel plane a, whose nonzero terms add from zero in
+    row-major order: per voxel, the float64 operations of that sum in order.
+    A call's scratch is three float64 slice workspaces, whatever w is.
+    """
+    kz, ky, kx = kernel.weights.shape
+    ry, rx = ky // 2, kx // 2
+    ny, nx = window[0].data.shape
+    pad = np.empty((ny + 2 * ry, nx + 2 * rx))
+    term, plane_sum = np.empty((ny, nx)), np.empty((ny, nx))
+    taps = [[(wgt, pad[2 * ry - b:2 * ry - b + ny, 2 * rx - c:2 * rx - c + nx])
+             for (b, c), wgt in np.ndenumerate(plane) if wgt != 0.0]
+            for plane in kernel.weights]
     outs = []
     for j in range(lo, hi + 1):
-        acc = None
+        out = np.empty((ny, nx))
         for a in range(kz):
-            term = conv2d_clamp(window[j + kz - 1 - a].data, kernel.weights[a])
-            acc = term if acc is None else acc + term
-        outs.append(acc)
+            acc = plane_sum if a else out
+            pad[ry:ry + ny, rx:rx + nx] = window[j + kz - 1 - a].data
+            _clamp_edges(pad, ry, rx)
+            acc.fill(0.0)
+            _accumulate(acc, taps[a], term)
+            if a:
+                out += plane_sum
+        outs.append(out)
     return outs
-
-
-def conv1d_clamp(arr: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Same-size 1D convolution along an axis of a 2D array, edges clamped."""
-    r = len(g) // 2
-    n = arr.shape[axis]
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    ap = np.pad(arr.astype(np.float64), pad, mode="edge")
-    out = np.zeros_like(arr, dtype=np.float64)
-    for b in range(len(g)):
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(2 * r - b, 2 * r - b + n)
-        out += g[b] * ap[tuple(sl)]
-    return out
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -268,17 +266,32 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 
 def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int):
-    """Separable x/y/z gaussian; equals convolving with the outer-product kernel."""
-    kz = len(g1d)
+    """Separable x/y/z gaussian; equals convolving with the outer-product kernel.
+
+    Output j is the z sum of g[a] * slice(j + kz - 1 - a) from its first
+    term, then y and x passes with clamped edges that sum from zero: per
+    voxel, the float64 operations of those sums in kernel order. A call's
+    scratch is four float64 slice workspaces, whatever w is: the y-padded
+    z sum, the y pass's sum, an x-padded copy of it, and one term.
+    """
+    kz, r = len(g1d), len(g1d) // 2
+    ny, nx = window[0].data.shape
+    ypad, xpad = np.empty((ny + 2 * r, nx)), np.empty((ny, nx + 2 * r))
+    term, ysum = np.empty((ny, nx)), np.empty((ny, nx))
+    zsum = ypad[r:r + ny]
+    ytaps = [(g1d[b], ypad[2 * r - b:2 * r - b + ny]) for b in range(kz)]
+    xtaps = [(g1d[c], xpad[:, 2 * r - c:2 * r - c + nx]) for c in range(kz)]
     outs = []
     for j in range(lo, hi + 1):
-        acc = None
-        for a in range(kz):
-            plane = window[j + kz - 1 - a].data.astype(np.float64)
-            acc = g1d[a] * plane if acc is None else acc + g1d[a] * plane
-        acc = conv1d_clamp(acc, g1d, axis=0)  # y
-        acc = conv1d_clamp(acc, g1d, axis=1)  # x
-        outs.append(acc)
+        np.multiply(g1d[0], window[j + kz - 1].data, out=zsum, dtype=np.float64)
+        _accumulate(zsum, [(g1d[a], window[j + kz - 1 - a].data)
+                           for a in range(1, kz)], term)
+        _clamp_edges(ypad, r, 0)
+        ysum.fill(0.0)
+        _accumulate(ysum, ytaps, term)  # contiguous: a strided sum runs slower
+        xpad[:, r:r + nx] = ysum
+        _clamp_edges(xpad, 0, r)
+        outs.append(_accumulate(np.zeros((ny, nx)), xtaps, term))
     return outs
 
 
@@ -322,10 +335,7 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int):
     block = np.empty((nout + kz - 1, ny + 2 * ry, nx + 2 * rx), dtype=dtype)
     for z in range(nout + kz - 1):
         block[z, ry:ry + ny, rx:rx + nx] = window[lo + z].data
-    block[:, :ry] = block[:, ry:ry + 1]
-    block[:, ry + ny:] = block[:, ry + ny - 1:ry + ny]
-    block[:, :, :rx] = block[:, :, rx:rx + 1]
-    block[:, :, rx + nx:] = block[:, :, rx + nx - 1:rx + nx]
+    _clamp_edges(block, ry, rx)
     if op != "median":
         extremum = np.minimum if op == "erode" else np.maximum
         (a, b, c), rest = offsets[0], offsets[1:]

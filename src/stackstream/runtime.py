@@ -39,7 +39,8 @@ def _cast_array(arr: np.ndarray, dtype: Dtype) -> np.ndarray:
     if dtype.kind == "f32":
         return arr.astype(dtype.np_dtype)
     info = np.iinfo(dtype.np_dtype)
-    return np.clip(np.rint(arr), info.min, info.max).astype(dtype.np_dtype)
+    out = np.rint(arr)
+    return np.clip(out, info.min, info.max, out=out).astype(dtype.np_dtype)
 
 
 @dataclass

@@ -5,6 +5,10 @@ arithmetic (plain loops, coordinate clamping), deliberately sharing no
 code with the streaming operators it checks. The one planner oracle,
 greedy_windows, searches window sizes slice by slice against the
 planner's own ledger, so it checks the window solve, not the prices.
+The frozen_* functions are the voxel loops as they stood before they
+learned to accumulate in place and to stay in native width; they keep
+their float operations in order, so the engine must match them bit for
+bit.
 """
 
 import copy
@@ -198,3 +202,102 @@ def greedy_windows(graph: PipelineGraph, meta, budget, concurrent=False):
                              "new_w": st.w})
                for st in g.topo_order() if st.w != original[st.name]]
     return g, actions
+
+
+# ---------------------------------------------------------------------------
+# frozen voxel loops: fresh arrays per term, int64 for integer arithmetic
+# ---------------------------------------------------------------------------
+
+def _frozen_pad_xy(arr, ry, rx):
+    a = arr.astype(np.float64)
+    if ry == 0 and rx == 0:
+        return a
+    return np.pad(a, ((ry, ry), (rx, rx)), mode="edge")
+
+
+def _frozen_conv2d_clamp(arr, k2d):
+    ky, kx = k2d.shape
+    ry, rx = ky // 2, kx // 2
+    ny, nx = arr.shape
+    ap = _frozen_pad_xy(arr, ry, rx)
+    out = np.zeros((ny, nx), dtype=np.float64)
+    for b in range(ky):
+        for c in range(kx):
+            wgt = k2d[b, c]
+            if wgt == 0.0:
+                continue
+            out += wgt * ap[2 * ry - b:2 * ry - b + ny, 2 * rx - c:2 * rx - c + nx]
+    return out
+
+
+def frozen_conv_window(window, kernel, lo, hi):
+    kz = kernel.k_z
+    outs = []
+    for j in range(lo, hi + 1):
+        acc = None
+        for a in range(kz):
+            term = _frozen_conv2d_clamp(window[j + kz - 1 - a].data, kernel.weights[a])
+            acc = term if acc is None else acc + term
+        outs.append(acc)
+    return outs
+
+
+def _frozen_conv1d_clamp(arr, g, axis):
+    r = len(g) // 2
+    n = arr.shape[axis]
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (r, r)
+    ap = np.pad(arr.astype(np.float64), pad, mode="edge")
+    out = np.zeros_like(arr, dtype=np.float64)
+    for b in range(len(g)):
+        sl = [slice(None), slice(None)]
+        sl[axis] = slice(2 * r - b, 2 * r - b + n)
+        out += g[b] * ap[tuple(sl)]
+    return out
+
+
+def frozen_gaussian_window(window, g1d, lo, hi):
+    kz = len(g1d)
+    outs = []
+    for j in range(lo, hi + 1):
+        acc = None
+        for a in range(kz):
+            plane = window[j + kz - 1 - a].data.astype(np.float64)
+            acc = g1d[a] * plane if acc is None else acc + g1d[a] * plane
+        acc = _frozen_conv1d_clamp(acc, g1d, axis=0)  # y
+        acc = _frozen_conv1d_clamp(acc, g1d, axis=1)  # x
+        outs.append(acc)
+    return outs
+
+
+def _frozen_max(dtype):
+    return 1.0 if dtype.kind == "f32" else np.iinfo(dtype.np_dtype).max
+
+
+def frozen_threshold(arr, t, dtype):
+    out = np.zeros_like(arr)
+    out[arr >= t] = _frozen_max(dtype)
+    return out
+
+
+def frozen_square(arr, dtype):
+    if dtype.kind == "f32":
+        return (arr.astype(np.float64) ** 2).astype(dtype.np_dtype)
+    sq = arr.astype(np.int64) ** 2
+    return np.minimum(sq, _frozen_max(dtype)).astype(dtype.np_dtype)
+
+
+def frozen_saturating_add(a, b, dtype):
+    if dtype.kind == "f32":
+        return (a.astype(np.float64) + b.astype(np.float64)).astype(dtype.np_dtype)
+    tot = a.astype(np.int64) + b.astype(np.int64)
+    return np.clip(tot, 0, _frozen_max(dtype)).astype(dtype.np_dtype)
+
+
+def frozen_cast_array(arr, dtype):
+    if arr.dtype == dtype.np_dtype:
+        return arr
+    if dtype.kind == "f32":
+        return arr.astype(dtype.np_dtype)
+    info = np.iinfo(dtype.np_dtype)
+    return np.clip(np.rint(arr), info.min, info.max).astype(dtype.np_dtype)

@@ -1,10 +1,13 @@
+from contextlib import nullcontext
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 import oracles
 from helpers import apply_stage, vol_stream
-from stackstream import ops
+from stackstream import ops, runtime
 from stackstream.core import ALLOC, F32, U8, U16, PlanningError, VolumeMeta, release
 from stackstream.io import synth_volume
 from stackstream.planner import fuse_convolutions
@@ -252,7 +255,20 @@ _MORPH_FACTORIES = {"median": ops.median_filter, "erode": ops.erode,
                     "dilate": ops.dilate}
 
 
+_F32_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, np.finfo(np.float32).max,
+                          np.finfo(np.float32).smallest_subnormal,
+                          -np.finfo(np.float32).tiny / 3], dtype=np.float32)
+
+
 def _fill(rng, dtype, fill, shape):
+    if fill == "special":  # f32: -0.0, NaN, +-inf, subnormals; integers: extremes
+        if dtype.kind != "f32":
+            top = np.iinfo(dtype.np_dtype).max
+            return rng.choice([0, 1, top - 1, top], size=shape).astype(dtype.np_dtype)
+        vol = _fill(rng, dtype, "random", shape)
+        where = rng.random(shape) < 0.4
+        vol[where] = rng.choice(_F32_SPECIALS, size=int(where.sum()))
+        return vol
     if fill == "ties":  # extremes of u8, so ties straddle every radix bit
         return rng.choice([0, 1, 254, 255], size=shape).astype(dtype.np_dtype)
     if fill == "constant":
@@ -356,6 +372,128 @@ def test_one_window_call_emits_many_owned_outputs(case):
     finally:
         for sl in window:
             release(sl)
+
+
+# ---------------------------------------------------------------------------
+# in-place voxel loops against the frozen loops they replaced
+# ---------------------------------------------------------------------------
+
+def _bits(arr):
+    """Integers as they are, floats as their bit patterns."""
+    return arr.view(f"u{arr.itemsize}") if arr.dtype.kind == "f" else arr
+
+
+def _assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
+def _window(vol):
+    return [SimpleNamespace(data=plane) for plane in vol]
+
+
+@hst.composite
+def float_kernel_cases(draw):
+    """(kind, param, dtype, volume, lo, hi) for one gaussian or convolve call
+    over a window of w = k_z .. k_z + 6 slices."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    kind = draw(hst.sampled_from(["gaussian", "convolve"]))
+    if kind == "gaussian":  # sigmas in (0, 2] give k_z = 3 .. 13
+        param = ops.gaussian_kernel_1d(draw(hst.floats(0.05, 2.0)))
+        kz = len(param)
+    else:  # odd kernels up to 5^3, about a third of the weights zero
+        shape = tuple(draw(hst.sampled_from([1, 3, 5])) for _ in range(3))
+        param = ops.Kernel3D(rng.standard_normal(shape) * (rng.random(shape) < 0.7))
+        kz = shape[0]
+    dtype = draw(hst.sampled_from([U8, U16, F32]))
+    w = draw(hst.integers(kz, kz + 6))
+    lo = draw(hst.integers(0, w - kz))
+    hi = draw(hst.integers(lo, w - kz))
+    dims = (w, draw(hst.integers(1, 9)), draw(hst.integers(1, 9)))
+    fill = draw(hst.sampled_from(["random", "special", "constant"]))
+    return kind, param, dtype, _fill(rng, dtype, fill, dims), lo, hi
+
+
+_FLOAT_KERNELS = {"gaussian": (ops.gaussian_window, oracles.frozen_gaussian_window),
+                  "convolve": (ops.conv_window, oracles.frozen_conv_window)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=float_kernel_cases())
+# k_z = 13 over 1-pixel-wide slices, radius 6 beyond both of their edges
+@example(case=("gaussian", ops.gaussian_kernel_1d(2.0), F32,
+               _fill(_RNG, F32, "special", (19, 1, 5)), 2, 6))
+@example(case=("convolve", ops.Kernel3D(_RNG.standard_normal((5, 5, 5))), U16,
+               _fill(_RNG, U16, "special", (11, 2, 1)), 1, 6))
+# all -0.0: a pass that sums from zero gives +0.0, one from its first term -0.0
+@example(case=("gaussian", ops.gaussian_kernel_1d(0.3), F32,
+               np.full((5, 3, 4), -0.0, dtype=np.float32), 0, 2))
+@example(case=("convolve", ops.Kernel3D(_RNG.standard_normal((3, 3, 3))), F32,
+               np.full((5, 3, 4), -0.0, dtype=np.float32), 1, 2))
+def test_float_kernels_match_frozen_loops_bit_for_bit(case):
+    kind, param, dtype, vol, lo, hi = case
+    new, frozen = _FLOAT_KERNELS[kind]
+    # inf - inf and overflow are meant here; integer inputs must stay quiet
+    with np.errstate(invalid="ignore", over="ignore") if dtype == F32 else nullcontext():
+        got = new(_window(vol), param, lo, hi)
+        ref = frozen(_window(vol), param, lo, hi)
+        assert len(got) == len(ref) == hi - lo + 1
+        for g, r in zip(got, ref):
+            _assert_same_bits(g, r)
+            _assert_same_bits(runtime._cast_array(g, dtype),
+                              oracles.frozen_cast_array(r, dtype))
+
+
+@hst.composite
+def voxel_function_cases(draw):
+    """(dtype, a, b, t, wide): two slices of dtype, a threshold and a
+    float64 slice spanning and exceeding every dtype's range."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    dtype = draw(hst.sampled_from([U8, U16, F32]))
+    shape = (draw(hst.integers(1, 6)), draw(hst.integers(1, 6)))
+    a, b = (_fill(rng, dtype, draw(hst.sampled_from(["random", "special", "ties"])), shape)
+            for _ in range(2))
+    t = draw(hst.one_of(
+        hst.sampled_from([0, -1, -0.5, 0.5, 99.5, 255, 256, 65535, 65536, 1e39,
+                          float("inf"), float("nan")]),
+        hst.floats(-300.0, 70000.0)))
+    wide = rng.choice([-0.0, 0.5, -0.5, 1.5, 254.5, 255.5, 256.0, 65535.5, -1e300,
+                       1e300, np.inf, -np.inf], size=shape)
+    where = rng.random(shape) < 0.5
+    wide[where] = rng.standard_normal(int(where.sum())) * 300
+    return dtype, a, b, t, wide
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=voxel_function_cases())
+def test_voxel_functions_match_frozen_loops_bit_for_bit(case):
+    dtype, a, b, t, wide = case
+    with np.errstate(invalid="ignore", over="ignore") if dtype == F32 else nullcontext():
+        _assert_same_bits(ops.apply_threshold(a, t, dtype),
+                          oracles.frozen_threshold(a, t, dtype))
+        _assert_same_bits(ops.apply_square(a, dtype), oracles.frozen_square(a, dtype))
+        _assert_same_bits(ops.saturating_add(a, b, dtype),
+                          oracles.frozen_saturating_add(a, b, dtype))
+        _assert_same_bits(runtime._cast_array(wide, dtype),
+                          oracles.frozen_cast_array(wide, dtype))
+        assert runtime._cast_array(a, dtype) is a
+
+
+@pytest.mark.parametrize("kind, param, kz", [
+    ("gaussian", ops.gaussian_kernel_1d(0.8), 7),
+    ("convolve", ops.Kernel3D.box(3), 3),
+    ("convolve", ops.Kernel3D(np.ones((3, 1, 1))), 3),
+])
+def test_float_kernels_return_owned_outputs(kind, param, kz):
+    """Each output is a fresh array: no view of a workspace, shared with no
+    other output (a reused workspace would be) and with no window slice."""
+    window = _window(_fill(np.random.default_rng(61), U8, "random", (12, 5, 6)))
+    outs = _FLOAT_KERNELS[kind][0](window, param, 1, 12 - kz)
+    assert len(outs) == 12 - kz
+    for i, out in enumerate(outs):
+        assert out.base is None and out.flags.owndata
+        assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+        assert not any(np.shares_memory(out, sl.data) for sl in window)
 
 
 # ---------------------------------------------------------------------------
