@@ -390,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except SpecSyntaxError as exc:

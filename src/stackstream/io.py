@@ -11,9 +11,11 @@ multi-slice file) or a grid of chunk files, described by manifest.txt:
     layout stack | chunks <cx> <cy> <cz>
     <ordered file list>
 
-Writes land under a temporary name and are renamed into place, and a
-.partial marker exists until the manifest is durable, so an interrupted
-run can never be mistaken for a complete volume.
+Writes land under a temporary name and are renamed into place. A .partial
+marker is created before the first file and unlinked after the manifest
+is renamed into place, so an interrupted run can never be mistaken for a
+complete volume. Nothing is fsynced, so this holds against a process that
+dies, not against a power loss or an OS crash.
 """
 
 from __future__ import annotations
@@ -189,6 +191,9 @@ def open_slice_stream(directory) -> SliceStream:
     def gen():
         if man.multipage:
             path = man.directory / man.files[0]
+            size, expected = path.stat().st_size, meta.depth * nbytes
+            if size != expected:
+                raise IOError(f"{path}: expected {expected} bytes, got {size}")
             counters["opens"] += 1
             with open(path, "rb") as fh:
                 for i in range(meta.depth):

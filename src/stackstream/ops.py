@@ -315,22 +315,26 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int):
 
     The median gathers the n masked neighbours of each output slice from
     the same block into one (n, ny, nx) stack and selects its k-th
-    smallest value, k = (n - 1) // 2. For u8 the selection is an exact radix
-    select: the median is the largest m with #{v < m} <= k, found one bit
-    at a time from the top, which takes 8 vectorised compare-and-count
-    passes over the stack. On a 2-vCPU Intel Xeon one 128x128 output
-    slice with n = 27 takes 2.3 ms this way against 10.4 ms with
-    np.partition, gather included. u16 and f32 keep np.partition: there
-    radix select measured 3.08 ms against 2.85 ms on u16, and 8.05 ms
-    against 2.8 ms on f32, which needs order-preserving uint32 keys. The
-    counter is sized to n, since a box with r = 3 has 343 entries and a
-    u8 counter would wrap.
+    smallest value, k = (n - 1) // 2. For u8 and u16 the selection is an
+    exact radix select: the median is the largest m with #{v < m} <= k,
+    found one bit at a time from the top in 8 * itemsize passes. Each pass
+    is six in-place ufuncs (set the bit, compare, count, test count <= k,
+    shift the test to the bit, or it in), so besides the block a call holds
+    the stack, an n-slice u8 compare buffer and the cand, keep, mask and
+    counter slice workspaces, allocated once per call. On a 2-vCPU Intel
+    Xeon one 128x128 output slice with n = 27 takes 1.1 ms on u8 (2.9 ms
+    with a masked copy per pass, 10.4 ms with np.partition) and 2.2 ms on
+    u16 (4.4 ms with np.partition), gather included. f32 keeps
+    np.partition: a radix select on order-preserving keys would put -0.0
+    below +0.0 and sign-bit NaNs first, where np.partition ties the zeros
+    and puts every NaN last. The counter is sized to n, since a box with
+    r = 3 has 343 entries and a u8 counter would wrap.
     """
     kz, ky, kx = se.mask.shape
     ry, rx = ky // 2, kx // 2
     ny, nx = window[0].data.shape
     nout = hi - lo + 1
-    offsets = np.argwhere(se.mask)
+    offsets = np.argwhere(se.mask).tolist()
     dtype = window[0].data.dtype
     block = np.empty((nout + kz - 1, ny + 2 * ry, nx + 2 * rx), dtype=dtype)
     for z in range(nout + kz - 1):
@@ -344,25 +348,34 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int):
             extremum(acc, block[a:a + nout, b:b + ny, c:c + nx], out=acc)
         del block
         return [plane.copy() for plane in acc]
-    radix = dtype == np.uint8
+    radix = dtype.kind == "u"
     n = len(offsets)
     k = (n - 1) // 2
-    stack = np.empty((n, ny, nx), dtype=dtype)
+    # stack and compare buffer share one allocation: freed as two blocks,
+    # glibc's malloc gave them back to the OS after every call, and faulting
+    # them in again took 0.6 of 1.5 ms at 128x128 with n = 27
+    size = n * ny * nx * dtype.itemsize
+    work = np.empty(size + n * ny * nx * radix, dtype=np.uint8)
+    stack = work[:size].view(dtype).reshape(n, ny, nx)
     if radix:
         # bool compare results, summed through a u8 view to skip a cast
-        less = np.empty((n, ny, nx), dtype=np.uint8)
+        less = work[size:].reshape(n, ny, nx)
         count = np.empty((ny, nx), dtype=np.min_scalar_type(n))
+        mask = np.empty((ny, nx), dtype=bool)
+        cand, keep = np.empty((2, ny, nx), dtype=dtype)
     outs = []
     for j in range(nout):
         for i, (a, b, c) in enumerate(offsets):
             stack[i] = block[j + a, b:b + ny, c:c + nx]
         if radix:
-            gathered = np.zeros((ny, nx), dtype=np.uint8)
-            for bit in range(7, -1, -1):
-                cand = gathered | np.uint8(1 << bit)
+            gathered = np.zeros((ny, nx), dtype=dtype)
+            for bit in range(8 * dtype.itemsize - 1, -1, -1):
+                np.bitwise_or(gathered, 1 << bit, out=cand)
                 np.less(stack, cand, out=less.view(bool))
                 np.add.reduce(less, axis=0, dtype=count.dtype, out=count)
-                np.copyto(gathered, cand, where=count <= k)
+                np.less_equal(count, k, out=mask)
+                np.left_shift(mask, bit, out=keep, dtype=dtype)
+                np.bitwise_or(gathered, keep, out=gathered)
         else:
             stack.partition(k, axis=0)
             gathered = stack[k].copy()

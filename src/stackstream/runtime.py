@@ -851,6 +851,8 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
     """
     if plan.verdict == "infeasible":
         raise PlanningError("refusing to execute an infeasible plan")
+    if threads < 1:
+        raise PlanningError(f"threads must be >= 1, got {threads}")
     tmpdir = Path(tmpdir) if tmpdir is not None else Path(".")
     ctx = RunContext(tmpdir=tmpdir, threads=threads, seed=seed)
     ALLOC.reset_peaks()

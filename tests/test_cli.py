@@ -181,6 +181,16 @@ def test_cmd_run_threads_identical_output(tmp_path):
                           sio.read_volume(tmp_path / "out4"))
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cmd_run_threads_below_one_exits_1(tmp_path, capsys, threads):
+    write_vol(tmp_path)
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, ""))
+    assert run_cli(["run", spec, "--threads", threads]) == 1
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_explain_io(tmp_path, capsys):
     write_vol(tmp_path)
     spec = tmp_path / "p.spec"

@@ -169,6 +169,23 @@ def test_multipage_single_file_stack(tmp_path):
     assert src.counters["opens"] == 1
 
 
+@pytest.mark.parametrize("tail,expected", [(12, "expected 48 bytes, got 60"),
+                                           (-5, "expected 48 bytes, got 43")],
+                         ids=["oversized", "truncated"])
+def test_multipage_stack_checks_its_size(tmp_path, tail, expected):
+    meta = VolumeMeta(4, 4, 3, U8)
+    data = sio.synth_volume(meta, "random", seed=7).tobytes()
+    d = tmp_path / "mp"
+    d.mkdir()
+    (d / "volume.raw").write_bytes(data + bytes(tail) if tail > 0 else data[:tail])
+    sio.save_manifest(d, meta, ["volume.raw"])
+    src = sio.open_slice_stream(d)
+    with pytest.raises(IOError, match=f"volume.raw: {expected}"):
+        src.pull()
+    src.close()
+    assert src.counters["opens"] == 0
+
+
 def test_backend_equivalence_raw_slices(tmp_path):
     meta = VolumeMeta(16, 16, 16, U8)
     vol = sio.synth_volume(meta, "random", seed=8)

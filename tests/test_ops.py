@@ -269,6 +269,9 @@ def _fill(rng, dtype, fill, shape):
         where = rng.random(shape) < 0.4
         vol[where] = rng.choice(_F32_SPECIALS, size=int(where.sum()))
         return vol
+    if fill == "halves":  # 0, the top bit alone and the maximum, u16: 0/32768/65535
+        top = np.iinfo(dtype.np_dtype).max
+        return rng.choice([0, top // 2 + 1, top], size=shape).astype(dtype.np_dtype)
     if fill == "ties":  # extremes of u8, so ties straddle every radix bit
         return rng.choice([0, 1, 254, 255], size=shape).astype(dtype.np_dtype)
     if fill == "constant":
@@ -372,6 +375,42 @@ def test_one_window_call_emits_many_owned_outputs(case):
     finally:
         for sl in window:
             release(sl)
+
+
+@hst.composite
+def radix_cases(draw):
+    """(dtype, mask, volume): unsigned medians over boxes up to r = 3, 2-3 outputs."""
+    dtype = draw(hst.sampled_from([U8, U16]))
+    r = draw(hst.integers(0, 3))
+    mask = np.ones((2 * r + 1,) * 3, dtype=bool)
+    dims = (2 * r + draw(hst.integers(2, 3)), draw(hst.integers(1, 3)),
+            draw(hst.integers(1, 3)))
+    fill = draw(hst.sampled_from(["random", "halves", "constant", "special"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    return dtype, mask, _fill(rng, dtype, fill, dims)
+
+
+_BOX3 = np.ones((7, 7, 7), dtype=bool)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=radix_cases())
+# n = 343: the counter outgrows u8, and u16 needs all 16 bit passes
+@example(case=(U16, _BOX3, _fill(_RNG, U16, "halves", (9, 3, 2))))
+@example(case=(U16, _BOX3, np.full((8, 2, 3), 65535, dtype=np.uint16)))
+@example(case=(U16, _BOX3, _fill(_RNG, U16, "random", (9, 2, 3))))
+@example(case=(U8, _BOX3, np.full((8, 3, 2), 255, dtype=np.uint8)))
+def test_radix_select_matches_sort_oracle(case):
+    dtype, mask, vol = case
+    kz = mask.shape[0]
+    outs = ops.morph_window(_window(vol), ops.StructuringElement(mask), "median",
+                            0, vol.shape[0] - kz)
+    ref = oracles.morphology(vol, mask, "median")
+    assert np.array_equal(np.stack(outs), ref)
+    for i, out in enumerate(outs):
+        # an output that owns its buffer cannot alias the select's workspaces
+        assert out.dtype == ref.dtype and out.base is None and out.flags.owndata
+        assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,18 @@ def test_write_stage_named_midwrite_keeps_its_output(tmp_path):
     assert np.array_equal(sio.read_volume(tmp_path / "out_keep"), vol)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_is_a_planning_error(tmp_path, threads):
+    write_input(tmp_path, VolumeMeta(8, 8, 6, U8))
+    g = chain(sio.read_stage(tmp_path / "in"), sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=str(tmp_path), grow_windows=False)
+    with pytest.raises(PlanningError, match=f"threads must be >= 1, got {threads}"):
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    with pytest.raises(PlanningError, match=f"threads must be >= 1, got {threads}"):
+        run_graph(g, Budget(1 << 30), threads=threads, tmpdir=tmp_path)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stages,message", [
     (lambda d: [sio.read_stage(d / "in"), ops.square(name="sq")], "cannot end a pipeline"),
     (lambda d: [sio.read_stage(d / "in"), sio.write_stage(d / "a", name="w"),
