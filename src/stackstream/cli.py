@@ -300,9 +300,6 @@ def cmd_run(args) -> int:
     try:
         report = execute_plan(p, threads=args.threads, tmpdir=_tmpdir(args),
                               seed=args.seed)
-    except StageError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
     except (IOError, OSError) as exc:
         print(f"runtime I/O failure: {exc}", file=sys.stderr)
         return 3

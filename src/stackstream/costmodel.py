@@ -230,11 +230,6 @@ def _report(policy, units, count, reads, interior, halo_bytes) -> CostReport:
     )
 
 
-def one_neighbourhood_capacity(kernel_dims) -> int:
-    """Chunks in one working set: the tightest cache that tracks the sweep."""
-    return int(np.prod([3 if k > 1 else 1 for k in kernel_dims]))
-
-
 def two_plane_capacity(grid: ChunkGrid) -> int:
     """Chunks in two full x-y layers of the grid."""
     return 2 * grid.gx * grid.gy

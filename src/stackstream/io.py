@@ -52,6 +52,17 @@ def _atomic_write(directory: Path, name: str, data: bytes):
         raise
 
 
+def _read_file(path: Path, expect: int, what: str) -> bytes:
+    """The whole of one slice or chunk file, which must hold expect bytes."""
+    if not path.exists():
+        raise IOError(f"{path}: missing {what} file, expected {expect} bytes")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) != expect:
+        raise IOError(f"{path}: expected {expect} bytes, got {len(data)}")
+    return data
+
+
 def _pad_width(depth: int) -> int:
     return max(3, len(str(max(depth - 1, 0))))
 
@@ -205,14 +216,8 @@ def open_slice_stream(directory) -> SliceStream:
                     yield ALLOC.new_slice(smeta, data=arr.reshape(meta.ny, meta.nx))
             return
         for fname in man.files:
-            path = man.directory / fname
-            if not path.exists():
-                raise IOError(f"{path}: missing slice file, expected {nbytes} bytes")
+            data = _read_file(man.directory / fname, nbytes, "slice")
             counters["opens"] += 1
-            with open(path, "rb") as fh:
-                data = fh.read()
-            if len(data) != nbytes:
-                raise IOError(f"{path}: expected {nbytes} bytes, got {len(data)}")
             arr = np.frombuffer(data, dtype=smeta.dtype.np_dtype)
             yield ALLOC.new_slice(smeta, data=arr.reshape(meta.ny, meta.nx))
 
@@ -272,6 +277,14 @@ def write_slice_stack(src: SliceStream, directory, meta: VolumeMeta):
 # chunked backend
 # ---------------------------------------------------------------------------
 
+def read_chunk(directory, grid: ChunkGrid, iz: int, iy: int, ix: int) -> np.ndarray:
+    """One chunk file as a (dz, dy, dx) array, checked to be whole."""
+    shape = grid.chunk_shape(iz, iy, ix)
+    data = _read_file(Path(directory) / grid.chunk_name(iz, iy, ix),
+                      shape[0] * shape[1] * shape[2] * grid.meta.dtype.byte_width, "chunk")
+    return np.frombuffer(data, dtype=grid.meta.dtype.np_dtype).reshape(shape)
+
+
 def open_chunk_stream(directory) -> SliceStream:
     """Stream z-ordered slices assembled from chunk layers.
 
@@ -282,7 +295,6 @@ def open_chunk_stream(directory) -> SliceStream:
     grid = load_manifest(directory)
     if isinstance(grid, StackManifest):
         raise PlanningError(f"{directory} is a slice stack, not a chunk store")
-    directory = Path(directory)
     meta = grid.meta
     smeta = meta.slice_meta
     counters = {"opens": 0}
@@ -295,25 +307,13 @@ def open_chunk_stream(directory) -> SliceStream:
                       for _ in range(2)]
             for iz in range(grid.gz):
                 layer = layers[iz % 2]
-                dz = min(grid.cz, meta.depth - iz * grid.cz)
                 for iy in range(grid.gy):
                     for ix in range(grid.gx):
-                        shape = grid.chunk_shape(iz, iy, ix)
-                        path = directory / grid.chunk_name(iz, iy, ix)
-                        expect = shape[0] * shape[1] * shape[2] * smeta.dtype.byte_width
-                        if not path.exists():
-                            raise IOError(f"{path}: missing chunk file, "
-                                          f"expected {expect} bytes")
+                        block = read_chunk(directory, grid, iz, iy, ix)
                         counters["opens"] += 1
-                        with open(path, "rb") as fh:
-                            data = fh.read()
-                        if len(data) != expect:
-                            raise IOError(f"{path}: expected {expect} bytes, got {len(data)}")
-                        block = np.frombuffer(data, dtype=smeta.dtype.np_dtype)
-                        block = block.reshape(shape)
-                        layer[:shape[0],
-                              iy * grid.cy:iy * grid.cy + shape[1],
-                              ix * grid.cx:ix * grid.cx + shape[2]] = block
+                        dz, dy, dx = block.shape
+                        layer[:dz, iy * grid.cy:iy * grid.cy + dy,
+                              ix * grid.cx:ix * grid.cx + dx] = block
                 for z in range(dz):
                     yield ALLOC.new_slice(smeta, data=layer[z].copy())
         finally:

@@ -1,11 +1,16 @@
 """Executes planned pipelines as pull-driven streams.
 
-Stage descriptors become stream transformers here. The single-threaded
-mode composes generators directly and is the determinism reference; with
-threads > 1 every stage gets its own worker connected through bounded
-handoff queues, and outputs are bit-identical to the reference mode.
-Whatever happens, all in-flight slices are released before control
-returns: success, planning abort or mid-sweep failure.
+Stage descriptors become stream transformers here, each composed from the
+`stream` functionals: a stage is flatten(map(step, windowed_positions(...)))
+whose step turns one window into the stage's new slices, a sink folds its
+windows one per drive step, and a tee or a shared-window branch group is
+one `FanOut`. No stage buffers slices itself, so release-on-close lives in
+`stream` alone. The single-threaded mode composes generators directly and
+is the determinism reference; with threads > 1 every stage gets its own
+worker connected through bounded handoff queues, and outputs are
+bit-identical to the reference mode. Whatever happens, all in-flight
+slices are released before control returns: success, planning abort or
+mid-sweep failure.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ import numpy as np
 from . import io as sio
 from . import ops, stream as st
 from .core import (ALLOC, Budget, Dtype, EngineError, PipelineGraph,
-                   PlanStage, PlanningError, StageError, VolumeMeta, release)
+                   PlanStage, PlanningError, StageError, VolumeMeta)
 from .planner import Plan, plan as make_plan, propagate_meta
-from .stream import Stream, release_element, retain_element
+from .stream import Stream, release_element
 
 
 class _Cancelled(Exception):
@@ -94,165 +99,113 @@ def _initialize_stream(stage: PlanStage, ctx: RunContext) -> Stream:
     return st.initialize(meta.depth, g, smeta)
 
 
+def _guarded(stage: PlanStage, z: int, fn: Callable, *args):
+    """fn(*args), with a failure that is not the engine's own raised as a
+    StageError naming the stage and the z of the output being computed."""
+    try:
+        return fn(*args)
+    except EngineError:
+        raise
+    except Exception as exc:
+        raise StageError(stage.name, z, exc) from exc
+
+
+def _new_slice(out_v: VolumeMeta, arr: np.ndarray):
+    return ALLOC.new_slice(out_v.slice_meta, data=_cast_array(arr, out_v.dtype))
+
+
+def _stage(stage: PlanStage, out_v: VolumeMeta, windows: Stream,
+           step: Callable) -> Stream:
+    """flatten(map(step, windows)): step turns one (z, window) into the list
+    of the stage's new slices. The outer stream carries the stage's name,
+    the inner map another, so each consumer pull counts once."""
+    return st.flatten(st.map(step, windows, name=f"map:{stage.name}"),
+                      name=stage.name, meta=out_v.slice_meta, depth=out_v.depth)
+
+
+def _per_slice(stage: PlanStage, src: Stream, out_v: VolumeMeta, step: Callable,
+               stop=None) -> Stream:
+    """A stage whose step(z, slice) sees one input slice at a time."""
+    return _stage(stage, out_v, st.windowed_positions(1, 1, src, "none", stop=stop),
+                  lambda item: step(item[0], item[1][0]))
+
+
+def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
+    """outputs(t, win): the new slices of stage's kernel over the w-slice
+    window starting at z = t, skipping centers an earlier call produced."""
+    fn = partial(ops.record(stage).window, stage)
+    hi = w - stage.k_z
+    next_out = 0
+
+    def outputs(t, win):
+        nonlocal next_out
+        lo = max(t, next_out) - t
+        if lo > hi:
+            return []
+        arrays = _guarded(stage, t + lo, fn, win, lo, hi)
+        next_out = t + hi + 1
+        return st.build_all(partial(_new_slice, out_v), arrays)
+
+    return outputs
+
+
 def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                    out_v: VolumeMeta) -> Stream:
     w = min(stage.w, in_meta.depth)
-    kz = stage.k_z
-    s_stride = w - kz + 1
-    fn = partial(ops.record(stage).window, stage)
-    out_smeta = out_v.slice_meta
-    wp = st.windowed_positions(w, s_stride, src, tail="full")
-
-    def gen():
-        next_out = 0
-        pending = deque()
-        win = None
-        try:
-            while True:
-                item = wp.pull()
-                if item is None:
-                    return
-                t, win = item
-                lo = max(t, next_out) - t
-                hi = w - kz
-                if hi >= lo:
-                    arrays = fn(win, lo, hi)
-                    next_out = t + hi + 1
-                    for a in arrays:
-                        pending.append(ALLOC.new_slice(out_smeta,
-                                                       data=_cast_array(a, out_v.dtype)))
-                for sl in win:
-                    release(sl)
-                win = None
-                while pending:
-                    yield pending.popleft()
-        finally:
-            if win is not None:
-                for sl in win:
-                    release(sl)
-            while pending:
-                release(pending.popleft())
-
-    return Stream(gen(), meta=out_smeta, depth=out_v.depth, upstream=(wp,),
-                  name=stage.name)
+    outputs = _kernel_outputs(stage, w, out_v)
+    return _stage(stage, out_v, st.windowed_positions(w, w - stage.k_z + 1, src, "full"),
+                  lambda item: outputs(*item))
 
 
 def _pointwise_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                       out_v: VolumeMeta) -> Stream:
     w = min(stage.w, in_meta.depth)
     fn = stage.params["fn"]
-    out_smeta = out_v.slice_meta
-    wp = st.windowed_positions(w, w, src, tail="partial")
 
-    def gen():
-        pending = deque()
-        index = 0
-        try:
-            while True:
-                item = wp.pull()
-                if item is None:
-                    return
-                _, win = item
-                for sl in win:
-                    try:
-                        arr = fn(sl.data, out_v.dtype)
-                    except Exception as exc:
-                        for s2 in win:
-                            release(s2)
-                        raise StageError(stage.name, index, exc) from exc
-                    pending.append(ALLOC.new_slice(out_smeta,
-                                                   data=_cast_array(arr, out_v.dtype)))
-                    index += 1
-                for sl in win:
-                    release(sl)
-                while pending:
-                    yield pending.popleft()
-        finally:
-            while pending:
-                release(pending.popleft())
+    def step(item):
+        t, win = item
+        return st.build_all(lambda i: _new_slice(out_v, _guarded(
+            stage, t + i, fn, win[i].data, out_v.dtype)), range(len(win)))
 
-    return Stream(gen(), meta=out_smeta, depth=out_v.depth, upstream=(wp,),
-                  name=stage.name)
+    return _stage(stage, out_v, st.windowed_positions(w, w, src, "partial"), step)
 
 
 def _crop_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                  out_v: VolumeMeta) -> Stream:
     x0, y0, z0, x1, y1, z1 = stage.params["box"]
-    out_smeta = out_v.slice_meta
 
-    def gen():
-        z = 0
-        while True:
-            sl = src.pull()
-            if sl is None:
-                return
-            if z < z0:
-                release(sl)
-                z += 1
-                continue
-            if z >= z1:
-                release(sl)
-                return
-            arr = sl.data[y0:y1, x0:x1].copy()
-            release(sl)
-            z += 1
-            yield ALLOC.new_slice(out_smeta, data=arr)
+    def step(z, sl):
+        if z < z0:
+            return []
+        return [ALLOC.new_slice(out_v.slice_meta, data=sl.data[y0:y1, x0:x1].copy())]
 
-    return Stream(gen(), meta=out_smeta, depth=out_v.depth, upstream=(src,),
-                  name=stage.name)
+    return _per_slice(stage, src, out_v, step, stop=z1)
 
 
 def _pad_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                 out_v: VolumeMeta) -> Stream:
     xlo, xhi, ylo, yhi, zlo, zhi = stage.params["amounts"]
     mode = stage.params["mode"]
-    out_smeta = out_v.slice_meta
     np_mode = "edge" if mode == "clamp" else "constant"
 
-    def pad_xy(sl):
-        if not (xlo or xhi or ylo or yhi):
-            return sl
-        arr = np.pad(sl.data, ((ylo, yhi), (xlo, xhi)), mode=np_mode)
-        release(sl)
-        return ALLOC.new_slice(out_smeta, data=arr)
-
     def z_edge(cur, count):
-        # count copies of the z edge: cur itself (clamp) or one zero slice
+        # count references to the z edge: cur itself (clamp) or one zero slice
         if not count:
-            return
-        edge = cur if mode == "clamp" else ALLOC.new_slice(out_smeta)
-        try:
-            for _ in range(count):
-                st.retain(edge)
-                yield edge
-        finally:
-            if edge is not cur:
-                release(edge)
+            return []
+        edge = cur if mode == "clamp" else ALLOC.new_slice(out_v.slice_meta)
+        for _ in range(count - (edge is not cur)):
+            st.retain(edge)
+        return [edge] * count
 
-    def gen():
-        cur = None
-        try:
-            first = src.pull()
-            if first is None:
-                return
-            cur = pad_xy(first)
-            yield from z_edge(cur, zlo)
-            while True:
-                st.retain(cur)
-                yield cur
-                nxt = src.pull()
-                if nxt is None:
-                    break
-                release(cur)
-                cur = None
-                cur = pad_xy(nxt)
-            yield from z_edge(cur, zhi)
-        finally:
-            if cur is not None:
-                release(cur)
+    def step(z, sl):
+        cur = sl
+        if xlo or xhi or ylo or yhi:
+            cur = ALLOC.new_slice(out_v.slice_meta, data=np.pad(
+                sl.data, ((ylo, yhi), (xlo, xhi)), mode=np_mode))
+        return (z_edge(cur, zlo if z == 0 else 0) + [cur]
+                + z_edge(cur, zhi if z == in_meta.depth - 1 else 0))
 
-    return Stream(gen(), meta=out_smeta, depth=out_v.depth, upstream=(src,),
-                  name=stage.name)
+    return _per_slice(stage, src, out_v, step)
 
 
 def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
@@ -264,18 +217,8 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
         return src
     if order[2] == "z":  # in-plane swap, one sweep
         ctx.stage_sweeps[stage.name] = 1
-
-        def xy_gen():
-            while True:
-                sl = src.pull()
-                if sl is None:
-                    return
-                arr = np.ascontiguousarray(sl.data.T)
-                release(sl)
-                yield ALLOC.new_slice(out_smeta, data=arr)
-
-        return Stream(xy_gen(), meta=out_smeta, depth=out_v.depth,
-                      upstream=(src,), name=stage.name)
+        return _per_slice(stage, src, out_v, lambda z, sl: [
+            ALLOC.new_slice(out_smeta, data=np.ascontiguousarray(sl.data.T))])
 
     # z moves: two passes through an on-disk chunked intermediate
     ctx.stage_sweeps[stage.name] = 2
@@ -292,9 +235,8 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
             raise IOError(f"stage {stage.name!r}: temp chunk store {tmp} failed "
                           f"(need {need} bytes free): {exc}") from exc
         try:
-            c_a = {"x": cx, "y": cy}[axis]
-            n_a = {"x": in_meta.nx, "y": in_meta.ny}[axis]
-            g_a = -(-n_a // c_a)
+            c_a, n_a, g_b = ((cx, in_meta.nx, grid.gy) if axis == "x"
+                             else (cy, in_meta.ny, grid.gx))
             slab_shape = ((in_meta.depth, in_meta.ny, c_a) if axis == "x"
                           else (in_meta.depth, c_a, in_meta.nx))
             slab_bytes = int(np.prod(slab_shape)) * in_meta.dtype.byte_width
@@ -304,25 +246,17 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                          for _ in range(2)]
                 plane_axes = {"x": {"z": 0, "y": 1}, "y": {"z": 0, "x": 1}}[axis]
                 t0, t1 = plane_axes[order[1]], plane_axes[order[0]]
-                for ka in range(g_a):
+                for ka in range(-(-n_a // c_a)):
                     slab = slabs[ka % 2]
-                    d_a = min(c_a, n_a - ka * c_a)
+                    # the chunk column at ka along the axis, one chunk at a time
                     for iz in range(grid.gz):
-                        for iy in range(grid.gy):
-                            for ix in range(grid.gx):
-                                if (axis == "x" and ix != ka) or (axis == "y" and iy != ka):
-                                    continue
-                                dz, dy, dx = grid.chunk_shape(iz, iy, ix)
-                                path = Path(tmp) / grid.chunk_name(iz, iy, ix)
-                                block = np.fromfile(path, dtype=in_meta.dtype.np_dtype)
-                                block = block.reshape(dz, dy, dx)
-                                if axis == "x":
-                                    slab[iz * cz:iz * cz + dz,
-                                         iy * cy:iy * cy + dy, :dx] = block
-                                else:
-                                    slab[iz * cz:iz * cz + dz, :dy,
-                                         ix * cx:ix * cx + dx] = block
-                    for kk in range(d_a):
+                        for ib in range(g_b):
+                            iy, ix = (ib, ka) if axis == "x" else (ka, ib)
+                            block = sio.read_chunk(tmp, grid, iz, iy, ix)
+                            dz, dy, dx = block.shape
+                            oy, ox = (iy * cy, 0) if axis == "x" else (0, ix * cx)
+                            slab[iz * cz:iz * cz + dz, oy:oy + dy, ox:ox + dx] = block
+                    for kk in range(min(c_a, n_a - ka * c_a)):
                         plane = slab[:, :, kk] if axis == "x" else slab[:, kk, :]
                         arr = np.ascontiguousarray(np.transpose(plane, (t0, t1)))
                         yield ALLOC.new_slice(out_smeta, data=arr)
@@ -348,62 +282,8 @@ def _zip_add_stream(stage: PlanStage, a: Stream, b: Stream,
     return st.map(add_pair, zipped, name=stage.name, meta=out_smeta)
 
 
-# ---------------------------------------------------------------------------
-# tee and shared-window branch groups
-# ---------------------------------------------------------------------------
-
-def _port(owner, consumer, meta, depth, name: str) -> Stream:
-    """The stream of what owner.pull_for(consumer) hands out."""
-    def gen():
-        while True:
-            e = owner.pull_for(consumer)
-            if e is None:
-                return
-            yield e
-
-    return Stream(gen(), meta=meta, depth=depth, upstream=(owner,), name=name)
-
-
-class _TeeSplitter:
-    """Fans one stream out by reference; per-branch FIFOs keep alignment."""
-
-    def __init__(self, src: Stream, consumers):
-        self.src = src
-        self.queues = {c: deque() for c in consumers}
-        self.lock = threading.Lock()
-        self.closed = False
-
-    def pull_for(self, consumer):
-        with self.lock:
-            q = self.queues[consumer]
-            if q:
-                return q.popleft()
-            e = self.src.pull()
-            if e is None:
-                return None
-            for other, oq in self.queues.items():
-                if other != consumer:
-                    retain_element(e)
-                    oq.append(e)
-            return e
-
-    def port(self, consumer) -> Stream:
-        return _port(self, consumer, self.src.meta, self.src.depth,
-                     f"tee->{consumer}")
-
-    def close(self):
-        with self.lock:
-            if self.closed:
-                return
-            self.closed = True
-            for q in self.queues.values():
-                while q:
-                    release_element(q.popleft())
-        self.src.close()
-
-
-class _SharedGroup:
-    """Executes kernel branches over one shared sliding window.
+def _shared_windows(src: Stream, members, metas) -> st.FanOut:
+    """Kernel branches over one shared sliding window, fanned out.
 
     The window has the largest branch kernel depth and advances one slice
     per step; a branch with kernel depth k emits its batch of valid
@@ -411,75 +291,18 @@ class _SharedGroup:
     position still owes, so each branch's output is identical to running
     it alone.
     """
+    d = metas[members[0].name][0].depth
+    w = min(max(m.k_z for m in members), d)
+    branches = [(w - m.k_z + 1, _kernel_outputs(m, w, metas[m.name][1]))
+                for m in members]  # (stride, outputs)
 
-    def __init__(self, src: Stream, members, metas, ctx):
-        self.members = {m.name: m for m in members}
-        self.w = max(m.k_z for m in members)
-        in_meta = metas[members[0].name][0]
-        self.d = in_meta.depth
-        self.w = min(self.w, self.d)
-        self.windows = st.windowed_positions(self.w, 1, src, tail="none")
-        self.queues = {m.name: deque() for m in members}
-        self.state = {}
-        for m in members:
-            self.state[m.name] = {
-                "next": 0,
-                "fn": partial(ops.record(m).window, m),
-                "out_v": metas[m.name][1],
-                "last": self.d - m.k_z,
-                "stride": self.w - m.k_z + 1,
-            }
-        self.lock = threading.Lock()
-        self.done = False
-        self.closed = False
-
-    def _advance(self) -> bool:
-        item = self.windows.pull()
-        if item is None:
-            self.done = True
-            return False
+    def step(item):
         t, win = item
-        try:
-            for name, s in self.state.items():
-                hi_abs = t + self.w - self.members[name].k_z
-                emit = (t % s["stride"] == 0) or (t == self.d - self.w and
-                                                  s["next"] <= s["last"])
-                if not emit or s["next"] > hi_abs:
-                    continue
-                lo_abs = max(t, s["next"])
-                arrays = s["fn"](win, lo_abs - t, hi_abs - t)
-                s["next"] = hi_abs + 1
-                out_v = s["out_v"]
-                for a in arrays:
-                    self.queues[name].append(
-                        ALLOC.new_slice(out_v.slice_meta,
-                                        data=_cast_array(a, out_v.dtype)))
-        finally:
-            for sl in win:
-                release(sl)
-        return True
+        return st.build_all(lambda b: b[1](t, win) if t % b[0] == 0 or t == d - w
+                            else [], branches)
 
-    def pull_for(self, name):
-        with self.lock:
-            q = self.queues[name]
-            while not q:
-                if self.done or not self._advance():
-                    return None
-            return q.popleft()
-
-    def port(self, name) -> Stream:
-        out_v = self.state[name]["out_v"]
-        return _port(self, name, out_v.slice_meta, out_v.depth, f"shared->{name}")
-
-    def close(self):
-        with self.lock:
-            if self.closed:
-                return
-            self.closed = True
-            for q in self.queues.values():
-                while q:
-                    release(q.popleft())
-        self.windows.close()
+    windows = st.map(step, st.windowed_positions(w, 1, src, "none"), name="shared")
+    return st.FanOut(windows, [m.name for m in members], st.queue_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -579,28 +402,43 @@ class _ThreadHandoff:
 # sink steppers
 # ---------------------------------------------------------------------------
 
+def _fold_steps(stage: PlanStage, windows: Stream, acc, step: Callable,
+                ctx: RunContext, internal: int = 0):
+    """Sink stepper folding step(acc, window) over windows, one window per
+    _drive step; returns the final accumulator. The running accumulators
+    are a map over the windows, and internal bytes are registered while
+    the fold runs."""
+    def apply(item):
+        nonlocal acc
+        acc = step(acc, item[1])
+        return acc
+
+    ALLOC.register_internal(internal)
+    try:
+        running = ctx.track(st.map(apply, windows, name=f"map:{stage.name}"))
+        while running.pull() is not None:
+            yield
+    finally:
+        ALLOC.unregister_internal(internal)
+    return acc
+
+
 def _histogram_steps(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                      ctx: RunContext):
     w = min(stage.w, in_meta.depth)
-    hist = ops.Histogram.empty(in_meta.dtype, stage.params.get("value_range"))
-    ALLOC.register_internal(2 * hist.nbytes)  # running + per-window accumulator
-    try:
-        wins = st.windowed_positions(w, w, src, tail="partial")
-        ctx.track(wins)
-        while True:
-            item = wins.pull()
-            if item is None:
-                break
-            _, win = item
-            part = ops.Histogram.empty(in_meta.dtype, stage.params.get("value_range"))
-            for sl in win:
-                part.add_array(sl.data)
-            hist.merge(part)
-            for sl in win:
-                release(sl)
-            yield
-    finally:
-        ALLOC.unregister_internal(2 * hist.nbytes)
+    new_hist = partial(ops.Histogram.empty, in_meta.dtype, stage.params.get("value_range"))
+
+    def add(hist, win):
+        part = new_hist()
+        for sl in win:
+            part.add_array(sl.data)
+        hist.merge(part)
+        return hist
+
+    hist = new_hist()
+    hist = yield from _fold_steps(stage, st.windowed_positions(w, w, src, "partial"),
+                                  hist, add, ctx,
+                                  internal=2 * hist.nbytes)  # running + per-window
     ctx.results[stage.name] = hist
     out = stage.params.get("out")
     if out:
@@ -610,20 +448,12 @@ def _histogram_steps(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
 
 def _mean_steps(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                 ctx: RunContext):
-    wins = st.windowed_positions(1, stage.s, src, tail="none")
-    ctx.track(wins)
-    total = 0.0
-    count = 0
-    while True:
-        item = wins.pull()
-        if item is None:
-            break
-        _, win = item
-        for sl in win:
-            total += float(sl.data.sum(dtype=np.float64))
-            count += sl.data.size
-            release(sl)
-        yield
+    def add(acc, win):
+        (sl,) = win
+        return acc[0] + float(sl.data.sum(dtype=np.float64)), acc[1] + sl.data.size
+
+    total, count = yield from _fold_steps(
+        stage, st.windowed_positions(1, stage.s, src, "none"), (0.0, 0), add, ctx)
     mean = total / count if count else 0.0
     ctx.results[stage.name] = mean
     out = stage.params.get("out")
@@ -737,7 +567,7 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
         for name in grp.members:
             shared_members[name] = grp
     built = {}
-    splitters = {}
+    fans = {}
 
     def upstream_of(name: str) -> Stream:
         preds = graph.predecessors(name)
@@ -746,20 +576,24 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
         return input_stream(name, preds[0])
 
     def tee_port(tee_name: str, consumer: str) -> Stream:
-        if tee_name not in splitters:
-            succs = graph.successors(tee_name)
+        succs = graph.successors(tee_name)
+        shared = all(s in shared_members for s in succs)
+        if tee_name not in fans:
             upstream = upstream_of(tee_name)
-            if all(s in shared_members for s in succs):
-                members = [graph.node(s) for s in succs]
-                splitters[tee_name] = _SharedGroup(upstream, members, metas, ctx)
-                for m in members:
-                    ctx.stage_sweeps[m.name] = 1
+            if shared:
+                fans[tee_name] = _shared_windows(
+                    upstream, [graph.node(s) for s in succs], metas)
+                ctx.stage_sweeps.update(dict.fromkeys(succs, 1))
             else:
-                splitters[tee_name] = _TeeSplitter(upstream, succs)
-            ctx.streams.append(splitters[tee_name])
+                fans[tee_name] = st.FanOut(upstream, succs)
+            ctx.streams.append(fans[tee_name])
             ctx.stage_sweeps[tee_name] = 1
-        # a shared group applies the member op itself: its port IS the member output
-        return splitters[tee_name].port(consumer)
+        if shared:
+            # the group applies the member op itself: its port IS the member output
+            out_v = metas[consumer][1]
+            return fans[tee_name].port(consumer, f"shared->{consumer}",
+                                       out_v.slice_meta, out_v.depth)
+        return fans[tee_name].port(consumer, f"tee->{consumer}")
 
     def input_stream(name: str, pred: str) -> Stream:
         if graph.node(pred).op_kind == "tee":
@@ -791,7 +625,8 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
         built[name] = ctx.track(s)
         return built[name]
 
-    return [make(sink, sink=True) for sink in graph.sinks()]
+    # a sink's stepper is closed with the streams, so an aborted run ends it
+    return [ctx.track(make(sink, sink=True)) for sink in graph.sinks()]
 
 
 def _drive(steppers):

@@ -6,11 +6,19 @@ slices stays provably bounded by the declared windows. Every element
 delivered by pull() carries one reference owned by the consumer; whoever
 stops needing a slice must release it, and buffers vanish the moment the
 last reference drops.
+
+This module is the only place that buffers slices between pulls: the
+windows of `windowed`, the pending batch of `flatten` and the per-consumer
+queues of `FanOut`. Each of them releases what it holds when its stream
+is closed, so the runtime builds every stage from these functionals and
+keeps no buffer of its own.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
+from itertools import count
 from typing import Callable, Iterator, Optional
 
 from .core import (DepthMismatchError, EngineError, PlanningError, Slice,
@@ -82,10 +90,6 @@ class Stream:
         for up in self._upstream:
             up.close()
 
-    def __iter__(self):
-        while (e := self.pull()) is not None:
-            yield e
-
 
 class SliceStream(Stream):
     """Stream of single slices."""
@@ -99,56 +103,34 @@ class WindowStream(Stream):
 # windowed
 # ---------------------------------------------------------------------------
 
-def _clamp_padded(src: Stream, p: int):
-    """Pull function over src with p clamp-to-edge replicas on each end.
+def _clamp_padded(src: Stream, p: int) -> Stream:
+    """src with p clamp-to-edge replicas of its first and last slices.
 
     Replicas are retained references to the boundary slices, never copies.
     """
-    state = {"cur": None, "left": 0, "right": 0, "started": False, "ended": False}
+    def gen():
+        cur = None
+        try:
+            while (nxt := src.pull()) is not None:
+                copies = 1 if cur is not None else p + 1
+                if cur is not None:
+                    release(cur)
+                cur = nxt
+                for _ in range(copies):
+                    retain(cur)
+                    yield cur
+            for _ in range(p if cur is not None else 0):
+                retain(cur)
+                yield cur
+        finally:
+            if cur is not None:
+                release(cur)
 
-    def pull():
-        if not state["started"]:
-            state["started"] = True
-            first = src.pull()
-            if first is None:
-                state["ended"] = True
-                return None
-            state["cur"] = first
-            state["left"] = p  # p more emissions of the first slice follow
-            retain(first)
-            return first
-        if state["left"] > 0:
-            state["left"] -= 1
-            retain(state["cur"])
-            return state["cur"]
-        if not state["ended"]:
-            nxt = src.pull()
-            if nxt is not None:
-                release(state["cur"])
-                state["cur"] = nxt
-                retain(nxt)
-                return nxt
-            state["ended"] = True
-            state["right"] = p
-        if state["right"] > 0:
-            state["right"] -= 1
-            retain(state["cur"])
-            return state["cur"]
-        if state["cur"] is not None:
-            release(state["cur"])
-            state["cur"] = None
-        return None
-
-    def drop():
-        if state["cur"] is not None:
-            release(state["cur"])
-            state["cur"] = None
-
-    return pull, drop
+    return Stream(gen(), meta=src.meta, depth=src.depth, upstream=(src,),
+                  name=f"clamp({p})")
 
 
-def _window_positions(pull_fn, w: int, s: int, tail: str = "none",
-                      cleanup: Callable = lambda: None):
+def _window_positions(pull_fn, w: int, s: int, tail: str = "none"):
     """Generate (start_index, [slices]) windows over a pull function.
 
     tail="none" emits only full windows at start indices 0, s, 2s, ...
@@ -158,8 +140,18 @@ def _window_positions(pull_fn, w: int, s: int, tail: str = "none",
     batch stages touch every slice.
     """
     buf = deque()  # holds one reference per entry; the last <= w slices seen
+    pos = 0        # index one past the newest buffered slice
+
+    def window_at(t):
+        # drop what lies below t; the window takes references of its own
+        while pos - len(buf) < t:
+            release(buf.popleft())
+        window = list(buf)[:w]
+        for sl in window:
+            retain(sl)
+        return t, window
+
     try:
-        pos = 0      # index one past the newest buffered slice
         start = 0    # start index of the next regular window
         exhausted = False
         last_emitted_start = None
@@ -174,13 +166,7 @@ def _window_positions(pull_fn, w: int, s: int, tail: str = "none",
                 if len(buf) > w:
                     release(buf.popleft())
             if pos >= start + w:
-                # buf spans [pos-len(buf), pos); trim anything below start
-                while pos - len(buf) < start:
-                    release(buf.popleft())
-                window = list(buf)[:w] if len(buf) > w else list(buf)
-                for sl in window:
-                    retain(sl)
-                yield start, window
+                yield window_at(start)
                 last_emitted_start = start
                 start += s
                 if tail != "full":
@@ -190,27 +176,15 @@ def _window_positions(pull_fn, w: int, s: int, tail: str = "none",
                         release(buf.popleft())
                 continue
             # source exhausted before the next regular window filled
-            if tail == "full" and pos >= w:
-                t = pos - w
-                if last_emitted_start is None or t > last_emitted_start:
-                    while pos - len(buf) < t:
-                        release(buf.popleft())
-                    window = list(buf)
-                    for sl in window:
-                        retain(sl)
-                    yield t, window
+            if tail == "full" and pos >= w and (last_emitted_start is None
+                                                or pos - w > last_emitted_start):
+                yield window_at(pos - w)
             elif tail == "partial" and pos > start:
-                while pos - len(buf) < start:
-                    release(buf.popleft())
-                window = list(buf)
-                for sl in window:
-                    retain(sl)
-                yield start, window
+                yield window_at(start)
             return
     finally:
         while buf:
             release(buf.popleft())
-        cleanup()
 
 
 def windowed(w: int, s: int, p: int, src: SliceStream) -> WindowStream:
@@ -224,33 +198,31 @@ def windowed(w: int, s: int, p: int, src: SliceStream) -> WindowStream:
         raise PlanningError("windowed: need w >= 1, s >= 1, p >= 0")
     if p > 0 and p >= w:
         raise PlanningError("windowed: padding must satisfy p < w")
-    if p > 0:
-        pull_fn, drop = _clamp_padded(src, p)
-    else:
-        pull_fn, drop = src.pull, (lambda: None)
-
-    def gen():
-        for _, window in _window_positions(pull_fn, w, s, tail="none", cleanup=drop):
-            yield window
-
+    up = _clamp_padded(src, p) if p > 0 else src
+    gen = (window for _, window in _window_positions(up.pull, w, s, tail="none"))
     depth = None
     if src.depth is not None:
         padded = src.depth + 2 * p
         depth = (padded - w) // s + 1 if padded >= w else 0
-    return WindowStream(gen(), meta=src.meta, depth=depth, upstream=(src,),
+    return WindowStream(gen, meta=src.meta, depth=depth, upstream=(up,),
                         name=f"windowed({w},{s},{p})")
 
 
-def windowed_positions(w: int, s: int, src: SliceStream, tail: str) -> Stream:
+def windowed_positions(w: int, s: int, src: SliceStream, tail: str,
+                       stop: Optional[int] = None) -> Stream:
     """Internal covering variant used by operators: yields (start, window).
 
     With tail="full" the final window is shifted back to depth-w so every
     valid kernel position is covered; with tail="partial" leftover slices
-    come out as a short window. Source slices are still pulled exactly once.
+    come out as a short window. Source slices are still pulled exactly once,
+    and with stop set, no slice at index stop or beyond is pulled at all.
     """
     if w < 1 or s < 1:
         raise PlanningError("windowed: need w >= 1, s >= 1")
-    gen = _window_positions(src.pull, w, s, tail=tail)
+    taken = count()
+    gen = _window_positions(src.pull if stop is None else
+                            (lambda: src.pull() if next(taken) < stop else None),
+                            w, s, tail=tail)
     return Stream(gen, meta=src.meta, depth=None, upstream=(src,),
                   name=f"windowed_cover({w},{s})")
 
@@ -259,31 +231,56 @@ def windowed_positions(w: int, s: int, src: SliceStream, tail: str) -> Stream:
 # flatten / map / fold / zip / initialize
 # ---------------------------------------------------------------------------
 
-def flatten(src: Stream) -> SliceStream:
+def flatten(src: Stream, name: str = "flatten", meta: Optional[SliceMeta] = None,
+            depth: Optional[int] = None) -> SliceStream:
     """Concatenate a stream of slice stacks into a slice stream.
 
     References transfer to the consumer one slice at a time; nothing is
-    retained twice.
+    retained twice. Slices of a stack not yet handed out when the stream
+    is closed are released.
     """
     def gen():
         pending = deque()
         try:
-            while True:
-                e = src.pull()
-                if e is None:
-                    return
-                if isinstance(e, Slice):
-                    yield e
-                    continue
-                pending.extend(e)
+            while (e := src.pull()) is not None:
+                pending.extend([e] if isinstance(e, Slice) else e)
                 while pending:
                     yield pending.popleft()
         finally:
             while pending:
                 release(pending.popleft())
 
-    return SliceStream(gen(), meta=src.meta, depth=None, upstream=(src,),
-                       name="flatten")
+    return SliceStream(gen(), meta=meta if meta is not None else src.meta,
+                       depth=depth, upstream=(src,), name=name)
+
+
+def build_all(make: Callable, items) -> list:
+    """[make(x) for x in items], where each make returns new slices.
+
+    If one call fails, what the earlier calls made is released before the
+    error propagates, so a step that builds several outputs never leaks.
+    """
+    out = []
+    try:
+        for x in items:
+            out.append(make(x))
+    except BaseException:
+        release_element(out)
+        raise
+    return out
+
+
+def _apply(f: Callable, args, element, name: str, index: int):
+    """f(*args); on failure the element is released, and an error that is
+    not the engine's own is raised as a StageError at (name, index)."""
+    try:
+        return f(*args)
+    except _PASSTHROUGH:
+        release_element(element)
+        raise
+    except Exception as exc:
+        release_element(element)
+        raise StageError(name, index, exc) from exc
 
 
 def map(f: Callable, src: Stream, name: str = "map",
@@ -296,20 +293,9 @@ def map(f: Callable, src: Stream, name: str = "map",
     """
     def gen():
         index = 0
-        while True:
-            e = src.pull()
-            if e is None:
-                return
-            try:
-                out = f(e)
-            except _PASSTHROUGH:
-                release_element(e)
-                raise
-            except Exception as exc:
-                release_element(e)
-                raise StageError(name, index, exc) from exc
-            keep = frozenset(id(s) for s in each_slice(out))
-            release_element(e, keep=keep)
+        while (e := src.pull()) is not None:
+            out = _apply(f, (e,), e, name, index)
+            release_element(e, keep=frozenset(id(s) for s in each_slice(out)))
             index += 1
             yield out
 
@@ -326,20 +312,11 @@ def fold(a0, step: Callable, src: Stream, name: str = "fold"):
     acc = a0
     index = 0
     try:
-        while True:
-            e = src.pull()
-            if e is None:
-                return acc
-            try:
-                acc = step(acc, e)
-            except _PASSTHROUGH:
-                release_element(e)
-                raise
-            except Exception as exc:
-                release_element(e)
-                raise StageError(name, index, exc) from exc
+        while (e := src.pull()) is not None:
+            acc = _apply(step, (acc, e), e, name, index)
             release_element(e)
             index += 1
+        return acc
     finally:
         src.close()
 
@@ -357,7 +334,11 @@ def zip(a: SliceStream, b: SliceStream) -> Stream:
     def gen():
         while True:
             ea = a.pull()
-            eb = b.pull()
+            try:
+                eb = b.pull()
+            except BaseException:  # a cancelled or failed b: ea is ours to drop
+                release_element(ea)
+                raise
             if ea is None and eb is None:
                 return
             if ea is None or eb is None:
@@ -381,3 +362,69 @@ def initialize(d: int, g: Callable[[int], Slice], meta: SliceMeta) -> SliceStrea
             yield g(i)
 
     return SliceStream(gen(), meta=meta, depth=d, name="initialize")
+
+
+# ---------------------------------------------------------------------------
+# fan-out: tee and shared windows
+# ---------------------------------------------------------------------------
+
+def queue_by_reference(element, queues):
+    """A tee: every consumer queues the element itself, one reference each."""
+    for i, q in enumerate(queues.values()):
+        if i:
+            retain_element(element)
+        q.append(element)
+
+
+def queue_parts(parts, queues):
+    """The element holds one list of slices per consumer, in consumer order."""
+    for i, q in enumerate(queues.values()):
+        q.extend(parts[i])
+
+
+class FanOut:
+    """One source stream split into per-consumer streams through FIFOs.
+
+    When a consumer finds its queue empty, one source element is pulled and
+    advance(element, queues) fills the queues with entries that own one
+    reference each. A consumer that runs ahead leaves entries queued for
+    the others; closing releases whatever is still queued. Ports may be
+    pulled from several threads.
+    """
+
+    def __init__(self, src: Stream, consumers, advance=queue_by_reference):
+        self.src = src
+        self.queues = {c: deque() for c in consumers}
+        self._advance = advance
+        self._lock = threading.Lock()
+        self._done = False
+
+    def _pull_for(self, consumer):
+        with self._lock:
+            q = self.queues[consumer]
+            while not q and not self._done:
+                e = self.src.pull()
+                if e is None:
+                    self._done = True
+                else:
+                    self._advance(e, self.queues)
+            return q.popleft() if q else None
+
+    def port(self, consumer, name: str, meta: Optional[SliceMeta] = None,
+             depth: Optional[int] = None) -> Stream:
+        """The stream of one consumer's elements; closing it closes the fan-out."""
+        def gen():
+            while (e := self._pull_for(consumer)) is not None:
+                yield e
+
+        return Stream(gen(), meta=meta if meta is not None else self.src.meta,
+                      depth=depth if depth is not None else self.src.depth,
+                      upstream=(self,), name=name)
+
+    def close(self):
+        with self._lock:
+            self._done = True
+            for q in self.queues.values():
+                while q:
+                    release_element(q.popleft())
+        self.src.close()

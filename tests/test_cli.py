@@ -167,6 +167,19 @@ def test_cmd_run_io_failure_exit_3(tmp_path, monkeypatch):
     assert run_cli(["run", spec]) == 3
 
 
+def test_cmd_run_stage_failure_exit_3(tmp_path, monkeypatch, capsys):
+    write_vol(tmp_path)
+
+    def failing(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(ops, "gaussian_window", failing)
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, "gaussian sigma=0.8\n"))
+    assert run_cli(["run", spec]) == 3
+    assert "runtime failure: stage " in capsys.readouterr().err
+
+
 def test_cmd_run_threads_identical_output(tmp_path):
     write_vol(tmp_path)
     spec1 = tmp_path / "p1.spec"

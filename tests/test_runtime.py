@@ -518,3 +518,115 @@ def test_initialize_source_runs_end_to_end(tmp_path, kind, threads):
     assert np.array_equal(sio.read_volume(tmp_path / "out"), ref)
     assert rep.leaked_slices == 0
     assert dict(rep.sinks)["write"] == meta.depth - 2
+
+
+# ---------------------------------------------------------------------------
+# every stage builder is a composition of the stream functionals
+# ---------------------------------------------------------------------------
+
+from stackstream.runtime import RunContext, _build_segment  # noqa: E402
+
+
+def test_crop_stops_reading_at_its_box(tmp_path):
+    meta = VolumeMeta(8, 8, 20, U8)
+    vol = write_input(tmp_path, meta, seed=30)
+    g = chain(sio.read_stage(tmp_path / "in"),
+              ops.crop((1, 1, 2, 7, 7, 6), name="c"),
+              sio.write_stage(tmp_path / "out"))
+    _, rep = run_graph(g, Budget(1 << 30), tmpdir=tmp_path)
+    assert rep.sources == [("read", 6, 6)]
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), vol[2:6, 1:7, 1:7])
+
+
+def test_truncated_permute_chunk_names_the_file(tmp_path, monkeypatch):
+    meta = VolumeMeta(6, 5, 4, U8)
+    write_input(tmp_path, meta, seed=31)
+    real = sio._write_bytes
+
+    def truncating(path, data):
+        real(path, data[:-1] if path.name.startswith(".tmp_c_") else data)
+
+    monkeypatch.setattr(sio, "_write_bytes", truncating)
+    g = chain(sio.read_stage(tmp_path / "in"),
+              ops.permute_axes("zyx", name="perm", chunk_edge=3),
+              sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
+    with pytest.raises(IOError, match=r"c_000_000_000\.raw: expected 27 bytes, got 26"):
+        execute_plan(p, tmpdir=tmp_path)
+    assert ALLOC.live_slices == 0
+
+
+def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeypatch):
+    meta = VolumeMeta(8, 8, 16, U8)
+    write_input(tmp_path, meta, seed=32)
+    real = ops.gaussian_window
+    calls = {"n": 0}
+
+    def failing(window, g1d, lo, hi):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise RuntimeError("injected")
+        return real(window, g1d, lo, hi)
+
+    monkeypatch.setattr(ops, "gaussian_window", failing)
+    # k_z = 7 and w = 10: each call computes outputs t .. t + 3
+    g = chain(sio.read_stage(tmp_path / "in"),
+              ops.discrete_gaussian(0.8, w=10, name="g"),
+              sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
+    with pytest.raises(StageError) as ei:
+        execute_plan(p, tmpdir=tmp_path)
+    assert ei.value.stage == "g"
+    assert ei.value.index == 4
+    assert isinstance(ei.value.cause, RuntimeError)
+    assert ALLOC.live_slices == 0
+
+
+def _close_case(d, case):
+    read, out = sio.read_stage(d / "in"), sio.write_stage(d / "out")
+    single = {
+        "kernel": ops.median_filter(1, w=5, name="op"),
+        "pointwise": ops.square(w=3, name="op"),
+        "crop": ops.crop((1, 1, 2, 7, 7, 6), name="op"),
+        "pad_zero": ops.pad((1, 1, 0, 2, 2, 2), "zero", name="op"),
+        "pad_clamp": ops.pad((1, 1, 0, 2, 2, 2), "clamp", name="op"),
+        "permute_in_plane": ops.permute_axes("yxz", name="op"),
+        "permute_z": ops.permute_axes("zyx", name="op", chunk_edge=3),
+    }
+    if case in single:
+        return chain(read, single[case], out)
+    if case in ("histogram", "mean"):
+        return chain(read, ops.histogram_op(w=3, name="op") if case == "histogram"
+                     else ops.sampled_mean(2, name="op"))
+    if case == "zip_add":
+        return tee_graph([read, ops.tee(name="t")],
+                         [[ops.square(name="a")], [ops.threshold(9, name="b")]],
+                         ops.add_join(name="j"), [out])
+    conv = [ops.convolve(ops.Kernel3D(np.ones((k, 3, 3)) / 9 / k), name=f"b{k}")
+            for k in (5, 3)]
+    g = tee_graph([read, ops.tee(name="t")],
+                  [[conv[0], sio.write_stage(d / "o5", name="w5")],
+                   [conv[1], sio.write_stage(d / "o3", name="w3")]])
+    return share_windows(g, ["b5", "b3"])[0] if case == "shared" else g
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", [
+    "kernel", "pointwise", "crop", "pad_zero", "pad_clamp", "permute_in_plane",
+    "permute_z", "zip_add", "tee", "shared", "histogram", "mean"])
+def test_close_mid_sweep_releases_everything(tmp_path, case, threads):
+    meta = VolumeMeta(8, 8, 12, U8)
+    write_input(tmp_path, meta, seed=33)
+    p = plan(_close_case(tmp_path, case), Budget(1 << 30), tmpdir=tmp_path,
+             grow_windows=False, concurrent=threads > 1)
+    ctx = RunContext(tmpdir=tmp_path, threads=threads)
+    steppers = _build_segment(p.segments[0], p.segment_metas[0], ctx)
+    try:
+        next(steppers[0])  # the sink takes the stage's first output
+        if threads == 1:  # with stage threads, what is held at this moment varies
+            assert ALLOC.live_slices or ALLOC.internal_bytes or case == "mean"
+    finally:
+        ctx.close_all()
+    assert ALLOC.live_slices == 0
+    assert ALLOC.live_refs == 0
+    assert ALLOC.internal_bytes == 0

@@ -203,6 +203,19 @@ def test_zip_pairs_and_depth_mismatch():
     bad.close()
 
 
+def test_zip_releases_the_first_element_when_the_second_input_fails():
+    # a stage thread cancelled while zip waits on its second input
+    def failing():
+        raise RuntimeError("cancelled")
+        yield
+
+    pairs = st.zip(int_stream([1, 2]), st.SliceStream(failing(), meta=META8))
+    with pytest.raises(RuntimeError):
+        pairs.pull()
+    pairs.close()
+    assert ALLOC.live_slices == 0
+
+
 def test_zip_meta_mismatch_rejected():
     a = int_stream([1], SliceMeta(4, 4, U8))
     b = int_stream([1], SliceMeta(8, 4, U8))
