@@ -207,6 +207,36 @@ def saturating_add(a: np.ndarray, b: np.ndarray, dtype: Dtype) -> np.ndarray:
 # window compute kernels (shared by the runtime and by fused branch groups)
 # ---------------------------------------------------------------------------
 
+class Scratch:
+    """The numpy workspaces of one kernel stage, shared by all of its calls.
+
+    take(name, shape, dtype) gives a contiguous buffer of that shape whose
+    memory the first call that names it allocates and later calls reuse,
+    growing it only for a larger shape, so a stage faults its workspaces in
+    once, not on every call. close() drops them all.
+    """
+
+    def __init__(self):
+        self.buffers = {}  # name: the bytes behind it
+        self._views = {}   # name: the view last taken, as calls repeat shapes
+
+    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        view = self._views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        view = self._views[name] = buf[:nbytes].view(dtype).reshape(shape)
+        return view
+
+    def close(self):
+        self.buffers.clear()
+        self._views.clear()
+
+
 def _clamp_edges(buf: np.ndarray, ry: int, rx: int):
     """Copy the edge rows and columns of buf's interior (last two axes) out over its border."""
     ny, nx = buf.shape[-2] - 2 * ry, buf.shape[-1] - 2 * rx
@@ -224,25 +254,30 @@ def _accumulate(acc: np.ndarray, taps, term: np.ndarray):
     return acc
 
 
-def conv_window(window, kernel: Kernel3D, lo: int, hi: int):
-    """Valid-z convolution outputs lo..hi (window-relative) as float64 arrays.
+def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
+                scratch: Optional[Scratch] = None, cast: Optional[Callable] = None):
+    """Valid-z convolution outputs lo..hi (window-relative) as float64 arrays,
+    or as cast(sum) of each when cast is given.
 
     Output j sums, plane by plane, the 2D clamp-to-edge filter of slice
     j + kz - 1 - a by kernel plane a, whose nonzero terms add from zero in
     row-major order: per voxel, the float64 operations of that sum in order.
-    A call's scratch is three float64 slice workspaces, whatever w is.
+    The workspaces, three float64 slices and with cast the output sum,
+    come from scratch, whatever w is; with cast, the call holds no float64
+    output beyond the one being cast.
     """
+    scratch = Scratch() if scratch is None else scratch
     kz, ky, kx = kernel.weights.shape
     ry, rx = ky // 2, kx // 2
     ny, nx = window[0].data.shape
-    pad = np.empty((ny + 2 * ry, nx + 2 * rx))
-    term, plane_sum = np.empty((ny, nx)), np.empty((ny, nx))
+    pad = scratch.take("pad", (ny + 2 * ry, nx + 2 * rx))
+    term, plane_sum = scratch.take("term", (ny, nx)), scratch.take("plane", (ny, nx))
     taps = [[(wgt, pad[2 * ry - b:2 * ry - b + ny, 2 * rx - c:2 * rx - c + nx])
              for (b, c), wgt in np.ndenumerate(plane) if wgt != 0.0]
             for plane in kernel.weights]
     outs = []
     for j in range(lo, hi + 1):
-        out = np.empty((ny, nx))
+        out = scratch.take("out", (ny, nx)) if cast else np.empty((ny, nx))
         for a in range(kz):
             acc = plane_sum if a else out
             pad[ry:ry + ny, rx:rx + nx] = window[j + kz - 1 - a].data
@@ -251,7 +286,7 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int):
             _accumulate(acc, taps[a], term)
             if a:
                 out += plane_sum
-        outs.append(out)
+        outs.append(cast(out) if cast else out)
     return outs
 
 
@@ -265,19 +300,23 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int):
+def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
+                    scratch: Optional[Scratch] = None, cast: Optional[Callable] = None):
     """Separable x/y/z gaussian; equals convolving with the outer-product kernel.
 
     Output j is the z sum of g[a] * slice(j + kz - 1 - a) from its first
     term, then y and x passes with clamped edges that sum from zero: per
-    voxel, the float64 operations of those sums in kernel order. A call's
-    scratch is four float64 slice workspaces, whatever w is: the y-padded
-    z sum, the y pass's sum, an x-padded copy of it, and one term.
+    voxel, the float64 operations of those sums in kernel order. The
+    workspaces come from scratch, whatever w is: the y-padded z sum, the
+    y pass's sum, an x-padded copy of it and one term. With cast the x
+    pass sums into the y pass's workspace, so the call holds no float64
+    output beyond the one being cast.
     """
+    scratch = Scratch() if scratch is None else scratch
     kz, r = len(g1d), len(g1d) // 2
     ny, nx = window[0].data.shape
-    ypad, xpad = np.empty((ny + 2 * r, nx)), np.empty((ny, nx + 2 * r))
-    term, ysum = np.empty((ny, nx)), np.empty((ny, nx))
+    ypad, xpad = scratch.take("ypad", (ny + 2 * r, nx)), scratch.take("xpad", (ny, nx + 2 * r))
+    term, ysum = scratch.take("term", (ny, nx)), scratch.take("ysum", (ny, nx))
     zsum = ypad[r:r + ny]
     ytaps = [(g1d[b], ypad[2 * r - b:2 * r - b + ny]) for b in range(kz)]
     xtaps = [(g1d[c], xpad[:, 2 * r - c:2 * r - c + nx]) for c in range(kz)]
@@ -291,95 +330,106 @@ def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int):
         _accumulate(ysum, ytaps, term)  # contiguous: a strided sum runs slower
         xpad[:, r:r + nx] = ysum
         _clamp_edges(xpad, 0, r)
-        outs.append(_accumulate(np.zeros((ny, nx)), xtaps, term))
+        out = ysum if cast else np.empty((ny, nx))  # ysum is free once copied
+        out.fill(0.0)
+        _accumulate(out, xtaps, term)
+        outs.append(cast(out) if cast else out)
     return outs
 
 
-def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int):
+#: most bytes of one morph_window block, unless one output needs more
+MORPH_BLOCK_BYTES = 1 << 18
+
+
+def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
+                 scratch: Optional[Scratch] = None):
     """min/max/median over the masked neighbourhood, native dtype, exact.
 
     Even-count medians take the lower of the two middle values so integer
     volumes stay integer-closed and deterministic.
 
-    Each call copies the slices its nout = hi - lo + 1 outputs read into
-    one block of shape (nout + kz - 1, ny + 2ry, nx + 2rx), x-y edges
-    replicated. Erode and dilate then make one in-place np.minimum or
-    np.maximum call per mask offset over (nout, ny, nx) views of that
-    block, so a whole window costs as many numpy calls as one slice did.
-    Besides the outputs, which the ledger already charges, the transient
-    is that one padded copy of the window; it is freed before the outputs
-    are copied out, one buffer each, since a Slice drops its memory when
-    its refcount reaches zero and a view would pin the whole block. On a
-    2-vCPU Intel Xeon one 64x64 u8 erode call over the r = 1 box with
-    w = 512 takes 11 ms against 91 ms with a loop per output slice.
+    The outputs go in chunks of c, as many as MORPH_BLOCK_BYTES allows:
+    each chunk copies the c + kz - 1 slices it reads into one block of x-y
+    edge-padded slices. Erode and dilate make one in-place np.minimum or
+    np.maximum call per mask offset over a (c, ny, nx) accumulator, then
+    copy each output into its own buffer, since a view would pin the
+    accumulator. Block, accumulator and the median's buffers come from
+    scratch, so the workspace is bounded whatever w is. On a 2-vCPU Intel
+    Xeon one 64x64 u8 erode call over the r = 1 box with w = 512 takes
+    15 ms in chunks of 58 outputs, 17 ms as one block and 69 ms in chunks
+    of one output.
 
     The median gathers the n masked neighbours of each output slice from
-    the same block into one (n, ny, nx) stack and selects its k-th
-    smallest value, k = (n - 1) // 2. For u8 and u16 the selection is an
-    exact radix select: the median is the largest m with #{v < m} <= k,
-    found one bit at a time from the top in 8 * itemsize passes. Each pass
-    is six in-place ufuncs (set the bit, compare, count, test count <= k,
-    shift the test to the bit, or it in), so besides the block a call holds
-    the stack, an n-slice u8 compare buffer and the cand, keep, mask and
-    counter slice workspaces, allocated once per call. On a 2-vCPU Intel
-    Xeon one 128x128 output slice with n = 27 takes 1.1 ms on u8 (2.9 ms
-    with a masked copy per pass, 10.4 ms with np.partition) and 2.2 ms on
-    u16 (4.4 ms with np.partition), gather included. f32 keeps
-    np.partition: a radix select on order-preserving keys would put -0.0
-    below +0.0 and sign-bit NaNs first, where np.partition ties the zeros
-    and puts every NaN last. The counter is sized to n, since a box with
-    r = 3 has 343 entries and a u8 counter would wrap.
+    the block into one (n, ny, nx) stack and selects its k-th smallest
+    value, k = (n - 1) // 2. For u8 and u16 the selection is an exact
+    radix select: the median is the largest m with #{v < m} <= k, found
+    one bit at a time from the top in 8 * itemsize passes. Each pass is
+    six in-place ufuncs (set the bit, compare, count, test count <= k,
+    shift the test to the bit, or it in), so besides the block a call
+    holds the stack, an n-slice u8 compare buffer and the cand, keep, mask
+    and counter slice workspaces. On a 2-vCPU Intel Xeon one 128x128
+    output slice with n = 27 takes 1.1 ms on u8 (2.9 ms with a masked copy
+    per pass, 10.4 ms with np.partition) and 2.2 ms on u16 (4.4 ms with
+    np.partition), gather included. f32 keeps np.partition: a radix
+    select on order-preserving keys would put -0.0 below +0.0 and sign-bit
+    NaNs first, where np.partition ties the zeros and puts every NaN last.
+    The counter is sized to n, since a box with r = 3 has 343 entries and
+    a u8 counter would wrap.
     """
+    scratch = Scratch() if scratch is None else scratch
     kz, ky, kx = se.mask.shape
     ry, rx = ky // 2, kx // 2
     ny, nx = window[0].data.shape
-    nout = hi - lo + 1
     offsets = np.argwhere(se.mask).tolist()
     dtype = window[0].data.dtype
-    block = np.empty((nout + kz - 1, ny + 2 * ry, nx + 2 * rx), dtype=dtype)
-    for z in range(nout + kz - 1):
-        block[z, ry:ry + ny, rx:rx + nx] = window[lo + z].data
-    _clamp_edges(block, ry, rx)
+    padded = (ny + 2 * ry) * (nx + 2 * rx) * dtype.itemsize
+    chunk = max(1, min(hi - lo + 1, MORPH_BLOCK_BYTES // padded - kz + 1))
+    blocks = scratch.take("block", (chunk + kz - 1, ny + 2 * ry, nx + 2 * rx), dtype)
     if op != "median":
         extremum = np.minimum if op == "erode" else np.maximum
-        (a, b, c), rest = offsets[0], offsets[1:]
-        acc = block[a:a + nout, b:b + ny, c:c + nx].copy()
-        for a, b, c in rest:
-            extremum(acc, block[a:a + nout, b:b + ny, c:c + nx], out=acc)
-        del block
-        return [plane.copy() for plane in acc]
-    radix = dtype.kind == "u"
-    n = len(offsets)
-    k = (n - 1) // 2
-    # stack and compare buffer share one allocation: freed as two blocks,
-    # glibc's malloc gave them back to the OS after every call, and faulting
-    # them in again took 0.6 of 1.5 ms at 128x128 with n = 27
-    size = n * ny * nx * dtype.itemsize
-    work = np.empty(size + n * ny * nx * radix, dtype=np.uint8)
-    stack = work[:size].view(dtype).reshape(n, ny, nx)
-    if radix:
-        # bool compare results, summed through a u8 view to skip a cast
-        less = work[size:].reshape(n, ny, nx)
-        count = np.empty((ny, nx), dtype=np.min_scalar_type(n))
-        mask = np.empty((ny, nx), dtype=bool)
-        cand, keep = np.empty((2, ny, nx), dtype=dtype)
-    outs = []
-    for j in range(nout):
-        for i, (a, b, c) in enumerate(offsets):
-            stack[i] = block[j + a, b:b + ny, c:c + nx]
+        (a0, b0, c0), rest = offsets[0], offsets[1:]
+        accs = scratch.take("acc", (chunk, ny, nx), dtype)
+    else:
+        radix = dtype.kind == "u"
+        n = len(offsets)
+        k = (n - 1) // 2
+        stack = scratch.take("stack", (n, ny, nx), dtype)
         if radix:
-            gathered = np.zeros((ny, nx), dtype=dtype)
-            for bit in range(8 * dtype.itemsize - 1, -1, -1):
-                np.bitwise_or(gathered, 1 << bit, out=cand)
-                np.less(stack, cand, out=less.view(bool))
-                np.add.reduce(less, axis=0, dtype=count.dtype, out=count)
-                np.less_equal(count, k, out=mask)
-                np.left_shift(mask, bit, out=keep, dtype=dtype)
-                np.bitwise_or(gathered, keep, out=gathered)
-        else:
-            stack.partition(k, axis=0)
-            gathered = stack[k].copy()
-        outs.append(gathered)
+            # bool compare results, summed through a u8 view to skip a cast
+            less = scratch.take("less", (n, ny, nx), np.uint8)
+            count = scratch.take("count", (ny, nx), np.min_scalar_type(n))
+            mask = scratch.take("mask", (ny, nx), bool)
+            cand, keep = scratch.take("cand", (2, ny, nx), dtype)
+    outs = []
+    for first in range(lo, hi + 1, chunk):
+        nout = min(chunk, hi + 1 - first)
+        block = blocks[:nout + kz - 1]
+        for z in range(nout + kz - 1):
+            block[z, ry:ry + ny, rx:rx + nx] = window[first + z].data
+        _clamp_edges(block, ry, rx)
+        if op != "median":
+            acc = accs[:nout]
+            np.copyto(acc, block[a0:a0 + nout, b0:b0 + ny, c0:c0 + nx])
+            for a, b, c in rest:
+                extremum(acc, block[a:a + nout, b:b + ny, c:c + nx], out=acc)
+            outs += [plane.copy() for plane in acc]
+            continue
+        for j in range(nout):
+            for i, (a, b, c) in enumerate(offsets):
+                stack[i] = block[j + a, b:b + ny, c:c + nx]
+            if radix:
+                gathered = np.zeros((ny, nx), dtype=dtype)
+                for bit in range(8 * dtype.itemsize - 1, -1, -1):
+                    np.bitwise_or(gathered, 1 << bit, out=cand)
+                    np.less(stack, cand, out=less.view(bool))
+                    np.add.reduce(less, axis=0, dtype=count.dtype, out=count)
+                    np.less_equal(count, k, out=mask)
+                    np.left_shift(mask, bit, out=keep, dtype=dtype)
+                    np.bitwise_or(gathered, keep, out=gathered)
+            else:
+                stack.partition(k, axis=0)
+                gathered = stack[k].copy()
+            outs.append(gathered)
     return outs
 
 
@@ -566,10 +616,12 @@ class OpKind:
     price, out_meta(stage, meta) the volume geometry downstream of it and
     batch(stage) the slices it emits per window step, its handoff batch.
     Kernel kinds consume a sliding z-window and emit its valid centers:
-    window(stage, window, lo, hi) gives the output arrays of the
-    window-relative centers lo..hi, and kernel_dims(stage) the kernel's
-    (kx, ky, kz). spec holds the kind's keywords; structural kinds (tee,
-    join) and priced-only ones have none.
+    window(stage, window, lo, hi, scratch=, cast=) gives the output arrays
+    of the window-relative centers lo..hi, taking its workspaces from the
+    stage's Scratch and passing each float64 output through cast, to the
+    stage's dtype, as soon as it is made; kernel_dims(stage) is the
+    kernel's (kx, ky, kz). spec holds the kind's keywords; structural
+    kinds (tee, join) and priced-only ones have none.
     """
 
     estimate: Callable
@@ -663,7 +715,8 @@ def _parse_convolve(get, name):
 
 def _morph_kind(kind):
     return _kernel_kind(
-        lambda st, win, lo, hi: morph_window(win, st.params["se"], kind, lo, hi),
+        lambda st, win, lo, hi, scratch, cast: morph_window(
+            win, st.params["se"], kind, lo, hi, scratch=scratch),
         lambda st: st.params["se"].mask.shape[::-1],
         Syntax(kind, ("r", "w"),
                lambda get, name: _morph_stage(kind, get("r", int, 1),
@@ -739,7 +792,7 @@ OPS = {
                   lambda get, name: square(w=get("w", int, 1), name=name),
                   lambda st: f"square w={st.w}"))),
     "convolve": _kernel_kind(
-        lambda st, win, lo, hi: conv_window(win, st.params["kernel"], lo, hi),
+        lambda st, win, lo, hi, **kw: conv_window(win, st.params["kernel"], lo, hi, **kw),
         lambda st: st.params["kernel"].dims,
         Syntax("convolve", ("kernel", "w"), _parse_convolve,
                # a kernel built in code has no file to name
@@ -747,7 +800,7 @@ OPS = {
                            if "file" in st.params else None)),
         dtype=F32),
     "gaussian": _kernel_kind(
-        lambda st, win, lo, hi: gaussian_window(win, st.params["g1d"], lo, hi),
+        lambda st, win, lo, hi, **kw: gaussian_window(win, st.params["g1d"], lo, hi, **kw),
         lambda st: (st.k_z,) * 3,
         Syntax("gaussian", ("sigma", "w"),
                lambda get, name: discrete_gaussian(get("sigma", float),

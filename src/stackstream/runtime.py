@@ -130,10 +130,15 @@ def _per_slice(stage: PlanStage, src: Stream, out_v: VolumeMeta, step: Callable,
                   lambda item: step(item[0], item[1][0]))
 
 
-def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
+def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
+                    ctx: RunContext) -> Callable:
     """outputs(t, win): the new slices of stage's kernel over the w-slice
-    window starting at z = t, skipping centers an earlier call produced."""
-    fn = partial(ops.record(stage).window, stage)
+    window starting at z = t, skipping centers an earlier call produced.
+    Every call works in the stage's one Scratch, which the stage's last
+    call or else the run closes."""
+    scratch = ctx.track(ops.Scratch())
+    fn = partial(ops.record(stage).window, stage, scratch=scratch,
+                 cast=lambda arr: _cast_array(arr, out_v.dtype))
     hi = w - stage.k_z
     next_out = 0
 
@@ -144,15 +149,17 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
             return []
         arrays = _guarded(stage, t + lo, fn, win, lo, hi)
         next_out = t + hi + 1
+        if next_out == out_v.depth:
+            scratch.close()
         return st.build_all(partial(_new_slice, out_v), arrays)
 
     return outputs
 
 
 def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
-                   out_v: VolumeMeta) -> Stream:
+                   out_v: VolumeMeta, ctx: RunContext) -> Stream:
     w = min(stage.w, in_meta.depth)
-    outputs = _kernel_outputs(stage, w, out_v)
+    outputs = _kernel_outputs(stage, w, out_v, ctx)
     return _stage(stage, out_v, st.windowed_positions(w, w - stage.k_z + 1, src, "full"),
                   lambda item: outputs(*item))
 
@@ -282,7 +289,7 @@ def _zip_add_stream(stage: PlanStage, a: Stream, b: Stream,
     return st.map(add_pair, zipped, name=stage.name, meta=out_smeta)
 
 
-def _shared_windows(src: Stream, members, metas) -> st.FanOut:
+def _shared_windows(src: Stream, members, metas, ctx: RunContext) -> st.FanOut:
     """Kernel branches over one shared sliding window, fanned out.
 
     The window has the largest branch kernel depth and advances one slice
@@ -293,7 +300,7 @@ def _shared_windows(src: Stream, members, metas) -> st.FanOut:
     """
     d = metas[members[0].name][0].depth
     w = min(max(m.k_z for m in members), d)
-    branches = [(w - m.k_z + 1, _kernel_outputs(m, w, metas[m.name][1]))
+    branches = [(w - m.k_z + 1, _kernel_outputs(m, w, metas[m.name][1], ctx))
                 for m in members]  # (stride, outputs)
 
     def step(item):
@@ -527,7 +534,7 @@ _BUILDERS = {
     "sampled_mean": _Builder(
         1, lambda stg, ins, i, o, ctx: _mean_steps(stg, ins[0], i, ctx), sink=True),
 }
-_KERNEL = _Builder(1, lambda stg, ins, i, o, ctx: _kernel_stream(stg, ins[0], i, o))
+_KERNEL = _Builder(1, lambda stg, ins, i, o, ctx: _kernel_stream(stg, ins[0], i, o, ctx))
 
 
 def _builder(stage: PlanStage, inputs: int, sink: bool = False) -> _Builder:
@@ -582,7 +589,7 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
             upstream = upstream_of(tee_name)
             if shared:
                 fans[tee_name] = _shared_windows(
-                    upstream, [graph.node(s) for s in succs], metas)
+                    upstream, [graph.node(s) for s in succs], metas, ctx)
                 ctx.stage_sweeps.update(dict.fromkeys(succs, 1))
             else:
                 fans[tee_name] = st.FanOut(upstream, succs)

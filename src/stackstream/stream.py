@@ -11,7 +11,9 @@ This module is the only place that buffers slices between pulls: the
 windows of `windowed`, the pending batch of `flatten` and the per-consumer
 queues of `FanOut`. Each of them releases what it holds when its stream
 is closed, so the runtime builds every stage from these functionals and
-keeps no buffer of its own.
+keeps no buffer of its own. A window buffer also drops each slice before
+it yields the window that is the last to read it, so a stage's input is
+gone by the time its outputs flow downstream.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def _clamp_padded(src: Stream, p: int) -> Stream:
                   name=f"clamp({p})")
 
 
-def _window_positions(pull_fn, w: int, s: int, tail: str = "none"):
+def _window_positions(pull_fn, w: int, s: int, tail: str = "none",
+                      depth: Optional[int] = None):
     """Generate (start_index, [slices]) windows over a pull function.
 
     tail="none" emits only full windows at start indices 0, s, 2s, ...
@@ -138,14 +141,24 @@ def _window_positions(pull_fn, w: int, s: int, tail: str = "none"):
     leaves a remainder, so kernel stages can cover every valid output.
     tail="partial" appends the leftover < w slices as a short window, so
     batch stages touch every slice.
+
+    Before it yields a window, which holds references of its own, the
+    buffer drops every slice that no later window reads: with the depth
+    known, below the next start while a regular or partial window follows,
+    below depth - w while only the shifted final one is owed, and all of
+    them after the last window; without it, tail="full" keeps the last w.
+    A source that yields another number of slices than its declared depth
+    raises DepthMismatchError, so no window is built from dropped slices.
     """
     buf = deque()  # holds one reference per entry; the last <= w slices seen
     pos = 0        # index one past the newest buffered slice
 
-    def window_at(t):
-        # drop what lies below t; the window takes references of its own
-        while pos - len(buf) < t:
+    def drop_below(t):
+        while buf and pos - len(buf) < t:
             release(buf.popleft())
+
+    def window_at(t):
+        drop_below(t)
         window = list(buf)[:w]
         for sl in window:
             retain(sl)
@@ -165,22 +178,30 @@ def _window_positions(pull_fn, w: int, s: int, tail: str = "none"):
                 pos += 1
                 if len(buf) > w:
                     release(buf.popleft())
+            if depth is not None and (pos > depth or exhausted and pos < depth):
+                raise DepthMismatchError(f"windowed: a source of declared depth {depth} "
+                                         f"yielded {'more' if pos > depth else pos} slices")
             if pos >= start + w:
-                yield window_at(start)
+                item = window_at(start)
                 last_emitted_start = start
                 start += s
-                if tail != "full":
-                    # consumed entries can go now; a trailing full window is
-                    # never requested in these modes
-                    while buf and pos - len(buf) < start:
-                        release(buf.popleft())
+                if depth is not None and start + w > depth and tail != "partial":
+                    # no regular window follows: keep what a shifted one reads
+                    drop_below(depth - w if tail == "full" and depth - w > item[0] else pos)
+                elif depth is not None or tail != "full":
+                    drop_below(start)
+                yield item
                 continue
             # source exhausted before the next regular window filled
             if tail == "full" and pos >= w and (last_emitted_start is None
                                                 or pos - w > last_emitted_start):
-                yield window_at(pos - w)
+                item = window_at(pos - w)
             elif tail == "partial" and pos > start:
-                yield window_at(start)
+                item = window_at(start)
+            else:
+                return
+            drop_below(pos)  # the last window: no later one reads anything
+            yield item
             return
     finally:
         while buf:
@@ -222,7 +243,7 @@ def windowed_positions(w: int, s: int, src: SliceStream, tail: str,
     taken = count()
     gen = _window_positions(src.pull if stop is None else
                             (lambda: src.pull() if next(taken) < stop else None),
-                            w, s, tail=tail)
+                            w, s, tail=tail, depth=src.depth if stop is None else None)
     return Stream(gen, meta=src.meta, depth=None, upstream=(src,),
                   name=f"windowed_cover({w},{s})")
 

@@ -170,7 +170,7 @@ def test_cmd_run_io_failure_exit_3(tmp_path, monkeypatch):
 def test_cmd_run_stage_failure_exit_3(tmp_path, monkeypatch, capsys):
     write_vol(tmp_path)
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(ops, "gaussian_window", failing)

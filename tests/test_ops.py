@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 from types import SimpleNamespace
 
@@ -481,6 +482,11 @@ def test_float_kernels_match_frozen_loops_bit_for_bit(case):
             _assert_same_bits(g, r)
             _assert_same_bits(runtime._cast_array(g, dtype),
                               oracles.frozen_cast_array(r, dtype))
+        # the runtime's path: workspaces from a Scratch, each sum cast at once
+        cast = new(_window(vol), param, lo, hi, scratch=ops.Scratch(),
+                   cast=lambda arr: runtime._cast_array(arr, dtype))
+        for c, r in zip(cast, ref):
+            _assert_same_bits(c, oracles.frozen_cast_array(r, dtype))
 
 
 @hst.composite
@@ -533,6 +539,53 @@ def test_float_kernels_return_owned_outputs(kind, param, kz):
         assert out.base is None and out.flags.owndata
         assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
         assert not any(np.shares_memory(out, sl.data) for sl in window)
+
+
+_SCRATCH_CALLS = {  # kind: (k_z, call(window, lo, hi, scratch)) as the runtime calls it
+    "gaussian": (7, lambda win, lo, hi, s: ops.gaussian_window(
+        win, ops.gaussian_kernel_1d(0.8), lo, hi, scratch=s,
+        cast=lambda arr: runtime._cast_array(arr, U8))),
+    "convolve": (3, lambda win, lo, hi, s: ops.conv_window(
+        win, ops.Kernel3D.box(3), lo, hi, scratch=s,
+        cast=lambda arr: runtime._cast_array(arr, F32))),
+    "median": (3, lambda win, lo, hi, s: ops.morph_window(
+        win, ops.StructuringElement.box(1), "median", lo, hi, scratch=s)),
+    "erode": (3, lambda win, lo, hi, s: ops.morph_window(
+        win, ops.StructuringElement.box(1), "erode", lo, hi, scratch=s)),
+}
+
+
+def _one_call_memory(kind, w):
+    """(transient, workspace, outputs) bytes of one call over a w-slice
+    64x64 u8 window that emits all its w - k_z + 1 centers. The transient
+    is the tracemalloc peak less what the call leaves allocated, its
+    outputs and the workspaces it keeps in its Scratch."""
+    kz, call = _SCRATCH_CALLS[kind]
+    window = _window(np.random.default_rng(71).integers(0, 256, (w, 64, 64), dtype=np.uint8))
+    scratch = ops.Scratch()
+    tracemalloc.start()
+    try:
+        outs = call(window, 0, w - kz, scratch)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outs) == w - kz + 1
+    return (peak - current, sum(b.nbytes for b in scratch.buffers.values()),
+            sum(out.nbytes for out in outs))
+
+
+@pytest.mark.parametrize("kind", sorted(_SCRATCH_CALLS))
+def test_one_call_holds_bounded_scratch_whatever_w(kind):
+    kz = _SCRATCH_CALLS[kind][0]
+    small, wide, wider = (_one_call_memory(kind, w) for w in (kz + 1, 64, 256))
+    slice_bytes = wide[2] // (64 - kz + 1)
+    # the outputs leave in the output dtype, and a call holds about one
+    # slice beyond them however many it emits
+    assert wide[2] == (64 - kz + 1) * 64 * 64 * (4 if kind == "convolve" else 1)
+    assert abs(wide[0] - small[0]) <= slice_bytes
+    assert wider[0] <= small[0] + slice_bytes
+    # the workspaces stop growing with w: erode and median chunk their block
+    assert small[1] <= wide[1] == wider[1]
 
 
 # ---------------------------------------------------------------------------

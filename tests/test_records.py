@@ -34,7 +34,8 @@ MAXFILTER = ops.OpKind(
                                           (st.w - st.k_z + 1) * slice_bytes(o)),
     out_meta=lambda st, m: VolumeMeta(m.nx, m.ny, m.depth - st.k_z + 1, m.dtype),
     batch=lambda st: st.w - st.k_z + 1,
-    window=lambda st, win, lo, hi: ops.morph_window(win, st.params["se"], "dilate", lo, hi),
+    window=lambda st, win, lo, hi, scratch, cast: ops.morph_window(
+        win, st.params["se"], "dilate", lo, hi, scratch=scratch),
     kernel_dims=lambda st: st.params["se"].mask.shape[::-1],
     spec=(ops.Syntax("maxfilter", ("r", "w"), _parse_maxfilter,
                      lambda st: f"maxfilter r={st.k_z // 2} w={st.w}"),))

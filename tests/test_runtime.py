@@ -1,4 +1,7 @@
+import gc
 import threading
+import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -562,11 +565,11 @@ def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeyp
     real = ops.gaussian_window
     calls = {"n": 0}
 
-    def failing(window, g1d, lo, hi):
+    def failing(window, g1d, lo, hi, **kw):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("injected")
-        return real(window, g1d, lo, hi)
+        return real(window, g1d, lo, hi, **kw)
 
     monkeypatch.setattr(ops, "gaussian_window", failing)
     # k_z = 7 and w = 10: each call computes outputs t .. t + 3
@@ -583,25 +586,31 @@ def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeyp
 
 
 def _close_case(d, case):
-    read, out = sio.read_stage(d / "in"), sio.write_stage(d / "out")
+    """The case's graph. Per-slice stages and the join hold nothing of their
+    own between pulls, so crop, permute_in_plane and zip_add feed a median
+    with w = 5, whose window still holds two of their output slices when
+    the run is closed after one pull, mid-window."""
+    read, out = sio.read_stage(d / "in"), [sio.write_stage(d / "out")]
+    if case in ("crop", "permute_in_plane", "zip_add"):
+        out.insert(0, ops.median_filter(1, w=5, name="held"))
     single = {
         "kernel": ops.median_filter(1, w=5, name="op"),
         "pointwise": ops.square(w=3, name="op"),
-        "crop": ops.crop((1, 1, 2, 7, 7, 6), name="op"),
+        "crop": ops.crop((1, 1, 2, 7, 7, 10), name="op"),
         "pad_zero": ops.pad((1, 1, 0, 2, 2, 2), "zero", name="op"),
         "pad_clamp": ops.pad((1, 1, 0, 2, 2, 2), "clamp", name="op"),
         "permute_in_plane": ops.permute_axes("yxz", name="op"),
         "permute_z": ops.permute_axes("zyx", name="op", chunk_edge=3),
     }
     if case in single:
-        return chain(read, single[case], out)
+        return chain(read, single[case], *out)
     if case in ("histogram", "mean"):
         return chain(read, ops.histogram_op(w=3, name="op") if case == "histogram"
                      else ops.sampled_mean(2, name="op"))
     if case == "zip_add":
         return tee_graph([read, ops.tee(name="t")],
                          [[ops.square(name="a")], [ops.threshold(9, name="b")]],
-                         ops.add_join(name="j"), [out])
+                         ops.add_join(name="j"), out)
     conv = [ops.convolve(ops.Kernel3D(np.ones((k, 3, 3)) / 9 / k), name=f"b{k}")
             for k in (5, 3)]
     g = tee_graph([read, ops.tee(name="t")],
@@ -630,3 +639,44 @@ def test_close_mid_sweep_releases_everything(tmp_path, case, threads):
     assert ALLOC.live_slices == 0
     assert ALLOC.live_refs == 0
     assert ALLOC.internal_bytes == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fail", [False, True])
+def test_no_stage_workspace_outlives_the_run(tmp_path, monkeypatch, fail, threads):
+    """Each kernel stage's workspaces live in its own Scratch, which the run
+    closes with its streams: once execute_plan returns or raises, none of
+    them is reachable, traceback included."""
+    meta = VolumeMeta(8, 8, 16, U8)
+    write_input(tmp_path, meta, seed=34)
+    buffers = []
+    real_take = ops.Scratch.take
+
+    def take(self, name, shape, dtype=np.float64):
+        out = real_take(self, name, shape, dtype)
+        buffers.append(weakref.ref(self.buffers[name]))
+        return out
+
+    monkeypatch.setattr(ops.Scratch, "take", take)
+    if fail:
+        real = ops.gaussian_window
+        calls = {"n": 0}
+
+        def failing(window, g1d, lo, hi, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("injected")
+            return real(window, g1d, lo, hi, **kw)
+
+        monkeypatch.setattr(ops, "gaussian_window", failing)
+    g = chain(sio.read_stage(tmp_path / "in"), ops.median_filter(1, w=6, name="m"),
+              ops.discrete_gaussian(0.8, w=9, name="g"),
+              ops.convolve(ops.Kernel3D.box(3), name="c"), sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False,
+             concurrent=threads > 1)
+    with pytest.raises(StageError) if fail else nullcontext() as raised:
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    gc.collect()
+    assert buffers
+    assert not [ref for ref in buffers if ref() is not None]
+    assert raised is None or raised.value.stage == "g"

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["reread_table.py", "max_width_table.py",
-                                    "demo_pipeline.py"])
+                                    "demo_pipeline.py", "scratch_table.py"])
 def test_script_exits_0(tmp_path, script):
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(

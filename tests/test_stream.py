@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
-from stackstream import stream as st
+from helpers import apply_stage
+from stackstream import ops, stream as st
 from stackstream.core import (ALLOC, U8, DepthMismatchError, PlanningError,
-                              SliceMeta, StageError, release, retain)
+                              SliceMeta, StageError, VolumeMeta, release, retain)
+from stackstream.io import synth_volume
 
 META8 = SliceMeta(4, 4, U8)
 
@@ -341,3 +343,102 @@ def test_zip_with_zero_stream_is_additive_identity():
         got.append(int(s.data[0, 0]))
         release(s)
     assert got == vals
+
+
+# ---------------------------------------------------------------------------
+# windowed_positions: what the buffer keeps between pulls
+# ---------------------------------------------------------------------------
+
+def _expected_windows(d, w, s, tail):
+    """(start, length) of each window over d slices, from the definition."""
+    out = [(t, w) for t in range(0, d - w + 1, s)]
+    nxt = out[-1][0] + s if out else 0
+    if tail == "full" and d >= w and (not out or d - w > out[-1][0]):
+        out.append((d - w, w))
+    elif tail == "partial" and nxt < d:
+        out.append((nxt, d - nxt))
+    return out
+
+
+def _tracked_stream(d, depth):
+    """A stream of slices valued 0..d-1 declaring `depth`, and the list of
+    the slices made so far."""
+    made = []
+
+    def gen():
+        for v in range(d):
+            made.append(const_slice(v))
+            yield made[-1]
+
+    return st.SliceStream(gen(), meta=META8, depth=depth, name="ints"), made
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=hst.integers(0, 24), w=hst.integers(1, 8), s=hst.integers(1, 9),
+       tail=hst.sampled_from(["none", "full", "partial"]), known=hst.booleans())
+# a kernel's stride w - k_z + 1 that leaves a remainder: the last window
+# shifts back from 9 to 7, and slices 7 and 8 outlive the window at 3
+@example(d=11, w=4, s=3, tail="full", known=True)
+@example(d=11, w=4, s=3, tail="full", known=False)
+# the whole stack in one window: nothing is owed after it
+@example(d=8, w=8, s=6, tail="full", known=True)
+def test_window_buffer_keeps_only_what_a_later_window_reads(d, w, s, tail, known):
+    src, made = _tracked_stream(d, d if known else None)
+    ws = st.windowed_positions(w, s, src, tail)
+    want = _expected_windows(d, w, s, tail)
+    got = []
+    try:
+        while (item := ws.pull()) is not None:
+            t, win = item
+            got.append((t, [int(sl.data[0, 0]) for sl in win]))
+            st.release_element(win)
+            if known:
+                later = {z for t2, n in want[len(got):] for z in range(t2, t2 + n)}
+            else:  # what a later window might read, not knowing the depth
+                later = set(range(t + s, d) if tail != "full" else range(t, t + w))
+            held = {z for z, sl in enumerate(made) if sl.refcount}
+            assert held <= later, (got[-1], held, later)
+    finally:
+        ws.close()
+    assert got == [(t, list(range(t, t + n))) for t, n in want]
+    assert src.pulls == d and ALLOC.live_slices == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=hst.integers(0, 16), w=hst.integers(1, 6), s=hst.integers(1, 6),
+       short=hst.integers(1, 3))
+def test_full_tail_source_short_of_its_depth_raises_and_leaks_nothing(d, w, s, short):
+    src, _ = _tracked_stream(d, d + short)
+    ws = st.windowed_positions(w, s, src, "full")
+    windows = []
+    try:
+        with pytest.raises(DepthMismatchError):
+            while (item := ws.pull()) is not None:
+                windows.append(item[0])
+                st.release_element(item[1])
+    finally:
+        ws.close()
+    # only the regular windows that fit the slices that came
+    assert windows == list(range(0, d - w + 1, s))
+    assert ALLOC.live_slices == 0 and ALLOC.live_refs == 0
+
+
+_KERNEL_STAGES = {  # kind: (k_z, stage at window w)
+    "gaussian": (5, lambda w: ops.discrete_gaussian(0.5, w=w)),
+    "convolve": (3, lambda w: ops.convolve(ops.Kernel3D.box(3), w=w)),
+    "median": (3, lambda w: ops.median_filter(1, w=w)),
+    "erode": (3, lambda w: ops.erode(1, w=w)),
+}
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(kind=hst.sampled_from(sorted(_KERNEL_STAGES)), depth=hst.integers(5, 13),
+       seed=hst.integers(0, 2**16))
+def test_kernel_stage_outputs_match_the_kz_window_for_every_w(kind, depth, seed):
+    kz, make = _KERNEL_STAGES[kind]
+    meta = VolumeMeta(6, 5, depth, U8)
+    vol = synth_volume(meta, "random", seed=seed)
+    ref = apply_stage(make(kz), vol, meta)
+    assert len(ref) == depth - kz + 1
+    for w in range(kz + 1, depth + 1):
+        assert np.array_equal(apply_stage(make(w), vol, meta), ref), w
