@@ -33,9 +33,11 @@ KERNELS = {
     "convolve box3": (3, lambda win, lo, hi, s: ops.conv_window(
         win, BOX3, lo, hi, scratch=s, cast=lambda a: runtime._cast_array(a, F32))),
     "median r=1": (3, lambda win, lo, hi, s: ops.morph_window(
-        win, SE1, "median", lo, hi, scratch=s)),
+        win, SE1, "median", lo, hi, scratch=s,
+        cast=lambda a: runtime._cast_array(a, U8))),
     "erode r=1": (3, lambda win, lo, hi, s: ops.morph_window(
-        win, SE1, "erode", lo, hi, scratch=s)),
+        win, SE1, "erode", lo, hi, scratch=s,
+        cast=lambda a: runtime._cast_array(a, U8))),
 }
 
 

@@ -255,16 +255,16 @@ def _accumulate(acc: np.ndarray, taps, term: np.ndarray):
 
 
 def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
-                scratch: Optional[Scratch] = None, cast: Optional[Callable] = None):
-    """Valid-z convolution outputs lo..hi (window-relative) as float64 arrays,
-    or as cast(sum) of each when cast is given.
+                scratch: Optional[Scratch] = None, cast: Callable = np.copy):
+    """Valid-z convolution outputs lo..hi (window-relative), each cast(sum).
 
     Output j sums, plane by plane, the 2D clamp-to-edge filter of slice
     j + kz - 1 - a by kernel plane a, whose nonzero terms add from zero in
     row-major order: per voxel, the float64 operations of that sum in order.
-    The workspaces, three float64 slices and with cast the output sum,
-    come from scratch, whatever w is; with cast, the call holds no float64
-    output beyond the one being cast.
+    The sum is a workspace the next output reuses, so cast must return an
+    array of its own (np.copy by default). The workspaces, three float64
+    slices and the sum, come from scratch, whatever w is, so the call holds
+    no float64 output beyond the one being cast.
     """
     scratch = Scratch() if scratch is None else scratch
     kz, ky, kx = kernel.weights.shape
@@ -272,12 +272,12 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
     ny, nx = window[0].data.shape
     pad = scratch.take("pad", (ny + 2 * ry, nx + 2 * rx))
     term, plane_sum = scratch.take("term", (ny, nx)), scratch.take("plane", (ny, nx))
+    out = scratch.take("out", (ny, nx))
     taps = [[(wgt, pad[2 * ry - b:2 * ry - b + ny, 2 * rx - c:2 * rx - c + nx])
              for (b, c), wgt in np.ndenumerate(plane) if wgt != 0.0]
             for plane in kernel.weights]
     outs = []
     for j in range(lo, hi + 1):
-        out = scratch.take("out", (ny, nx)) if cast else np.empty((ny, nx))
         for a in range(kz):
             acc = plane_sum if a else out
             pad[ry:ry + ny, rx:rx + nx] = window[j + kz - 1 - a].data
@@ -286,7 +286,7 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
             _accumulate(acc, taps[a], term)
             if a:
                 out += plane_sum
-        outs.append(cast(out) if cast else out)
+        outs.append(cast(out))
     return outs
 
 
@@ -301,16 +301,17 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 
 def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
-                    scratch: Optional[Scratch] = None, cast: Optional[Callable] = None):
+                    scratch: Optional[Scratch] = None, cast: Callable = np.copy):
     """Separable x/y/z gaussian; equals convolving with the outer-product kernel.
 
     Output j is the z sum of g[a] * slice(j + kz - 1 - a) from its first
     term, then y and x passes with clamped edges that sum from zero: per
-    voxel, the float64 operations of those sums in kernel order. The
-    workspaces come from scratch, whatever w is: the y-padded z sum, the
-    y pass's sum, an x-padded copy of it and one term. With cast the x
-    pass sums into the y pass's workspace, so the call holds no float64
-    output beyond the one being cast.
+    voxel, the float64 operations of those sums in kernel order. Each
+    output leaves as cast(sum), as in conv_window. The workspaces come
+    from scratch, whatever w is: the y-padded z sum, the y pass's sum, an
+    x-padded copy of it and one term. The x pass sums into the y pass's
+    workspace, so the call holds no float64 output beyond the one being
+    cast.
     """
     scratch = Scratch() if scratch is None else scratch
     kz, r = len(g1d), len(g1d) // 2
@@ -330,10 +331,9 @@ def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
         _accumulate(ysum, ytaps, term)  # contiguous: a strided sum runs slower
         xpad[:, r:r + nx] = ysum
         _clamp_edges(xpad, 0, r)
-        out = ysum if cast else np.empty((ny, nx))  # ysum is free once copied
-        out.fill(0.0)
-        _accumulate(out, xtaps, term)
-        outs.append(cast(out) if cast else out)
+        ysum.fill(0.0)  # free once copied: the x pass sums into it
+        _accumulate(ysum, xtaps, term)
+        outs.append(cast(ysum))
     return outs
 
 
@@ -342,9 +342,10 @@ MORPH_BLOCK_BYTES = 1 << 18
 
 
 def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
-                 scratch: Optional[Scratch] = None):
+                 scratch: Optional[Scratch] = None, cast: Callable = np.asarray):
     """min/max/median over the masked neighbourhood, native dtype, exact.
 
+    Each output is a new array and leaves as cast(output), as is by default.
     Even-count medians take the lower of the two middle values so integer
     volumes stay integer-closed and deterministic.
 
@@ -412,7 +413,7 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
             np.copyto(acc, block[a0:a0 + nout, b0:b0 + ny, c0:c0 + nx])
             for a, b, c in rest:
                 extremum(acc, block[a:a + nout, b:b + ny, c:c + nx], out=acc)
-            outs += [plane.copy() for plane in acc]
+            outs += [cast(plane.copy()) for plane in acc]
             continue
         for j in range(nout):
             for i, (a, b, c) in enumerate(offsets):
@@ -429,7 +430,7 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
             else:
                 stack.partition(k, axis=0)
                 gathered = stack[k].copy()
-            outs.append(gathered)
+            outs.append(cast(gathered))
     return outs
 
 
@@ -618,8 +619,8 @@ class OpKind:
     Kernel kinds consume a sliding z-window and emit its valid centers:
     window(stage, window, lo, hi, scratch=, cast=) gives the output arrays
     of the window-relative centers lo..hi, taking its workspaces from the
-    stage's Scratch and passing each float64 output through cast, to the
-    stage's dtype, as soon as it is made; kernel_dims(stage) is the
+    stage's Scratch and passing each output through cast, which gives it
+    in the stage's dtype, as soon as it is made; kernel_dims(stage) is the
     kernel's (kx, ky, kz). spec holds the kind's keywords; structural
     kinds (tee, join) and priced-only ones have none.
     """
@@ -715,8 +716,7 @@ def _parse_convolve(get, name):
 
 def _morph_kind(kind):
     return _kernel_kind(
-        lambda st, win, lo, hi, scratch, cast: morph_window(
-            win, st.params["se"], kind, lo, hi, scratch=scratch),
+        lambda st, win, lo, hi, **kw: morph_window(win, st.params["se"], kind, lo, hi, **kw),
         lambda st: st.params["se"].mask.shape[::-1],
         Syntax(kind, ("r", "w"),
                lambda get, name: _morph_stage(kind, get("r", int, 1),

@@ -135,7 +135,7 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
     """outputs(t, win): the new slices of stage's kernel over the w-slice
     window starting at z = t, skipping centers an earlier call produced.
     Every call works in the stage's one Scratch, which the stage's last
-    call or else the run closes."""
+    call or else the run closes; the kernel casts its outputs itself."""
     scratch = ctx.track(ops.Scratch())
     fn = partial(ops.record(stage).window, stage, scratch=scratch,
                  cast=lambda arr: _cast_array(arr, out_v.dtype))
@@ -151,7 +151,7 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
         next_out = t + hi + 1
         if next_out == out_v.depth:
             scratch.close()
-        return st.build_all(partial(_new_slice, out_v), arrays)
+        return st.build_all(lambda arr: ALLOC.new_slice(out_v.slice_meta, arr), arrays)
 
     return outputs
 

@@ -549,9 +549,11 @@ _SCRATCH_CALLS = {  # kind: (k_z, call(window, lo, hi, scratch)) as the runtime 
         win, ops.Kernel3D.box(3), lo, hi, scratch=s,
         cast=lambda arr: runtime._cast_array(arr, F32))),
     "median": (3, lambda win, lo, hi, s: ops.morph_window(
-        win, ops.StructuringElement.box(1), "median", lo, hi, scratch=s)),
+        win, ops.StructuringElement.box(1), "median", lo, hi, scratch=s,
+        cast=lambda arr: runtime._cast_array(arr, U8))),
     "erode": (3, lambda win, lo, hi, s: ops.morph_window(
-        win, ops.StructuringElement.box(1), "erode", lo, hi, scratch=s)),
+        win, ops.StructuringElement.box(1), "erode", lo, hi, scratch=s,
+        cast=lambda arr: runtime._cast_array(arr, U8))),
 }
 
 

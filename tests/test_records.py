@@ -35,7 +35,7 @@ MAXFILTER = ops.OpKind(
     out_meta=lambda st, m: VolumeMeta(m.nx, m.ny, m.depth - st.k_z + 1, m.dtype),
     batch=lambda st: st.w - st.k_z + 1,
     window=lambda st, win, lo, hi, scratch, cast: ops.morph_window(
-        win, st.params["se"], "dilate", lo, hi, scratch=scratch),
+        win, st.params["se"], "dilate", lo, hi, scratch=scratch, cast=cast),
     kernel_dims=lambda st: st.params["se"].mask.shape[::-1],
     spec=(ops.Syntax("maxfilter", ("r", "w"), _parse_maxfilter,
                      lambda st: f"maxfilter r={st.k_z // 2} w={st.w}"),))
