@@ -29,15 +29,15 @@ SE1 = ops.StructuringElement.box(1)
 # name: (k_z, call(window, lo, hi, scratch)), each as its runtime stage calls it
 KERNELS = {
     "gaussian s=0.8": (len(G1D), lambda win, lo, hi, s: ops.gaussian_window(
-        win, G1D, lo, hi, scratch=s, cast=lambda a: runtime._cast_array(a, U8))),
+        win, G1D, lo, hi, scratch=s, cast=lambda a: runtime._cast_array(a, U8, in_place=True))),
     "convolve box3": (3, lambda win, lo, hi, s: ops.conv_window(
-        win, BOX3, lo, hi, scratch=s, cast=lambda a: runtime._cast_array(a, F32))),
+        win, BOX3, lo, hi, scratch=s, cast=lambda a: runtime._cast_array(a, F32, in_place=True))),
     "median r=1": (3, lambda win, lo, hi, s: ops.morph_window(
         win, SE1, "median", lo, hi, scratch=s,
-        cast=lambda a: runtime._cast_array(a, U8))),
+        cast=lambda a: runtime._cast_array(a, U8, in_place=True))),
     "erode r=1": (3, lambda win, lo, hi, s: ops.morph_window(
         win, SE1, "erode", lo, hi, scratch=s,
-        cast=lambda a: runtime._cast_array(a, U8))),
+        cast=lambda a: runtime._cast_array(a, U8, in_place=True))),
 }
 
 

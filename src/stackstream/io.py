@@ -11,17 +11,20 @@ multi-slice file) or a grid of chunk files, described by manifest.txt:
     layout stack | chunks <cx> <cy> <cz>
     <ordered file list>
 
-Writes land under a temporary name and are renamed into place. A .partial
-marker is created before the first file and unlinked after the manifest
-is renamed into place, so an interrupted run can never be mistaken for a
-complete volume. Nothing is fsynced, so this holds against a process that
-dies, not against a power loss or an OS crash.
+Writes land under a temporary name and are renamed into place, except a
+planner mid-write: its intermediate volume is one multi-slice file,
+written in place slice by slice. A .partial marker is created before the
+first file and unlinked after the manifest is renamed into place, so an
+interrupted run can never be mistaken for a complete volume. Nothing is
+fsynced, so this holds against a process that dies, not against a power
+loss or an OS crash.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,6 +36,7 @@ from .core import (ALLOC, SINGLE_PIXEL, PlanStage, PlanningError,
 from .stream import SliceStream
 
 MANIFEST = "manifest.txt"
+STACK_FILE = "stack.raw"  # the one file of a multipage stack
 PARTIAL_MARKER = ".partial"
 
 
@@ -226,8 +230,10 @@ def open_slice_stream(directory) -> SliceStream:
     return s
 
 
-def write_slices_steps(src: SliceStream, directory, meta: VolumeMeta):
-    """Stepwise sink: one raw file per slice plus a manifest at the end.
+def write_slices_steps(src: SliceStream, directory, meta: VolumeMeta,
+                       multipage: bool = False):
+    """Stepwise sink: one raw file per slice, or with multipage one file of
+    them all in z order, written in place; then a manifest.
 
     Yields after each written slice so several sinks can be driven in
     lockstep; returns the slice count. Slices are released as they are
@@ -239,22 +245,22 @@ def write_slices_steps(src: SliceStream, directory, meta: VolumeMeta):
     width = _pad_width(meta.depth)
     files = []
     written = 0
-    while True:
-        sl = src.pull()
-        if sl is None:
-            break
-        name = f"{written:0{width}d}.raw"
-        try:
-            _atomic_write(directory, name, sl.data.tobytes())
-        finally:
-            release(sl)
-        files.append(name)
-        written += 1
-        yield written
+    with open(directory / STACK_FILE, "wb") if multipage else nullcontext() as stack:
+        while (sl := src.pull()) is not None:
+            try:
+                if stack:
+                    stack.write(sl.data.tobytes())
+                else:
+                    files.append(f"{written:0{width}d}.raw")
+                    _atomic_write(directory, files[-1], sl.data.tobytes())
+            finally:
+                release(sl)
+            written += 1
+            yield written
     if written == 0:
         raise IOError(f"{directory}: refusing to write an empty volume")
     save_manifest(directory, VolumeMeta(meta.nx, meta.ny, written, meta.dtype)
-                  if written != meta.depth else meta, files)
+                  if written != meta.depth else meta, [STACK_FILE] if multipage else files)
     (directory / PARTIAL_MARKER).unlink()
     return written
 

@@ -615,7 +615,7 @@ class OpKind:
 
     estimate(stage, in_meta, out_meta) is a stage's closed-form ledger
     price, out_meta(stage, meta) the volume geometry downstream of it and
-    batch(stage) the slices it emits per window step, its handoff batch.
+    batch(stage) the slices it emits per window step.
     Kernel kinds consume a sliding z-window and emit its valid centers:
     window(stage, window, lo, hi, scratch=, cast=) gives the output arrays
     of the window-relative centers lo..hi, taking its workspaces from the

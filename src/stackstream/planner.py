@@ -187,11 +187,9 @@ class RepairAction:
 def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
                   concurrent: bool):
     metas = propagate_meta(graph, meta)
-    shared_extra = {}
-    for grp in graph.shared_windows:
-        for i, name in enumerate(grp.members):
-            if i > 0:
-                shared_extra[name] = "alpha"
+    # a group's members after its first read the first one's window
+    credited = {n for grp in graph.shared_windows for n in grp.members[1:]}
+    inline = {n for grp in graph.shared_windows for n in grp.members}
     rows = []
     running = 0
     credits = 0
@@ -199,15 +197,16 @@ def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
     for stage in graph.topo_order():
         in_meta = metas[stage.name][0]
         est = estimate_stage(stage, in_meta)
-        credit = est.input_bytes if shared_extra.get(stage.name) == "alpha" else 0
+        credit = est.input_bytes if stage.name in credited else 0
         running += est.total() - credit
         credits += credit
         rows.append(LedgerRow(segment, stage.name, stage.op_kind, stage.w,
                               stage.s, est.input_bytes, est.output_bytes,
                               est.internal_bytes, credit, running))
-        if concurrent and graph.successors(stage.name):
-            batch = ops.record(stage).batch(stage)
-            queue_bytes += batch * slice_bytes(metas[stage.name][1])
+        if concurrent and stage.op_kind in KERNEL_OPS and stage.name not in inline:
+            # the call one window ahead: s = batch more input slices, its outputs
+            queue_bytes += ops.record(stage).batch(stage) * (
+                slice_bytes(in_meta) + slice_bytes(metas[stage.name][1]))
     return rows, running, credits, queue_bytes
 
 
@@ -216,8 +215,10 @@ def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     """Additive ledger over the sweep; verdict fits or infeasible.
 
     Memory across co-resident stages adds; shared-window groups credit the
-    duplicated input windows back. In concurrent mode every internal edge
-    additionally buys one handoff batch of queue space.
+    duplicated input windows back. In concurrent mode every kernel stage
+    outside a shared-window group, which runs inline, also buys one window
+    step for the call it computes one window ahead: s = w - k_z + 1 input
+    slices and its batch of outputs.
     """
     graph.validate()
     rows, running, credits, queue_bytes = _segment_rows(graph, meta, 1, concurrent)
@@ -337,7 +338,7 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
 
     Growth is solved, not searched. Every ledger term is affine and
     nondecreasing in each window w (endpoint and pointwise windows, the
-    w - k_z + 1 kernel outputs, the concurrent handoff batch), and a
+    w - k_z + 1 kernel outputs, the concurrent window step), and a
     custom estimate sees only geometry. So growing one window never frees
     room for another, and the slice-by-slice greedy (give the next slice
     to the first stage it still fits) ends exactly where this does: take
@@ -379,7 +380,7 @@ def _mk_mid_read(path: str, meta: VolumeMeta, idx: int) -> PlanStage:
 
 def _mk_mid_write(path: str, idx: int) -> PlanStage:
     return PlanStage(name=f"midwrite{idx}", op_kind="write", w=1, s=1,
-                     params={"dir": path}, w_min=1, tunable=True)
+                     params={"dir": path, "internal": True}, w_min=1, tunable=True)
 
 
 @dataclass

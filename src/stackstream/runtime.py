@@ -5,24 +5,27 @@ Stage descriptors become stream transformers here, each composed from the
 whose step turns one window into the stage's new slices, a sink folds its
 windows one per drive step, and a tee or a shared-window branch group is
 one `FanOut`. No stage buffers slices itself, so release-on-close lives in
-`stream` alone. The single-threaded mode composes generators directly and
-is the determinism reference; with threads > 1 every stage gets its own
-worker connected through bounded handoff queues, and outputs are
-bit-identical to the reference mode. Whatever happens, all in-flight
-slices are released before control returns: success, planning abort or
-mid-sweep failure.
+`stream` alone. Every stage runs on the calling thread. With threads = 1
+each kernel call runs there too, which is the determinism reference; with
+threads > 1 a kernel stage keeps one window ahead: while call j computes
+on the run's pool of worker threads, the pipeline pulls window j + 1 and
+submits its call, and it builds each call's slices itself in window
+order, so outputs are bit-identical to the reference mode. Whatever
+happens, all in-flight slices are released and every worker is joined
+before control returns: success, planning abort or mid-sweep failure.
 """
 
 from __future__ import annotations
 
-import queue
 import shutil
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,17 +37,15 @@ from .planner import Plan, plan as make_plan, propagate_meta
 from .stream import Stream, release_element
 
 
-class _Cancelled(Exception):
-    pass
-
-
-def _cast_array(arr: np.ndarray, dtype: Dtype) -> np.ndarray:
+def _cast_array(arr: np.ndarray, dtype: Dtype, in_place: bool = False) -> np.ndarray:
+    """arr in dtype. Integer dtypes round and clip first, in arr itself when
+    in_place: a kernel's workspace, never a caller's input."""
     if arr.dtype == dtype.np_dtype:
         return arr
     if dtype.kind == "f32":
         return arr.astype(dtype.np_dtype)
     info = np.iinfo(dtype.np_dtype)
-    out = np.rint(arr)
+    out = np.rint(arr, out=arr if in_place else None)
     return np.clip(out, info.min, info.max, out=out).astype(dtype.np_dtype)
 
 
@@ -58,8 +59,8 @@ class RunContext:
     sink_counts: dict = field(default_factory=dict)
     stage_sweeps: dict = field(default_factory=dict)
     streams: list = field(default_factory=list)     # everything closable
-    cancel: threading.Event = field(default_factory=threading.Event)
     _tmp_serial: int = 0
+    _pool: Optional[ThreadPoolExecutor] = None
 
     def track(self, s):
         self.streams.append(s)
@@ -70,13 +71,21 @@ class RunContext:
         p = Path(self.tmpdir) / f"{label}_{self._tmp_serial}"
         return p
 
+    def pool(self) -> ThreadPoolExecutor:
+        """The run's `threads` kernel workers, started on first use."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.threads, thread_name_prefix="stage-worker")
+        return self._pool
+
     def close_all(self):
-        self.cancel.set()
         for s in reversed(self.streams):
             try:
                 s.close()
             except Exception:
                 pass
+        if self._pool is not None:  # joins every worker, with no timeout
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +108,12 @@ def _initialize_stream(stage: PlanStage, ctx: RunContext) -> Stream:
     return st.initialize(meta.depth, g, smeta)
 
 
-def _guarded(stage: PlanStage, z: int, fn: Callable, *args):
-    """fn(*args), with a failure that is not the engine's own raised as a
-    StageError naming the stage and the z of the output being computed."""
+def _guarded(stage: PlanStage, z: int, fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), with a failure that is not the engine's own
+    raised as a StageError naming the stage and the z of the output being
+    computed."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except EngineError:
         raise
     except Exception as exc:
@@ -112,6 +122,11 @@ def _guarded(stage: PlanStage, z: int, fn: Callable, *args):
 
 def _new_slice(out_v: VolumeMeta, arr: np.ndarray):
     return ALLOC.new_slice(out_v.slice_meta, data=_cast_array(arr, out_v.dtype))
+
+
+def _slices(out_v: VolumeMeta, arrays) -> list:
+    """New slices of arrays already in the stage's dtype."""
+    return st.build_all(lambda arr: ALLOC.new_slice(out_v.slice_meta, arr), arrays)
 
 
 def _stage(stage: PlanStage, out_v: VolumeMeta, windows: Stream,
@@ -130,28 +145,44 @@ def _per_slice(stage: PlanStage, src: Stream, out_v: VolumeMeta, step: Callable,
                   lambda item: step(item[0], item[1][0]))
 
 
-def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
-                    ctx: RunContext) -> Callable:
-    """outputs(t, win): the new slices of stage's kernel over the w-slice
-    window starting at z = t, skipping centers an earlier call produced.
-    Every call works in the stage's one Scratch, which the stage's last
-    call or else the run closes; the kernel casts its outputs itself."""
-    scratch = ctx.track(ops.Scratch())
-    fn = partial(ops.record(stage).window, stage, scratch=scratch,
-                 cast=lambda arr: _cast_array(arr, out_v.dtype))
+def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
+    """call_at(t, win) -> (call, last), asked for in window order: call(scratch=)
+    gives the output arrays of stage's kernel over the w-slice window
+    starting at z = t, skipping centers an earlier call produced (None when
+    there are none), and last tells whether it reaches the output depth.
+    The kernel casts each output itself, rounding its workspace in place."""
+    fn = partial(ops.record(stage).window, stage,
+                 cast=lambda arr: _cast_array(arr, out_v.dtype, in_place=True))
     hi = w - stage.k_z
     next_out = 0
 
-    def outputs(t, win):
+    def call_at(t, win):
         nonlocal next_out
         lo = max(t, next_out) - t
         if lo > hi:
-            return []
-        arrays = _guarded(stage, t + lo, fn, win, lo, hi)
+            return None, False
         next_out = t + hi + 1
-        if next_out == out_v.depth:
+        return partial(_guarded, stage, t + lo, fn, win, lo, hi), next_out == out_v.depth
+
+    return call_at
+
+
+def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
+                    ctx: RunContext) -> Callable:
+    """outputs(t, win): the new slices of the call at window t, computed on
+    the calling thread. Every call works in the stage's one Scratch, which
+    the stage's last call or else the run closes."""
+    scratch = ctx.track(ops.Scratch())
+    call_at = _kernel_calls(stage, w, out_v)
+
+    def outputs(t, win):
+        call, last = call_at(t, win)
+        if call is None:
+            return []
+        arrays = call(scratch=scratch)
+        if last:
             scratch.close()
-        return st.build_all(lambda arr: ALLOC.new_slice(out_v.slice_meta, arr), arrays)
+        return _slices(out_v, arrays)
 
     return outputs
 
@@ -159,9 +190,12 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
 def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                    out_v: VolumeMeta, ctx: RunContext) -> Stream:
     w = min(stage.w, in_meta.depth)
-    outputs = _kernel_outputs(stage, w, out_v, ctx)
-    return _stage(stage, out_v, st.windowed_positions(w, w - stage.k_z + 1, src, "full"),
-                  lambda item: outputs(*item))
+    windows = st.windowed_positions(w, w - stage.k_z + 1, src, "full")
+    if ctx.threads == 1:
+        outputs = _kernel_outputs(stage, w, out_v, ctx)
+        return _stage(stage, out_v, windows, lambda item: outputs(*item))
+    handoff = _ThreadHandoff(stage.name, windows, _kernel_calls(stage, w, out_v), ctx)
+    return _stage(stage, out_v, handoff.stream(), lambda item: _slices(out_v, item[2]))
 
 
 def _pointwise_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
@@ -313,96 +347,82 @@ def _shared_windows(src: Stream, members, metas, ctx: RunContext) -> st.FanOut:
 
 
 # ---------------------------------------------------------------------------
-# threaded handoffs
+# kernel calls one window ahead
 # ---------------------------------------------------------------------------
 
 class _ThreadHandoff:
-    """Runs an upstream stream on its own thread behind a bounded queue.
+    """A kernel stage's calls on the run's worker pool, one window ahead.
 
-    The pump stops on its own stop flag or the pipeline-wide cancel; a
-    normally exhausted upstream needs no explicit close (its generators
-    finish and release their buffers), while aborted runs are cleaned up
-    by the run context closing every handoff.
+    Its stream, thread:<stage>, pulls window j + 1 and submits its call
+    before it waits for call j, and yields (t, window, arrays) in window
+    order. A call in flight works in a Scratch of its own, taken last in
+    first out from the stage's free list, so the stage has at most two. A
+    worker hands its finished call back through _put, and the pipeline
+    waits on one condition, with no timeout. Closing drops the calls not
+    yet started and waits for running ones before it releases windows.
     """
 
-    def __init__(self, upstream: Stream, ctx: RunContext, name: str,
-                 capacity: int = 1):
-        self.upstream = upstream
-        self.cancel = ctx.cancel
-        self.stop = threading.Event()
-        self.q = queue.Queue(maxsize=capacity)
+    def __init__(self, name: str, windows: Stream, call_at: Callable, ctx: RunContext):
         self.name = name
-        self.thread = threading.Thread(target=self._pump, daemon=True,
-                                       name=f"stage-{name}")
-        self.thread.start()
-
-    def _stopped(self) -> bool:
-        return self.stop.is_set() or self.cancel.is_set()
+        self.windows, self.call_at, self.ctx = windows, call_at, ctx
+        self.cond = threading.Condition()
+        self.finished = {}        # serial: (ok, arrays or the error)
+        self.inflight = deque()   # (serial, future, (t, window), scratch)
+        self.free = []
+        self.serials = count()
 
     def _put(self, item):
-        while True:
-            if self._stopped():
-                kind, val = item
-                if kind == "item" and val is not None:
-                    release_element(val)
-                raise _Cancelled()
-            try:
-                self.q.put(item, timeout=0.02)
-                return
-            except queue.Full:
-                continue
+        serial, outcome = item
+        with self.cond:
+            self.finished[serial] = outcome
+            self.cond.notify_all()
 
-    def _pump(self):
+    def _run(self, serial, call, scratch):
         try:
-            while True:
-                e = self.upstream.pull()
-                self._put(("item", e))
-                if e is None:
-                    return
-        except _Cancelled:
-            self.upstream.close()
+            outcome = True, call(scratch=scratch)
         except BaseException as exc:
-            self.upstream.close()
-            try:
-                self._put(("error", exc))
-            except _Cancelled:
-                pass
+            outcome = False, exc
+        self._put((serial, outcome))
+
+    def _submit(self):
+        item = self.windows.pull()
+        if item is None:
+            return
+        call = self.call_at(*item)[0] or (lambda scratch: [])
+        scratch = self.free.pop() if self.free else self.ctx.track(ops.Scratch())
+        serial = next(self.serials)
+        future = self.ctx.pool().submit(self._run, serial, call, scratch)
+        self.inflight.append((serial, future, item, scratch))
+
+    def _wait(self, serial):
+        with self.cond:
+            self.cond.wait_for(lambda: serial in self.finished)
+            return self.finished.pop(serial)
 
     def stream(self) -> Stream:
         def gen():
-            while True:
-                try:
-                    kind, val = self.q.get(timeout=0.02)
-                except queue.Empty:
-                    if self._stopped():
-                        raise _Cancelled()
-                    if not self.thread.is_alive():
-                        raise EngineError(f"stage thread {self.name} died")
-                    continue
-                if kind == "error":
-                    raise val
-                if val is None:
-                    return
-                yield val
+            self._submit()
+            while self.inflight:
+                self._submit()
+                serial, _, item, scratch = self.inflight.popleft()
+                ok, out = self._wait(serial)
+                self.free.append(scratch)
+                if not ok:
+                    release_element(item)
+                    raise out
+                yield item + (out,)
+            for scratch in self.free:  # the stage's last call is done
+                scratch.close()
 
-        return Stream(gen(), meta=self.upstream.meta, depth=self.upstream.depth,
-                      upstream=(self,), name=f"thread:{self.name}")
-
-    def _drain(self):
-        while True:
-            try:
-                kind, val = self.q.get_nowait()
-            except queue.Empty:
-                return
-            if kind == "item" and val is not None:
-                release_element(val)
+        return Stream(gen(), upstream=(self,), name=f"thread:{self.name}")
 
     def close(self):
-        self.stop.set()
-        self._drain()
-        self.thread.join(timeout=10)
-        self._drain()
-        self.upstream.close()
+        while self.inflight:
+            serial, future, item, _ = self.inflight.popleft()
+            if not future.cancel():
+                self._wait(serial)
+            release_element(item)
+        self.windows.close()
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +507,8 @@ def _sink_count_steps(stage: PlanStage, steps, ctx: RunContext):
 def _write_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
                  ctx: RunContext):
     yield from _sink_count_steps(
-        stage, sio.write_slices_steps(src, stage.params["dir"], out_v), ctx)
+        stage, sio.write_slices_steps(src, stage.params["dir"], out_v,
+                                      multipage=stage.params.get("internal", False)), ctx)
 
 
 def _write_chunks_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
@@ -625,10 +646,6 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
             s = upstream_of(name)
         else:
             s = make(graph.node(name))
-            if ctx.threads > 1:
-                handoff = _ThreadHandoff(s, ctx, name)
-                ctx.streams.append(handoff)
-                s = handoff.stream()
         built[name] = ctx.track(s)
         return built[name]
 
@@ -707,7 +724,6 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
             finally:
                 ctx.close_all()
                 ctx.streams.clear()
-                ctx.cancel = threading.Event()
     finally:
         ctx.close_all()
         for d in mid_dirs:

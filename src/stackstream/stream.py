@@ -18,7 +18,6 @@ gone by the time its outputs flow downstream.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from itertools import count
 from typing import Callable, Iterator, Optional
@@ -409,27 +408,25 @@ class FanOut:
     When a consumer finds its queue empty, one source element is pulled and
     advance(element, queues) fills the queues with entries that own one
     reference each. A consumer that runs ahead leaves entries queued for
-    the others; closing releases whatever is still queued. Ports may be
-    pulled from several threads.
+    the others; closing releases whatever is still queued. Every port is
+    pulled from the pipeline's one thread.
     """
 
     def __init__(self, src: Stream, consumers, advance=queue_by_reference):
         self.src = src
         self.queues = {c: deque() for c in consumers}
         self._advance = advance
-        self._lock = threading.Lock()
         self._done = False
 
     def _pull_for(self, consumer):
-        with self._lock:
-            q = self.queues[consumer]
-            while not q and not self._done:
-                e = self.src.pull()
-                if e is None:
-                    self._done = True
-                else:
-                    self._advance(e, self.queues)
-            return q.popleft() if q else None
+        q = self.queues[consumer]
+        while not q and not self._done:
+            e = self.src.pull()
+            if e is None:
+                self._done = True
+            else:
+                self._advance(e, self.queues)
+        return q.popleft() if q else None
 
     def port(self, consumer, name: str, meta: Optional[SliceMeta] = None,
              depth: Optional[int] = None) -> Stream:
@@ -443,9 +440,8 @@ class FanOut:
                       upstream=(self,), name=name)
 
     def close(self):
-        with self._lock:
-            self._done = True
-            for q in self.queues.values():
-                while q:
-                    release_element(q.popleft())
+        self._done = True
+        for q in self.queues.values():
+            while q:
+                release_element(q.popleft())
         self.src.close()

@@ -1,14 +1,16 @@
 import gc
+import os
 import threading
 import weakref
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 import oracles
 from helpers import measure_peak
-from stackstream import io as sio, ops
+from stackstream import io as sio, ops, runtime, stream as st
 from stackstream.core import (ALLOC, F32, U8, Budget, PlanningError, PlanStage,
                               StageError, VolumeMeta, chain, slice_bytes, tee_graph)
 from stackstream.planner import plan, share_windows
@@ -559,15 +561,16 @@ def test_truncated_permute_chunk_names_the_file(tmp_path, monkeypatch):
     assert ALLOC.live_slices == 0
 
 
-def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeypatch,
+                                                               threads):
     meta = VolumeMeta(8, 8, 16, U8)
-    write_input(tmp_path, meta, seed=32)
+    vol = write_input(tmp_path, meta, seed=32)
     real = ops.gaussian_window
-    calls = {"n": 0}
 
     def failing(window, g1d, lo, hi, **kw):
-        calls["n"] += 1
-        if calls["n"] == 2:
+        # the second call, at t = 4: on two workers calls may start out of order
+        if np.array_equal(window[0].data, vol[4]):
             raise RuntimeError("injected")
         return real(window, g1d, lo, hi, **kw)
 
@@ -576,9 +579,10 @@ def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeyp
     g = chain(sio.read_stage(tmp_path / "in"),
               ops.discrete_gaussian(0.8, w=10, name="g"),
               sio.write_stage(tmp_path / "out"))
-    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False,
+             concurrent=threads > 1)
     with pytest.raises(StageError) as ei:
-        execute_plan(p, tmpdir=tmp_path)
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
     assert ei.value.stage == "g"
     assert ei.value.index == 4
     assert isinstance(ei.value.cause, RuntimeError)
@@ -680,3 +684,230 @@ def test_no_stage_workspace_outlives_the_run(tmp_path, monkeypatch, fail, thread
     assert buffers
     assert not [ref for ref in buffers if ref() is not None]
     assert raised is None or raised.value.stage == "g"
+
+
+# ---------------------------------------------------------------------------
+# threads > 1: kernel calls one window ahead on the run's worker pool
+# ---------------------------------------------------------------------------
+
+def _threads_case(d, case, out):
+    read, write = sio.read_stage(d / "in"), sio.write_stage(d / out)
+    if case == "kz":  # every call emits one slice
+        return chain(read, ops.discrete_gaussian(0.8, name="g"),
+                     ops.median_filter(1, name="m"),
+                     ops.convolve(ops.Kernel3D.box(3), name="c"), write)
+    if case == "grown":  # one call emits several slices
+        return chain(read, ops.square(name="sq"),
+                     ops.discrete_gaussian(0.8, w=11, name="g"),
+                     ops.erode(1, w=6, name="e"), ops.dilate(1, w=9, name="di"), write)
+    g = tee_graph([read, ops.tee(name="t")],
+                  [[ops.discrete_gaussian(0.3, name="a")], [ops.dilate(1, w=4, name="b")]],
+                  ops.add_join(name="j"), [ops.median_filter(1, w=5, name="m"), write])
+    return share_windows(g, ["a", "b"])[0] if case == "shared" else g
+
+
+@pytest.mark.parametrize("case", ["kz", "grown", "tee_join", "shared"])
+def test_kernel_outputs_bit_identical_at_threads_1_2_4(tmp_path, case):
+    write_input(tmp_path, VolumeMeta(13, 11, 24, U8), seed=40)
+    outs = []
+    for threads in (1, 2, 4):
+        p = plan(_threads_case(tmp_path, case, f"out{threads}"), Budget(1 << 30),
+                 tmpdir=tmp_path, grow_windows=False, concurrent=threads > 1)
+        rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+        assert rep.leaked_slices == 0
+        assert rep.within_budget
+        outs.append(sio.read_volume(tmp_path / f"out{threads}"))
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+
+def test_repaired_midwrite_plan_bit_identical_at_threads_1_2_4(tmp_path):
+    meta = VolumeMeta(12, 12, 16, U8)
+    write_input(tmp_path, meta, seed=41)
+
+    def graph(out):
+        return chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.8, name="g"),
+                     ops.square(name="sq"), ops.median_filter(1, name="m"),
+                     sio.write_stage(tmp_path / out))
+
+    run_graph(graph("ref"), Budget(1 << 30), tmpdir=tmp_path)
+    eps = 64
+    # whole, the chain needs 16 slices (20 with its calls one window ahead)
+    tight = Budget(15 * slice_bytes(meta) + 5 * eps + 1, eps)
+    for threads in (1, 2, 4):
+        p = plan(graph(f"out{threads}"), tight, tmpdir=tmp_path, concurrent=threads > 1)
+        assert [a.kind for a in p.actions].count("midwrite") == 1
+        rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+        assert rep.leaked_slices == 0
+        assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+        assert np.array_equal(sio.read_volume(tmp_path / f"out{threads}"),
+                              sio.read_volume(tmp_path / "ref"))
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_ledger_prices_one_window_step_ahead(tmp_path, threads):
+    # the gaussian's stride (6) exceeds the batch of the square feeding it (1)
+    meta = VolumeMeta(16, 16, 30, U8)
+    write_input(tmp_path, meta, seed=42)
+    g = chain(sio.read_stage(tmp_path / "in"), ops.square(name="sq"),
+              ops.discrete_gaussian(0.8, w=12, name="g"), ops.erode(1, w=5, name="e"),
+              sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30, 0), tmpdir=tmp_path, grow_windows=False, concurrent=True)
+    sb = slice_bytes(meta)
+    # one window step per kernel stage: s input slices and s outputs
+    assert p.ledger.queue_bytes == (6 + 6) * sb + (3 + 3) * sb
+    assert f"queue_allowance {18 * sb} B" in p.render()
+    serial = plan(g, Budget(1 << 30, 0), tmpdir=tmp_path, grow_windows=False)
+    assert p.ledger.formula_peak == serial.ledger.formula_peak + 18 * sb
+    rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0
+    assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+
+
+def test_shared_window_group_is_priced_inline(tmp_path):
+    meta = VolumeMeta(13, 11, 24, U8)
+    write_input(tmp_path, meta)
+    p = plan(_threads_case(tmp_path, "shared", "out"), Budget(1 << 30),
+             grow_windows=False, concurrent=True)
+    # only the median after the join (w = 5, k_z = 3) computes one window ahead
+    assert p.ledger.queue_bytes == (3 + 3) * slice_bytes(meta)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_workers_never_exceed_threads_nor_outlive_the_run(tmp_path, monkeypatch, threads):
+    write_input(tmp_path, VolumeMeta(16, 16, 20, U8), seed=43)
+    real, seen = ops.gaussian_window, []
+
+    def counting(*args, **kw):
+        seen.append(sum(t.name.startswith("stage-") for t in threading.enumerate()))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ops, "gaussian_window", counting)
+    g = chain(sio.read_stage(tmp_path / "in"),
+              *[ops.discrete_gaussian(0.6, name=f"g{i}") for i in range(3)],
+              sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False, concurrent=True)
+    execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert seen and max(seen) <= threads
+    assert not [t for t in threading.enumerate() if t.name.startswith("stage-")]
+
+
+def test_midwrite_intermediate_is_one_file(tmp_path, monkeypatch):
+    meta = VolumeMeta(12, 12, 8, U8)
+    vol = write_input(tmp_path, meta, seed=44)
+    stages = [sio.read_stage(tmp_path / "in")]
+    stages += [ops.square(name=f"f{i}") for i in range(4)]
+    g = chain(*stages, sio.write_stage(tmp_path / "out"))
+    eps = 128
+    p = plan(g, Budget(9 * slice_bytes(meta) + 6 * eps + 1, eps), tmpdir=tmp_path)
+    (mid,) = [a.detail["path"] for a in p.actions if a.kind == "midwrite"]
+    real, listed = runtime._build_segment, []
+
+    def build(seg, *args):
+        if seg.source().name.startswith("midread"):
+            listed.append(sorted(os.listdir(mid)))
+            assert sio.load_manifest(mid).multipage
+        return real(seg, *args)
+
+    monkeypatch.setattr(runtime, "_build_segment", build)
+    execute_plan(p, tmpdir=tmp_path)
+    assert listed == [["manifest.txt", sio.STACK_FILE]]
+    for _ in range(4):  # four saturating squares
+        vol = np.minimum(vol.astype(np.int64) ** 2, 255).astype(np.uint8)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), vol)
+
+
+def test_failed_multipage_write_leaves_its_marker(tmp_path):
+    meta = VolumeMeta(4, 4, 6, U8)
+    vol = sio.synth_volume(meta, "random", seed=45)
+    sio.write_volume(tmp_path / "mid", vol, "u8")  # an earlier, complete volume
+
+    def gen():
+        for z in range(3):
+            yield ALLOC.new_slice(meta.slice_meta, data=vol[z])
+        raise RuntimeError("injected")
+
+    src = st.SliceStream(gen(), meta=meta.slice_meta, depth=6)
+    with pytest.raises(RuntimeError, match="injected"):
+        sio._drain(sio.write_slices_steps(src, tmp_path / "mid", meta, multipage=True))
+    assert (tmp_path / "mid" / sio.STACK_FILE).stat().st_size == 3 * 16
+    with pytest.raises(PlanningError, match="partial write"):
+        sio.load_manifest(tmp_path / "mid")
+
+
+def test_user_write_named_midwrite_is_one_file_per_slice(tmp_path):
+    write_input(tmp_path, VolumeMeta(4, 4, 3, U8), seed=46)
+    g = chain(sio.read_stage(tmp_path / "in"),
+              sio.write_stage(tmp_path / "out", name="midwrite0"))
+    run_graph(g, Budget(1 << 30), tmpdir=tmp_path)
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "000.raw", "001.raw", "002.raw", "manifest.txt"]
+
+
+def test_cast_rounds_in_place_only_when_asked():
+    arr = np.array([[-3.5, 0.5, 1.5], [254.5, 255.6, 300.0]])
+    keep = arr.copy()
+    out = runtime._cast_array(arr, U8)
+    assert np.array_equal(arr, keep)  # a caller's input is never modified
+    assert out.tolist() == [[0, 0, 2], [254, 255, 255]]
+    assert np.array_equal(runtime._cast_array(arr, U8, in_place=True), out)
+    assert arr.tolist() == [[0.0, 0.0, 2.0], [254.0, 255.0, 255.0]]  # rounded and clipped
+
+
+# ---------------------------------------------------------------------------
+# generated chains: the promises at threads 1 and 2
+# ---------------------------------------------------------------------------
+
+CHAIN_OPS = {"square": lambda n: ops.square(name=n),
+             "square3": lambda n: ops.square(w=3, name=n),
+             "threshold": lambda n: ops.threshold(100, name=n),
+             "erode": lambda n: ops.erode(1, name=n),
+             "dilate": lambda n: ops.dilate(1, name=n),
+             "median": lambda n: ops.median_filter(1, name=n),
+             "gauss5": lambda n: ops.discrete_gaussian(0.6, name=n),
+             "box3": lambda n: ops.convolve(ops.Kernel3D.box(3), name=n)}
+
+
+@hst.composite
+def chain_cases(draw):
+    """(kinds, meta, seed, budget slices): 0-6 kernel and pointwise ops over
+    a u8 stack deep enough for every kernel, and a budget of 2 slices
+    (infeasible) to 8 per stage, or none at all."""
+    kinds = [draw(hst.sampled_from(sorted(CHAIN_OPS))) for _ in range(draw(hst.integers(0, 6)))]
+    reduction = sum(CHAIN_OPS[k]("probe").k_z - 1 for k in kinds)
+    meta = VolumeMeta(draw(hst.integers(3, 10)), draw(hst.integers(3, 10)),
+                      reduction + draw(hst.integers(1, 12)), U8)
+    slices = draw(hst.sampled_from([*range(2, 8 * (len(kinds) + 2)), 1 << 20]))
+    return kinds, meta, draw(hst.integers(0, 99)), slices
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=chain_cases())
+@example(case=(["gauss5", "square", "median"], VolumeMeta(5, 4, 9, U8), 1, 2))  # infeasible
+@example(case=(["square", "gauss5", "box3", "erode"], VolumeMeta(7, 6, 20, U8), 2, 40))
+def test_generated_chains_keep_their_promises(tmp_path_factory, case):
+    kinds, meta, seed, slices = case
+    d = tmp_path_factory.mktemp("chain")
+    write_input(d, meta, seed=seed)
+
+    def graph(out):
+        return chain(sio.read_stage(d / "in"),
+                     *[CHAIN_OPS[k](f"s{i}") for i, k in enumerate(kinds)],
+                     sio.write_stage(d / out))
+
+    # the reference: declared windows, roomy budget, in order
+    execute_plan(plan(graph("ref"), Budget(1 << 40), tmpdir=d, grow_windows=False),
+                 tmpdir=d)
+    ref = sio.read_volume(d / "ref")
+    eps = 8
+    budget = Budget(slices * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
+    for threads in (1, 2):
+        p = plan(graph(f"out{threads}"), budget, tmpdir=d / f"mid{threads}",
+                 concurrent=threads > 1)
+        if p.verdict == "infeasible":
+            with pytest.raises(PlanningError):
+                execute_plan(p, threads=threads, tmpdir=d)
+            continue
+        rep = execute_plan(p, threads=threads, tmpdir=d)
+        assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+        assert rep.leaked_slices == 0 and ALLOC.internal_bytes == 0
+        assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)

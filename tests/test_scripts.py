@@ -10,13 +10,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# scripts run at a tiny size here
+ARGS = {"threads_table.py": ["--sizes", "16", "--depth", "10", "--repeats", "1"]}
+
+
 @pytest.mark.parametrize("script", ["reread_table.py", "max_width_table.py",
-                                    "demo_pipeline.py", "scratch_table.py"])
+                                    "demo_pipeline.py", "scratch_table.py",
+                                    "threads_table.py"])
 def test_script_exits_0(tmp_path, script):
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                          *ARGS.get(script, [])],
                          cwd=tmp_path, env=env, capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
