@@ -216,9 +216,9 @@ def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
 
     Memory across co-resident stages adds; shared-window groups credit the
     duplicated input windows back. In concurrent mode every kernel stage
-    outside a shared-window group, which runs inline, also buys one window
-    step for the call it computes one window ahead: s = w - k_z + 1 input
-    slices and its batch of outputs.
+    also buys one window step for the call it computes one window ahead:
+    s = w - k_z + 1 input slices and its batch of outputs. Shared-window
+    groups run inline and buy none.
     """
     graph.validate()
     rows, running, credits, queue_bytes = _segment_rows(graph, meta, 1, concurrent)

@@ -872,7 +872,8 @@ def chain_cases(draw):
     """(kinds, meta, seed, budget slices): 0-6 kernel and pointwise ops over
     a u8 stack deep enough for every kernel, and a budget of 2 slices
     (infeasible) to 8 per stage, or none at all."""
-    kinds = [draw(hst.sampled_from(sorted(CHAIN_OPS))) for _ in range(draw(hst.integers(0, 6)))]
+    kinds = [draw(hst.sampled_from(sorted(CHAIN_OPS)))
+             for _ in range(draw(hst.integers(0, 6)))]
     reduction = sum(CHAIN_OPS[k]("probe").k_z - 1 for k in kinds)
     meta = VolumeMeta(draw(hst.integers(3, 10)), draw(hst.integers(3, 10)),
                       reduction + draw(hst.integers(1, 12)), U8)
