@@ -258,7 +258,7 @@ def _tmpdir(args) -> str:
 def _io_report(graph, seed) -> str:
     src = graph.source()
     meta = src.params["meta"]
-    if src.op_kind == "read_chunks":
+    if "chunks" in src.params:
         cx, cy, cz = src.params["chunks"]
     else:
         cx = cy = cz = max(1, min(16, meta.nx, meta.ny, meta.depth))

@@ -103,18 +103,6 @@ def halo_extent(chunk_dims, kernel_dims):
     return tuple(out)
 
 
-def neighbour_count(grid: ChunkGrid, index) -> int:
-    """Chunks adjacent (including diagonals) to the indexed chunk."""
-    dims = (grid.gz, grid.gy, grid.gx)
-    for i, g in zip(index, dims):
-        if not 0 <= i < g:
-            raise PlanningError(f"chunk index {index} outside grid")
-    span = 1
-    for i, g in zip(index, dims):
-        span *= sum(1 for d in (-1, 0, 1) if 0 <= i + d < g)
-    return span - 1
-
-
 def _neighbourhood(index, dims, spans):
     """Clipped working set of chunk indices around `index`."""
     iz, iy, ix = index

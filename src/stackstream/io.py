@@ -26,6 +26,7 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .core import (ALLOC, SINGLE_PIXEL, PlanStage, PlanningError,
                    VolumeMeta, dtype_by_kind, release)
-from .stream import SliceStream
+from .stream import Stream
 
 MANIFEST = "manifest.txt"
 STACK_FILE = "stack.raw"  # the one file of a multipage stack
@@ -121,12 +122,29 @@ class ChunkGrid:
     def chunk_count(self) -> int:
         return self.gx * self.gy * self.gz
 
+    def boxes(self, iz: Optional[int] = None, iy: Optional[int] = None,
+              ix: Optional[int] = None):
+        """Yield ((iz, iy, ix), (z, y, x) slices) for every chunk with the
+        given indices, in file order: one x-y layer for iz, one column of
+        the whole depth for ix or iy, one chunk for all three. An axis
+        whose index is given counts from 0 at that chunk, the others from
+        the volume's origin, so the slices address a buffer of
+        layer_shape. Edge chunks may be partial, and the last box ends
+        where the layer or column does."""
+        axes = ((iz, self.gz, self.cz, self.meta.depth),
+                (iy, self.gy, self.cy, self.meta.ny),
+                (ix, self.gx, self.cx, self.meta.nx))
+        for index in product(*(range(g) if i is None else (i,) for i, g, _, _ in axes)):
+            box = []
+            for j, (i, _, c, n) in zip(index, axes):
+                lo = 0 if i is not None else j * c
+                box.append(slice(lo, lo + min(c, n - j * c)))
+            yield index, tuple(box)
+
     def chunk_shape(self, iz: int, iy: int, ix: int):
         """(dz, dy, dx) of a chunk, smaller on the far edges."""
-        dz = min(self.cz, self.meta.depth - iz * self.cz)
-        dy = min(self.cy, self.meta.ny - iy * self.cy)
-        dx = min(self.cx, self.meta.nx - ix * self.cx)
-        return dz, dy, dx
+        (_, box), = self.boxes(iz, iy, ix)
+        return tuple(s.stop for s in box)
 
     def chunk_name(self, iz: int, iy: int, ix: int) -> str:
         return f"c_{iz:03d}_{iy:03d}_{ix:03d}.raw"
@@ -137,9 +155,17 @@ class ChunkGrid:
                 for iy in range(self.gy)
                 for ix in range(self.gx)]
 
-    def layer_bytes(self) -> int:
-        """Bytes of one full x-y layer of chunks (cz slices)."""
-        return self.cz * self.meta.nx * self.meta.ny * self.meta.dtype.byte_width
+    def layer_shape(self, axis: str = "z"):
+        """(z, y, x) shape of a buffer for one layer of chunks across axis:
+        cz whole x-y slices for z, or for x or y a slab one chunk thick
+        through the whole volume, which holds one column of boxes."""
+        shape = {"z": self.meta.depth, "y": self.meta.ny, "x": self.meta.nx}
+        shape[axis] = {"z": self.cz, "y": self.cy, "x": self.cx}[axis]
+        return shape["z"], shape["y"], shape["x"]
+
+    def layer_bytes(self, axis: str = "z") -> int:
+        """Bytes of one buffer of layer_shape(axis)."""
+        return math.prod(self.layer_shape(axis)) * self.meta.dtype.byte_width
 
 
 def save_manifest(directory, meta: VolumeMeta, files, chunks=None):
@@ -193,7 +219,7 @@ def volume_meta(directory) -> VolumeMeta:
 # slice-stack backend
 # ---------------------------------------------------------------------------
 
-def open_slice_stream(directory) -> SliceStream:
+def open_slice_stream(directory) -> Stream:
     """Stream slices in z order; every file is opened exactly once per sweep."""
     man = load_manifest(directory)
     if isinstance(man, ChunkGrid):
@@ -225,12 +251,12 @@ def open_slice_stream(directory) -> SliceStream:
             arr = np.frombuffer(data, dtype=smeta.dtype.np_dtype)
             yield ALLOC.new_slice(smeta, data=arr.reshape(meta.ny, meta.nx))
 
-    s = SliceStream(gen(), meta=smeta, depth=meta.depth, name=f"read {directory}")
+    s = Stream(gen(), meta=smeta, depth=meta.depth, name=f"read {directory}")
     s.counters = counters
     return s
 
 
-def write_slices_steps(src: SliceStream, directory, meta: VolumeMeta,
+def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
                        multipage: bool = False):
     """Stepwise sink: one raw file per slice, or with multipage one file of
     them all in z order, written in place; then a manifest.
@@ -274,7 +300,7 @@ def _drain(steps):
             return stop.value
 
 
-def write_slice_stack(src: SliceStream, directory, meta: VolumeMeta):
+def write_slice_stack(src: Stream, directory, meta: VolumeMeta):
     """Drain a stream into a slice-stack directory; returns slices written."""
     return _drain(write_slices_steps(src, directory, meta))
 
@@ -287,99 +313,85 @@ def read_chunk(directory, grid: ChunkGrid, iz: int, iy: int, ix: int) -> np.ndar
     """One chunk file as a (dz, dy, dx) array, checked to be whole."""
     shape = grid.chunk_shape(iz, iy, ix)
     data = _read_file(Path(directory) / grid.chunk_name(iz, iy, ix),
-                      shape[0] * shape[1] * shape[2] * grid.meta.dtype.byte_width, "chunk")
+                      math.prod(shape) * grid.meta.dtype.byte_width, "chunk")
     return np.frombuffer(data, dtype=grid.meta.dtype.np_dtype).reshape(shape)
 
 
-def open_chunk_stream(directory) -> SliceStream:
+def read_block(directory, grid: ChunkGrid, out: np.ndarray, **index) -> np.ndarray:
+    """Read every chunk of one layer (iz=) or column (iy= or ix=) of grid
+    into out, a buffer of the matching layer_shape; returns the part of
+    out they fill."""
+    for (iz, iy, ix), box in grid.boxes(**index):
+        out[box] = read_chunk(directory, grid, iz, iy, ix)
+    return out[:box[0].stop, :box[1].stop, :box[2].stop]
+
+
+def open_chunk_stream(directory) -> Stream:
     """Stream z-ordered slices assembled from chunk layers.
 
-    Keeps two full x-y chunk layers resident (the assembly buffer charged
-    to the stage's internal bytes); each chunk file is read exactly once
-    per sweep.
+    Keeps one x-y chunk layer resident (the buffer charged to the stage's
+    internal bytes) and yields copies of its slices; each chunk file is
+    read exactly once per sweep.
     """
     grid = load_manifest(directory)
     if isinstance(grid, StackManifest):
         raise PlanningError(f"{directory} is a slice stack, not a chunk store")
-    meta = grid.meta
-    smeta = meta.slice_meta
+    smeta = grid.meta.slice_meta
     counters = {"opens": 0}
-    buf_bytes = 2 * grid.layer_bytes()
+    buf_bytes = grid.layer_bytes()
 
     def gen():
         ALLOC.register_internal(buf_bytes)
         try:
-            layers = [np.zeros((grid.cz, meta.ny, meta.nx), dtype=smeta.dtype.np_dtype)
-                      for _ in range(2)]
+            layer = np.empty(grid.layer_shape(), dtype=smeta.dtype.np_dtype)
             for iz in range(grid.gz):
-                layer = layers[iz % 2]
-                for iy in range(grid.gy):
-                    for ix in range(grid.gx):
-                        block = read_chunk(directory, grid, iz, iy, ix)
-                        counters["opens"] += 1
-                        dz, dy, dx = block.shape
-                        layer[:dz, iy * grid.cy:iy * grid.cy + dy,
-                              ix * grid.cx:ix * grid.cx + dx] = block
-                for z in range(dz):
-                    yield ALLOC.new_slice(smeta, data=layer[z].copy())
+                block = read_block(directory, grid, layer, iz=iz)
+                counters["opens"] += grid.gy * grid.gx
+                for plane in block:
+                    yield ALLOC.new_slice(smeta, data=plane.copy())
         finally:
             ALLOC.unregister_internal(buf_bytes)
 
-    s = SliceStream(gen(), meta=smeta, depth=meta.depth, name=f"readInChunks {directory}")
+    s = Stream(gen(), meta=smeta, depth=grid.meta.depth, name=f"readInChunks {directory}")
     s.counters = counters
     return s
 
 
-def write_chunks_steps(src: SliceStream, directory, grid: ChunkGrid):
+def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
     """Stepwise sink into a chunk grid, buffering one x-y layer at a time."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / PARTIAL_MARKER).touch()
-    meta = grid.meta
     buf_bytes = grid.layer_bytes()
     ALLOC.register_internal(buf_bytes)
     written = 0
     try:
-        layer = np.zeros((grid.cz, meta.ny, meta.nx), dtype=meta.dtype.np_dtype)
-        fill = 0
-        iz = 0
+        layer = np.zeros(grid.layer_shape(), dtype=grid.meta.dtype.np_dtype)
 
-        def flush():
-            nonlocal fill, iz
-            for iy in range(grid.gy):
-                for ix in range(grid.gx):
-                    dz, dy, dx = grid.chunk_shape(iz, iy, ix)
-                    block = layer[:dz,
-                                  iy * grid.cy:iy * grid.cy + dy,
-                                  ix * grid.cx:ix * grid.cx + dx]
-                    _atomic_write(directory, grid.chunk_name(iz, iy, ix),
-                                  np.ascontiguousarray(block).tobytes())
-            fill = 0
-            iz += 1
+        def flush():  # the layer of the last slice written
+            for (iz, iy, ix), box in grid.boxes(iz=(written - 1) // grid.cz):
+                _atomic_write(directory, grid.chunk_name(iz, iy, ix), layer[box].tobytes())
 
-        while True:
-            sl = src.pull()
-            if sl is None:
-                break
+        while (sl := src.pull()) is not None:
             try:
-                layer[fill] = sl.data
+                layer[written % grid.cz] = sl.data
             finally:
                 release(sl)
-            fill += 1
             written += 1
-            if fill == grid.cz:
+            if written % grid.cz == 0:
                 flush()
             yield written
-        if fill:
+        if written % grid.cz:
             flush()
     finally:
         ALLOC.unregister_internal(buf_bytes)
-    save_manifest(directory, meta, grid.file_list(), chunks=(grid.cx, grid.cy, grid.cz))
+    save_manifest(directory, grid.meta, grid.file_list(),
+                  chunks=(grid.cx, grid.cy, grid.cz))
     (directory / PARTIAL_MARKER).unlink()
     return written
 
 
-def write_chunk_store(src: SliceStream, directory, grid: ChunkGrid):
+def write_chunk_store(src: Stream, directory, grid: ChunkGrid):
     """Drain a stream into a chunk store; returns slices written."""
     return _drain(write_chunks_steps(src, directory, grid))
 
@@ -389,9 +401,13 @@ def write_chunk_store(src: SliceStream, directory, grid: ChunkGrid):
 # ---------------------------------------------------------------------------
 
 def read_stage(directory, name: Optional[str] = None) -> PlanStage:
-    meta = volume_meta(directory)
-    return PlanStage(name=name or "read", op_kind="read", w=1, s=1,
-                     params={"dir": str(directory), "meta": meta},
+    """A read of a stack or a chunk store; the chunks of a store are kept
+    in params, so that the chunk reader's layer is priced."""
+    man = load_manifest(directory)
+    params = {"dir": str(directory), "meta": man.meta}
+    if isinstance(man, ChunkGrid):
+        params["chunks"] = (man.cx, man.cy, man.cz)
+    return PlanStage(name=name or "read", op_kind="read", w=1, s=1, params=params,
                      algo_class=SINGLE_PIXEL, w_min=1, tunable=True)
 
 
@@ -477,7 +493,7 @@ def write_volume(directory, vol: np.ndarray, dtype, chunks=None):
         for z in range(depth):
             yield ALLOC.new_slice(smeta, data=vol[z])
 
-    src = SliceStream(gen(), meta=smeta, depth=depth, name="memory")
+    src = Stream(gen(), meta=smeta, depth=depth, name="memory")
     if chunks is None:
         write_slice_stack(src, directory, meta)
     else:

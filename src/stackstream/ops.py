@@ -538,12 +538,9 @@ def permute_axes(order: str, name=None, chunk_edge: int = 16) -> PlanStage:
     """
     if order not in PERMUTE_ORDERS:
         raise PlanningError(f"order must be a permutation of xyz, got {order!r}")
-    moves_z = order[2] != "z"
-    algo = GEOMETRIC
     return PlanStage(name=name or _auto_name("permute"), op_kind="permute",
-                     params={"order": order, "chunk_edge": chunk_edge,
-                             "sweeps": 2 if moves_z else 1},
-                     algo_class=algo)
+                     params={"order": order, "chunk_edge": chunk_edge},
+                     algo_class=GEOMETRIC)
 
 
 def reslice(axis: str, name=None, chunk_edge: int = 16) -> PlanStage:
@@ -661,16 +658,14 @@ def permute_chunk_dims(stage: PlanStage, meta: VolumeMeta):
 
 
 def _permute_estimate(stage, meta, out):
-    if stage.params["order"][2] == "z":
+    axis = stage.params["order"][2]
+    if axis == "z":
         return MemEstimate(slice_bytes(meta), slice_bytes(out), 0)
-    # pass 1 buffers one chunk layer of the input; pass 2 holds two slabs
-    # of chunks along the axis that becomes the new z
-    cx, cy, cz = permute_chunk_dims(stage, meta)
-    b = meta.dtype.byte_width
-    layer = cz * meta.nx * meta.ny * b
-    slab = {"x": cx * meta.ny * meta.depth,
-            "y": cy * meta.nx * meta.depth}[stage.params["order"][2]] * b
-    return MemEstimate(slice_bytes(meta), slice_bytes(out), max(layer, 2 * slab))
+    # pass 1 buffers one x-y chunk layer of the input, and pass 2 then
+    # one slab: the chunk column along the axis that becomes the new z
+    grid = sio.ChunkGrid(meta, *permute_chunk_dims(stage, meta))
+    return MemEstimate(slice_bytes(meta), slice_bytes(out),
+                       max(grid.layer_bytes(), grid.layer_bytes(axis)))
 
 
 def _numbers(n, conv=int):
@@ -753,6 +748,13 @@ def _histogram_line(st):
     return " ".join(parts)
 
 
+def _chunk_layer(stage, meta) -> int:
+    """Bytes of the one x-y chunk layer a chunk reader or writer holds;
+    0 for a slice stack."""
+    chunks = stage.params.get("chunks")
+    return sio.ChunkGrid(meta, *chunks).layer_bytes() if chunks else 0
+
+
 def _io_syntax(keyword, factory):
     return Syntax(keyword, ("dir",), lambda get, name: factory(get("dir"), name=name),
                   lambda st: f"{keyword} {st.params['dir']}", positional=1)
@@ -760,18 +762,16 @@ def _io_syntax(keyword, factory):
 
 #: every op kind the engine plans and runs, keyed by PlanStage.op_kind
 OPS = {
-    "read": OpKind(lambda st, m, o: MemEstimate(0, st.w * slice_bytes(o), 0),
+    "read": OpKind(lambda st, m, o: MemEstimate(0, st.w * slice_bytes(o), _chunk_layer(st, o)),
                    _source_meta, spec=(_io_syntax("read", sio.read_stage),)),
-    "read_chunks": OpKind(
-        lambda st, m, o: MemEstimate(
-            0, slice_bytes(o), 2 * sio.ChunkGrid(o, *st.params["chunks"]).layer_bytes()),
-        _source_meta, spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
+    "read_chunks": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), _chunk_layer(st, o)),
+                          _source_meta,
+                          spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
     "initialize": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), 0), _source_meta),
     "write": OpKind(lambda st, m, o: MemEstimate(st.w * slice_bytes(m), 0, 0),
                     spec=(_io_syntax("write", sio.write_stage),)),
     "write_chunks": OpKind(
-        lambda st, m, o: MemEstimate(
-            slice_bytes(m), 0, sio.ChunkGrid(m, *st.params["chunks"]).layer_bytes()),
+        lambda st, m, o: MemEstimate(slice_bytes(m), 0, _chunk_layer(st, m)),
         spec=(Syntax("writeInChunks", ("dir", "chunks"),
                      lambda get, name: sio.write_chunks_stage(
                          get("dir"), chunks=get("chunks", _numbers(3), (16, 16, 16)),

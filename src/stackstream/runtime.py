@@ -263,10 +263,11 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
 
     # z moves: two passes through an on-disk chunked intermediate
     ctx.stage_sweeps[stage.name] = 2
-    cx, cy, cz = ops.permute_chunk_dims(stage, in_meta)
+    grid = sio.ChunkGrid(in_meta, *ops.permute_chunk_dims(stage, in_meta))
     tmp = ctx.new_tmp(stage.name)
     axis = order[2]
-    grid = sio.ChunkGrid(in_meta, cx, cy, cz)
+    plane_axes = [a for a in "zyx" if a != axis]
+    to_out = (plane_axes.index(order[1]), plane_axes.index(order[0]))
 
     def z_gen():
         try:
@@ -276,33 +277,17 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
             raise IOError(f"stage {stage.name!r}: temp chunk store {tmp} failed "
                           f"(need {need} bytes free): {exc}") from exc
         try:
-            c_a, n_a, g_b = ((cx, in_meta.nx, grid.gy) if axis == "x"
-                             else (cy, in_meta.ny, grid.gx))
-            slab_shape = ((in_meta.depth, in_meta.ny, c_a) if axis == "x"
-                          else (in_meta.depth, c_a, in_meta.nx))
-            slab_bytes = int(np.prod(slab_shape)) * in_meta.dtype.byte_width
-            ALLOC.register_internal(2 * slab_bytes)
+            slab_bytes = grid.layer_bytes(axis)
+            ALLOC.register_internal(slab_bytes)
             try:
-                slabs = [np.zeros(slab_shape, dtype=in_meta.dtype.np_dtype)
-                         for _ in range(2)]
-                plane_axes = {"x": {"z": 0, "y": 1}, "y": {"z": 0, "x": 1}}[axis]
-                t0, t1 = plane_axes[order[1]], plane_axes[order[0]]
-                for ka in range(-(-n_a // c_a)):
-                    slab = slabs[ka % 2]
-                    # the chunk column at ka along the axis, one chunk at a time
-                    for iz in range(grid.gz):
-                        for ib in range(g_b):
-                            iy, ix = (ib, ka) if axis == "x" else (ka, ib)
-                            block = sio.read_chunk(tmp, grid, iz, iy, ix)
-                            dz, dy, dx = block.shape
-                            oy, ox = (iy * cy, 0) if axis == "x" else (0, ix * cx)
-                            slab[iz * cz:iz * cz + dz, oy:oy + dy, ox:ox + dx] = block
-                    for kk in range(min(c_a, n_a - ka * c_a)):
-                        plane = slab[:, :, kk] if axis == "x" else slab[:, kk, :]
-                        arr = np.ascontiguousarray(np.transpose(plane, (t0, t1)))
-                        yield ALLOC.new_slice(out_smeta, data=arr)
+                slab = np.empty(grid.layer_shape(axis), dtype=in_meta.dtype.np_dtype)
+                # one chunk column along the axis at a time, read into the slab
+                for k in range(grid.gx if axis == "x" else grid.gy):
+                    block = sio.read_block(tmp, grid, slab, **{"i" + axis: k})
+                    for plane in np.moveaxis(block, "zyx".index(axis), 0):
+                        yield ALLOC.new_slice(out_smeta, data=plane.transpose(to_out).copy())
             finally:
-                ALLOC.unregister_internal(2 * slab_bytes)
+                ALLOC.unregister_internal(slab_bytes)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 

@@ -92,14 +92,6 @@ class Stream:
             up.close()
 
 
-class SliceStream(Stream):
-    """Stream of single slices."""
-
-
-class WindowStream(Stream):
-    """Stream of slice windows (ordered slice lists)."""
-
-
 # ---------------------------------------------------------------------------
 # windowed
 # ---------------------------------------------------------------------------
@@ -207,7 +199,7 @@ def _window_positions(pull_fn, w: int, s: int, tail: str = "none",
             release(buf.popleft())
 
 
-def windowed(w: int, s: int, p: int, src: SliceStream) -> WindowStream:
+def windowed(w: int, s: int, p: int, src: Stream) -> Stream:
     """Sliding windows of w slices advancing by s, with clamp-to-edge padding p.
 
     Consecutive windows share w - s slices by reference, never by copy.
@@ -224,11 +216,11 @@ def windowed(w: int, s: int, p: int, src: SliceStream) -> WindowStream:
     if src.depth is not None:
         padded = src.depth + 2 * p
         depth = (padded - w) // s + 1 if padded >= w else 0
-    return WindowStream(gen, meta=src.meta, depth=depth, upstream=(up,),
-                        name=f"windowed({w},{s},{p})")
+    return Stream(gen, meta=src.meta, depth=depth, upstream=(up,),
+                  name=f"windowed({w},{s},{p})")
 
 
-def windowed_positions(w: int, s: int, src: SliceStream, tail: str,
+def windowed_positions(w: int, s: int, src: Stream, tail: str,
                        stop: Optional[int] = None) -> Stream:
     """Internal covering variant used by operators: yields (start, window).
 
@@ -252,7 +244,7 @@ def windowed_positions(w: int, s: int, src: SliceStream, tail: str,
 # ---------------------------------------------------------------------------
 
 def flatten(src: Stream, name: str = "flatten", meta: Optional[SliceMeta] = None,
-            depth: Optional[int] = None) -> SliceStream:
+            depth: Optional[int] = None) -> Stream:
     """Concatenate a stream of slice stacks into a slice stream.
 
     References transfer to the consumer one slice at a time; nothing is
@@ -270,8 +262,8 @@ def flatten(src: Stream, name: str = "flatten", meta: Optional[SliceMeta] = None
             while pending:
                 release(pending.popleft())
 
-    return SliceStream(gen(), meta=meta if meta is not None else src.meta,
-                       depth=depth, upstream=(src,), name=name)
+    return Stream(gen(), meta=meta if meta is not None else src.meta,
+                  depth=depth, upstream=(src,), name=name)
 
 
 def build_all(make: Callable, items) -> list:
@@ -341,7 +333,7 @@ def fold(a0, step: Callable, src: Stream, name: str = "fold"):
         src.close()
 
 
-def zip(a: SliceStream, b: SliceStream) -> Stream:
+def zip(a: Stream, b: Stream) -> Stream:
     """Pair up two streams element by element.
 
     Ends when both inputs end together; unequal depths are an error, not a
@@ -372,7 +364,7 @@ def zip(a: SliceStream, b: SliceStream) -> Stream:
                   upstream=(a, b), name="zip")
 
 
-def initialize(d: int, g: Callable[[int], Slice], meta: SliceMeta) -> SliceStream:
+def initialize(d: int, g: Callable[[int], Slice], meta: SliceMeta) -> Stream:
     """Generate a stack of depth d from an index function; acts as a source."""
     if d < 0:
         raise PlanningError("initialize: depth must be >= 0")
@@ -381,7 +373,7 @@ def initialize(d: int, g: Callable[[int], Slice], meta: SliceMeta) -> SliceStrea
         for i in range(d):
             yield g(i)
 
-    return SliceStream(gen(), meta=meta, depth=d, name="initialize")
+    return Stream(gen(), meta=meta, depth=d, name="initialize")
 
 
 # ---------------------------------------------------------------------------

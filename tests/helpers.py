@@ -8,7 +8,7 @@ from stackstream.runtime import RunContext, stage_stream
 from stackstream import ops
 
 
-def vol_stream(vol: np.ndarray, meta: VolumeMeta) -> st.SliceStream:
+def vol_stream(vol: np.ndarray, meta: VolumeMeta) -> st.Stream:
     """Source stream over an in-memory (z, y, x) array."""
     smeta = meta.slice_meta
 
@@ -16,7 +16,7 @@ def vol_stream(vol: np.ndarray, meta: VolumeMeta) -> st.SliceStream:
         for z in range(vol.shape[0]):
             yield ALLOC.new_slice(smeta, data=vol[z])
 
-    return st.SliceStream(gen(), meta=smeta, depth=vol.shape[0], name="memory")
+    return st.Stream(gen(), meta=smeta, depth=vol.shape[0], name="memory")
 
 
 def drain(stream) -> np.ndarray:

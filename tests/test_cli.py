@@ -283,6 +283,14 @@ def test_explain_io_clamps_kernel_to_odd_chunk_fit(tmp_path, capsys):
     assert "kernel=3x3x3" in capsys.readouterr().out
 
 
+def test_plan_io_of_a_read_takes_the_stores_chunks(tmp_path, capsys):
+    write_vol(tmp_path, dims=(40, 40, 20), chunks=(8, 8, 5))
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, "threshold t=9\n"))
+    assert run_cli(["plan", spec, "--io"]) == 0
+    assert "chunks=8x8x5 grid=5x5x4" in capsys.readouterr().out
+
+
 def test_chunked_source_run_within_budget(tmp_path, capsys):
     write_vol(tmp_path, chunks=(5, 5, 4))
     spec = tmp_path / "p.spec"

@@ -3,8 +3,8 @@ import pytest
 from stackstream.core import U8, PlanningError, VolumeMeta
 from stackstream.costmodel import (TraversalPolicy,
                                    default_policies, halo_extent,
-                                   layout_report, neighbour_count,
-                                   simulate_rereads, two_plane_capacity)
+                                   layout_report, simulate_rereads,
+                                   two_plane_capacity)
 from stackstream.io import ChunkGrid
 
 GRID5 = ChunkGrid(VolumeMeta(20, 20, 20, U8), 4, 4, 4)  # 5x5x5 chunks
@@ -28,13 +28,6 @@ def test_halo_general_arithmetic():
 def test_halo_oversized_kernel_rejected():
     with pytest.raises(PlanningError):
         halo_extent((4, 4, 4), (5, 5, 5))
-
-
-def test_neighbour_counts():
-    assert neighbour_count(GRID5, (2, 2, 2)) == 26
-    assert neighbour_count(GRID5, (0, 0, 0)) == 7
-    solo = ChunkGrid(VolumeMeta(4, 4, 4, U8), 4, 4, 4)
-    assert neighbour_count(solo, (0, 0, 0)) == 0
 
 
 def test_random_minimal_cache_reads_27():

@@ -214,6 +214,60 @@ def test_permute_pipeline_two_sweeps(tmp_path):
                           oracles.permute_volume(vol, "zyx"))
 
 
+@pytest.mark.parametrize("hold", [False, True])
+@pytest.mark.parametrize("edge", [1, 2, 3])
+@pytest.mark.parametrize("order", ["zyx", "xzy", "yzx"])
+def test_z_moving_permute_yields_slices_of_its_own(tmp_path, order, edge, hold):
+    """A median of radius 0 over w = 3 holds three permuted slices while
+    the permute refills its slab: each must be a copy, not a view of it."""
+    meta = VolumeMeta(5, 6, 4, U8)
+    vol = write_input(tmp_path, meta, seed=13)
+    held = [ops.median_filter(0, w=3, name="held")] if hold else []
+    g = chain(sio.read_stage(tmp_path / "in"),
+              ops.permute_axes(order, name="perm", chunk_edge=edge), *held,
+              sio.write_stage(tmp_path / "out"))
+    run_graph(g, Budget(1 << 30), tmpdir=tmp_path)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"),
+                          oracles.permute_volume(vol, order))
+
+
+@pytest.mark.parametrize("case", ["read", "readInChunks", "permute_zyx",
+                                  "permute_xzy", "writeInChunks"])
+def test_each_ledger_gamma_is_what_its_stage_registers(tmp_path, monkeypatch, case):
+    """At ε = 0, one stage registers internal bytes, in the buffers its
+    kind holds: a chunk reader or writer one x-y layer, a z-moving permute
+    a layer in its first pass and a slab in its second. Its ledger row's
+    gamma is the largest of them, every other row's is 0, and the
+    measured peak stays within the promise. A read of a chunk store runs
+    the chunk reader, so it is priced as one."""
+    store = case.startswith("read")
+    meta = VolumeMeta(64, 64, 32, U8) if store else VolumeMeta(24, 20, 40, U8)
+    write_input(tmp_path, meta, seed=14, chunks=(16, 16, 8) if store else None)
+    read = (sio.read_chunks_stage if case == "readInChunks" else sio.read_stage)(
+        tmp_path / "in", name="src")
+    if case.startswith("permute"):
+        op = ops.permute_axes(case[-3:], name="op", chunk_edge=4)
+        grid = sio.ChunkGrid(meta, 4, 4, 4)
+        want, owner = [grid.layer_bytes(), grid.layer_bytes(case[-1])], "op"
+    else:
+        op = ops.threshold(9, name="op")
+        grid = sio.ChunkGrid(meta, *((16, 16, 8) if store else (8, 4, 5)))
+        want, owner = [grid.layer_bytes()], "src" if store else "snk"
+    sink = (sio.write_chunks_stage(tmp_path / "out", chunks=(8, 4, 5), name="snk")
+            if case == "writeInChunks" else sio.write_stage(tmp_path / "out", name="snk"))
+    registered = []
+    register = ALLOC.register_internal
+    monkeypatch.setattr(ALLOC, "register_internal",
+                        lambda n: (registered.append(n), register(n))[1])
+    p = plan(chain(read, op, sink), Budget(1 << 20, 0), tmpdir=tmp_path,
+             grow_windows=False)
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert registered == want
+    assert {r.name: r.gamma for r in p.ledger.rows} == {
+        n: max(want) if n == owner else 0 for n in ("src", "op", "snk")}
+    assert rep.peak_bytes <= rep.promised_peak
+
+
 def test_failing_stage_aborts_with_index_and_no_leak(tmp_path):
     meta = VolumeMeta(8, 8, 10, U8)
     write_input(tmp_path, meta, seed=13)
@@ -826,7 +880,7 @@ def test_failed_multipage_write_leaves_its_marker(tmp_path):
             yield ALLOC.new_slice(meta.slice_meta, data=vol[z])
         raise RuntimeError("injected")
 
-    src = st.SliceStream(gen(), meta=meta.slice_meta, depth=6)
+    src = st.Stream(gen(), meta=meta.slice_meta, depth=6)
     with pytest.raises(RuntimeError, match="injected"):
         sio._drain(sio.write_slices_steps(src, tmp_path / "mid", meta, multipage=True))
     assert (tmp_path / "mid" / sio.STACK_FILE).stat().st_size == 3 * 16
@@ -869,38 +923,53 @@ CHAIN_OPS = {"square": lambda n: ops.square(name=n),
 
 @hst.composite
 def chain_cases(draw):
-    """(kinds, meta, seed, budget slices): 0-6 kernel and pointwise ops over
-    a u8 stack deep enough for every kernel, and a budget of 2 slices
-    (infeasible) to 8 per stage, or none at all."""
+    """(kinds, meta, seed, budget slices, io): 0-6 kernel and pointwise ops
+    over a u8 volume deep enough for every kernel, a budget of 2 slices
+    (infeasible) to 8 per stage or none at all, on top of the chunk layers
+    the io holds, and io = (input chunks, source keyword, output chunks).
+    The input is a slice stack (None) or a chunk store, which `read` or
+    `readInChunks` reads, and `write` (None) or `writeInChunks` writes
+    the output; chunk dims run from 1 to beyond the volume's."""
     kinds = [draw(hst.sampled_from(sorted(CHAIN_OPS)))
              for _ in range(draw(hst.integers(0, 6)))]
     reduction = sum(CHAIN_OPS[k]("probe").k_z - 1 for k in kinds)
     meta = VolumeMeta(draw(hst.integers(3, 10)), draw(hst.integers(3, 10)),
                       reduction + draw(hst.integers(1, 12)), U8)
     slices = draw(hst.sampled_from([*range(2, 8 * (len(kinds) + 2)), 1 << 20]))
-    return kinds, meta, draw(hst.integers(0, 99)), slices
+    chunks = hst.none() | hst.tuples(*(hst.integers(1, n + 2)
+                                       for n in (meta.nx, meta.ny, meta.depth)))
+    store = draw(chunks)
+    source = draw(hst.sampled_from(("read", "readInChunks") if store else ("read",)))
+    return kinds, meta, draw(hst.integers(0, 99)), slices, (store, source, draw(chunks))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=chain_cases())
-@example(case=(["gauss5", "square", "median"], VolumeMeta(5, 4, 9, U8), 1, 2))  # infeasible
-@example(case=(["square", "gauss5", "box3", "erode"], VolumeMeta(7, 6, 20, U8), 2, 40))
+@example(case=(["gauss5", "square", "median"], VolumeMeta(5, 4, 9, U8), 1, 2,
+               (None, "read", None)))  # infeasible
+@example(case=(["square", "gauss5", "box3", "erode"], VolumeMeta(7, 6, 20, U8), 2, 40,
+               (None, "read", None)))
+# a read of a store holds the chunk reader's layer, deeper here than the volume
+@example(case=(["square"], VolumeMeta(6, 5, 8, U8), 3, 6, ((4, 5, 10), "read", None)))
 def test_generated_chains_keep_their_promises(tmp_path_factory, case):
-    kinds, meta, seed, slices = case
+    kinds, meta, seed, slices, (store, source, out_chunks) = case
     d = tmp_path_factory.mktemp("chain")
-    write_input(d, meta, seed=seed)
+    write_input(d, meta, seed=seed, chunks=store)
+    reader = sio.read_chunks_stage if source == "readInChunks" else sio.read_stage
 
     def graph(out):
-        return chain(sio.read_stage(d / "in"),
+        return chain(reader(d / "in"),
                      *[CHAIN_OPS[k](f"s{i}") for i, k in enumerate(kinds)],
-                     sio.write_stage(d / out))
+                     sio.write_stage(d / out) if out_chunks is None
+                     else sio.write_chunks_stage(d / out, chunks=out_chunks))
 
     # the reference: declared windows, roomy budget, in order
     execute_plan(plan(graph("ref"), Budget(1 << 40), tmpdir=d, grow_windows=False),
                  tmpdir=d)
     ref = sio.read_volume(d / "ref")
     eps = 8
-    budget = Budget(slices * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
+    layers = sum(c[2] for c in (store, out_chunks) if c)
+    budget = Budget((slices + layers) * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
     for threads in (1, 2):
         p = plan(graph(f"out{threads}"), budget, tmpdir=d / f"mid{threads}",
                  concurrent=threads > 1)

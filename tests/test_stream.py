@@ -20,7 +20,7 @@ def int_stream(values, meta=META8):
         for v in values:
             yield const_slice(v, meta)
 
-    return st.SliceStream(gen(), meta=meta, depth=len(values), name="ints")
+    return st.Stream(gen(), meta=meta, depth=len(values), name="ints")
 
 
 def window_values(ws):
@@ -211,7 +211,7 @@ def test_zip_releases_the_first_element_when_the_second_input_fails():
         raise RuntimeError("cancelled")
         yield
 
-    pairs = st.zip(int_stream([1, 2]), st.SliceStream(failing(), meta=META8))
+    pairs = st.zip(int_stream([1, 2]), st.Stream(failing(), meta=META8))
     with pytest.raises(RuntimeError):
         pairs.pull()
     pairs.close()
@@ -370,7 +370,7 @@ def _tracked_stream(d, depth):
             made.append(const_slice(v))
             yield made[-1]
 
-    return st.SliceStream(gen(), meta=META8, depth=depth, name="ints"), made
+    return st.Stream(gen(), meta=META8, depth=depth, name="ints"), made
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
