@@ -158,9 +158,10 @@ class ChunkGrid:
     def layer_shape(self, axis: str = "z"):
         """(z, y, x) shape of a buffer for one layer of chunks across axis:
         cz whole x-y slices for z, or for x or y a slab one chunk thick
-        through the whole volume, which holds one column of boxes."""
+        through the whole volume, which holds one column of boxes. A
+        chunk edge past the volume is cut to the volume's extent."""
         shape = {"z": self.meta.depth, "y": self.meta.ny, "x": self.meta.nx}
-        shape[axis] = {"z": self.cz, "y": self.cy, "x": self.cx}[axis]
+        shape[axis] = min(shape[axis], {"z": self.cz, "y": self.cy, "x": self.cx}[axis])
         return shape["z"], shape["y"], shape["x"]
 
     def layer_bytes(self, axis: str = "z") -> int:

@@ -12,6 +12,7 @@ clamp to the edge. Integer arithmetic saturates instead of wrapping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -337,6 +338,72 @@ def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
     return outs
 
 
+def _odd_even_merge_sort(size: int):
+    """Comparators (a, b), a < b, of Batcher's odd-even merge sort on size
+    wires, a power of two, in order: min goes to wire a, max to wire b."""
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(min(k, size - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield i + j, i + j + k
+            k //= 2
+        p *= 2
+
+
+@functools.lru_cache(maxsize=64)
+def selection_network(n: int, k: int):
+    """(steps, out, slices): a comparator network that puts the k-th
+    smallest of n inputs in buffer out, as Batcher's odd-even merge sort
+    does, with only the comparators that output depends on.
+
+    The sort runs on the next power of two >= n wires, the ones past n
+    held at +inf, so a comparator whose upper wire is one of them never
+    swaps and is dropped; the rest are pruned backwards to those wire k
+    reads. Each step (a, b, lo, hi) names buffers: min(a, b) goes into
+    lo and max(a, b) into hi, and either is None when no later step reads
+    it. Buffers 0..n-1 are the inputs, which are only read, and the next
+    `slices` ones are workspace slices. lo is a free slice, and hi the
+    slice b already owns, else a free one; a step with one output writes
+    it over an input slice it owns, if any. n = 27 (the r = 1 box) takes
+    126 comparators and n + 1 slices.
+    """
+    size = 1 << (n - 1).bit_length()
+    need, kept = {k}, []
+    for a, b in reversed([ab for ab in _odd_even_merge_sort(size) if ab[1] < n]):
+        if a in need or b in need:
+            kept.append((a, b, a in need, b in need))
+            need |= {a, b}
+    wire = list(range(n))  # the buffer holding each wire's value
+    free = list(range(2 * n, n - 1, -1))  # popped smallest first, then reused
+    steps, slices = [], 0
+    for a, b, keep_lo, keep_hi in reversed(kept):
+        x, y = wire[a], wire[b]
+        owned = [i for i in (y, x) if i >= n]
+        if keep_lo and keep_hi:
+            lo, hi = free.pop(), y if y >= n else free.pop()
+        else:
+            out = owned[0] if owned else free.pop()
+            lo, hi = (out, None) if keep_lo else (None, out)
+        slices = max(slices, n + 1 - len(free))
+        free += [i for i in owned if i not in (lo, hi)]
+        wire[a], wire[b] = lo, hi
+        steps.append((x, y, lo, hi))
+    return tuple(steps), wire[k], slices
+
+
+def run_network(steps, bufs):
+    """Run the steps of a selection_network over bufs, its n inputs and
+    then its workspace slices, all of one shape."""
+    for x, y, lo, hi in steps:
+        if lo is not None:
+            np.minimum(bufs[x], bufs[y], out=bufs[lo])
+        if hi is not None:
+            np.maximum(bufs[x], bufs[y], out=bufs[hi])
+
+
 #: most bytes of one morph_window block, unless one output needs more
 MORPH_BLOCK_BYTES = 1 << 18
 
@@ -360,22 +427,31 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
     15 ms in chunks of 58 outputs, 17 ms as one block and 69 ms in chunks
     of one output.
 
-    The median gathers the n masked neighbours of each output slice from
-    the block into one (n, ny, nx) stack and selects its k-th smallest
-    value, k = (n - 1) // 2. For u8 and u16 the selection is an exact
-    radix select: the median is the largest m with #{v < m} <= k, found
-    one bit at a time from the top in 8 * itemsize passes. Each pass is
-    six in-place ufuncs (set the bit, compare, count, test count <= k,
-    shift the test to the bit, or it in), so besides the block a call
-    holds the stack, an n-slice u8 compare buffer and the cand, keep, mask
-    and counter slice workspaces. On a 2-vCPU Intel Xeon one 128x128
-    output slice with n = 27 takes 1.1 ms on u8 (2.9 ms with a masked copy
-    per pass, 10.4 ms with np.partition) and 2.2 ms on u16 (4.4 ms with
-    np.partition), gather included. f32 keeps np.partition: a radix
-    select on order-preserving keys would put -0.0 below +0.0 and sign-bit
-    NaNs first, where np.partition ties the zeros and puts every NaN last.
-    The counter is sized to n, since a box with r = 3 has 343 entries and
-    a u8 counter would wrap.
+    The median of u8 and u16 runs selection_network(n, k), k = (n - 1) // 2,
+    over the n masked neighbours of each output slice: Batcher's odd-even
+    merge sort, with the comparators on +inf padding wires dropped and the
+    rest pruned to those the k-th wire depends on. Its inputs are views of
+    the block, so nothing is gathered, and its other buffers are slices of
+    one workspace, so besides the block a call holds at most n + 1 slices.
+    Each step is one np.minimum and one np.maximum call, or one when the
+    other output is never read: the r = 1 box (n = 27) takes 126 steps
+    and 226 calls, r = 2 (n = 125) 1,184 steps. An exact radix select
+    instead makes 8 * itemsize passes of about 2n + 4 slice-passes each.
+    Milliseconds per output on a 2-vCPU Intel Xeon, block fill and cast
+    included (scripts/kernel_table.py, radix select -> network):
+
+        r  dtype      64x64          128x128          256x256
+        1  u8    0.45 -> 0.41    1.05 -> 0.51     4.00 -> 1.21
+        1  u16   0.83 -> 0.47    2.19 -> 0.74     9.22 -> 3.07
+        2  u8    1.38 -> 3.39    4.38 -> 4.97    17.6  -> 16.0
+        2  u16   3.09 -> 3.64   10.1  -> 8.45    50.2  -> 30.7
+
+    So r >= 2 is slower on small slices, where each of the many calls
+    costs about its dispatch.
+
+    f32 gathers the neighbours into an (n, ny, nx) stack and keeps
+    np.partition, whose order ties -0.0 with +0.0 and puts every NaN
+    last, where np.minimum and np.maximum propagate NaNs.
     """
     scratch = Scratch() if scratch is None else scratch
     kz, ky, kx = se.mask.shape
@@ -390,17 +466,13 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
         extremum = np.minimum if op == "erode" else np.maximum
         (a0, b0, c0), rest = offsets[0], offsets[1:]
         accs = scratch.take("acc", (chunk, ny, nx), dtype)
-    else:
-        radix = dtype.kind == "u"
+    elif dtype.kind == "u":
         n = len(offsets)
-        k = (n - 1) // 2
-        stack = scratch.take("stack", (n, ny, nx), dtype)
-        if radix:
-            # bool compare results, summed through a u8 view to skip a cast
-            less = scratch.take("less", (n, ny, nx), np.uint8)
-            count = scratch.take("count", (ny, nx), np.min_scalar_type(n))
-            mask = scratch.take("mask", (ny, nx), bool)
-            cand, keep = scratch.take("cand", (2, ny, nx), dtype)
+        steps, kth, slices = selection_network(n, (n - 1) // 2)
+        wires = list(scratch.take("wires", (slices, ny, nx), dtype))
+    else:
+        k = (len(offsets) - 1) // 2
+        stack = scratch.take("stack", (len(offsets), ny, nx), dtype)
     outs = []
     for first in range(lo, hi + 1, chunk):
         nout = min(chunk, hi + 1 - first)
@@ -416,21 +488,15 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
             outs += [cast(plane.copy()) for plane in acc]
             continue
         for j in range(nout):
-            for i, (a, b, c) in enumerate(offsets):
-                stack[i] = block[j + a, b:b + ny, c:c + nx]
-            if radix:
-                gathered = np.zeros((ny, nx), dtype=dtype)
-                for bit in range(8 * dtype.itemsize - 1, -1, -1):
-                    np.bitwise_or(gathered, 1 << bit, out=cand)
-                    np.less(stack, cand, out=less.view(bool))
-                    np.add.reduce(less, axis=0, dtype=count.dtype, out=count)
-                    np.less_equal(count, k, out=mask)
-                    np.left_shift(mask, bit, out=keep, dtype=dtype)
-                    np.bitwise_or(gathered, keep, out=gathered)
+            views = [block[j + a, b:b + ny, c:c + nx] for a, b, c in offsets]
+            if dtype.kind == "u":
+                bufs = views + wires
+                run_network(steps, bufs)
+                outs.append(cast(bufs[kth].copy()))
             else:
+                np.stack(views, out=stack)
                 stack.partition(k, axis=0)
-                gathered = stack[k].copy()
-            outs.append(cast(gathered))
+                outs.append(cast(stack[k].copy()))
     return outs
 
 

@@ -396,7 +396,7 @@ _BOX3 = np.ones((7, 7, 7), dtype=bool)
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=radix_cases())
-# n = 343: the counter outgrows u8, and u16 needs all 16 bit passes
+# n = 343, the largest network (5,232 steps), over halves, the maximum and random values
 @example(case=(U16, _BOX3, _fill(_RNG, U16, "halves", (9, 3, 2))))
 @example(case=(U16, _BOX3, np.full((8, 2, 3), 65535, dtype=np.uint16)))
 @example(case=(U16, _BOX3, _fill(_RNG, U16, "random", (9, 2, 3))))
@@ -412,6 +412,44 @@ def test_radix_select_matches_sort_oracle(case):
         # an output that owns its buffer cannot alias the select's workspaces
         assert out.dtype == ref.dtype and out.base is None and out.flags.owndata
         assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 125, 343])
+def test_selection_network_selects_the_median(n):
+    """The pruned network, run over n read-only inputs and its own slices,
+    leaves the lower median in buffer out, with ties, 0 and the maximum."""
+    k = (n - 1) // 2
+    steps, out, slices = ops.selection_network(n, k)
+    assert slices <= n + 1
+    assert all(i is None or n <= i < n + slices for _, _, lo, hi in steps for i in (lo, hi))
+    rng = np.random.default_rng(n)
+    for dtype in (U8, U16):
+        top = np.iinfo(dtype.np_dtype).max
+        for values in ([0, 1, top - 1, top], [0, top], rng.integers(0, top, 8, endpoint=True)):
+            stack = rng.choice(values, size=(n, 4, 4)).astype(dtype.np_dtype)
+            stack.flags.writeable = False  # the inputs are views of a block
+            bufs = list(stack) + list(np.empty((slices, 4, 4), dtype=dtype.np_dtype))
+            ops.run_network(steps, bufs)
+            assert np.array_equal(bufs[out], np.sort(stack, axis=0)[k])
+
+
+def test_selection_network_of_the_r1_box_is_pruned():
+    steps, _, slices = ops.selection_network(27, 13)
+    assert len(steps) <= 126
+    assert slices == 27 + 1
+
+
+@pytest.mark.parametrize("w", [3, 40])
+def test_median_scratch_is_its_block_and_n_plus_1_slices(w):
+    """Besides the edge-padded block, a 64x64 median call over the r = 1
+    box (n = 27) holds at most n + 1 slices of workspace."""
+    kz, call = _SCRATCH_CALLS["median"]
+    window = _window(np.random.default_rng(73).integers(0, 256, (w, 64, 64), dtype=np.uint8))
+    scratch = ops.Scratch()
+    outs = call(window, 0, w - kz, scratch)
+    assert len(outs) == w - kz + 1
+    scratch.buffers.pop("block")
+    assert sum(b.nbytes for b in scratch.buffers.values()) <= (27 + 1) * 64 * 64
 
 
 # ---------------------------------------------------------------------------

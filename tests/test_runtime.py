@@ -268,6 +268,28 @@ def test_each_ledger_gamma_is_what_its_stage_registers(tmp_path, monkeypatch, ca
     assert rep.peak_bytes <= rep.promised_peak
 
 
+def test_chunk_layers_stop_at_the_volume(tmp_path, monkeypatch):
+    """A chunk edge past the volume adds no bytes to a layer or a slab: a
+    6x5x8 store in 4,5,10 chunks is read through one 240 B layer, which
+    its ledger row prices, and a permute's x slab of 16,16,4 chunks is
+    the 240 B volume."""
+    meta = VolumeMeta(6, 5, 8, U8)
+    assert sio.ChunkGrid(meta, 16, 16, 4).layer_bytes("x") == 240
+    vol = write_input(tmp_path, meta, seed=15, chunks=(4, 5, 10))
+    registered = []
+    register = ALLOC.register_internal
+    monkeypatch.setattr(ALLOC, "register_internal",
+                        lambda n: (registered.append(n), register(n))[1])
+    g = chain(sio.read_chunks_stage(tmp_path / "in", name="src"),
+              sio.write_stage(tmp_path / "out", name="snk"))
+    p = plan(g, Budget(1 << 20, 0), tmpdir=tmp_path, grow_windows=False)
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert registered == [240]
+    assert {r.name: r.gamma for r in p.ledger.rows}["src"] == 240
+    assert rep.peak_bytes <= rep.promised_peak
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), vol)
+
+
 def test_failing_stage_aborts_with_index_and_no_leak(tmp_path):
     meta = VolumeMeta(8, 8, 10, U8)
     write_input(tmp_path, meta, seed=13)
