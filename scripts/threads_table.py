@@ -7,7 +7,9 @@ output per kernel call), and execute_plan runs --repeats times at each
 thread count, the counts interleaved. The table gives the median of each
 run's wall time, CPU time of all threads and voluntary context switches
 (getrusage), so the slice size from which kernel workers pay off stays
-measurable.
+measurable. A stage whose calls fall below runtime.INLINE_WORK runs them
+inline at every thread count; to time the pool at any size, set
+runtime.INLINE_WORK = 0 before calling run().
 """
 
 import argparse

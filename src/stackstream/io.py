@@ -11,24 +11,26 @@ multi-slice file) or a grid of chunk files, described by manifest.txt:
     layout stack | chunks <cx> <cy> <cz>
     <ordered file list>
 
-Writes land under a temporary name and are renamed into place, except a
-planner mid-write: its intermediate volume is one multi-slice file,
-written in place slice by slice. A .partial marker is created before the
-first file and unlinked after the manifest is renamed into place, so an
-interrupted run can never be mistaken for a complete volume. Nothing is
-fsynced, so this holds against a process that dies, not against a power
-loss or an OS crash.
+A sink first makes its directory and a .partial marker. A sink with one
+file per slice or per chunk then creates its files empty, ahead of it
+and in the order it fills them, on one thread of its own, and fills each
+in place: nothing is renamed. A planner mid-write is one multi-slice
+file, also written in place slice by slice. The marker is unlinked only after the
+manifest is written, so the volume, not the file, is the unit that is
+complete or not, and an interrupted run can never be mistaken for a
+complete volume. Nothing is fsynced, so this holds against a process
+that dies, not against a power loss or an OS crash.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
+import threading
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,13 +50,69 @@ def _write_bytes(path: Path, data: bytes):
 
 
 def _atomic_write(directory: Path, name: str, data: bytes):
-    tmp = directory / f".tmp_{name}"
-    try:
-        _write_bytes(tmp, data)
-        os.replace(tmp, directory / name)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Fill one file of a volume in place. Nothing is renamed: the volume's
+    .partial marker, not a rename, is what makes the volume atomic."""
+    _write_bytes(directory / name, data)
+
+
+class _FileCreator:
+    """A sink's files, created empty ahead of it on one thread of its own.
+
+    Within `with`, the thread stage-create creates name(i) in directory
+    for i in range(count), the order in which the sink fills them, and
+    holds no list of them. fill waits on one condition, with no timeout,
+    until the next file exists, then fills it in place. Leaving `with`
+    stops and joins the thread, then unlinks every file it created that
+    was never completely filled. Creating a file costs far more than
+    filling it, and this takes that cost off the pipeline's thread.
+    """
+
+    def __init__(self, directory: Path, name: Callable[[int], str], count: int):
+        self.directory, self.name, self.count = directory, name, count
+        self.cond = threading.Condition()
+        self.created = self.filled = 0
+        self.done = self.stopped = False
+        self.error = None
+        self.thread = threading.Thread(target=self._create, name="stage-create")
+
+    def _create(self):
+        try:
+            for i in range(self.count):
+                if self.stopped:
+                    break
+                os.close(os.open(self.directory / self.name(i),
+                                 os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+                with self.cond:
+                    self.created += 1
+                    self.cond.notify()
+        except OSError as exc:
+            self.error = exc
+        finally:
+            with self.cond:
+                self.done = True
+                self.cond.notify()
+
+    def fill(self, name: str, data: bytes):
+        """Fill the next file in creation order, which must be name."""
+        i = self.filled
+        assert name == self.name(i), f"{name} filled out of file order"
+        with self.cond:
+            self.cond.wait_for(lambda: self.created > i or self.done)
+        if self.created <= i:
+            raise self.error or IOError(
+                f"{self.directory / name}: its creator ended before creating it")
+        _atomic_write(self.directory, name, data)
+        self.filled += 1
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.stopped = True
+        self.thread.join()
+        for i in range(self.filled, self.created):
+            (self.directory / self.name(i)).unlink(missing_ok=True)
 
 
 def _read_file(path: Path, expect: int, what: str) -> bytes:
@@ -149,11 +207,14 @@ class ChunkGrid:
     def chunk_name(self, iz: int, iy: int, ix: int) -> str:
         return f"c_{iz:03d}_{iy:03d}_{ix:03d}.raw"
 
+    def chunk_file(self, i: int) -> str:
+        """Name of the i-th chunk file in file order: by z, then y, then x."""
+        rest, ix = divmod(i, self.gx)
+        iz, iy = divmod(rest, self.gy)
+        return self.chunk_name(iz, iy, ix)
+
     def file_list(self):
-        return [self.chunk_name(iz, iy, ix)
-                for iz in range(self.gz)
-                for iy in range(self.gy)
-                for ix in range(self.gx)]
+        return [self.chunk_file(i) for i in range(self.chunk_count)]
 
     def layer_shape(self, axis: str = "z"):
         """(z, y, x) shape of a buffer for one layer of chunks across axis:
@@ -259,8 +320,9 @@ def open_slice_stream(directory) -> Stream:
 
 def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
                        multipage: bool = False):
-    """Stepwise sink: one raw file per slice, or with multipage one file of
-    them all in z order, written in place; then a manifest.
+    """Stepwise sink: one raw file per slice, created ahead of it by a
+    _FileCreator, or with multipage one file of them all in z order,
+    written in place; then a manifest.
 
     Yields after each written slice so several sinks can be driven in
     lockstep; returns the slice count. Slices are released as they are
@@ -269,17 +331,16 @@ def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / PARTIAL_MARKER).touch()
-    width = _pad_width(meta.depth)
-    files = []
+    name = f"{{:0{_pad_width(meta.depth)}d}}.raw".format
     written = 0
-    with open(directory / STACK_FILE, "wb") if multipage else nullcontext() as stack:
+    with (open(directory / STACK_FILE, "wb") if multipage
+          else _FileCreator(directory, name, meta.depth)) as out:
         while (sl := src.pull()) is not None:
             try:
-                if stack:
-                    stack.write(sl.data.tobytes())
+                if multipage:
+                    out.write(sl.data.tobytes())
                 else:
-                    files.append(f"{written:0{width}d}.raw")
-                    _atomic_write(directory, files[-1], sl.data.tobytes())
+                    out.fill(name(written), sl.data.tobytes())
             finally:
                 release(sl)
             written += 1
@@ -287,7 +348,8 @@ def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
     if written == 0:
         raise IOError(f"{directory}: refusing to write an empty volume")
     save_manifest(directory, VolumeMeta(meta.nx, meta.ny, written, meta.dtype)
-                  if written != meta.depth else meta, [STACK_FILE] if multipage else files)
+                  if written != meta.depth else meta,
+                  [STACK_FILE] if multipage else map(name, range(written)))
     (directory / PARTIAL_MARKER).unlink()
     return written
 
@@ -367,23 +429,24 @@ def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
     ALLOC.register_internal(buf_bytes)
     written = 0
     try:
-        layer = np.zeros(grid.layer_shape(), dtype=grid.meta.dtype.np_dtype)
+        with _FileCreator(directory, grid.chunk_file, grid.chunk_count) as files:
+            layer = np.zeros(grid.layer_shape(), dtype=grid.meta.dtype.np_dtype)
 
-        def flush():  # the layer of the last slice written
-            for (iz, iy, ix), box in grid.boxes(iz=(written - 1) // grid.cz):
-                _atomic_write(directory, grid.chunk_name(iz, iy, ix), layer[box].tobytes())
+            def flush():  # the layer of the last slice written, in file order
+                for (iz, iy, ix), box in grid.boxes(iz=(written - 1) // grid.cz):
+                    files.fill(grid.chunk_name(iz, iy, ix), layer[box].tobytes())
 
-        while (sl := src.pull()) is not None:
-            try:
-                layer[written % grid.cz] = sl.data
-            finally:
-                release(sl)
-            written += 1
-            if written % grid.cz == 0:
+            while (sl := src.pull()) is not None:
+                try:
+                    layer[written % grid.cz] = sl.data
+                finally:
+                    release(sl)
+                written += 1
+                if written % grid.cz == 0:
+                    flush()
+                yield written
+            if written % grid.cz:
                 flush()
-            yield written
-        if written % grid.cz:
-            flush()
     finally:
         ALLOC.unregister_internal(buf_bytes)
     save_manifest(directory, grid.meta, grid.file_list(),

@@ -5,9 +5,12 @@ Stage descriptors become stream transformers here, each composed from the
 whose step turns one window into the stage's new slices, a sink folds its
 windows one per drive step, and a tee or a shared-window branch group is
 one `FanOut`. No stage buffers slices itself, so release-on-close lives in
-`stream` alone. Every stage runs on the calling thread. With threads = 1
-each kernel call runs there too, which is the determinism reference; with
-threads > 1 a kernel stage keeps one window ahead: while call j computes
+`stream` alone. Every stage runs on the calling thread; a sink with one
+file per slice or chunk creates its files ahead of it on one thread of
+its own (`io`). With threads = 1 each kernel call runs on the calling
+thread too, which is the determinism reference, and so does every call
+of a stage whose calls are too small to pay for a handoff (INLINE_WORK).
+Otherwise a kernel stage keeps one window ahead: while call j computes
 on the run's pool of worker threads, the pipeline pulls window j + 1 and
 submits its call, and it builds each call's slices itself in window
 order, so outputs are bit-identical to the reference mode. Whatever
@@ -17,6 +20,7 @@ before control returns: success, planning abort or mid-sweep failure.
 
 from __future__ import annotations
 
+import math
 import shutil
 import threading
 from collections import deque
@@ -187,11 +191,26 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
     return outputs
 
 
+# A kernel stage whose calls each come to fewer output voxels x kernel
+# taps than this runs them on the pipeline thread at any thread count:
+# below it, handing a call to a worker and back costs more than running
+# it alongside the pipeline saves. With every call on the pool, a
+# sigma = 0.8 gaussian (343 taps) took 1.06x the inline time at 192^2
+# (12.6M) and 0.85x at 224^2 (17.2M) on 2 vCPUs (scripts/threads_table.py).
+INLINE_WORK = 1 << 24
+
+
+def _call_work(stage: PlanStage, w: int, out_v: VolumeMeta) -> int:
+    """Output voxels x kernel taps of one kernel call over a w-slice window."""
+    taps = math.prod(ops.record(stage).kernel_dims(stage))
+    return (w - stage.k_z + 1) * out_v.nx * out_v.ny * taps
+
+
 def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                    out_v: VolumeMeta, ctx: RunContext) -> Stream:
     w = min(stage.w, in_meta.depth)
     windows = st.windowed_positions(w, w - stage.k_z + 1, src, "full")
-    if ctx.threads == 1:
+    if ctx.threads == 1 or _call_work(stage, w, out_v) < INLINE_WORK:
         outputs = _kernel_outputs(stage, w, out_v, ctx)
         return _stage(stage, out_v, windows, lambda item: outputs(*item))
     handoff = _ThreadHandoff(stage.name, windows, _kernel_calls(stage, w, out_v), ctx)
@@ -475,7 +494,8 @@ def _mean_steps(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
 
 
 def _sink_count_steps(stage: PlanStage, steps, ctx: RunContext):
-    """Drive an io writer's steps; record the slices written, even on failure."""
+    """Drive an io writer's steps; record the slices written, even on failure,
+    and close the steps, which joins a writer's file-creating thread."""
     written = 0
     try:
         while True:
@@ -486,6 +506,7 @@ def _sink_count_steps(stage: PlanStage, steps, ctx: RunContext):
                 return
             yield
     finally:
+        steps.close()
         ctx.sink_counts.setdefault(stage.name, written)
 
 

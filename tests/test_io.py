@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,6 +158,109 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert (tmp_path / "v" / sio.PARTIAL_MARKER).exists()
     with pytest.raises(PlanningError):
         sio.load_manifest(tmp_path / "v")
+
+
+def _creators_alive():
+    return [t for t in threading.enumerate() if t.name == "stage-create" and t.is_alive()]
+
+
+def _sink(kind, src, directory, meta):
+    """The stepwise sink of kind: one file per slice, or one chunk per slice."""
+    if kind == "write":
+        return sio.write_slices_steps(src, directory, meta)
+    return sio.write_chunks_steps(src, directory, sio.ChunkGrid(meta, meta.nx, meta.ny, 1))
+
+
+def test_squatter_stops_the_sink_at_its_slice(tmp_path):
+    # a directory where slice 3's file goes: creating it fails for any user
+    meta = VolumeMeta(4, 4, 6, U8)
+    (tmp_path / "v" / "003.raw").mkdir(parents=True)
+    src = vol_stream(sio.synth_volume(meta, "random", seed=7), meta)
+    steps = sio.write_slices_steps(src, tmp_path / "v", meta)
+    try:
+        assert [next(steps) for _ in range(3)] == [1, 2, 3]
+        with pytest.raises(OSError):
+            next(steps)
+    finally:
+        steps.close()
+        src.close()
+    assert ALLOC.live_slices == 0
+    assert not _creators_alive()
+    assert sorted(os.listdir(tmp_path / "v")) == [
+        sio.PARTIAL_MARKER, "000.raw", "001.raw", "002.raw", "003.raw"]
+    assert (tmp_path / "v" / "003.raw").is_dir()
+
+
+@pytest.mark.parametrize("kind", ["write", "writeInChunks"])
+def test_failed_fill_leaves_only_the_marker_and_filled_files(tmp_path, monkeypatch, kind):
+    meta = VolumeMeta(4, 4, 6, U8)
+    src = vol_stream(sio.synth_volume(meta, "random", seed=8), meta)
+    calls = {"n": 0}
+    real = sio._write_bytes
+
+    def half_then_full_disk(path, data):
+        calls["n"] += 1
+        if calls["n"] == 4:  # slice 3, half written
+            real(path, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+        real(path, data)
+
+    monkeypatch.setattr(sio, "_write_bytes", half_then_full_disk)
+    try:
+        with pytest.raises(OSError):
+            sio._drain(_sink(kind, src, tmp_path / "v", meta))
+    finally:
+        src.close()
+    assert not _creators_alive()
+    names = ["000.raw", "001.raw", "002.raw"] if kind == "write" else [
+        f"c_{z:03d}_000_000.raw" for z in range(3)]
+    assert sorted(os.listdir(tmp_path / "v")) == [sio.PARTIAL_MARKER] + names
+    assert all((tmp_path / "v" / n).stat().st_size == 16 for n in names)
+
+
+@pytest.mark.parametrize("kind", ["write", "writeInChunks"])
+def test_complete_write_leaves_every_file_filled_and_the_manifest(tmp_path, kind):
+    meta = VolumeMeta(5, 3, 7, U8)
+    vol = sio.synth_volume(meta, "random", seed=9)
+    sio.write_volume(tmp_path / "v", vol, "u8",
+                     chunks=None if kind == "write" else (2, 2, 3))
+    man = sio.load_manifest(tmp_path / "v")
+    files = man.files if kind == "write" else man.file_list()
+    assert len(files) == (7 if kind == "write" else 3 * 2 * 3)
+    assert sorted(os.listdir(tmp_path / "v")) == sorted(files + ["manifest.txt"])
+    assert all((tmp_path / "v" / n).stat().st_size > 0 for n in files)
+    assert np.array_equal(sio.read_volume(tmp_path / "v"), vol)
+
+
+def test_short_stream_leaves_no_unfilled_file(tmp_path):
+    # a stream that ends before its declared depth writes a shorter volume
+    meta = VolumeMeta(4, 4, 6, U8)
+    vol = sio.synth_volume(meta, "random", seed=10)
+    src = vol_stream(vol[:4], meta)
+    assert sio.write_slice_stack(src, tmp_path / "v", meta) == 4
+    assert sorted(os.listdir(tmp_path / "v")) == [
+        "000.raw", "001.raw", "002.raw", "003.raw", "manifest.txt"]
+    assert np.array_equal(sio.read_volume(tmp_path / "v"), vol[:4])
+
+
+@pytest.mark.parametrize("chunks", [None, (4, 4, 1)])
+def test_fills_follow_the_creator_under_rapid_thread_switches(tmp_path, chunks):
+    # a switch every microsecond interleaves the creator and the sink at
+    # every step: a fill that ran ahead of its file's creation, or a count
+    # update lost between them, shows as a missing, empty or wrong file
+    meta = VolumeMeta(4, 4, 200, U8)
+    vol = sio.synth_volume(meta, "random", seed=11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            sio.write_volume(tmp_path / f"v{k}", vol, "u8", chunks=chunks)
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(3):
+        assert np.array_equal(sio.read_volume(tmp_path / f"v{k}"), vol)
+        assert all(p.stat().st_size == 16 for p in (tmp_path / f"v{k}").glob("*.raw"))
+    assert not _creators_alive()
 
 
 def test_multipage_single_file_stack(tmp_path):

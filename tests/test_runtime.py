@@ -625,7 +625,7 @@ def test_truncated_permute_chunk_names_the_file(tmp_path, monkeypatch):
     real = sio._write_bytes
 
     def truncating(path, data):
-        real(path, data[:-1] if path.name.startswith(".tmp_c_") else data)
+        real(path, data[:-1] if path.name.startswith("c_") else data)
 
     monkeypatch.setattr(sio, "_write_bytes", truncating)
     g = chain(sio.read_stage(tmp_path / "in"),
@@ -865,6 +865,101 @@ def test_workers_never_exceed_threads_nor_outlive_the_run(tmp_path, monkeypatch,
     execute_plan(p, threads=threads, tmpdir=tmp_path)
     assert seen and max(seen) <= threads
     assert not [t for t in threading.enumerate() if t.name.startswith("stage-")]
+
+
+def _call_threads(monkeypatch):
+    """The names of the threads that run each gaussian call."""
+    real, names = ops.gaussian_window, []
+
+    def recording(*args, **kw):
+        names.append(threading.current_thread().name)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ops, "gaussian_window", recording)
+    return names
+
+
+def test_small_kernel_calls_run_on_the_pipeline_thread(tmp_path, monkeypatch):
+    # a 16 x 16 call is far below INLINE_WORK: no worker ever starts
+    write_input(tmp_path, VolumeMeta(16, 16, 12, U8), seed=47)
+    names = _call_threads(monkeypatch)
+    _, rep = run_graph(gauss_graph(tmp_path), Budget(1 << 30), threads=2, tmpdir=tmp_path)
+    assert names and set(names) == {threading.current_thread().name}
+    assert rep.within_budget
+
+
+def test_large_kernel_calls_stay_on_the_pool(tmp_path, monkeypatch):
+    # a gaussian sigma = 0.8 call over 256 x 256, as in a chunk-store
+    # workload at threads = 2, is worth a handoff
+    meta = VolumeMeta(256, 256, 8, U8)
+    write_input(tmp_path, meta, seed=48)
+    g = gauss_graph(tmp_path, out="o2")
+    stage = g.node("g")
+    assert runtime._call_work(stage, stage.w, ops.out_meta(stage, meta)) >= runtime.INLINE_WORK
+    names = _call_threads(monkeypatch)
+    run_graph(g, Budget(1 << 30), threads=2, tmpdir=tmp_path)
+    assert names and all(n.startswith("stage-worker") for n in names)
+    run_graph(gauss_graph(tmp_path, out="o1"), Budget(1 << 30), tmpdir=tmp_path)
+    assert np.array_equal(sio.read_volume(tmp_path / "o2"), sio.read_volume(tmp_path / "o1"))
+
+
+@pytest.fixture
+def every_call_on_the_pool(monkeypatch):
+    """Hand every kernel call at threads > 1 to the pool, however small."""
+    monkeypatch.setattr(runtime, "INLINE_WORK", 0)
+
+
+@pytest.mark.parametrize("case", ["kz", "grown", "tee_join", "shared"])
+def test_pool_outputs_bit_identical_to_the_reference(tmp_path, every_call_on_the_pool, case):
+    test_kernel_outputs_bit_identical_at_threads_1_2_4(tmp_path, case)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_pool_workers_never_exceed_threads(tmp_path, monkeypatch, every_call_on_the_pool,
+                                           threads):
+    write_input(tmp_path, VolumeMeta(16, 16, 20, U8), seed=43)
+    real, seen = ops.gaussian_window, []
+
+    def counting(*args, **kw):
+        assert threading.current_thread().name.startswith("stage-worker")
+        seen.append(sum(t.name.startswith("stage-worker") for t in threading.enumerate()))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ops, "gaussian_window", counting)
+    g = chain(sio.read_stage(tmp_path / "in"),
+              *[ops.discrete_gaussian(0.6, name=f"g{i}") for i in range(3)],
+              sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False, concurrent=True)
+    execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert seen and max(seen) <= threads
+
+
+@pytest.mark.parametrize("case", ["kernel", "shared"])
+def test_pool_close_mid_sweep_releases_everything(tmp_path, every_call_on_the_pool, case):
+    test_close_mid_sweep_releases_everything(tmp_path, case, threads=2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_aborted_upstream_joins_the_file_creator(tmp_path, monkeypatch, threads):
+    # deep enough that the creator is still creating files when the kernel fails
+    write_input(tmp_path, VolumeMeta(4, 4, 400, U8), seed=49)
+    real, calls = ops.gaussian_window, {"n": 0}
+
+    def failing(*args, **kw):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise RuntimeError("injected")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ops, "gaussian_window", failing)
+    p = plan(gauss_graph(tmp_path), Budget(1 << 30), tmpdir=tmp_path,
+             grow_windows=False, concurrent=threads > 1)
+    with pytest.raises(StageError):
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert not [t for t in threading.enumerate() if t.name == "stage-create"]
+    # the two slices of the calls before the failing one, and the marker
+    assert sorted(os.listdir(tmp_path / "out")) == [sio.PARTIAL_MARKER, "000.raw", "001.raw"]
+    assert all((tmp_path / "out" / n).stat().st_size == 16 for n in ("000.raw", "001.raw"))
 
 
 def test_midwrite_intermediate_is_one_file(tmp_path, monkeypatch):
