@@ -4,10 +4,14 @@ Estimates are closed-form per stage and purely additive across a pipeline
 (an upper bound that is always sound); the only subtractive entries are
 explicit sharing credits from shared-window branch groups. A plan fits
 when the additive peak plus one fixed overhead allowance per stage stays
-inside the budget. Two repair levers bring an oversized pipeline back
-under budget: resizing sliding windows toward their minima, and splitting
-the chain at a mid-write checkpoint that spills an intermediate volume to
-disk and reads it back.
+inside the budget.
+
+`plan` is one pass. A pipeline over budget is repaired in this order, each
+step only while it still overflows: tee branches share one window, tunable
+windows drop to their minima, and a chain splits at mid-write checkpoints
+that spill an intermediate volume to disk and read it back. Then every
+segment's windows grow into the budget left. A caller that keeps the
+declared windows skips the minima and the growth.
 
 Planning is static: it consumes volume geometry only and never reads a
 voxel, so a plan is explainable before any I/O is spent.
@@ -221,21 +225,33 @@ def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     groups run inline and buy none.
     """
     graph.validate()
-    rows, running, credits, queue_bytes = _segment_rows(graph, meta, 1, concurrent)
-    led = MemoryLedger(rows=rows, budget=budget, volume=meta, credits=credits,
-                       formula_peak=running + queue_bytes,
-                       stage_count=len(graph.nodes), queue_bytes=queue_bytes,
-                       segment_peaks=[running + queue_bytes])
-    _flag_stride_gaps(graph, led)
+    led = _ledger([graph], [meta], budget, concurrent)
     led.verdict = "fits" if led.fits() else "infeasible"
     return led
 
 
-def _flag_stride_gaps(graph: PipelineGraph, led: MemoryLedger):
-    for st in graph.topo_order():
-        if st.s > st.w:
-            led.notes.append(f"stage {st.name} stride {st.s} exceeds window "
-                             f"{st.w} (slice gaps)")
+def _ledger(segments, metas, budget, concurrent) -> MemoryLedger:
+    """The ledger of segments run one after another, each from its meta:
+    its peak is the largest segment peak."""
+    rows = []
+    peaks = []
+    credits = 0
+    queues = 0
+    stages = 0
+    for i, (g, m) in enumerate(zip(segments, metas), start=1):
+        seg_rows, peak, cr, qb = _segment_rows(g, m, i, concurrent)
+        rows.extend(seg_rows)
+        peaks.append(peak + qb)
+        credits += cr
+        queues += qb
+        stages = max(stages, len(g.nodes))
+    led = MemoryLedger(rows=rows, budget=budget, volume=metas[0],
+                       credits=credits, formula_peak=max(peaks),
+                       stage_count=stages, queue_bytes=queues,
+                       segment_peaks=peaks)
+    led.notes += [f"stage {st.name} stride {st.s} exceeds window {st.w} (slice gaps)"
+                  for g in segments for st in g.topo_order() if st.s > st.w]
+    return led
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +291,15 @@ def share_windows(graph: PipelineGraph, group):
     if any(st.op_kind not in KERNEL_OPS for st in members):
         return None
     w = max(st.k_z for st in members)
-    nodes = []
+    new = _copy_graph(graph)
     strides = []
-    for st in graph.nodes:
+    for st in new.nodes:
         if st.name in group:
-            st = copy.copy(st)
-            st.params = dict(st.params)
             st.w = w
             st.s = w - st.k_z + 1
             st.tunable = False
             strides.append(st.s)
-        nodes.append(st)
-    shared = list(graph.shared_windows) + [SharedWindowGroup(tuple(group), w)]
-    new = PipelineGraph(nodes, list(graph.edges), shared_windows=shared)
+    new.shared_windows.append(SharedWindowGroup(tuple(group), w))
     action = RepairAction("share_window", {"group": tuple(group), "w": w,
                                            "strides": tuple(strides)})
     return new, action
@@ -327,14 +339,14 @@ def _minimized(graph: PipelineGraph, meta: VolumeMeta):
 
 
 def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
-                     grow: bool = True, concurrent: bool = False):
+                     concurrent: bool = False):
     """Pick window sizes maximizing memory use subject to the budget.
 
     Larger windows mean fewer, bigger steps, so the objective grows every
     tunable window as far as the ledger allows. Windows start at their
-    minima; if even that overflows the budget, returns None so the caller
-    can fall back to mid-write splits. Ties go to upstream stages, which
-    gate the sweep.
+    minima; if even that overflows the budget, returns None. Ties go to
+    upstream stages, which gate the sweep. The window_resize actions go
+    from the given graph's windows to the grown ones.
 
     Growth is solved, not searched. Every ledger term is affine and
     nondecreasing in each window w (endpoint and pointwise windows, the
@@ -351,20 +363,19 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     led = estimate_pipeline(g, meta, budget, concurrent)
     if not led.fits():
         return None
-    if grow:
-        peak = led.formula_peak
-        limit = budget.cap - led.overhead - 1  # largest peak that fits
-        for st in tunables:
-            w, cap = st.w, caps[st.name]
-            if w >= cap:
-                continue
-            _set_window(st, w + 1)
-            slope = estimate_pipeline(g, meta, budget, concurrent).formula_peak - peak
-            new_w = cap if slope == 0 else min(cap, w + (limit - peak) // slope)
-            _set_window(st, new_w)
-            peak += slope * (new_w - w)
-        if not estimate_pipeline(g, meta, budget, concurrent).fits():
-            raise PlanningError("window solve overshot the budget")
+    peak = led.formula_peak
+    limit = budget.cap - led.overhead - 1  # largest peak that fits
+    for st in tunables:
+        w, cap = st.w, caps[st.name]
+        if w >= cap:
+            continue
+        _set_window(st, w + 1)
+        slope = estimate_pipeline(g, meta, budget, concurrent).formula_peak - peak
+        new_w = cap if slope == 0 else min(cap, w + (limit - peak) // slope)
+        _set_window(st, new_w)
+        peak += slope * (new_w - w)
+    if not estimate_pipeline(g, meta, budget, concurrent).fits():
+        raise PlanningError("window solve overshot the budget")
     original = {st.name: st.w for st in graph.nodes}
     actions = [RepairAction("window_resize",
                             {"stage": st.name, "old_w": original[st.name],
@@ -445,39 +456,23 @@ def insert_midwrites(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
 
 @dataclass
 class Plan:
-    """Executable result of planning: budget-checked pipeline segments."""
+    """Executable result of planning: budget-checked pipeline segments, the
+    volume geometry each one reads, and the ledger that proves them."""
 
     segments: list
     segment_metas: list
-    budget: Budget
     ledger: MemoryLedger
-    actions: list
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        return self.ledger.verdict
+
+    @property
+    def actions(self) -> list:
+        return self.ledger.actions
 
     def render(self) -> str:
         return self.ledger.render()
-
-
-def _combined_ledger(segments, metas, budget, concurrent) -> MemoryLedger:
-    rows = []
-    peaks = []
-    credits = 0
-    queues = 0
-    stages = 0
-    for i, (g, m) in enumerate(zip(segments, metas), start=1):
-        seg_rows, peak, cr, qb = _segment_rows(g, m, i, concurrent)
-        rows.extend(seg_rows)
-        peaks.append(peak + qb)
-        credits += cr
-        queues += qb
-        stages = max(stages, len(g.nodes))
-    led = MemoryLedger(rows=rows, budget=budget, volume=metas[0],
-                       credits=credits, formula_peak=max(peaks),
-                       stage_count=stages, queue_bytes=queues,
-                       segment_peaks=peaks)
-    for g in segments:
-        _flag_stride_gaps(g, led)
-    return led
 
 
 def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None,
@@ -485,81 +480,54 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
          concurrent: bool = False) -> Plan:
     """Prove the pipeline fits the budget, or repair it.
 
-    Repair order: share branch windows, resize windows toward minima, then
-    split the chain at mid-writes. Infeasible is a verdict, not an error.
+    Repair order, each step only while the plan still overflows: share
+    branch windows, take every tunable window at its minimum (with
+    grow_windows off, keep the declared windows), then split the chain
+    at mid-writes; a branched pipeline cannot split. Last, with
+    grow_windows on, every segment's windows grow from their minima into
+    the budget left; a stage gets at most one window_resize action, from
+    its declared window (its minimum in a split chain). Infeasible is a
+    verdict, not an error: the plan keeps the graph with its shared
+    windows, and a note names why.
     """
     graph.validate()
+    meta = meta or graph.source().params.get("meta")
     if meta is None:
-        meta = graph.source().params.get("meta")
-        if meta is None:
-            raise PlanningError("no volume geometry: pass meta or use a read source")
+        raise PlanningError("no volume geometry: pass meta or use a read source")
     actions = []
-    g = graph
-    base = estimate_pipeline(g, meta, budget, concurrent)
-    verdict = "fits" if base.fits() else "infeasible"
-    if verdict != "fits":
-        for group in g.branch_groups():
-            shared = share_windows(g, group)
+    led = estimate_pipeline(graph, meta, budget, concurrent)
+    verdict = "fits"
+    segments = [graph]
+    if not led.fits():
+        for group in graph.branch_groups():
+            shared = share_windows(graph, group)
             if shared is not None:
                 cand, act = shared
-                if estimate_pipeline(cand, meta, budget, concurrent).formula_peak < \
-                        estimate_pipeline(g, meta, budget, concurrent).formula_peak:
-                    g, actions = cand, actions + [act]
-        if estimate_pipeline(g, meta, budget, concurrent).fits():
-            verdict = "repaired"
-    segments = [g]
-    metas = [meta]
-    if verdict == "infeasible" and grow_windows:
-        shrunk = optimize_windows(g, meta, budget, grow=False, concurrent=concurrent)
-        if shrunk is not None:
-            g, resize_actions = shrunk
-            actions += resize_actions
-            segments = [g]
-            verdict = "repaired"
-    if verdict == "infeasible":
-        if g.is_linear():
-            gm = g if not grow_windows else _minimized(g, meta)[0]
-            res = insert_midwrites(gm, meta, budget, tmpdir, concurrent)
-            if res.feasible:
-                actions += res.actions
-                segments = res.segments
-                verdict = "repaired"
-            else:
-                led = estimate_pipeline(g, meta, budget, concurrent)
-                led.verdict = "infeasible"
-                led.notes.append(f"violating stage {res.violating}: no feasible split")
+                cand_led = estimate_pipeline(cand, meta, budget, concurrent)
+                if cand_led.formula_peak < led.formula_peak:
+                    graph, led, actions = cand, cand_led, actions + [act]
+        verdict = "repaired"
+        segments = [graph]
+        least = _minimized(graph, meta)[0] if grow_windows else graph
+        if not estimate_pipeline(least, meta, budget, concurrent).fits():
+            res = (insert_midwrites(least, meta, budget, tmpdir, concurrent)
+                   if graph.is_linear() else None)
+            if res is None or not res.feasible:
+                led.notes.append(
+                    f"violating stage {res.violating}: no feasible split" if res
+                    else "branched pipeline over budget; midwrites apply to chains only")
                 led.actions = actions
-                return Plan([g], [meta], budget, led, actions, "infeasible")
-        else:
-            led = estimate_pipeline(g, meta, budget, concurrent)
-            led.verdict = "infeasible"
-            led.notes.append("branched pipeline over budget; midwrites apply to chains only")
-            led.actions = actions
-            return Plan([g], [meta], budget, led, actions, "infeasible")
-    # recompute metas per segment (midwrites changed the chain heads)
-    metas = []
-    m = meta
-    for seg in segments:
-        src = seg.source()
-        m_in = src.params.get("meta", m)
-        metas.append(m_in)
-        pm = propagate_meta(seg, m_in)
-        last = seg.topo_order()[-1]
-        m = pm[last.name][1]
-    # grow windows inside whatever budget is left, segment by segment
+                return Plan([graph], [meta], led)
+            actions += res.actions
+            segments = res.segments
+    # a segment after a mid-write starts at a mid-read that carries its meta
+    metas = [seg.source().params.get("meta", meta) for seg in segments]
     if grow_windows:
-        grown_segments = []
-        for seg, m_in in zip(segments, metas):
-            res = optimize_windows(seg, m_in, budget, grow=True,
-                                   concurrent=concurrent)
-            if res is None:
-                grown_segments.append(seg)
-            else:
-                seg2, acts = res
-                grown_segments.append(seg2)
-                actions += acts
-        segments = grown_segments
-    ledger = _combined_ledger(segments, metas, budget, concurrent)
+        grown = [optimize_windows(seg, m, budget, concurrent)
+                 for seg, m in zip(segments, metas)]
+        segments = [seg for seg, _ in grown]
+        actions += [act for _, acts in grown for act in acts]
+    ledger = _ledger(segments, metas, budget, concurrent)
     ledger.verdict = verdict
     ledger.actions = actions
-    return Plan(segments, metas, budget, ledger, actions, verdict)
+    return Plan(segments, metas, ledger)

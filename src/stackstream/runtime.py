@@ -152,8 +152,9 @@ def _per_slice(stage: PlanStage, src: Stream, out_v: VolumeMeta, step: Callable,
 def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
     """call_at(t, win) -> (call, last), asked for in window order: call(scratch=)
     gives the output arrays of stage's kernel over the w-slice window
-    starting at z = t, skipping centers an earlier call produced (None when
-    there are none), and last tells whether it reaches the output depth.
+    starting at z = t, skipping centers an earlier call produced, and last
+    tells whether it reaches the output depth. Each window has a new center
+    (windowed_positions' final "full" window, _shared_windows' t = d - w).
     The kernel casts each output itself, rounding its workspace in place."""
     fn = partial(ops.record(stage).window, stage,
                  cast=lambda arr: _cast_array(arr, out_v.dtype, in_place=True))
@@ -163,8 +164,6 @@ def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
     def call_at(t, win):
         nonlocal next_out
         lo = max(t, next_out) - t
-        if lo > hi:
-            return None, False
         next_out = t + hi + 1
         return partial(_guarded, stage, t + lo, fn, win, lo, hi), next_out == out_v.depth
 
@@ -181,8 +180,6 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
 
     def outputs(t, win):
         call, last = call_at(t, win)
-        if call is None:
-            return []
         arrays = call(scratch=scratch)
         if last:
             scratch.close()
@@ -392,7 +389,7 @@ class _ThreadHandoff:
         item = self.windows.pull()
         if item is None:
             return
-        call = self.call_at(*item)[0] or (lambda scratch: [])
+        call = self.call_at(*item)[0]
         scratch = self.free.pop() if self.free else self.ctx.track(ops.Scratch())
         serial = next(self.serials)
         future = self.ctx.pool().submit(self._run, serial, call, scratch)
@@ -600,7 +597,6 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
     for grp in graph.shared_windows:
         for name in grp.members:
             shared_members[name] = grp
-    built = {}
     fans = {}
 
     def upstream_of(name: str) -> Stream:
@@ -645,15 +641,11 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
         return out
 
     def build(name: str) -> Stream:
-        if name in built:
-            return built[name]
+        # only a tee feeds two stages, through its ports: each stage is built once
         if name in shared_members:
             # output produced by the shared group, reached via the tee port
-            s = upstream_of(name)
-        else:
-            s = make(graph.node(name))
-        built[name] = ctx.track(s)
-        return built[name]
+            return ctx.track(upstream_of(name))
+        return ctx.track(make(graph.node(name)))
 
     # a sink's stepper is closed with the streams, so an aborted run ends it
     return [ctx.track(make(sink, sink=True)) for sink in graph.sinks()]

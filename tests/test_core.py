@@ -150,6 +150,14 @@ def test_zip_arity_and_tee_fanout():
         g2.validate()
 
 
+def test_only_a_tee_fans_out():
+    # a stage feeding two stages directly would hand each only some of its slices
+    a, b, c = ops.square(name="a"), ops.square(name="b"), ops.square(name="c")
+    g = PipelineGraph([a, b, c], [("a", "b"), ("a", "c")])
+    with pytest.raises(PlanningError, match="'a' cannot feed 2 stages"):
+        g.validate()
+
+
 def test_chain_and_tee_builders_validate():
     g = chain(ops.square(name="s1"), ops.square(name="s2"))
     g.validate()

@@ -512,6 +512,33 @@ def test_plan_infeasible_verdict():
     assert "violating" in "\n".join(p.ledger.notes)
 
 
+def test_plan_resizes_each_declared_window_once(tmp_path):
+    # declared w = 8 overflows and the minima fit: the grow step takes each
+    # window from its declared size straight to its grown one
+    meta = VolumeMeta(16, 16, 16, U8)
+    g = pointwise_chain(meta, 2, w=8)
+    budget = budget_slices(25, meta, stages=4)
+    assert not estimate_pipeline(g, meta, budget).fits()
+    p = plan(g, budget, tmpdir=tmp_path)
+    assert p.verdict == "repaired"
+    assert p.ledger.fits()
+    assert [a.line() for a in p.actions] == ["window_resize stage=read w=1->16",
+                                             "window_resize stage=f0 w=8->3",
+                                             "window_resize stage=f1 w=8->1"]
+
+
+@pytest.mark.parametrize("grow_windows", [False, True])
+def test_plan_branched_pipeline_over_budget_at_its_minima_is_infeasible(tmp_path,
+                                                                        grow_windows):
+    meta = VolumeMeta(16, 16, 12, F32)
+    g = shared_branch_graph(5, 3, meta)
+    p = plan(g, budget_slices(2, meta, stages=3), tmpdir=tmp_path,
+             grow_windows=grow_windows)
+    assert p.verdict == "infeasible"
+    assert p.ledger.notes == ["branched pipeline over budget; midwrites apply to chains only"]
+    assert "verdict infeasible" in p.render()
+
+
 def test_plan_repairs_branches_by_sharing_windows(tmp_path):
     meta = VolumeMeta(32, 32, 24, F32)
     k, l = 7, 5

@@ -939,6 +939,18 @@ def test_pool_close_mid_sweep_releases_everything(tmp_path, every_call_on_the_po
     test_close_mid_sweep_releases_everything(tmp_path, case, threads=2)
 
 
+def test_pool_failing_call_raises_stage_error_and_releases_everything(
+        tmp_path, monkeypatch, every_call_on_the_pool):
+    # the call at t = 4 fails on a worker: the handoff releases its window
+    # and raises the error on the pipeline thread
+    names = _call_threads(monkeypatch)
+    test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeypatch,
+                                                               threads=2)
+    assert names and all(n.startswith("stage-worker") for n in names)
+    assert ALLOC.live_slices == 0 and ALLOC.internal_bytes == 0
+    assert not [t for t in threading.enumerate() if t.name.startswith("stage-worker")]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_aborted_upstream_joins_the_file_creator(tmp_path, monkeypatch, threads):
     # deep enough that the creator is still creating files when the kernel fails
