@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -332,12 +332,12 @@ ITERATIVE = AlgorithmClass("iterative", "k", "many")
 
 @dataclass
 class PlanStage:
-    """Descriptor of one pipeline stage.
+    """Descriptor of one pipeline stage: only what is set per stage.
 
-    w/s are the slice window and stride. k_z is the kernel
-    depth for windowed kernel stages. `params` carries operator-specific
-    settings (kernels, thresholds, directories). `mem` optionally
-    overrides the planner's built-in estimate formula.
+    w/s are the slice window and stride. k_z is the kernel depth for
+    windowed kernel stages, and the least window of any stage. `params`
+    carries operator-specific settings (kernels, thresholds, directories).
+    All that holds for every stage of a kind is in its `ops.OPS` record.
     """
 
     name: str
@@ -346,10 +346,6 @@ class PlanStage:
     s: int = 1
     k_z: int = 1
     params: dict = field(default_factory=dict)
-    algo_class: AlgorithmClass = SINGLE_PIXEL
-    mem: Optional[Callable[[VolumeMeta], MemEstimate]] = None
-    w_min: int = 1
-    tunable: bool = False
 
     def validate(self):
         if self.w < 1 or self.s < 1:

@@ -34,8 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ALLOC, SINGLE_PIXEL, PlanStage, PlanningError,
-                   VolumeMeta, dtype_by_kind, release)
+from .core import (ALLOC, PlanStage, PlanningError, VolumeMeta, dtype_by_kind,
+                   release)
 from .stream import Stream
 
 MANIFEST = "manifest.txt"
@@ -471,8 +471,7 @@ def read_stage(directory, name: Optional[str] = None) -> PlanStage:
     params = {"dir": str(directory), "meta": man.meta}
     if isinstance(man, ChunkGrid):
         params["chunks"] = (man.cx, man.cy, man.cz)
-    return PlanStage(name=name or "read", op_kind="read", w=1, s=1, params=params,
-                     algo_class=SINGLE_PIXEL, w_min=1, tunable=True)
+    return PlanStage(name=name or "read", op_kind="read", params=params)
 
 
 def read_chunks_stage(directory, name: Optional[str] = None) -> PlanStage:
@@ -481,29 +480,25 @@ def read_chunks_stage(directory, name: Optional[str] = None) -> PlanStage:
         raise PlanningError(f"{directory} is a slice stack; use read")
     return PlanStage(name=name or "readInChunks", op_kind="read_chunks",
                      params={"dir": str(directory), "meta": grid.meta,
-                             "chunks": (grid.cx, grid.cy, grid.cz)},
-                     algo_class=SINGLE_PIXEL)
+                             "chunks": (grid.cx, grid.cy, grid.cz)})
 
 
 def write_stage(directory, name: Optional[str] = None) -> PlanStage:
-    return PlanStage(name=name or "write", op_kind="write", w=1, s=1,
-                     params={"dir": str(directory)}, algo_class=SINGLE_PIXEL,
-                     w_min=1, tunable=True)
+    return PlanStage(name=name or "write", op_kind="write", params={"dir": str(directory)})
 
 
 def write_chunks_stage(directory, chunks=(16, 16, 16),
                        name: Optional[str] = None) -> PlanStage:
-    return PlanStage(name=name or "writeInChunks", op_kind="write_chunks",
-                     params={"dir": str(directory), "chunks": tuple(chunks)},
-                     algo_class=SINGLE_PIXEL)
+    """A write into a chunk store: the write kind, with its chunks in params."""
+    return PlanStage(name=name or "writeInChunks", op_kind="write",
+                     params={"dir": str(directory), "chunks": tuple(chunks)})
 
 
 def initialize_stage(meta: VolumeMeta, kind: str = "zero", value=0, seed=0,
                      name: Optional[str] = None) -> PlanStage:
     return PlanStage(name=name or "initialize", op_kind="initialize",
                      params={"meta": meta, "kind": kind, "value": value,
-                             "seed": seed},
-                     algo_class=SINGLE_PIXEL)
+                             "seed": seed})
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import io as sio
 from .core import (F32, GEOMETRIC, GLOBAL_REDUCTION, LOCAL_NEIGHBOURHOOD,
-                   SINGLE_PIXEL, Dtype, MemEstimate, PlanStage, PlanningError,
-                   VolumeMeta, slice_bytes)
+                   SINGLE_PIXEL, AlgorithmClass, Dtype, MemEstimate, PlanStage,
+                   PlanningError, VolumeMeta, slice_bytes)
 
 # ---------------------------------------------------------------------------
 # kernels, structuring elements, histograms
@@ -516,8 +516,7 @@ def pointwise(fn, w: int = 1, name: Optional[str] = None,
               fn_name: str = "custom") -> PlanStage:
     """Apply a per-slice voxel function; windowed with stride s = w."""
     return PlanStage(name=name or _auto_name("pointwise"), op_kind="pointwise",
-                     w=w, s=w, params={"fn": fn, "fn_name": fn_name},
-                     algo_class=SINGLE_PIXEL, w_min=1, tunable=True)
+                     w=w, s=w, params={"fn": fn, "fn_name": fn_name})
 
 
 def threshold(t, w: int = 1, name: Optional[str] = None) -> PlanStage:
@@ -537,8 +536,7 @@ def _kernel_stage(kind: str, kz: int, w, name, **params) -> PlanStage:
     """A stage over a sliding z-window of w slices, kz (its least) by default."""
     w = kz if w is None else w
     return PlanStage(name=name or _auto_name(kind), op_kind=kind,
-                     w=w, s=w - kz + 1, k_z=kz, params=params,
-                     algo_class=LOCAL_NEIGHBOURHOOD, w_min=kz, tunable=True)
+                     w=w, s=w - kz + 1, k_z=kz, params=params)
 
 
 def convolve(kernel: Kernel3D, w: Optional[int] = None,
@@ -576,7 +574,7 @@ def crop(box, name=None) -> PlanStage:
     if not (x0 < x1 and y0 < y1 and z0 < z1) or min(x0, y0, z0) < 0:
         raise PlanningError(f"invalid crop box {box}")
     return PlanStage(name=name or _auto_name("crop"), op_kind="crop",
-                     params={"box": tuple(box)}, algo_class=GEOMETRIC)
+                     params={"box": tuple(box)})
 
 
 PAD_MODES = ("zero", "clamp")
@@ -589,8 +587,7 @@ def pad(amounts, mode: str = "clamp", name=None) -> PlanStage:
     if len(tuple(amounts)) != 6 or min(amounts) < 0:
         raise PlanningError(f"invalid pad amounts {amounts}")
     return PlanStage(name=name or _auto_name("pad"), op_kind="pad",
-                     params={"amounts": tuple(amounts), "mode": mode},
-                     algo_class=GEOMETRIC)
+                     params={"amounts": tuple(amounts), "mode": mode})
 
 
 PERMUTE_ORDERS = ("xyz", "yxz", "zyx", "xzy", "zxy", "yzx")
@@ -605,8 +602,7 @@ def permute_axes(order: str, name=None, chunk_edge: int = 16) -> PlanStage:
     if order not in PERMUTE_ORDERS:
         raise PlanningError(f"order must be a permutation of xyz, got {order!r}")
     return PlanStage(name=name or _auto_name("permute"), op_kind="permute",
-                     params={"order": order, "chunk_edge": chunk_edge},
-                     algo_class=GEOMETRIC)
+                     params={"order": order, "chunk_edge": chunk_edge})
 
 
 def reslice(axis: str, name=None, chunk_edge: int = 16) -> PlanStage:
@@ -621,8 +617,7 @@ def reslice(axis: str, name=None, chunk_edge: int = 16) -> PlanStage:
 def histogram_op(w: int = 1, value_range=None, out=None, name=None) -> PlanStage:
     """Fold the stream into a voxel histogram; acts as a sink."""
     return PlanStage(name=name or _auto_name("histogram"), op_kind="histogram",
-                     w=w, s=w, params={"value_range": value_range, "out": out},
-                     algo_class=GLOBAL_REDUCTION, w_min=1, tunable=True)
+                     w=w, s=w, params={"value_range": value_range, "out": out})
 
 
 def sampled_mean(stride: int = 1, out=None, name=None) -> PlanStage:
@@ -634,20 +629,17 @@ def sampled_mean(stride: int = 1, out=None, name=None) -> PlanStage:
     if stride < 1:
         raise PlanningError("sampled_mean stride must be >= 1")
     return PlanStage(name=name or _auto_name("mean"), op_kind="sampled_mean",
-                     w=1, s=stride, params={"out": out},
-                     algo_class=GLOBAL_REDUCTION)
+                     w=1, s=stride, params={"out": out})
 
 
 def add_join(name=None) -> PlanStage:
     """Join two branches by voxelwise saturating addition."""
-    return PlanStage(name=name or _auto_name("add"), op_kind="zip_add",
-                     algo_class=SINGLE_PIXEL)
+    return PlanStage(name=name or _auto_name("add"), op_kind="zip_add")
 
 
 def tee(name=None) -> PlanStage:
     """Fan a stream out to parallel branches; shares slices by reference."""
-    return PlanStage(name=name or _auto_name("tee"), op_kind="tee",
-                     algo_class=SINGLE_PIXEL)
+    return PlanStage(name=name or _auto_name("tee"), op_kind="tee")
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +666,7 @@ class Syntax:
 
 @dataclass(frozen=True)
 class OpKind:
-    """What the engine knows about one op kind.
+    """What the engine knows about one op kind, so about every stage of it.
 
     estimate(stage, in_meta, out_meta) is a stage's closed-form ledger
     price, out_meta(stage, meta) the volume geometry downstream of it and
@@ -685,7 +677,9 @@ class OpKind:
     stage's Scratch and passing each output through cast, which gives it
     in the stage's dtype, as soon as it is made; kernel_dims(stage) is the
     kernel's (kx, ky, kz). spec holds the kind's keywords; structural
-    kinds (tee, join) and priced-only ones have none.
+    kinds (tee, join) and priced-only ones have none. algo_class says how
+    the kind streams. The planner grows the window of a tunable kind, one
+    marked `grows` or a kernel kind, from k_z into the budget left.
     """
 
     estimate: Callable
@@ -694,6 +688,12 @@ class OpKind:
     window: Optional[Callable] = None
     kernel_dims: Optional[Callable] = None
     spec: tuple = ()
+    algo_class: AlgorithmClass = SINGLE_PIXEL
+    grows: bool = False
+
+    @property
+    def tunable(self) -> bool:
+        return self.grows or self.window is not None
 
 
 def _source_meta(stage, meta):
@@ -764,7 +764,8 @@ def _kernel_kind(window, kernel_dims, syntax, dtype=None):
     return OpKind(lambda st, m, o: MemEstimate(st.w * slice_bytes(m),
                                                (st.w - st.k_z + 1) * slice_bytes(o), 0),
                   out_meta, batch=lambda st: st.w - st.k_z + 1,
-                  window=window, kernel_dims=kernel_dims, spec=(syntax,))
+                  window=window, kernel_dims=kernel_dims, spec=(syntax,),
+                  algo_class=LOCAL_NEIGHBOURHOOD)
 
 
 def _parse_convolve(get, name):
@@ -821,33 +822,33 @@ def _chunk_layer(stage, meta) -> int:
     return sio.ChunkGrid(meta, *chunks).layer_bytes() if chunks else 0
 
 
-def _io_syntax(keyword, factory):
+def _io_syntax(keyword, factory, prints=lambda st: True):
     return Syntax(keyword, ("dir",), lambda get, name: factory(get("dir"), name=name),
-                  lambda st: f"{keyword} {st.params['dir']}", positional=1)
+                  lambda st: f"{keyword} {st.params['dir']}" if prints(st) else None,
+                  positional=1)
 
 
 #: every op kind the engine plans and runs, keyed by PlanStage.op_kind
 OPS = {
     "read": OpKind(lambda st, m, o: MemEstimate(0, st.w * slice_bytes(o), _chunk_layer(st, o)),
-                   _source_meta, spec=(_io_syntax("read", sio.read_stage),)),
+                   _source_meta, spec=(_io_syntax("read", sio.read_stage),), grows=True),
     "read_chunks": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), _chunk_layer(st, o)),
-                          _source_meta,
-                          spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
+                          _source_meta, spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
     "initialize": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), 0), _source_meta),
-    "write": OpKind(lambda st, m, o: MemEstimate(st.w * slice_bytes(m), 0, 0),
-                    spec=(_io_syntax("write", sio.write_stage),)),
-    "write_chunks": OpKind(
+    # a write holds the one slice it writes, and a chunk store's layer;
+    # one with chunks prints as writeInChunks
+    "write": OpKind(
         lambda st, m, o: MemEstimate(slice_bytes(m), 0, _chunk_layer(st, m)),
-        spec=(Syntax("writeInChunks", ("dir", "chunks"),
+        spec=(_io_syntax("write", sio.write_stage, lambda st: "chunks" not in st.params),
+              Syntax("writeInChunks", ("dir", "chunks"),
                      lambda get, name: sio.write_chunks_stage(
-                         get("dir"), chunks=get("chunks", _numbers(3), (16, 16, 16)),
-                         name=name),
-                     lambda st: (f"writeInChunks {st.params['dir']} chunks="
-                                 + ",".join(str(c) for c in st.params["chunks"])),
-                     positional=1),)),
+                         get("dir"), get("chunks", _numbers(3), (16, 16, 16)), name),
+                     lambda st: "writeInChunks {} chunks={},{},{}".format(
+                         st.params["dir"], *st.params["chunks"]),
+                     positional=1))),
     "pointwise": OpKind(
         lambda st, m, o: MemEstimate(st.w * slice_bytes(m), st.w * slice_bytes(o), 0),
-        batch=lambda st: st.w,
+        batch=lambda st: st.w, grows=True,
         spec=(_pointwise_syntax(
                   "threshold", ("t", "w"),
                   lambda get, name: threshold(get("t", float), w=get("w", int, 1),
@@ -880,16 +881,18 @@ OPS = {
         spec=(Syntax("crop", ("box",),
                      lambda get, name: crop(get("box", _numbers(6)), name=name),
                      lambda st: "crop " + ",".join(str(v) for v in st.params["box"]),
-                     positional=1),)),
+                     positional=1),), algo_class=GEOMETRIC),
     "pad": OpKind(
         lambda st, m, o: MemEstimate(slice_bytes(m), slice_bytes(o), slice_bytes(o)),
-        _pad_meta, spec=(Syntax("pad", ("x", "y", "z", "mode"), _parse_pad, _pad_line),)),
+        _pad_meta, spec=(Syntax("pad", ("x", "y", "z", "mode"), _parse_pad, _pad_line),),
+        algo_class=GEOMETRIC),
     "permute": OpKind(
         _permute_estimate, _permute_meta,
         spec=(Syntax("permute", ("order",),
                      lambda get, name: permute_axes(get("order", _choice(PERMUTE_ORDERS)),
                                                     name=name),
-                     lambda st: f"permute {st.params['order']}", positional=1),)),
+                     lambda st: f"permute {st.params['order']}", positional=1),),
+        algo_class=GEOMETRIC),
     "histogram": OpKind(
         lambda st, m, o: MemEstimate(st.w * slice_bytes(m), 0,
                                      2 * histogram_bin_count(m.dtype)),
@@ -897,8 +900,9 @@ OPS = {
                      lambda get, name: histogram_op(
                          w=get("w", int, 1), value_range=get("range", _numbers(2, float), None),
                          out=get("out", str, None), name=name),
-                     _histogram_line),)),
-    "sampled_mean": OpKind(lambda st, m, o: MemEstimate(slice_bytes(m), 0, 0)),
+                     _histogram_line),), algo_class=GLOBAL_REDUCTION, grows=True),
+    "sampled_mean": OpKind(lambda st, m, o: MemEstimate(slice_bytes(m), 0, 0),
+                           algo_class=GLOBAL_REDUCTION),
     # Priced only. This is the price of the stream.zip functional, which
     # holds one slice of each input and emits the pair itself, and it has
     # no builder: a stream of pairs is no volume a downstream stage or

@@ -52,14 +52,12 @@ def max_width(m: int, k: int, b: int = 1) -> int:
 def estimate_stage(stage: PlanStage, meta: VolumeMeta) -> MemEstimate:
     """Closed-form stage estimate from its input volume geometry.
 
-    A stage's own `mem` wins; otherwise its kind's `ops.OPS` record prices
-    it. Windowed transforms hold w input slices; kernel stages emit the
-    w - k_z + 1 valid centers per step, batch stages emit w. Read/write
-    endpoints are modeled at window granularity. Chunk adapters charge
+    The stage's kind's `ops.OPS` record prices it. Windowed transforms
+    hold w input slices; kernel stages emit the w - k_z + 1 valid centers
+    per step, batch stages emit w. A read is priced at its window of w
+    slices; a write at the one slice it holds. Chunk adapters charge
     their layer assembly buffers as internal bytes.
     """
-    if stage.mem is not None:
-        return stage.mem(meta)
     rec = ops.record(stage)
     return rec.estimate(stage, meta, rec.out_meta(stage, meta))
 
@@ -297,7 +295,6 @@ def share_windows(graph: PipelineGraph, group):
         if st.name in group:
             st.w = w
             st.s = w - st.k_z + 1
-            st.tunable = False
             strides.append(st.s)
     new.shared_windows.append(SharedWindowGroup(tuple(group), w))
     action = RepairAction("share_window", {"group": tuple(group), "w": w,
@@ -321,20 +318,20 @@ def _copy_graph(graph: PipelineGraph) -> PipelineGraph:
 
 
 def _minimized(graph: PipelineGraph, meta: VolumeMeta):
-    """Copy of the graph with every tunable window at its minimum.
+    """Copy of the graph with every tunable window at its minimum, its k_z.
 
-    Returns (graph, tunables, caps): the copy, its tunable stages in topo
-    order (shared-window members stay fixed), and each stage's window cap,
-    the depth of its input volume.
+    Returns (graph, tunables, caps): the copy, its stages whose op record
+    is tunable in topo order (shared-window members stay fixed), and each
+    stage's window cap, the depth of its input volume.
     """
     shared_members = {n for grp in graph.shared_windows for n in grp.members}
     g = _copy_graph(graph)
     metas = propagate_meta(g, meta)
     caps = {st.name: metas[st.name][0].depth for st in g.nodes}
     tunables = [st for st in g.topo_order()
-                if st.tunable and st.name not in shared_members]
+                if ops.record(st).tunable and st.name not in shared_members]
     for st in tunables:
-        _set_window(st, min(st.w_min, caps[st.name]))
+        _set_window(st, min(st.k_z, caps[st.name]))
     return g, tunables, caps
 
 
@@ -343,21 +340,21 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     """Pick window sizes maximizing memory use subject to the budget.
 
     Larger windows mean fewer, bigger steps, so the objective grows every
-    tunable window as far as the ledger allows. Windows start at their
-    minima; if even that overflows the budget, returns None. Ties go to
-    upstream stages, which gate the sweep. The window_resize actions go
-    from the given graph's windows to the grown ones.
+    tunable window (reads, pointwise stages, histograms and kernels, as
+    their op records say) as far as the ledger allows. Windows start at
+    their minima, each stage's k_z; if even that overflows the budget,
+    returns None. Ties go to upstream stages, which gate the sweep. Each
+    window_resize action goes from a given window to its grown one.
 
     Growth is solved, not searched. Every ledger term is affine and
-    nondecreasing in each window w (endpoint and pointwise windows, the
-    w - k_z + 1 kernel outputs, the concurrent window step), and a
-    custom estimate sees only geometry. So growing one window never frees
-    room for another, and the slice-by-slice greedy (give the next slice
-    to the first stage it still fits) ends exactly where this does: take
-    the stages upstream first and give each the largest window that fits,
-    up to its input depth. The slope peak(w + 1) - peak(w), one ledger
-    evaluation per stage, divides the remaining headroom; one final
-    evaluation proves the result fits.
+    nondecreasing in each window w (read and pointwise windows, the
+    w - k_z + 1 kernel outputs, the concurrent window step). So growing
+    one window never frees room for another, and the slice-by-slice
+    greedy (give the next slice to the first stage it still fits) ends
+    exactly where this does: take the stages upstream first and give each
+    the largest window that fits, up to its input depth. The slope
+    peak(w + 1) - peak(w), one ledger evaluation per stage, divides the
+    remaining headroom; one final evaluation proves the result fits.
     """
     g, tunables, caps = _minimized(graph, meta)
     led = estimate_pipeline(g, meta, budget, concurrent)
@@ -385,13 +382,11 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
 
 
 def _mk_mid_read(path: str, meta: VolumeMeta, idx: int) -> PlanStage:
-    return PlanStage(name=f"midread{idx}", op_kind="read", w=1, s=1,
-                     params={"dir": path, "meta": meta}, w_min=1, tunable=True)
+    return PlanStage(f"midread{idx}", "read", params={"dir": path, "meta": meta})
 
 
 def _mk_mid_write(path: str, idx: int) -> PlanStage:
-    return PlanStage(name=f"midwrite{idx}", op_kind="write", w=1, s=1,
-                     params={"dir": path, "internal": True}, w_min=1, tunable=True)
+    return PlanStage(f"midwrite{idx}", "write", params={"dir": path, "internal": True})
 
 
 @dataclass
@@ -486,7 +481,7 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
     at mid-writes; a branched pipeline cannot split. Last, with
     grow_windows on, every segment's windows grow from their minima into
     the budget left; a stage gets at most one window_resize action, from
-    its declared window (its minimum in a split chain). Infeasible is a
+    its declared window, in a split chain too. Infeasible is a
     verdict, not an error: the plan keeps the graph with its shared
     windows, and a note names why.
     """
@@ -520,6 +515,11 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
                 return Plan([graph], [meta], led)
             actions += res.actions
             segments = res.segments
+            # the split ran on the minima; as growth starts from them, each
+            # stage carries its declared window into it, to be listed from it
+            declared = {st.name: (st.w, st.s) for st in graph.nodes}
+            for st in (st for seg in segments for st in seg.nodes):
+                st.w, st.s = declared.get(st.name, (st.w, st.s))
     # a segment after a mid-write starts at a mid-read that carries its meta
     metas = [seg.source().params.get("meta", meta) for seg in segments]
     if grow_windows:

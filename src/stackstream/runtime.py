@@ -549,10 +549,9 @@ _BUILDERS = {
     "permute": _Builder(
         1, lambda stg, ins, i, o, ctx: _permute_stream(stg, ins[0], i, o, ctx)),
     "zip_add": _Builder(2, lambda stg, ins, i, o, ctx: _zip_add_stream(stg, *ins, o)),
-    "write": _Builder(1, lambda stg, ins, i, o, ctx: _write_steps(stg, ins[0], o, ctx),
-                      sink=True),
-    "write_chunks": _Builder(
-        1, lambda stg, ins, i, o, ctx: _write_chunks_steps(stg, ins[0], o, ctx), sink=True),
+    "write": _Builder(1, lambda stg, ins, i, o, ctx: (
+        _write_chunks_steps if "chunks" in stg.params else _write_steps)(stg, ins[0], o, ctx),
+        sink=True),
     "histogram": _Builder(
         1, lambda stg, ins, i, o, ctx: _histogram_steps(stg, ins[0], i, ctx), sink=True),
     "sampled_mean": _Builder(
@@ -703,8 +702,9 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
                  seed: int = 0) -> RunReport:
     """Run every segment of a plan and report instrumented usage.
 
-    Midwrite intermediates live under tmpdir and are removed afterwards.
-    All slices are released by the time this returns, even on failure.
+    A run makes each mid-write directory before its first segment and
+    removes only those; one that already exists is an error, left as it
+    is. All slices are released by the time this returns, even on failure.
     """
     if plan.verdict == "infeasible":
         raise PlanningError("refusing to execute an infeasible plan")
@@ -713,8 +713,11 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
     tmpdir = Path(tmpdir) if tmpdir is not None else Path(".")
     ctx = RunContext(tmpdir=tmpdir, threads=threads, seed=seed)
     ALLOC.reset_peaks()
-    mid_dirs = [a.detail["path"] for a in plan.actions if a.kind == "midwrite"]
+    made = []  # the mid-write directories this run made, and so removes
     try:
+        for d in (Path(a.detail["path"]) for a in plan.actions if a.kind == "midwrite"):
+            d.mkdir(parents=True)  # FileExistsError names a path already there
+            made.append(d)
         for seg, seg_meta in zip(plan.segments, plan.segment_metas):
             steppers = _build_segment(seg, seg_meta, ctx)
             try:
@@ -724,7 +727,7 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
                 ctx.streams.clear()
     finally:
         ctx.close_all()
-        for d in mid_dirs:
+        for d in made:
             shutil.rmtree(d, ignore_errors=True)
     sources = [(name, s.pulls, getattr(s, "counters", {}).get("opens", s.pulls))
                for name, s in ctx.sources]

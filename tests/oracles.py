@@ -16,7 +16,7 @@ import copy
 import numpy as np
 
 from stackstream.core import PipelineGraph
-from stackstream.ops import KERNEL_OPS
+from stackstream.ops import KERNEL_OPS, OPS
 from stackstream.planner import RepairAction, estimate_pipeline, propagate_meta
 
 
@@ -155,12 +155,13 @@ def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def greedy_windows(graph: PipelineGraph, meta, budget, concurrent=False):
     """Window growth by stepping: one slice at a time, first fit wins.
 
-    Starts every tunable window (shared-window members excepted) at its
-    minimum and returns None when that overflows. Then it repeatedly
-    gives one more slice to the first tunable stage, in topo order, whose
-    grown window is within its input depth and still fits, re-pricing the
-    whole ledger after every step, until no stage can grow. Returns
-    (graph, window_resize actions) like planner.optimize_windows.
+    Starts every tunable window (as its op record says; shared-window
+    members excepted) at its minimum, its k_z, and returns None when that
+    overflows. Then it repeatedly gives one more slice to the first
+    tunable stage, in topo order, whose grown window is within its input
+    depth and still fits, re-pricing the whole ledger after every step,
+    until no stage can grow. Returns (graph, window_resize actions) like
+    planner.optimize_windows.
     """
     def set_window(st, w):
         st.w = w
@@ -180,9 +181,9 @@ def greedy_windows(graph: PipelineGraph, meta, budget, concurrent=False):
     metas = propagate_meta(g, meta)
     caps = {st.name: metas[st.name][0].depth for st in g.nodes}
     tunables = [st for st in g.topo_order()
-                if st.tunable and st.name not in shared]
+                if OPS[st.op_kind].tunable and st.name not in shared]
     for st in tunables:
-        set_window(st, min(st.w_min, caps[st.name]))
+        set_window(st, min(st.k_z, caps[st.name]))
     if not fits():
         return None
     grown = True

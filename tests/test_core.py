@@ -109,11 +109,10 @@ def test_algorithm_class_invariant():
 
 
 def test_single_pixel_stage_metadata():
-    st = ops.threshold(10)
-    assert st.algo_class.kind == "single-pixel"
-    assert st.algo_class.z_window == 1 and st.algo_class.sweeps == 1
-    st = ops.median_filter(1)
-    assert st.algo_class.kind == "local-neighbourhood"
+    klass = ops.record(ops.threshold(10)).algo_class
+    assert klass.kind == "single-pixel"
+    assert klass.z_window == 1 and klass.sweeps == 1
+    assert ops.record(ops.median_filter(1)).algo_class.kind == "local-neighbourhood"
 
 
 def test_graph_rejects_cycles():

@@ -21,13 +21,12 @@ SB = slice_bytes(META64)
 
 def mk_read(meta, name="read"):
     return PlanStage(name=name, op_kind="read", w=1, s=1,
-                     params={"dir": "unused", "meta": meta},
-                     w_min=1, tunable=True)
+                     params={"dir": "unused", "meta": meta})
 
 
 def mk_write(name="write"):
     return PlanStage(name=name, op_kind="write", w=1, s=1,
-                     params={"dir": "unused"}, w_min=1, tunable=True)
+                     params={"dir": "unused"})
 
 
 def budget_slices(n, meta, stages, extra=1):
@@ -106,13 +105,6 @@ def test_estimate_pointwise_w1_bytes():
 def test_estimate_unknown_op_rejected():
     with pytest.raises(PlanningError):
         estimate_stage(PlanStage(name="x", op_kind="mystery"), META64)
-
-
-def test_stage_mem_override_wins():
-    from stackstream.core import MemEstimate
-    st = ops.square(name="p")
-    st.mem = lambda meta: MemEstimate(1, 2, 3)
-    assert estimate_stage(st, META64).total() == 6
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +471,12 @@ def test_deep_chain_plans_in_linear_ledger_calls(monkeypatch):
 
     monkeypatch.setattr(planner, "estimate_pipeline", counting)
     p = plan(g, Budget(1 << 40))
-    tunables = sum(st.tunable for st in g.nodes)
-    assert tunables == 10
+    tunables = sum(ops.record(st).tunable for st in g.nodes)
+    assert tunables == 9
     assert calls["n"] <= 2 * tunables + 4  # the stepping greedy made 20,396
     # 1 TiB holds every window at its input depth
     assert [st.w for st in p.segments[0].topo_order()] == \
-        [2048, 2048, 2046, 2044, 2044, 2044, 2038, 2036, 2036, 2034]
+        [2048, 2048, 2046, 2044, 2044, 2044, 2038, 2036, 2036, 1]
 
 
 def test_plan_repairs_with_resize_then_midwrite(tmp_path):
@@ -525,6 +517,26 @@ def test_plan_resizes_each_declared_window_once(tmp_path):
     assert [a.line() for a in p.actions] == ["window_resize stage=read w=1->16",
                                              "window_resize stage=f0 w=8->3",
                                              "window_resize stage=f1 w=8->1"]
+
+
+def test_split_chain_lists_each_declared_window_resize(tmp_path):
+    # the split is found on the minima, and each stage is still listed
+    # resized from its declared w = 8
+    meta = VolumeMeta(16, 16, 16, U8)
+    p = plan(pointwise_chain(meta, 4, w=8), budget_slices(6, meta, stages=6),
+             tmpdir=tmp_path)
+    assert p.verdict == "repaired"
+    assert [a.line() for a in p.actions] == [
+        f"midwrite after f2 path={tmp_path}/mid0 extra_io=8192 B",
+        "window_resize stage=read w=1->3",
+        "window_resize stage=f0 w=8->1",
+        "window_resize stage=f1 w=8->1",
+        "window_resize stage=f2 w=8->1",
+        "window_resize stage=midread0 w=1->15",
+        "window_resize stage=f3 w=8->1"]
+    assert [[(st.name, st.w) for st in seg.topo_order()] for seg in p.segments] == [
+        [("read", 3), ("f0", 1), ("f1", 1), ("f2", 1), ("midwrite0", 1)],
+        [("midread0", 15), ("f3", 1), ("write", 1)]]
 
 
 @pytest.mark.parametrize("grow_windows", [False, True])

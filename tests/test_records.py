@@ -26,7 +26,7 @@ def _parse_maxfilter(get, name):
     se = ops.StructuringElement.box(get("r", int, 1))
     w = get("w", int, None) or se.k_z
     return PlanStage(name=name, op_kind="maxfilter", w=w, s=w - se.k_z + 1,
-                     k_z=se.k_z, params={"se": se}, w_min=se.k_z, tunable=True)
+                     k_z=se.k_z, params={"se": se})
 
 
 MAXFILTER = ops.OpKind(

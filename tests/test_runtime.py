@@ -1,8 +1,10 @@
 import gc
 import os
+import re
 import threading
 import weakref
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,16 +426,16 @@ def test_sweep_counts_match_class_metadata(tmp_path):
         (ops.permute_axes("zyx", name="op", chunk_edge=4), "geometric", 2),
     ]
     for stage, klass, sweeps in cases:
-        assert stage.algo_class.kind == klass
+        assert ops.record(stage).algo_class.kind == klass
         g = chain(sio.read_stage(tmp_path / "in"), stage,
                   sio.write_stage(tmp_path / "out"))
         _, rep = run_graph(g, Budget(1 << 30), tmpdir=tmp_path)
         assert dict(rep.sweeps)["op"] == sweeps
         (_, pulls, _), = rep.sources
         assert pulls == meta.depth  # one pass over the source per sweep plan
-    hist = ops.histogram_op(name="op")
-    assert hist.algo_class.kind == "global-reduction"
-    assert hist.algo_class.sweeps == "<=1"
+    hist = ops.record(ops.histogram_op(name="op")).algo_class
+    assert hist.kind == "global-reduction"
+    assert hist.sweeps == "<=1"
 
 
 def test_shared_group_three_branches(tmp_path):
@@ -523,6 +525,62 @@ def test_threaded_midwrite_plan_respects_concurrent_ledger(tmp_path):
     rep = execute_plan(p, threads=4, tmpdir=tmp_path)
     assert rep.leaked_slices == 0
     assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+
+
+@pytest.mark.parametrize("roomy", [True, False])
+@pytest.mark.parametrize("sink", ["write", "writeInChunks"])
+def test_a_write_holds_one_slice(tmp_path, sink, roomy):
+    # a write keeps w = 1 on any budget, and its row is the one slice it
+    # holds plus its chunk layer; the tight budget splits the chain, so the
+    # mid-write is checked too
+    meta = VolumeMeta(16, 16, 12, U8)
+    write_input(tmp_path, meta, seed=47)
+    out = (sio.write_chunks_stage(tmp_path / "out", chunks=(8, 8, 4))
+           if sink == "writeInChunks" else sio.write_stage(tmp_path / "out"))
+    g = chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.8, name="g"),
+              ops.square(name="f0"), ops.square(name="f1"), out)
+    eps = 256
+    cap = 1 << 40 if roomy else 11 * slice_bytes(meta) + 6 * eps + 1
+    p = plan(g, Budget(cap, eps), tmpdir=tmp_path)
+    writes = {st.name: st for seg in p.segments for st in seg.nodes if st.op_kind == "write"}
+    assert sorted(writes) == ([out.name] if roomy else ["midwrite0", out.name])
+    assert not [a for a in p.actions
+                if a.kind == "window_resize" and a.detail["stage"] in writes]
+    out_in = VolumeMeta(16, 16, 6, U8)  # what the sink takes: the 7-deep gaussian's output
+    layer = sio.ChunkGrid(out_in, 8, 8, 4).layer_bytes() if sink == "writeInChunks" else 0
+    rows = {r.name: r for r in p.ledger.rows if r.name in writes}
+    assert {n: (st.w, rows[n].alpha, rows[n].beta, rows[n].gamma) for n, st in writes.items()} \
+        == {n: (1, slice_bytes(meta), 0, layer if n == out.name else 0) for n in writes}
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0
+    assert rep.peak_bytes <= rep.promised_peak
+
+
+def test_a_run_leaves_a_midwrite_directory_it_did_not_make(tmp_path):
+    meta = VolumeMeta(12, 12, 8, U8)
+    vol = write_input(tmp_path, meta, seed=48)
+    g = chain(sio.read_stage(tmp_path / "in"),
+              *[ops.square(name=f"f{i}") for i in range(4)],
+              sio.write_stage(tmp_path / "out"))
+    eps = 128
+    tmp = tmp_path / "tmp"
+    p = plan(g, Budget(9 * slice_bytes(meta) + 6 * eps + 1, eps), tmpdir=tmp)
+    (mid,) = [Path(a.detail["path"]) for a in p.actions if a.kind == "midwrite"]
+    mid.mkdir(parents=True)
+    (mid / "important.txt").write_text("keep")
+    with pytest.raises(FileExistsError, match=re.escape(str(mid))):
+        execute_plan(p, tmpdir=tmp)
+    assert (mid / "important.txt").read_text() == "keep"
+    assert not (tmp_path / "out").exists()
+    # with the path free, the run makes it and then removes only that
+    (mid / "important.txt").unlink()
+    mid.rmdir()
+    (tmp / "other.txt").write_text("keep")
+    execute_plan(p, tmpdir=tmp)
+    assert os.listdir(tmp) == ["other.txt"]
+    for _ in range(4):  # four saturating squares
+        vol = np.minimum(vol.astype(np.int64) ** 2, 255).astype(np.uint8)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), vol)
 
 
 # ---------------------------------------------------------------------------

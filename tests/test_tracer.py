@@ -1,0 +1,55 @@
+"""perfbench/tracer.py installs on the engine: every name it wraps exists,
+so renaming one fails here, not only in the benchmark's traced run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from stackstream import io as sio, ops, planner, runtime, stream
+from stackstream.core import ALLOC, U8, Budget, VolumeMeta, chain, slice_bytes
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_seam_and_puts_each_back(tmp_path):
+    tracer_mod = load_tracer()
+    meta = VolumeMeta(16, 16, 12, U8)
+    sio.write_volume(tmp_path / "in", sio.synth_volume(meta, "random", seed=49), "u8")
+
+    def graph(out):
+        return chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.8, name="g"),
+                     ops.square(name="f0"), ops.square(name="f1"),
+                     sio.write_chunks_stage(tmp_path / out, chunks=(8, 8, 4), name="snk"))
+
+    eps = 256
+    tight = Budget(11 * slice_bytes(meta) + 6 * eps + 1, eps)  # splits at a mid-write
+    seams = [(runtime, "_write_steps"), (runtime, "_write_chunks_steps"),
+             (runtime, "execute_plan"), (sio, "_atomic_write"), (ops, "gaussian_window"),
+             (planner, "plan"), (planner, "optimize_windows"), (stream.Stream, "pull")]
+    before = [getattr(owner, name) for owner, name in seams]
+    tracer = tracer_mod.Tracer(str(tmp_path / "mid"), [])
+    tracer.reset(graph("out"))
+    try:
+        tracer.install(planner, runtime, ops, stream, sio, ALLOC)
+        p = planner.plan(graph("out"), tight, tmpdir=str(tmp_path / "mid"))
+        runtime.execute_plan(p, tmpdir=tmp_path / "mid")
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, name) for owner, name in seams] == before
+    assert "open" not in vars(sio)
+    names = {rec[tracer_mod.NAME] for rec in tracer.spans}
+    assert {"planner.plan", "planner.insert_midwrites", "runtime.execute_plan",
+            "ops.gaussian_window", "io.write", "runtime.sink"} <= names
+    # both writes, the chunk sink and the mid-write, run through the wrapped steps
+    assert {rec[tracer_mod.STAGE] for rec in tracer.spans
+            if rec[tracer_mod.NAME] == "runtime.sink"} == {"midwrite0", "snk"}
+    runtime.run_graph(graph("ref"), Budget(1 << 30), tmpdir=tmp_path)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), sio.read_volume(tmp_path / "ref"))
