@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -274,18 +275,19 @@ def _io_report(graph, seed) -> str:
     return layout_report(meta, grid, kd, seed=seed)
 
 
-def _plan(args):
-    """Parse the spec and plan it with the command's options."""
+def _plan(args, tmpdir):
+    """Parse the spec and plan it with the command's options, its
+    mid-writes under tmpdir."""
     graph, budget = _load_spec(args.spec)
     if args.epsilon is not None:
         budget = Budget(budget.cap, args.epsilon)
-    return graph, make_plan(graph, budget, tmpdir=_tmpdir(args),
+    return graph, make_plan(graph, budget, tmpdir=tmpdir,
                             grow_windows=not args.force_exact_windows,
                             concurrent=args.threads > 1)
 
 
 def cmd_plan(args) -> int:
-    graph, p = _plan(args)
+    graph, p = _plan(args, _tmpdir(args))
     print(p.render())
     if args.io:
         print(_io_report(graph, args.seed))
@@ -293,16 +295,19 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _, p = _plan(args)
-    if p.verdict == "infeasible":
-        print(p.render())
-        return 2
+    """Plan and execute in a directory of the run's own under the tmpdir,
+    so that runs sharing a tmpdir never meet, and remove it after."""
+    root = Path(_tmpdir(args))
+    root.mkdir(parents=True, exist_ok=True)
+    work = tempfile.mkdtemp(prefix="stackstream-", dir=root)
     try:
-        report = execute_plan(p, threads=args.threads, tmpdir=_tmpdir(args),
-                              seed=args.seed)
-    except (IOError, OSError) as exc:
-        print(f"runtime I/O failure: {exc}", file=sys.stderr)
-        return 3
+        _, p = _plan(args, work)
+        if p.verdict == "infeasible":
+            print(p.render())
+            return 2
+        report = execute_plan(p, threads=args.threads, tmpdir=work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     print(p.render())
     print(report.render())
     if report.leaked_slices:
@@ -351,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="1 = reference in-order mode, >1 = pipelined stages")
         p.add_argument("--tmpdir", default=None,
-                       help=f"midwrite scratch dir (or ${TMPDIR_ENV})")
-        p.add_argument("--seed", type=int, default=0)
+                       help=f"scratch dir for mid-writes and spills (or ${TMPDIR_ENV})")
         p.add_argument("--epsilon", type=int, default=None,
                        help="per-stage overhead allowance in bytes")
         p.add_argument("--force-exact-windows", action="store_true",
@@ -361,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("plan", help="estimate memory and print the ledger")
     common(pp)
     pp.add_argument("--io", action="store_true", help="append the I/O cost table")
+    pp.add_argument("--seed", type=int, default=0)
     pp.set_defaults(fn=cmd_plan)
 
     pr = sub.add_parser("run", help="plan, execute and report")
@@ -400,6 +405,9 @@ def main(argv=None) -> int:
         return 2
     except StageError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"runtime I/O failure: {exc}", file=sys.stderr)
         return 3
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

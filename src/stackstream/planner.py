@@ -3,8 +3,8 @@
 Estimates are closed-form per stage and purely additive across a pipeline
 (an upper bound that is always sound); the only subtractive entries are
 explicit sharing credits from shared-window branch groups. A plan fits
-when the additive peak plus one fixed overhead allowance per stage stays
-inside the budget.
+when each of its segments does: its additive peak plus one fixed overhead
+allowance per stage stays inside the budget.
 
 `plan` is one pass. A pipeline over budget is repaired in this order, each
 step only while it still overflows: tee branches share one window, tunable
@@ -105,13 +105,20 @@ class LedgerRow:
 
 @dataclass
 class MemoryLedger:
-    """Per-stage accounting the planner proves and the runtime verifies."""
+    """Per-stage accounting the planner proves and the runtime verifies.
+
+    formula_peak, the promise, is the largest segment peak. overhead is
+    what the gate adds to it: the gate is the largest segment peak plus
+    that segment's stage_count allowances, so the plan fits when each
+    segment does.
+    """
 
     rows: list
     budget: Budget
     volume: VolumeMeta
     credits: int = 0
     formula_peak: int = 0
+    overhead: int = 0
     stage_count: int = 0
     queue_bytes: int = 0
     verdict: str = "fits"
@@ -122,10 +129,6 @@ class MemoryLedger:
     @property
     def peak_estimate(self) -> int:
         return self.formula_peak
-
-    @property
-    def overhead(self) -> int:
-        return self.stage_count * self.budget.overhead_epsilon
 
     def fits(self) -> bool:
         return self.formula_peak + self.overhead < self.budget.cap
@@ -230,23 +233,24 @@ def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
 
 def _ledger(segments, metas, budget, concurrent) -> MemoryLedger:
     """The ledger of segments run one after another, each from its meta:
-    its peak is the largest segment peak."""
+    its peak is the largest segment peak, and its gate the largest segment
+    peak plus allowances, on a tie the one with the larger peak."""
     rows = []
     peaks = []
     credits = 0
     queues = 0
-    stages = 0
     for i, (g, m) in enumerate(zip(segments, metas), start=1):
         seg_rows, peak, cr, qb = _segment_rows(g, m, i, concurrent)
         rows.extend(seg_rows)
         peaks.append(peak + qb)
         credits += cr
         queues += qb
-        stages = max(stages, len(g.nodes))
+    gate, _, stages = max((p + len(g.nodes) * budget.overhead_epsilon, p, len(g.nodes))
+                          for p, g in zip(peaks, segments))
     led = MemoryLedger(rows=rows, budget=budget, volume=metas[0],
                        credits=credits, formula_peak=max(peaks),
-                       stage_count=stages, queue_bytes=queues,
-                       segment_peaks=peaks)
+                       overhead=gate - max(peaks), stage_count=stages,
+                       queue_bytes=queues, segment_peaks=peaks)
     led.notes += [f"stage {st.name} stride {st.s} exceeds window {st.w} (slice gaps)"
                   for g in segments for st in g.topo_order() if st.s > st.w]
     return led

@@ -4,12 +4,15 @@ Stage descriptors become stream transformers here, each composed from the
 `stream` functionals: a stage is flatten(map(step, windowed_positions(...)))
 whose step turns one window into the stage's new slices, a sink folds its
 windows one per drive step, and a tee or a shared-window branch group is
-one `FanOut`. No stage buffers slices itself, so release-on-close lives in
-`stream` alone. Every stage runs on the calling thread; a sink with one
-file per slice or chunk creates its files ahead of it on one thread of
-its own (`io`). With threads = 1 each kernel call runs on the calling
-thread too, which is the determinism reference, and so does every call
-of a stage whose calls are too small to pay for a handoff (INLINE_WORK).
+one `FanOut`. A segment is wired in one pass over its topological order,
+each stage built once from what its predecessors left for it. No stage
+buffers slices itself, so release-on-close lives in `stream` alone. A
+z-moving permute spills to a directory of its own under the run's tmpdir.
+Every stage runs on the calling thread; a sink with one file per slice or
+chunk creates its files ahead of it on one thread of its own (`io`). With
+threads = 1 each kernel call runs on the calling thread too, which is the
+determinism reference, and so does every call of a stage whose calls are
+too small to pay for a handoff (INLINE_WORK).
 Otherwise a kernel stage keeps one window ahead: while call j computes
 on the run's pool of worker threads, the pipeline pulls window j + 1 and
 submits its call, and it builds each call's slices itself in window
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import shutil
+import tempfile
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -57,23 +61,16 @@ def _cast_array(arr: np.ndarray, dtype: Dtype, in_place: bool = False) -> np.nda
 class RunContext:
     tmpdir: Path
     threads: int = 1
-    seed: int = 0
     results: dict = field(default_factory=dict)
     sources: list = field(default_factory=list)     # (name, stream)
     sink_counts: dict = field(default_factory=dict)
     stage_sweeps: dict = field(default_factory=dict)
     streams: list = field(default_factory=list)     # everything closable
-    _tmp_serial: int = 0
     _pool: Optional[ThreadPoolExecutor] = None
 
     def track(self, s):
         self.streams.append(s)
         return s
-
-    def new_tmp(self, label: str) -> Path:
-        self._tmp_serial += 1
-        p = Path(self.tmpdir) / f"{label}_{self._tmp_serial}"
-        return p
 
     def pool(self) -> ThreadPoolExecutor:
         """The run's `threads` kernel workers, started on first use."""
@@ -87,6 +84,7 @@ class RunContext:
                 s.close()
             except Exception:
                 pass
+        self.streams.clear()
         if self._pool is not None:  # joins every worker, with no timeout
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
@@ -96,9 +94,9 @@ class RunContext:
 # stage stream builders
 # ---------------------------------------------------------------------------
 
-def _initialize_stream(stage: PlanStage, ctx: RunContext) -> Stream:
+def _initialize_stream(stage: PlanStage) -> Stream:
     meta = stage.params["meta"]
-    rng = np.random.default_rng(stage.params.get("seed", ctx.seed))
+    rng = np.random.default_rng(stage.params.get("seed", 0))
     smeta = meta.slice_meta
     gen_kind = stage.params.get("kind", "constant")
     value = stage.params.get("value", 0)
@@ -270,29 +268,29 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
     order = stage.params["order"]
     out_smeta = out_v.slice_meta
     if order == "xyz":
-        ctx.stage_sweeps[stage.name] = 1
         return src
     if order[2] == "z":  # in-plane swap, one sweep
-        ctx.stage_sweeps[stage.name] = 1
         return _per_slice(stage, src, out_v, lambda z, sl: [
             ALLOC.new_slice(out_smeta, data=np.ascontiguousarray(sl.data.T))])
 
     # z moves: two passes through an on-disk chunked intermediate
     ctx.stage_sweeps[stage.name] = 2
     grid = sio.ChunkGrid(in_meta, *ops.permute_chunk_dims(stage, in_meta))
-    tmp = ctx.new_tmp(stage.name)
     axis = order[2]
     plane_axes = [a for a in "zyx" if a != axis]
     to_out = (plane_axes.index(order[1]), plane_axes.index(order[0]))
 
     def z_gen():
+        # a directory of its own, so that runs sharing a tmpdir never meet
+        Path(ctx.tmpdir).mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f"{stage.name}_", dir=ctx.tmpdir))
         try:
-            sio.write_chunk_store(src, tmp, grid)
-        except OSError as exc:
-            need = in_meta.voxels * in_meta.dtype.byte_width
-            raise IOError(f"stage {stage.name!r}: temp chunk store {tmp} failed "
-                          f"(need {need} bytes free): {exc}") from exc
-        try:
+            try:
+                sio.write_chunk_store(src, tmp, grid)
+            except OSError as exc:
+                need = in_meta.voxels * in_meta.dtype.byte_width
+                raise IOError(f"stage {stage.name!r}: temp chunk store {tmp} failed "
+                              f"(need {need} bytes free): {exc}") from exc
             slab_bytes = grid.layer_bytes(axis)
             ALLOC.register_internal(slab_bytes)
             try:
@@ -542,7 +540,7 @@ _BUILDERS = {
     "read": _Builder(0, lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"])),
     "read_chunks": _Builder(
         0, lambda stg, ins, i, o, ctx: sio.open_chunk_stream(stg.params["dir"])),
-    "initialize": _Builder(0, lambda stg, ins, i, o, ctx: _initialize_stream(stg, ctx)),
+    "initialize": _Builder(0, lambda stg, ins, i, o, ctx: _initialize_stream(stg)),
     "pointwise": _Builder(1, lambda stg, ins, i, o, ctx: _pointwise_stream(stg, ins[0], i, o)),
     "crop": _Builder(1, lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o)),
     "pad": _Builder(1, lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o)),
@@ -589,65 +587,47 @@ def stage_stream(stage: PlanStage, upstream: Stream, in_meta: VolumeMeta,
 # ---------------------------------------------------------------------------
 
 def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
-    """Wire the segment's stages into streams; returns sink steppers."""
-    src_stage = graph.source()
-    metas = propagate_meta(graph, src_stage.params.get("meta", in_meta))
-    shared_members = {}
-    for grp in graph.shared_windows:
-        for name in grp.members:
-            shared_members[name] = grp
-    fans = {}
+    """Wire the segment's stages into streams; returns the sink steppers.
 
-    def upstream_of(name: str) -> Stream:
-        preds = graph.predecessors(name)
-        if len(preds) != 1:
-            raise PlanningError(f"stage {name!r} needs exactly one input here")
-        return input_stream(name, preds[0])
-
-    def tee_port(tee_name: str, consumer: str) -> Stream:
-        succs = graph.successors(tee_name)
-        shared = all(s in shared_members for s in succs)
-        if tee_name not in fans:
-            upstream = upstream_of(tee_name)
-            if shared:
-                fans[tee_name] = _shared_windows(
-                    upstream, [graph.node(s) for s in succs], metas, ctx)
-                ctx.stage_sweeps.update(dict.fromkeys(succs, 1))
+    One pass over the topological order builds each stage once, from the
+    streams its predecessors left for it. A tee leaves one port per
+    branch; when its branches share one window, the group's ports are its
+    members' outputs. A sink's stepper is collected where the pass meets
+    it, and every stream and stepper is closed with the run.
+    """
+    metas = propagate_meta(graph, graph.source().params.get("meta", in_meta))
+    shared = {name for grp in graph.shared_windows for name in grp.members}
+    feeds = {}  # (stage, consumer) -> the stream the consumer reads
+    steppers = []
+    for stage in graph.topo_order():
+        name = stage.name
+        succs = graph.successors(name)
+        ins = [feeds.pop((p, name)) for p in graph.predecessors(name)]
+        ctx.stage_sweeps[name] = 1
+        if stage.op_kind == "tee":
+            if len(ins) != 1:
+                raise PlanningError(f"stage {name!r} needs exactly one input here")
+            if all(s in shared for s in succs):
+                fan = _shared_windows(ins[0], [graph.node(s) for s in succs], metas, ctx)
+                ports = [fan.port(s, f"shared->{s}", metas[s][1].slice_meta,
+                                  metas[s][1].depth) for s in succs]
             else:
-                fans[tee_name] = st.FanOut(upstream, succs)
-            ctx.streams.append(fans[tee_name])
-            ctx.stage_sweeps[tee_name] = 1
-        if shared:
-            # the group applies the member op itself: its port IS the member output
-            out_v = metas[consumer][1]
-            return fans[tee_name].port(consumer, f"shared->{consumer}",
-                                       out_v.slice_meta, out_v.depth)
-        return fans[tee_name].port(consumer, f"tee->{consumer}")
-
-    def input_stream(name: str, pred: str) -> Stream:
-        if graph.node(pred).op_kind == "tee":
-            return tee_port(pred, name)
-        return build(pred)
-
-    def make(stage: PlanStage, sink: bool = False):
-        preds = graph.predecessors(stage.name)
-        builder = _builder(stage, len(preds), sink)  # before any input is built
-        out = builder.build(stage, [input_stream(stage.name, p) for p in preds],
-                            *metas[stage.name], ctx)
-        if not preds:
-            ctx.sources.append((stage.name, out))
-        ctx.stage_sweeps.setdefault(stage.name, 1)
-        return out
-
-    def build(name: str) -> Stream:
-        # only a tee feeds two stages, through its ports: each stage is built once
-        if name in shared_members:
-            # output produced by the shared group, reached via the tee port
-            return ctx.track(upstream_of(name))
-        return ctx.track(make(graph.node(name)))
-
-    # a sink's stepper is closed with the streams, so an aborted run ends it
-    return [ctx.track(make(sink, sink=True)) for sink in graph.sinks()]
+                fan = st.FanOut(ins[0], succs)
+                ports = [fan.port(s, f"tee->{s}") for s in succs]
+            ctx.track(fan)
+            feeds.update(((name, s), port) for s, port in zip(succs, ports))
+            continue
+        builder = _builder(stage, len(ins), sink=not succs)
+        # a shared member's port is its output: the group applies its op
+        out = ins[0] if name in shared else builder.build(stage, ins, *metas[name], ctx)
+        if not ins:
+            ctx.sources.append((name, out))
+        ctx.track(out)
+        if succs:  # only a tee feeds two stages
+            feeds[(name, succs[0])] = out
+        else:
+            steppers.append(out)
+    return steppers
 
 
 def _drive(steppers):
@@ -698,20 +678,23 @@ class RunReport:
         return "\n".join(lines)
 
 
-def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
-                 seed: int = 0) -> RunReport:
-    """Run every segment of a plan and report instrumented usage.
+def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
+    """Run every segment of a plan, one after another, and report
+    instrumented usage, gated by the plan's ledger.
 
     A run makes each mid-write directory before its first segment and
     removes only those; one that already exists is an error, left as it
-    is. All slices are released by the time this returns, even on failure.
+    is. Other scratch goes to directories of the run's own under tmpdir
+    (default: the working directory), so runs sharing a tmpdir never
+    meet. All slices are released by the time this returns, even on
+    failure.
     """
     if plan.verdict == "infeasible":
         raise PlanningError("refusing to execute an infeasible plan")
     if threads < 1:
         raise PlanningError(f"threads must be >= 1, got {threads}")
     tmpdir = Path(tmpdir) if tmpdir is not None else Path(".")
-    ctx = RunContext(tmpdir=tmpdir, threads=threads, seed=seed)
+    ctx = RunContext(tmpdir=tmpdir, threads=threads)
     ALLOC.reset_peaks()
     made = []  # the mid-write directories this run made, and so removes
     try:
@@ -719,12 +702,8 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
             d.mkdir(parents=True)  # FileExistsError names a path already there
             made.append(d)
         for seg, seg_meta in zip(plan.segments, plan.segment_metas):
-            steppers = _build_segment(seg, seg_meta, ctx)
-            try:
-                _drive(steppers)
-            finally:
-                ctx.close_all()
-                ctx.streams.clear()
+            _drive(_build_segment(seg, seg_meta, ctx))
+            ctx.close_all()
     finally:
         ctx.close_all()
         for d in made:
@@ -747,9 +726,10 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None,
 
 
 def run_graph(graph: PipelineGraph, budget: Budget, threads: int = 1,
-              tmpdir=None, grow_windows: bool = False, seed: int = 0):
-    """Plan and execute in one call; returns (plan, report)."""
+              tmpdir=None, grow_windows: bool = False):
+    """Plan and execute in one call, mid-writes and scratch under tmpdir;
+    returns (plan, report)."""
     p = make_plan(graph, budget, tmpdir=str(tmpdir or "."),
                   grow_windows=grow_windows, concurrent=threads > 1)
-    report = execute_plan(p, threads=threads, tmpdir=tmpdir, seed=seed)
+    report = execute_plan(p, threads=threads, tmpdir=tmpdir)
     return p, report

@@ -250,6 +250,25 @@ def test_tmpdir_env_var_used_for_midwrites(tmp_path, monkeypatch):
     assert list(scratch.iterdir()) == []
 
 
+def test_run_works_in_a_private_directory_under_the_tmpdir(tmp_path):
+    # a split run beside a mid0 it did not make: the run neither fails on
+    # it nor touches it, and leaves nothing else behind
+    vol = write_vol(tmp_path, dims=(16, 16, 12))
+    scratch = tmp_path / "scratch"
+    (scratch / "mid0").mkdir(parents=True)
+    (scratch / "mid0" / "keep.txt").write_text("keep")
+    spec = tmp_path / "p.spec"
+    sb = 16 * 16
+    spec.write_text(f"source {9 * sb + 6 * 512 + 1} B\nread {tmp_path}/in\n"
+                    f"square\nsquare\nsquare\nsquare\nwrite {tmp_path}/out\nsink\n")
+    assert run_cli(["run", spec, "--epsilon", "512", "--tmpdir", scratch]) == 0
+    assert (scratch / "mid0" / "keep.txt").read_text() == "keep"
+    assert list(scratch.iterdir()) == [scratch / "mid0"]
+    for _ in range(4):  # four saturating squares
+        vol = np.minimum(vol.astype(np.int64) ** 2, 255).astype(np.uint8)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), vol)
+
+
 def test_measured_peak_within_promise_across_spec_corpus(tmp_path, capsys):
     write_vol(tmp_path, dims=(14, 14, 12))
     bodies = ["",

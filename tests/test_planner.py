@@ -539,6 +539,20 @@ def test_split_chain_lists_each_declared_window_resize(tmp_path):
         [("midread0", 15), ("f3", 1), ("write", 1)]]
 
 
+def test_split_plan_fits_when_each_segment_fits(tmp_path):
+    # segment 1 peaks at 2,560 B over 5 stages, segment 2 at 4,608 B over
+    # 3: with 1,024 B per stage each comes to 7,680 B, under the 7,681 B cap
+    meta = VolumeMeta(16, 16, 16, U8)
+    p = plan(pointwise_chain(meta, 4, w=8), budget_slices(6, meta, stages=6),
+             tmpdir=tmp_path)
+    led = p.ledger
+    assert led.segment_peaks == [2560, 4608]
+    assert led.fits()
+    assert led.formula_peak == 4608
+    assert led.overhead == 3 * 1024
+    assert "headroom 1 B" in led.render().splitlines()
+
+
 @pytest.mark.parametrize("grow_windows", [False, True])
 def test_plan_branched_pipeline_over_budget_at_its_minima_is_infeasible(tmp_path,
                                                                         grow_windows):

@@ -216,6 +216,24 @@ def test_permute_pipeline_two_sweeps(tmp_path):
                           oracles.permute_volume(vol, "zyx"))
 
 
+def test_permute_store_leaves_a_directory_it_did_not_make(tmp_path):
+    """A z-moving permute spills to a directory of its own under the tmpdir:
+    one named after the stage, left by another run, is neither used nor
+    removed, and the permute removes its own."""
+    meta = VolumeMeta(6, 5, 4, U8)
+    vol = write_input(tmp_path, meta, seed=12)
+    (tmp_path / "perm_1").mkdir()
+    (tmp_path / "perm_1" / "keep.txt").write_text("keep")
+    g = chain(sio.read_stage(tmp_path / "in"),
+              ops.permute_axes("zyx", name="perm", chunk_edge=3),
+              sio.write_stage(tmp_path / "out"))
+    run_graph(g, Budget(1 << 30), tmpdir=tmp_path)
+    assert (tmp_path / "perm_1" / "keep.txt").read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "out", "perm_1"]
+    assert np.array_equal(sio.read_volume(tmp_path / "out"),
+                          oracles.permute_volume(vol, "zyx"))
+
+
 @pytest.mark.parametrize("hold", [False, True])
 @pytest.mark.parametrize("edge", [1, 2, 3])
 @pytest.mark.parametrize("order", ["zyx", "xzy", "yzx"])

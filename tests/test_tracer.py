@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from stackstream import io as sio, ops, planner, runtime, stream
-from stackstream.core import ALLOC, U8, Budget, VolumeMeta, chain, slice_bytes
+from stackstream.core import (ALLOC, U8, Budget, VolumeMeta, chain, slice_bytes,
+                              tee_graph)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -51,5 +52,35 @@ def test_tracer_wraps_every_seam_and_puts_each_back(tmp_path):
     # both writes, the chunk sink and the mid-write, run through the wrapped steps
     assert {rec[tracer_mod.STAGE] for rec in tracer.spans
             if rec[tracer_mod.NAME] == "runtime.sink"} == {"midwrite0", "snk"}
+    runtime.run_graph(graph("ref"), Budget(1 << 30), tmpdir=tmp_path)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), sio.read_volume(tmp_path / "ref"))
+
+
+def test_tracer_binds_every_stage_of_a_branched_graph(tmp_path):
+    """The stream names the tracer binds reach each stage of a tee/join
+    graph: every stage is some span's stage, and the tee's ports are
+    runtime.tee spans of the tee."""
+    tracer_mod = load_tracer()
+    meta = VolumeMeta(12, 12, 10, U8)
+    sio.write_volume(tmp_path / "in", sio.synth_volume(meta, "random", seed=50), "u8")
+
+    def graph(out):
+        return tee_graph([sio.read_stage(tmp_path / "in", name="rd"), ops.tee(name="t")],
+                         [[ops.median_filter(1, name="med")], [ops.dilate(1, name="dil")]],
+                         ops.add_join(name="add"), [sio.write_stage(tmp_path / out, name="wr")])
+
+    tracer = tracer_mod.Tracer(str(tmp_path / "mid"), [])
+    tracer.reset(graph("out"))
+    try:
+        tracer.install(planner, runtime, ops, stream, sio, ALLOC)
+        p = planner.plan(graph("out"), Budget(1 << 30), tmpdir=str(tmp_path / "mid"))
+        runtime.execute_plan(p, tmpdir=tmp_path / "mid")
+    finally:
+        tracer.uninstall()
+    assert not p.segments[0].shared_windows  # the tee fans out through its ports
+    stages = {rec[tracer_mod.STAGE] for rec in tracer.spans}
+    assert {"rd", "t", "med", "dil", "add", "wr"} <= stages
+    tee_spans = [rec for rec in tracer.spans if rec[tracer_mod.NAME] == "runtime.tee"]
+    assert tee_spans and {rec[tracer_mod.STAGE] for rec in tee_spans} == {"t"}
     runtime.run_graph(graph("ref"), Budget(1 << 30), tmpdir=tmp_path)
     assert np.array_equal(sio.read_volume(tmp_path / "out"), sio.read_volume(tmp_path / "ref"))
