@@ -2,11 +2,14 @@
 """Milliseconds per output of each window kernel, called as its stage calls it.
 
 Each kernel stage is built by its factory, and its OPS window function is
-called over a window of k_z random slices for one output, with the cast
-to the stage's output dtype that the runtime passes. Every figure is the
-median of --repeats such calls that share one Scratch, after one call
-that allocates it, so it is the steady per-output cost of a stage at its
-declared window, block fill and cast included.
+called as a stage at w = k_z calls it: over a window of k_z random slices
+that slides one fresh slice at a time, one output per call, with one
+Scratch shared by all the calls and the cast to the stage's output dtype
+that the runtime passes. Every figure is the median of --repeats such
+calls, after one call that allocates the Scratch, so it is the steady
+per-output cost of a stage at its declared window, block fill, cast and
+whatever a call reuses from the one before (the convolve's plane ring)
+included.
 """
 
 import argparse
@@ -35,21 +38,21 @@ def ms_per_output(stage, dtype, n, repeats, seed=0):
     meta = VolumeMeta(n, n, stage.k_z, dtype)
     out = ops.record(stage).out_meta(stage, meta).dtype
     vol = np.random.default_rng(seed).integers(
-        0, np.iinfo(dtype.np_dtype).max, (stage.k_z, n, n), endpoint=True,
+        0, np.iinfo(dtype.np_dtype).max, (stage.k_z + repeats, n, n), endpoint=True,
         dtype=dtype.np_dtype)
-    win = [SimpleNamespace(data=plane) for plane in vol]
+    slices = [SimpleNamespace(data=plane) for plane in vol]
     scratch = ops.Scratch()
 
-    def call():
+    def call(t):
         return ops.record(stage).window(
-            stage, win, 0, 0, scratch=scratch,
+            stage, slices[t:t + stage.k_z], 0, 0, scratch=scratch,
             cast=lambda arr: runtime._cast_array(arr, out, in_place=True))
 
-    call()
+    call(0)
     times = []
-    for _ in range(repeats):
+    for t in range(1, repeats + 1):
         t0 = time.perf_counter()
-        call()
+        call(t)
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
 
@@ -63,7 +66,8 @@ def main():
     args = ap.parse_args()
     sizes = [int(v) for v in args.sizes.split(",")]
     dtypes = [DTYPES[v] for v in args.dtypes.split(",")]
-    print(f"ms per output at w = k_z, median of {args.repeats} calls sharing one Scratch")
+    print(f"ms per output at w = k_z, median of {args.repeats} calls sliding one slice "
+          f"at a time with one Scratch")
     print("kernel".ljust(16) + "dtype".rjust(6) + "".join(f"{n:>9}" for n in sizes))
     for name, factory in STAGES.items():
         for dtype in dtypes:

@@ -33,13 +33,12 @@ import tempfile
 from pathlib import Path
 
 from . import io as sio
-from . import ops
+from . import ops, runtime
 from .core import (Budget, EngineError, PipelineGraph, PlanningError,
                    StageError, VolumeMeta, chain, dtype_by_kind, tee_graph)
 from .costmodel import layout_report
 from .io import ChunkGrid
 from .planner import plan as make_plan
-from .runtime import execute_plan
 
 TMPDIR_ENV = "STACKSTREAM_TMPDIR"
 
@@ -277,8 +276,13 @@ def _io_report(graph, seed) -> str:
 
 def _plan(args, tmpdir):
     """Parse the spec and plan it with the command's options, its
-    mid-writes under tmpdir."""
+    mid-writes under tmpdir. A stage in the wrong place (a sink mid-chain,
+    a chain that ends in no sink) fails here, as the run would fail it."""
     graph, budget = _load_spec(args.spec)
+    for stage in graph.topo_order():
+        if stage.op_kind != "tee":
+            runtime._builder(stage, len(graph.predecessors(stage.name)),
+                             sink=not graph.successors(stage.name))
     if args.epsilon is not None:
         budget = Budget(budget.cap, args.epsilon)
     return graph, make_plan(graph, budget, tmpdir=tmpdir,
@@ -305,7 +309,7 @@ def cmd_run(args) -> int:
         if p.verdict == "infeasible":
             print(p.render())
             return 2
-        report = execute_plan(p, threads=args.threads, tmpdir=work)
+        report = runtime.execute_plan(p, threads=args.threads, tmpdir=work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(p.render())

@@ -214,12 +214,15 @@ class Scratch:
     take(name, shape, dtype) gives a contiguous buffer of that shape whose
     memory the first call that names it allocates and later calls reuse,
     growing it only for a larger shape, so a stage faults its workspaces in
-    once, not on every call. close() drops them all.
+    once, not on every call. memo holds what a kernel builds over those
+    buffers and keeps between calls (the convolve's taps and ring). close()
+    drops them all.
     """
 
     def __init__(self):
         self.buffers = {}  # name: the bytes behind it
         self._views = {}   # name: the view last taken, as calls repeat shapes
+        self.memo = {}
 
     def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         view = self._views.get(name)
@@ -236,6 +239,7 @@ class Scratch:
     def close(self):
         self.buffers.clear()
         self._views.clear()
+        self.memo.clear()
 
 
 def _clamp_edges(buf: np.ndarray, ry: int, rx: int):
@@ -255,39 +259,118 @@ def _accumulate(acc: np.ndarray, taps, term: np.ndarray):
     return acc
 
 
+class _ConvPlanes:
+    """One Scratch's convolve state for one kernel, slice shape and dtype.
+
+    Plane a filters like plane first[a], the first plane with the same
+    weights bit for bit. The padded slice lies flat, its rows nx + 2 rx
+    wide, then 2 rx zeros. On an integer slice each tap is a contiguous
+    shifted (ny, nx + 2 rx) view of it, and each sum has 2 rx junk columns.
+    On a float slice, or under a NaN weight, a NaN can meet one of the
+    other sign, and which of the two an add returns depends on the length
+    of numpy's loop; there the taps are the frozen loops' strided (ny, nx)
+    views. (Elsewhere every NaN is the default one that inf - inf and
+    0 * inf give, so the layout cannot change a bit.)
+    ring[b] holds the sums of a recurring plane b, slot i the sum of slice
+    keys[b][i]; a slot frees once its slice leaves the output's window.
+    """
+
+    def __init__(self, scratch: Scratch, kernel: Kernel3D, data: np.ndarray):
+        weights = kernel.weights
+        kz, ky, kx = weights.shape
+        ry, rx = ky // 2, kx // 2
+        (ny, nx), width = data.shape, data.shape[1] + 2 * rx
+        cols = width if data.dtype.kind in "ui" and not np.isnan(weights).any() else nx
+        self.key = (kernel, data.shape, data.dtype)
+        flat = scratch.take("pad", ((ny + 2 * ry) * width + 2 * rx,))
+        flat[(ny + 2 * ry) * width:] = 0.0  # read by the junk columns
+        self.pad, self.ry, self.rx = flat[:(ny + 2 * ry) * width].reshape(-1, width), ry, rx
+        self.interior = self.pad[ry:ry + ny, rx:rx + nx]
+        self.term = scratch.take("term", (ny, cols))
+        self.sums = scratch.take("sums", (2, ny, cols))
+        self.valid = self.sums[(kz - 1) % 2, :, :nx]  # what each output casts
+        planes = [plane.tobytes() for plane in weights]
+        self.first = [planes.index(plane) for plane in planes]
+        views = {(r, c): flat[(2 * ry - r) * width + 2 * rx - c:][:ny * width].reshape(
+            ny, width)[:, :cols] for r in range(ky) for c in range(kx)}
+        self.taps = {b: [(wgt, views[rc]) for rc, wgt in np.ndenumerate(weights[b]) if wgt != 0.0]
+                     for b in set(self.first)}
+        recurring = sorted(b for b in self.taps if self.first.count(b) > 1)
+        self.ring = dict(zip(recurring, scratch.take("ring", (len(recurring), kz, ny, cols)))
+                         ) if recurring else {}
+        self.keys = {b: [None] * kz for b in recurring}
+        self.plane = (scratch.take("plane", (ny, cols)) if any(
+            self.first.count(self.first[a]) == 1 for a in range(1, kz)) else None)
+
+    def _filter(self, b: int, data: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        self.interior[...] = data
+        _clamp_edges(self.pad, self.ry, self.rx)
+        dest.fill(0.0)
+        return _accumulate(dest, self.taps[b], self.term)
+
+    def evict(self, held):
+        """Free the ring slots whose slice is not among held, by identity."""
+        for keys in self.keys.values():
+            for i, key in enumerate(keys):
+                if key is not None and not any(key is sl for sl in held):
+                    keys[i] = None
+
+    def filtered(self, a: int, sl, plain: np.ndarray) -> np.ndarray:
+        """The sum of sl filtered by plane a: from the ring when its recurring
+        plane already holds sl, else filtered into the ring or into plain."""
+        b = self.first[a]
+        keys = self.keys.get(b)
+        if keys is None:
+            return self._filter(b, sl.data, plain)
+        for i, key in enumerate(keys):
+            if key is sl:
+                return self.ring[b][i]
+        i = keys.index(None)
+        keys[i] = sl
+        return self._filter(b, sl.data, self.ring[b][i])
+
+
 def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
                 scratch: Optional[Scratch] = None, cast: Callable = np.copy):
     """Valid-z convolution outputs lo..hi (window-relative), each cast(sum).
 
-    Output j sums, plane by plane, the 2D clamp-to-edge filter of slice
-    j + kz - 1 - a by kernel plane a, whose nonzero terms add from zero in
-    row-major order: per voxel, the float64 operations of that sum in order.
+    Output j is F_0(S[j + kz - 1]) + F_1(S[j + kz - 2]) + ... +
+    F_kz-1(S[j]), added in that order, where F_a(S) is the 2D clamp-to-edge
+    filter of slice S by kernel plane a, its nonzero terms added from zero
+    in row-major order: per voxel, the float64 operations of that sum in
+    order. Each add across planes writes the other of two sums, as the
+    frozen loops' acc + term does: numpy's in-place add of a one-element
+    array returns the other NaN.
+
+    Planes with equal weights give equal sums, so a plane that recurs (all
+    three of box3's, a and kz - 1 - a of a mirror-symmetric kernel)
+    filters each slice once. Its sums stay in a ring in scratch, kz per
+    recurring plane, keyed on the slice object (by identity) and the
+    kernel, until the slice leaves the output's window, so the next call
+    on the same Scratch reuses them too. That relies on a slice's data
+    never changing in place: core.Slice.data is set once and only ever
+    cleared. A plane that occurs once filters into a plain workspace.
+
     The sum is a workspace the next output reuses, so cast must return an
-    array of its own (np.copy by default). The workspaces, three float64
-    slices and the sum, come from scratch, whatever w is, so the call holds
+    array of its own (np.copy by default); it gets the sum's (ny, nx)
+    view. The workspaces (the padded slice, one term, two sums, the plain
+    plane and the ring) come from scratch whatever w is, so the call holds
     no float64 output beyond the one being cast.
     """
     scratch = Scratch() if scratch is None else scratch
-    kz, ky, kx = kernel.weights.shape
-    ry, rx = ky // 2, kx // 2
-    ny, nx = window[0].data.shape
-    pad = scratch.take("pad", (ny + 2 * ry, nx + 2 * rx))
-    term, plane_sum = scratch.take("term", (ny, nx)), scratch.take("plane", (ny, nx))
-    out = scratch.take("out", (ny, nx))
-    taps = [[(wgt, pad[2 * ry - b:2 * ry - b + ny, 2 * rx - c:2 * rx - c + nx])
-             for (b, c), wgt in np.ndenumerate(plane) if wgt != 0.0]
-            for plane in kernel.weights]
+    data = window[0].data
+    planes = scratch.memo.get("conv")
+    if planes is None or planes.key != (kernel, data.shape, data.dtype):  # kernel by identity
+        planes = scratch.memo["conv"] = _ConvPlanes(scratch, kernel, data)
+    kz, sums = kernel.k_z, planes.sums
     outs = []
     for j in range(lo, hi + 1):
-        for a in range(kz):
-            acc = plane_sum if a else out
-            pad[ry:ry + ny, rx:rx + nx] = window[j + kz - 1 - a].data
-            _clamp_edges(pad, ry, rx)
-            acc.fill(0.0)
-            _accumulate(acc, taps[a], term)
-            if a:
-                out += plane_sum
-        outs.append(cast(out))
+        planes.evict(window[j:j + kz])
+        acc = planes.filtered(0, window[j + kz - 1], sums[0])
+        for a in range(1, kz):
+            acc = np.add(acc, planes.filtered(a, window[j + kz - 1 - a], planes.plane),
+                         out=sums[a % 2])
+        outs.append(cast(planes.valid))
     return outs
 
 

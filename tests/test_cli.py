@@ -121,6 +121,23 @@ def test_cmd_plan_exit_codes(tmp_path, capsys):
     assert "violating stage" in out
 
 
+@pytest.mark.parametrize("body, message", [
+    ("histogram\nsquare\nwrite {d}/o\n",
+     "stage 'histogram2' (histogram) takes 1 input(s) and ends a pipeline"),
+    ("square\n", "stage 'square2' (pointwise) takes 1 input(s) and cannot end a pipeline"),
+], ids=["sink_mid_chain", "no_sink_at_end"])
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_stage_in_the_wrong_place_fails_plan_as_run(tmp_path, capsys, body, message,
+                                                    command):
+    write_vol(tmp_path, dims=(8, 8, 4))
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source 1 GiB\nread {tmp_path}/in\n{body.format(d=tmp_path)}sink\n")
+    assert run_cli([command, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"planning error: {message}\n"
+    assert "verdict" not in captured.out
+
+
 def test_cmd_plan_io_table(tmp_path, capsys):
     write_vol(tmp_path, chunks=(4, 4, 4))
     spec = tmp_path / "p.spec"

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as hst
 
 import oracles
 from helpers import apply_stage, vol_stream
-from stackstream import ops, runtime
-from stackstream.core import ALLOC, F32, U8, U16, PlanningError, VolumeMeta, release
+from stackstream import io as sio, ops, runtime, stream as st
+from stackstream.core import (ALLOC, F32, U8, U16, Budget, PlanningError, VolumeMeta,
+                              chain, release)
 from stackstream.io import synth_volume
-from stackstream.planner import fuse_convolutions
-from stackstream.runtime import RunContext, stage_stream
+from stackstream.planner import fuse_convolutions, plan
+from stackstream.runtime import RunContext, execute_plan, stage_stream
 
 
 def rand_vol(meta, seed):
@@ -626,6 +627,166 @@ def test_one_call_holds_bounded_scratch_whatever_w(kind):
     assert wider[0] <= small[0] + slice_bytes
     # the workspaces stop growing with w: erode and median chunk their block
     assert small[1] <= wide[1] == wider[1]
+
+
+# ---------------------------------------------------------------------------
+# the convolve's plane ring: sums kept across the calls of one Scratch
+# ---------------------------------------------------------------------------
+
+def _conv_sweep(vol, dtype, kernel, w, scratch):
+    """[(float64 sum, cast output, frozen sum)] of every output of vol, called
+    as a stage at window w calls conv_window: windows from windowed_positions
+    at stride w - k_z + 1, the same slice objects where they overlap, and
+    one Scratch, whose float64 sum each output copies before the runtime's
+    in-place cast rounds it."""
+    depth, ny, nx = vol.shape
+    kz = kernel.k_z
+    windows = st.windowed_positions(w, w - kz + 1, vol_stream(vol, VolumeMeta(
+        nx, ny, depth, dtype)), "full")
+    rows, next_out = [], 0
+    try:
+        while (item := windows.pull()) is not None:
+            t, win = item
+            lo, next_out = max(t, next_out) - t, t + w - kz + 1
+            try:
+                got = ops.conv_window(win, kernel, lo, w - kz, scratch=scratch, cast=lambda a: (
+                    a.copy(), runtime._cast_array(a, dtype, in_place=True)))
+                rows += [(g, c, r) for (g, c), r in zip(
+                    got, oracles.frozen_conv_window(win, kernel, lo, w - kz))]
+            finally:
+                st.release_element(win)
+    finally:
+        windows.close()
+    assert len(rows) == depth - kz + 1
+    return rows
+
+
+@hst.composite
+def ring_sweep_cases(draw):
+    """(kernel, dtype, volume, w): box, mirror-symmetric, all-distinct and
+    zero-plane kernels, w = k_z .. k_z + 4 over a volume at least w deep."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    kind = draw(hst.sampled_from(["box", "mirror", "distinct", "zero_plane"]))
+    kz = draw(hst.sampled_from([1, 3, 5]))
+    if kind == "box":
+        kernel = ops.Kernel3D.box(kz)
+    else:
+        shape = (kz, draw(hst.sampled_from([1, 3, 5])), draw(hst.sampled_from([1, 3, 5])))
+        weights = rng.standard_normal(shape)
+        if kind == "mirror":
+            weights = weights + weights[::-1]
+        elif kind == "zero_plane":
+            weights[rng.random(kz) < 0.5] = 0.0
+        kernel = ops.Kernel3D(weights)
+    dtype = draw(hst.sampled_from([U8, U16, F32]))
+    w = draw(hst.integers(kz, kz + 4))
+    dims = (draw(hst.integers(w, w + 8)), draw(hst.integers(1, 7)), draw(hst.integers(1, 7)))
+    return kernel, dtype, _fill(rng, dtype, "special", dims), w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=ring_sweep_cases())
+@example(case=(ops.Kernel3D.box(3), U8, _fill(_RNG, U8, "special", (9, 4, 5)), 3))
+@example(case=(ops.Kernel3D.box(3), F32, _fill(_RNG, F32, "special", (12, 3, 6)), 5))
+def test_conv_sweep_with_one_scratch_matches_frozen_loops_bit_for_bit(case):
+    kernel, dtype, vol, w = case
+    scratch = ops.Scratch()
+    with np.errstate(invalid="ignore", over="ignore") if dtype == F32 else nullcontext():
+        for got, cast, ref in _conv_sweep(vol, dtype, kernel, w, scratch):
+            _assert_same_bits(got, ref)
+            _assert_same_bits(cast, oracles.frozen_cast_array(ref, dtype))
+    assert ALLOC.live_slices == 0
+    # the ring holds k_z sums per recurring plane, and close() drops it
+    planes, ring = scratch.memo["conv"], scratch.buffers.get("ring")
+    assert (0 if ring is None else ring.nbytes) == (
+        len(planes.ring) * kernel.k_z * planes.sums[0].nbytes)
+    scratch.close()
+    assert not scratch.buffers and not scratch.memo
+
+
+@pytest.mark.parametrize("dtype", [U8, U16])
+def test_conv_nan_weights_on_integer_slices_keep_the_frozen_nans(dtype):
+    """A NaN weight's +NaN meets the -NaN of inf - inf in the sums: which
+    one an add returns depends on numpy's loop, so these sums run over the
+    frozen loops' (ny, nx) operands and return their bits."""
+    rng = np.random.default_rng(86)
+    kernel = ops.Kernel3D(rng.choice([np.nan, np.inf, -np.inf, 0.5], size=(3, 3, 5)))
+    vol = _fill(rng, dtype, "special", (9, 5, 11))
+    with np.errstate(invalid="ignore"):
+        rows = _conv_sweep(vol, dtype, kernel, 4, ops.Scratch())
+    nans = np.concatenate([_bits(got[np.isnan(got)]) for got, _, _ in rows])
+    assert len(np.unique(nans)) == 2
+    for got, _, ref in rows:
+        _assert_same_bits(got, ref)
+
+
+def _slide(slices, kernel, scratch):
+    """conv_window's one output per w = k_z window, sliding one slice at a time."""
+    kz = kernel.k_z
+    return [ops.conv_window(slices[t:t + kz], kernel, 0, 0, scratch=scratch)[0]
+            for t in range(len(slices) - kz + 1)]
+
+
+def _frozen_slide(slices, kernel):
+    kz = kernel.k_z
+    return [oracles.frozen_conv_window(slices[t:t + kz], kernel, 0, 0)[0]
+            for t in range(len(slices) - kz + 1)]
+
+
+def test_conv_ring_never_reuses_another_slice_or_kernel():
+    """One Scratch sweeps a volume, then new slice objects with other data
+    (likely at the addresses of the first ones), then those same slice
+    objects under another kernel: each output is its own frozen sum."""
+    rng = np.random.default_rng(83)
+    box, mirror = ops.Kernel3D.box(3), ops.Kernel3D(np.array([[[1.0]], [[-2.0]], [[1.0]]]))
+    scratch = ops.Scratch()
+    first = _window(rng.integers(0, 256, (8, 6, 7), dtype=np.uint8))
+    for got, ref in zip(_slide(first, box, scratch), _frozen_slide(first, box)):
+        _assert_same_bits(got, ref)
+    del first
+    second = _window(rng.integers(0, 256, (8, 6, 7), dtype=np.uint8))
+    for kernel in (box, mirror, ops.Kernel3D.box(3)):
+        for got, ref in zip(_slide(second, kernel, scratch), _frozen_slide(second, kernel)):
+            _assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("w", [3, 5, 10])
+def test_box3_sweep_filters_each_slice_once(monkeypatch, w):
+    """A box3 sweep over d slices does d plane filters, not 3 (d - 2)."""
+    d, calls = 10, []
+    real = ops._accumulate
+
+    def counting(acc, taps, term):
+        calls.append(len(taps))
+        return real(acc, taps, term)
+
+    monkeypatch.setattr(ops, "_accumulate", counting)
+    vol = np.random.default_rng(84).integers(0, 256, (d, 5, 6), dtype=np.uint8)
+    for got, _, ref in _conv_sweep(vol, U8, ops.Kernel3D.box(3), w, ops.Scratch()):
+        _assert_same_bits(got, ref)
+    assert calls == [9] * d  # 3 x 3 taps per plane filter
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_box3_convolve_runs_bit_identical_at_threads_1_2(tmp_path, monkeypatch, threads):
+    """read -> convolve box3 -> write, every call on the pool at threads 2,
+    where two Scratches in flight keep a ring each: the output is the
+    frozen loops' and nothing leaks."""
+    monkeypatch.setattr(runtime, "INLINE_WORK", 0)
+    meta = VolumeMeta(9, 7, 14, U8)
+    vol = synth_volume(meta, "random", seed=85)
+    sio.write_volume(tmp_path / "in", vol, U8)
+    box = ops.Kernel3D.box(3)
+    for w in (3, 6):
+        g = chain(sio.read_stage(tmp_path / "in"), ops.convolve(box, w=w, name="c"),
+                  sio.write_stage(tmp_path / f"out{w}"))
+        p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False,
+                 concurrent=threads > 1)
+        rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+        assert rep.leaked_slices == 0
+        ref = oracles.frozen_conv_window(_window(vol), box, 0, len(vol) - 3)
+        _assert_same_bits(sio.read_volume(tmp_path / f"out{w}"),
+                          np.stack([oracles.frozen_cast_array(r, F32) for r in ref]))
 
 
 # ---------------------------------------------------------------------------
