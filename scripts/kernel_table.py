@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Milliseconds per output of each window kernel, called as its stage calls it.
+"""Milliseconds per output of each window op, called as its stage calls it.
 
-Each kernel stage is built by its factory, and its OPS window function is
-called as a stage at w = k_z calls it: over a window of k_z random slices
+Each window stage, the pointwise ones (a window of depth 1) too, is built
+by its factory, and its OPS window function is called as a stage at
+w = k_z calls it: over a window of k_z random slices
 that slides one fresh slice at a time, one output per call, with one
 Scratch shared by all the calls and the cast to the stage's output dtype
 that the runtime passes. Every figure is the median of --repeats such
@@ -24,6 +25,8 @@ from stackstream import ops, runtime
 from stackstream.core import DTYPES, VolumeMeta
 
 STAGES = {
+    "threshold t=100": lambda: ops.threshold(100),
+    "square": ops.square,
     "gaussian s=0.8": lambda: ops.discrete_gaussian(0.8),
     "gaussian s=1.5": lambda: ops.discrete_gaussian(1.5),
     "convolve box3": lambda: ops.convolve(ops.Kernel3D.box(3)),
@@ -40,7 +43,7 @@ def ms_per_output(stage, dtype, n, repeats, seed=0):
     vol = np.random.default_rng(seed).integers(
         0, np.iinfo(dtype.np_dtype).max, (stage.k_z + repeats, n, n), endpoint=True,
         dtype=dtype.np_dtype)
-    slices = [SimpleNamespace(data=plane) for plane in vol]
+    slices = [SimpleNamespace(data=plane, meta=meta.slice_meta) for plane in vol]
     scratch = ops.Scratch()
 
     def call(t):
@@ -68,7 +71,7 @@ def main():
     dtypes = [DTYPES[v] for v in args.dtypes.split(",")]
     print(f"ms per output at w = k_z, median of {args.repeats} calls sliding one slice "
           f"at a time with one Scratch")
-    print("kernel".ljust(16) + "dtype".rjust(6) + "".join(f"{n:>9}" for n in sizes))
+    print("stage".ljust(16) + "dtype".rjust(6) + "".join(f"{n:>9}" for n in sizes))
     for name, factory in STAGES.items():
         for dtype in dtypes:
             row = (ms_per_output(factory(), dtype, n, args.repeats) for n in sizes)

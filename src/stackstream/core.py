@@ -148,10 +148,6 @@ class Slice:
         self.refcount = 1
         self._alloc = alloc
 
-    @property
-    def nbytes(self) -> int:
-        return self.meta.nbytes
-
     def __repr__(self):
         state = "freed" if self.data is None else f"rc={self.refcount}"
         return f"<Slice {self.meta.nx}x{self.meta.ny} {self.meta.dtype} {state}>"
@@ -398,9 +394,6 @@ class PipelineGraph:
         if len(srcs) != 1:
             raise PlanningError(f"pipeline must have exactly one source, found {len(srcs)}")
         return srcs[0]
-
-    def sinks(self):
-        return [st for st in self.nodes if not self.successors(st.name)]
 
     def branch_groups(self):
         """Stage-name sets fed by one tee, in graph order."""

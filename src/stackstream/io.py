@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
@@ -421,7 +421,8 @@ def open_chunk_stream(directory) -> Stream:
 
 
 def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
-    """Stepwise sink into a chunk grid, buffering one x-y layer at a time."""
+    """Stepwise sink into a chunk grid, buffering one x-y layer at a time; a
+    short stream is stored at the depth it reached, and an empty one refused."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / PARTIAL_MARKER).touch()
@@ -445,6 +446,10 @@ def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
                 if written % grid.cz == 0:
                     flush()
                 yield written
+            if written == 0:
+                raise IOError(f"{directory}: refusing to write an empty volume")
+            # the grid of the depth written flushes the last layer and is listed
+            grid = replace(grid, meta=replace(grid.meta, depth=written))
             if written % grid.cz:
                 flush()
     finally:

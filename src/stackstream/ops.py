@@ -2,8 +2,9 @@
 
 Each factory returns a PlanStage descriptor; the runtime assembles the
 actual streams from these descriptors and the planner prices them with
-closed-form estimates. Kernel stages consume a sliding z-window and emit
-the window's valid center slices; batch stages process w slices per step.
+closed-form estimates. Window stages consume a sliding z-window and emit
+its valid center slices, a pointwise stage being one of depth 1; reads
+and histograms take w slices per step.
 
 Boundary conventions: the z extent is valid mode (output depth shrinks by
 k_z - 1) unless an explicit pad stage is added, while x-y boundaries
@@ -407,9 +408,13 @@ def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
     xtaps = [(g1d[c], xpad[:, 2 * r - c:2 * r - c + nx]) for c in range(kz)]
     outs = []
     for j in range(lo, hi + 1):
-        np.multiply(g1d[0], window[j + kz - 1].data, out=zsum, dtype=np.float64)
-        _accumulate(zsum, [(g1d[a], window[j + kz - 1 - a].data)
-                           for a in range(1, kz)], term)
+        # each z add writes over its term, since one into its first operand
+        # gives the other NaN on one voxel; the last sum ends in zsum
+        acc, nxt = (zsum, term) if kz % 2 else (term, zsum)
+        np.multiply(g1d[0], window[j + kz - 1].data, out=acc, dtype=np.float64)
+        for a in range(1, kz):
+            np.multiply(g1d[a], window[j + kz - 1 - a].data, out=nxt, dtype=np.float64)
+            acc, nxt = np.add(acc, nxt, out=nxt), acc
         _clamp_edges(ypad, r, 0)
         ysum.fill(0.0)
         _accumulate(ysum, ytaps, term)  # contiguous: a strided sum runs slower
@@ -754,20 +759,24 @@ class OpKind:
     estimate(stage, in_meta, out_meta) is a stage's closed-form ledger
     price, out_meta(stage, meta) the volume geometry downstream of it and
     batch(stage) the slices it emits per window step.
-    Kernel kinds consume a sliding z-window and emit its valid centers:
-    window(stage, window, lo, hi, scratch=, cast=) gives the output arrays
-    of the window-relative centers lo..hi, taking its workspaces from the
-    stage's Scratch and passing each output through cast, which gives it
-    in the stage's dtype, as soon as it is made; kernel_dims(stage) is the
-    kernel's (kx, ky, kz). spec holds the kind's keywords; structural
-    kinds (tee, join) and priced-only ones have none. algo_class says how
-    the kind streams. The planner grows the window of a tunable kind, one
-    marked `grows` or a kernel kind, from k_z into the budget left.
+    Window kinds consume a sliding z-window and emit its valid centers, a
+    pointwise stage being one of depth 1: window(stage, window, lo, hi,
+    scratch=, cast=) gives the output arrays of the window-relative
+    centers lo..hi, taking its workspaces from the stage's Scratch and
+    passing each output through cast, which gives it in the stage's
+    dtype, as soon as it is made. kernel_dims(stage) is a kernel's
+    (kx, ky, kz): a stage with kernel taps runs its calls on the run's
+    pool when they are large enough, buys the concurrent queue allowance
+    and may share a tee's window. spec holds the kind's keywords;
+    structural kinds (tee, join) and priced-only ones have none.
+    algo_class says how the kind streams. The planner grows the window of
+    a tunable kind, a window kind or one marked `grows` (read, histogram),
+    from k_z into the budget left.
     """
 
     estimate: Callable
     out_meta: Callable = lambda stage, meta: meta
-    batch: Callable = lambda stage: 1
+    batch: Callable = lambda stage: stage.w - stage.k_z + 1
     window: Optional[Callable] = None
     kernel_dims: Optional[Callable] = None
     spec: tuple = ()
@@ -835,20 +844,21 @@ def _choice(allowed):
     return parse
 
 
+def _window_estimate(st, m, o):
+    """A window kind's price: w slices in, the w - k_z + 1 centers out."""
+    return MemEstimate(st.w * slice_bytes(m), (st.w - st.k_z + 1) * slice_bytes(o), 0)
+
+
 def _kernel_kind(window, kernel_dims, syntax, dtype=None):
-    """Record of a kernel kind: w slices in, the w - k_z + 1 valid centers
-    out per step, each in `dtype` or else in the input's dtype."""
+    """Record of a kernel kind; its outputs are in `dtype`, else the input's."""
     def out_meta(stage, meta):
         depth = meta.depth - stage.k_z + 1
         if depth < 1:
             raise PlanningError(f"stage {stage.name!r}: kernel depth exceeds stack")
         return VolumeMeta(meta.nx, meta.ny, depth, dtype or meta.dtype)
 
-    return OpKind(lambda st, m, o: MemEstimate(st.w * slice_bytes(m),
-                                               (st.w - st.k_z + 1) * slice_bytes(o), 0),
-                  out_meta, batch=lambda st: st.w - st.k_z + 1,
-                  window=window, kernel_dims=kernel_dims, spec=(syntax,),
-                  algo_class=LOCAL_NEIGHBOURHOOD)
+    return OpKind(_window_estimate, out_meta, window=window, kernel_dims=kernel_dims,
+                  spec=(syntax,), algo_class=LOCAL_NEIGHBOURHOOD)
 
 
 def _parse_convolve(get, name):
@@ -929,9 +939,11 @@ OPS = {
                      lambda st: "writeInChunks {} chunks={},{},{}".format(
                          st.params["dir"], *st.params["chunks"]),
                      positional=1))),
+    # a window of depth 1: each output is fn of one slice
     "pointwise": OpKind(
-        lambda st, m, o: MemEstimate(st.w * slice_bytes(m), st.w * slice_bytes(o), 0),
-        batch=lambda st: st.w, grows=True,
+        _window_estimate,
+        window=lambda st, win, lo, hi, cast, **_: [
+            cast(st.params["fn"](sl.data, sl.meta.dtype)) for sl in win[lo:hi + 1]],
         spec=(_pointwise_syntax(
                   "threshold", ("t", "w"),
                   lambda get, name: threshold(get("t", float), w=get("w", int, 1),
@@ -1004,7 +1016,7 @@ class _KernelKinds:
         return rec is not None and rec.window is not None
 
 
-#: op kinds that consume a sliding kernel window and emit valid centers
+#: op kinds that consume a sliding z-window and emit valid centers
 KERNEL_OPS = _KernelKinds()
 
 

@@ -31,7 +31,7 @@ from . import ops
 from .core import (Budget, MemEstimate, PipelineGraph, PlanStage,
                    PlanningError, SharedWindowGroup, VolumeMeta, chain,
                    slice_bytes)
-from .ops import KERNEL_OPS, Kernel3D
+from .ops import Kernel3D
 
 
 def max_width(m: int, k: int, b: int = 1) -> int:
@@ -52,10 +52,10 @@ def max_width(m: int, k: int, b: int = 1) -> int:
 def estimate_stage(stage: PlanStage, meta: VolumeMeta) -> MemEstimate:
     """Closed-form stage estimate from its input volume geometry.
 
-    The stage's kind's `ops.OPS` record prices it. Windowed transforms
-    hold w input slices; kernel stages emit the w - k_z + 1 valid centers
-    per step, batch stages emit w. A read is priced at its window of w
-    slices; a write at the one slice it holds. Chunk adapters charge
+    The stage's kind's `ops.OPS` record prices it. Window stages hold w
+    input slices and emit the w - k_z + 1 valid centers per step, all w
+    for a pointwise stage. A read is priced at its window of w slices; a
+    write at the one slice it holds. Chunk adapters charge
     their layer assembly buffers as internal bytes.
     """
     rec = ops.record(stage)
@@ -182,11 +182,8 @@ class RepairAction:
             return f"midwrite after {d['after']} path={d['path']}{extra}"
         if self.kind == "window_resize":
             return f"window_resize stage={d['stage']} w={d['old_w']}->{d['new_w']}"
-        if self.kind == "share_window":
-            strides = ",".join(str(s) for s in d["strides"])
-            return (f"share_window group={'+'.join(d['group'])} w={d['w']} "
-                    f"strides={strides}")
-        return self.kind
+        strides = ",".join(str(s) for s in d["strides"])  # share_window
+        return f"share_window group={'+'.join(d['group'])} w={d['w']} strides={strides}"
 
 
 def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
@@ -208,7 +205,7 @@ def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
         rows.append(LedgerRow(segment, stage.name, stage.op_kind, stage.w,
                               stage.s, est.input_bytes, est.output_bytes,
                               est.internal_bytes, credit, running))
-        if concurrent and stage.op_kind in KERNEL_OPS and stage.name not in inline:
+        if concurrent and ops.record(stage).kernel_dims and stage.name not in inline:
             # the call one window ahead: s = batch more input slices, its outputs
             queue_bytes += ops.record(stage).batch(stage) * (
                 slice_bytes(in_meta) + slice_bytes(metas[stage.name][1]))
@@ -287,10 +284,10 @@ def share_windows(graph: PipelineGraph, group):
     All branches get window w = max kernel depth; a branch with kernel
     depth k_b advances with stride w - k_b + 1 and emits its batch of
     valid centers per step. Returns (graph, action), or None when any
-    branch head is not a windowed kernel stage.
+    branch head has no kernel taps.
     """
     members = [graph.node(n) for n in group]
-    if any(st.op_kind not in KERNEL_OPS for st in members):
+    if any(ops.record(st).kernel_dims is None for st in members):
         return None
     w = max(st.k_z for st in members)
     new = _copy_graph(graph)
@@ -307,8 +304,7 @@ def share_windows(graph: PipelineGraph, group):
 
 
 def _set_window(st: PlanStage, w: int):
-    st.w = w
-    st.s = (w - st.k_z + 1) if st.op_kind in KERNEL_OPS else w
+    st.w, st.s = w, w - st.k_z + 1
 
 
 def _copy_graph(graph: PipelineGraph) -> PipelineGraph:

@@ -10,9 +10,10 @@ buffers slices itself, so release-on-close lives in `stream` alone. A
 z-moving permute spills to a directory of its own under the run's tmpdir.
 Every stage runs on the calling thread; a sink with one file per slice or
 chunk creates its files ahead of it on one thread of its own (`io`). With
-threads = 1 each kernel call runs on the calling thread too, which is the
-determinism reference, and so does every call of a stage whose calls are
-too small to pay for a handoff (INLINE_WORK).
+threads = 1 each window call runs on the calling thread too, which is the
+determinism reference. So does every call of a stage with no kernel taps
+(a pointwise stage, a window op of depth 1) and of a stage whose calls
+are too small to pay for a handoff (INLINE_WORK).
 Otherwise a kernel stage keeps one window ahead: while call j computes
 on the run's pool of worker threads, the pipeline pulls window j + 1 and
 submits its call, and it builds each call's slices itself in window
@@ -122,10 +123,6 @@ def _guarded(stage: PlanStage, z: int, fn: Callable, *args, **kwargs):
         raise StageError(stage.name, z, exc) from exc
 
 
-def _new_slice(out_v: VolumeMeta, arr: np.ndarray):
-    return ALLOC.new_slice(out_v.slice_meta, data=_cast_array(arr, out_v.dtype))
-
-
 def _slices(out_v: VolumeMeta, arrays) -> list:
     """New slices of arrays already in the stage's dtype."""
     return st.build_all(lambda arr: ALLOC.new_slice(out_v.slice_meta, arr), arrays)
@@ -205,24 +202,13 @@ def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                    out_v: VolumeMeta, ctx: RunContext) -> Stream:
     w = min(stage.w, in_meta.depth)
     windows = st.windowed_positions(w, w - stage.k_z + 1, src, "full")
-    if ctx.threads == 1 or _call_work(stage, w, out_v) < INLINE_WORK:
+    # a stage without kernel taps (pointwise) always runs inline
+    if (ctx.threads == 1 or ops.record(stage).kernel_dims is None
+            or _call_work(stage, w, out_v) < INLINE_WORK):
         outputs = _kernel_outputs(stage, w, out_v, ctx)
         return _stage(stage, out_v, windows, lambda item: outputs(*item))
     handoff = _ThreadHandoff(stage.name, windows, _kernel_calls(stage, w, out_v), ctx)
     return _stage(stage, out_v, handoff.stream(), lambda item: _slices(out_v, item[2]))
-
-
-def _pointwise_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
-                      out_v: VolumeMeta) -> Stream:
-    w = min(stage.w, in_meta.depth)
-    fn = stage.params["fn"]
-
-    def step(item):
-        t, win = item
-        return st.build_all(lambda i: _new_slice(out_v, _guarded(
-            stage, t + i, fn, win[i].data, out_v.dtype)), range(len(win)))
-
-    return _stage(stage, out_v, st.windowed_positions(w, w, src, "partial"), step)
 
 
 def _crop_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
@@ -535,13 +521,12 @@ class _Builder:
 
 # Entries name the functions they call, so a function replaced on its
 # module at run time (as perfbench/tracer.py does) is the one called.
-# Every kind in ops.KERNEL_OPS streams through _KERNEL.
+# Every kind in ops.KERNEL_OPS, pointwise ones too, streams through _KERNEL.
 _BUILDERS = {
     "read": _Builder(0, lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"])),
     "read_chunks": _Builder(
         0, lambda stg, ins, i, o, ctx: sio.open_chunk_stream(stg.params["dir"])),
     "initialize": _Builder(0, lambda stg, ins, i, o, ctx: _initialize_stream(stg)),
-    "pointwise": _Builder(1, lambda stg, ins, i, o, ctx: _pointwise_stream(stg, ins[0], i, o)),
     "crop": _Builder(1, lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o)),
     "pad": _Builder(1, lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o)),
     "permute": _Builder(

@@ -243,6 +243,31 @@ def test_short_stream_leaves_no_unfilled_file(tmp_path):
     assert np.array_equal(sio.read_volume(tmp_path / "v"), vol[:4])
 
 
+@pytest.mark.parametrize("depth", [3, 4])
+def test_short_stream_makes_a_chunk_store_of_the_depth_it_reached(tmp_path, depth):
+    # 3 slices end inside a chunk layer and 4 at a layer's end; either way
+    # the store lists and holds only the chunks of the depth written
+    meta = VolumeMeta(4, 4, 6, U8)
+    vol = sio.synth_volume(meta, "random", seed=11)
+    grid = sio.ChunkGrid(meta, 4, 4, 2)
+    assert sio.write_chunk_store(vol_stream(vol[:depth], meta), tmp_path / "c", grid) == depth
+    names = [f"c_{iz:03d}_000_000.raw" for iz in range(2)]
+    assert sorted(os.listdir(tmp_path / "c")) == names + ["manifest.txt"]
+    assert sio.load_manifest(tmp_path / "c").meta.depth == depth
+    assert np.array_equal(sio.read_volume(tmp_path / "c"), vol[:depth])
+    assert ALLOC.live_slices == 0
+
+
+def test_empty_stream_leaves_an_unfinished_chunk_store(tmp_path):
+    meta = VolumeMeta(4, 4, 6, U8)
+    grid = sio.ChunkGrid(meta, 4, 4, 2)
+    with pytest.raises(IOError, match="empty volume"):
+        sio.write_chunk_store(vol_stream(np.empty((0, 4, 4), np.uint8), meta),
+                              tmp_path / "c", grid)
+    assert os.listdir(tmp_path / "c") == [sio.PARTIAL_MARKER]
+    assert ALLOC.internal_bytes == 0
+
+
 @pytest.mark.parametrize("chunks", [None, (4, 4, 1)])
 def test_fills_follow_the_creator_under_rapid_thread_switches(tmp_path, chunks):
     # a switch every microsecond interleaves the creator and the sink at

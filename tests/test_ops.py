@@ -509,6 +509,10 @@ _FLOAT_KERNELS = {"gaussian": (ops.gaussian_window, oracles.frozen_gaussian_wind
                np.full((5, 3, 4), -0.0, dtype=np.float32), 0, 2))
 @example(case=("convolve", ops.Kernel3D(_RNG.standard_normal((3, 3, 3))), F32,
                np.full((5, 3, 4), -0.0, dtype=np.float32), 1, 2))
+# one voxel: an add into its first operand there gives the other NaN
+@example(case=("gaussian", ops.gaussian_kernel_1d(0.5), F32,
+               np.array([np.inf, np.inf, np.nan, np.inf, -np.inf],
+                        dtype=np.float32).reshape(5, 1, 1), 0, 0))
 def test_float_kernels_match_frozen_loops_bit_for_bit(case):
     kind, param, dtype, vol, lo, hi = case
     new, frozen = _FLOAT_KERNELS[kind]

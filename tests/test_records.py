@@ -1,6 +1,8 @@
 """The op-kind table in ops.OPS: one record is all a new op needs, and
 every keyword round-trips through the spec."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,47 @@ def test_one_record_is_enough_for_a_new_kernel_op(tmp_path, monkeypatch, capsys,
 
     assert cli.main(["explain", str(spec), "--io"]) == 0
     assert "kernel=3x3x3" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# a new voxel op is one record too: a window of depth 1, with no kernel
+# ---------------------------------------------------------------------------
+
+def _invert_record(threads_seen):
+    def window(st, win, lo, hi, scratch, cast):
+        threads_seen.append(threading.current_thread())
+        return [cast(np.iinfo(sl.data.dtype).max - sl.data) for sl in win[lo:hi + 1]]
+
+    return ops.OpKind(
+        estimate=lambda st, m, o: MemEstimate(st.w * slice_bytes(m), st.w * slice_bytes(o)),
+        window=window,
+        spec=(ops.Syntax("invert", ("w",),
+                         lambda get, name: PlanStage(name=name, op_kind="invert",
+                                                     w=get("w", int, 1), s=get("w", int, 1)),
+                         lambda st: f"invert w={st.w}"),))
+
+
+def test_one_record_is_enough_for_a_new_voxel_op(tmp_path, monkeypatch):
+    threads_seen = []
+    monkeypatch.setitem(ops.OPS, "invert", _invert_record(threads_seen))
+    monkeypatch.setattr(runtime, "INLINE_WORK", 0)  # a kernel call would go to the pool
+    vol = write_vol(tmp_path / "in")
+    text = f"source 1 GiB\nread {tmp_path}/in\n{{}}\nwrite {tmp_path}/out\nsink\n"
+    graph, budget = parse(text.format("invert"))
+    printed = pretty_print(graph, budget)
+    assert printed.splitlines()[2] == "invert w=1"
+    assert pretty_print(*parse(printed)) == printed
+
+    p = planner.plan(graph, budget, tmpdir=str(tmp_path), concurrent=True)
+    like = planner.plan(parse(text.format("square"))[0], budget, tmpdir=str(tmp_path),
+                        concurrent=True)
+    stage, square = p.segments[0].node("invert2"), like.segments[0].node("square2")
+    assert (stage.w, stage.s) == (square.w, square.s) == (10, 10)  # grown to the stack
+    assert p.ledger.queue_bytes == like.ledger.queue_bytes == 0
+    report = runtime.execute_plan(p, threads=2, tmpdir=tmp_path)
+    assert report.leaked_slices == 0 and report.within_budget
+    assert threads_seen and set(threads_seen) == {threading.current_thread()}
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), 255 - vol)
 
 
 # ---------------------------------------------------------------------------
