@@ -426,70 +426,339 @@ def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
     return outs
 
 
-def _odd_even_merge_sort(size: int):
-    """Comparators (a, b), a < b, of Batcher's odd-even merge sort on size
-    wires, a power of two, in order: min goes to wire a, max to wire b."""
-    p = 1
-    while p < size:
-        k = p
-        while k >= 1:
-            for j in range(k % p, size - k, 2 * k):
-                for i in range(min(k, size - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        yield i + j, i + j + k
-            k //= 2
-        p *= 2
+_LOW, _HIGH = -1, -2  # a wire held below, or above, every voxel
 
 
-@functools.lru_cache(maxsize=64)
-def selection_network(n: int, k: int):
-    """(steps, out, slices): a comparator network that puts the k-th
-    smallest of n inputs in buffer out, as Batcher's odd-even merge sort
-    does, with only the comparators that output depends on.
+def _merge(a: list, b: list):
+    """(comparators, order) of Batcher's odd-even merge of the sorted wire
+    lists a and b, of any lengths: each comparator (i, j) puts the min on
+    wire i and the max on wire j, and order lists the wires in sorted order."""
+    if not a or not b:
+        return [], a + b
+    if len(a) == len(b) == 1:
+        return [(a[0], b[0])], a + b
+    evens, v = _merge(a[::2], b[::2])
+    odds, w = _merge(a[1::2], b[1::2])
+    comps, order = evens + odds, v[:1]
+    for i in range(max(len(v) - 1, len(w))):
+        pair = w[i:i + 1] + v[i + 1:i + 2]
+        comps += [tuple(pair)] * (len(pair) == 2)
+        order += pair
+    return comps, order
 
-    The sort runs on the next power of two >= n wires, the ones past n
-    held at +inf, so a comparator whose upper wire is one of them never
-    swaps and is dropped; the rest are pruned backwards to those wire k
-    reads. Each step (a, b, lo, hi) names buffers: min(a, b) goes into
-    lo and max(a, b) into hi, and either is None when no later step reads
-    it. Buffers 0..n-1 are the inputs, which are only read, and the next
-    `slices` ones are workspace slices. lo is a free slice, and hi the
-    slice b already owns, else a free one; a step with one output writes
-    it over an input slice it owns, if any. n = 27 (the r = 1 box) takes
-    126 comparators and n + 1 slices.
+
+def _copy(src, _, out):
+    np.copyto(out, src)
+
+
+def _run(calls):
+    for f, x, y, out in calls:
+        f(x, y, out=out)
+
+
+@dataclass(frozen=True)
+class _Network:
+    """Batcher merges of sorted groups of wires, pruned to some of the
+    sorted ranks and compiled to numpy calls.
+
+    Each wire holds an input, which the network only reads, or _LOW or
+    _HIGH. The groups merge two halves at a time, and before each merge
+    the ranks of either half that cannot reach a wanted rank of the merge
+    (those below the lowest, less the other half's size, and those above
+    the highest) become _LOW or _HIGH. A comparator with a _LOW or _HIGH
+    wire swaps or not whatever the other wire holds, so it makes no call,
+    and only the calls the wanted ranks depend on stay. The calls work
+    over registers: the n_in inputs, then the n_out outputs, then the
+    n_work workspaces, arrays of one shape. Each call writes its own
+    register, which it may share with an operand read last there, and
+    results[i] is the register that ends holding rank wanted[i]: an
+    output, or with copy false an input that no comparator moved.
     """
-    size = 1 << (n - 1).bit_length()
-    need, kept = {k}, []
-    for a, b in reversed([ab for ab in _odd_even_merge_sort(size) if ab[1] < n]):
-        if a in need or b in need:
-            kept.append((a, b, a in need, b in need))
-            need |= {a, b}
-    wire = list(range(n))  # the buffer holding each wire's value
-    free = list(range(2 * n, n - 1, -1))  # popped smallest first, then reused
-    steps, slices = [], 0
-    for a, b, keep_lo, keep_hi in reversed(kept):
-        x, y = wire[a], wire[b]
-        owned = [i for i in (y, x) if i >= n]
-        if keep_lo and keep_hi:
-            lo, hi = free.pop(), y if y >= n else free.pop()
+
+    groups: tuple
+    wanted: tuple
+    steps: tuple     # (ufunc, x, y, out) registers
+    results: tuple
+    n_in: int
+    n_out: int
+    n_work: int
+
+    def bind(self, regs) -> tuple:
+        """(calls, results): the steps as calls on the arrays regs, for
+        _run, and the array that will hold each wanted rank."""
+        return ([(f, regs[x], regs[y], regs[out]) for f, x, y, out in self.steps],
+                [regs[r] for r in self.results])
+
+    @property
+    def reads(self) -> set:
+        """The inputs the network reads."""
+        return {r for _, x, y, _ in self.steps for r in (x, y) if r < self.n_in} | {
+            r for r in self.results if r < self.n_in}
+
+
+@functools.lru_cache(maxsize=256)
+def _network(groups: tuple, wanted: tuple, copy: bool = True) -> _Network:
+    """The _Network that merges groups (tuples of wire values: an input
+    index, _LOW or _HIGH, in sorted order) and keeps the wanted ranks, each
+    copied into an output with copy, else left in place when an input."""
+    values = [v for g in groups for v in g]
+    n_in = max(values, default=-1) + 1
+    calls = []  # (ufunc, x, y) of the value n_in + i
+
+    def merged(lists, lo, hi):
+        """The wires of lists in sorted order, exact at ranks lo..hi."""
+        if len(lists) == 1:
+            return lists[0]
+        halves = lists[:len(lists) // 2], lists[len(lists) // 2:]
+        sizes = [sum(map(len, half)) for half in halves]
+        a, b = (merged(half, max(0, lo - other), min(size - 1, hi))
+                for half, size, other in zip(halves, sizes, sizes[::-1]))
+        for wires, other in ((a, sizes[1]), (b, sizes[0])):
+            for r, wire in enumerate(wires):
+                if r < lo - other or r > hi:
+                    values[wire] = _LOW if r < lo - other else _HIGH
+        comps, order = _merge(a, b)
+        for i, j in comps:
+            x, y = values[i], values[j]
+            if x == _HIGH or y == _LOW:
+                values[i], values[j] = y, x
+            elif x != _LOW and y != _HIGH:
+                values[i], values[j] = n_in + len(calls), n_in + len(calls) + 1
+                calls.extend([(np.minimum, x, y), (np.maximum, x, y)])
+        return order
+
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    order = merged([list(range(s, e)) for s, e in zip(bounds, bounds[1:])],
+                   min(wanted), max(wanted))
+    ranks = [values[order[r]] for r in wanted]
+    assert min(ranks) >= 0, "a wanted rank is held at _LOW or _HIGH"
+    need = set(ranks)
+    for v in range(n_in + len(calls) - 1, n_in - 1, -1):
+        if v in need:
+            need.update(calls[v - n_in][1:])
+    kept = [v for v in range(n_in, n_in + len(calls)) if v in need]
+    last = {x: v for v in kept for x in calls[v - n_in][1:]}
+    out = {v: n_in + i for i, v in enumerate(v for v in ranks if copy or v >= n_in)}
+    reg = {i: i for i in range(n_in)}
+    free, n_work, steps = [], 0, []
+    for v in kept:
+        f, x, y = calls[v - n_in]
+        free += [reg[o] for o in {x, y} if last[o] == v and o >= n_in and o not in out]
+        if v in out:
+            reg[v] = out[v]
         else:
-            out = owned[0] if owned else free.pop()
-            lo, hi = (out, None) if keep_lo else (None, out)
-        slices = max(slices, n + 1 - len(free))
-        free += [i for i in owned if i not in (lo, hi)]
-        wire[a], wire[b] = lo, hi
-        steps.append((x, y, lo, hi))
-    return tuple(steps), wire[k], slices
+            if not free:
+                free.append(n_in + len(out) + n_work)
+                n_work += 1
+            reg[v] = free.pop(free.index(min(free)))
+        steps.append((f, reg[x], reg[y], reg[v]))
+    steps += [(_copy, v, v, out[v]) for v in ranks if v < n_in and copy]
+    return _Network(groups, tuple(wanted), tuple(steps), tuple(out.get(v, v) for v in ranks),
+                    n_in, len(out), n_work)
 
 
-def run_network(steps, bufs):
-    """Run the steps of a selection_network over bufs, its n inputs and
-    then its workspace slices, all of one shape."""
-    for x, y, lo, hi in steps:
-        if lo is not None:
-            np.minimum(bufs[x], bufs[y], out=bufs[lo])
-        if hi is not None:
-            np.maximum(bufs[x], bufs[y], out=bufs[hi])
+def _kept_ranks(size: int, n: int, k: int) -> tuple:
+    """The ranks of a sorted list of size of n values that can be the k-th
+    of all n: the lower ones fall below k whatever the rest holds, and the
+    upper ones above it."""
+    return tuple(range(max(0, k - (n - size)), min(size - 1, k) + 1))
+
+
+def _truncated(ranks: tuple, size: int, first: int) -> tuple:
+    """The wire values of a sorted list of size whose kept ranks are the
+    inputs first, first + 1, ...: _LOW below them, _HIGH above."""
+    return ((_LOW,) * ranks[0] + tuple(range(first, first + len(ranks)))
+            + (_HIGH,) * (size - 1 - ranks[-1]))
+
+
+class _MorphNetworks:
+    """The networks that select rank k of a mask's n values, over each
+    slice's in-plane sorted lists.
+
+    op's rank is k = 0 (erode), n - 1 (dilate) or (n - 1) // 2 (median).
+    Each distinct nonempty mask plane is one pattern. Per slice:
+    - rows: one sort per distinct row set of a pattern's columns, over
+      whole rows of the padded slice, so a column's rows come sorted;
+    - patterns: per pattern, a merge of its columns' sorted rows into the
+      pattern's kept ranks (_kept_ranks), at offset in each ring slot.
+    Per output, steps merge the lists of the nonempty planes in z order,
+    each merge pruned to the ranks of what it has merged that can still be
+    rank k, until the last keeps rank k alone. pair says the planes are
+    three of one pattern, so that the first merge of output j serves as
+    the merge of planes 1 and 2 of output j - 1.
+    """
+
+    def __init__(self, mask: np.ndarray, op: str):
+        n = int(mask.sum())
+        self.shape, self.k = mask.shape, {"erode": 0, "dilate": n - 1}.get(op, (n - 1) // 2)
+        patterns = []
+        self.planes = []  # (a, pattern) of each nonempty plane, in z order
+        for a, plane in enumerate(mask):
+            pat = tuple(map(tuple, np.argwhere(plane).tolist()))
+            if pat:
+                patterns += [pat] * (pat not in patterns)
+                self.planes.append((a, patterns.index(pat)))
+        self.pair = self.planes == [(0, 0), (1, 0), (2, 0)]
+        merges, wanted = [], {}
+        for pat in patterns:
+            inputs, groups = [], []
+            for c in sorted({c for _, c in pat}):
+                rows = tuple(b for b, c2 in pat if c2 == c)
+                groups.append(tuple(range(len(inputs), len(inputs) + len(rows))))
+                inputs += [(rows, r, c) for r in range(len(rows))]
+            net = _network(tuple(groups), _kept_ranks(len(pat), n, self.k))
+            merges.append((pat, inputs, net))
+            for i in net.reads:
+                rows, r, _ = inputs[i]
+                wanted.setdefault(rows, set()).add(r)
+        self.rows, at = [], 0
+        for rows, ranks in wanted.items():
+            net = _network(tuple((i,) for i in range(len(rows))), tuple(sorted(ranks)), False)
+            self.rows.append((rows, net, at))
+            at += net.n_out
+        self.n_sorted, at = at, 0
+        self.patterns = []  # (pattern, inputs, network, offset)
+        for pat, inputs, net in merges:
+            self.patterns.append((pat, inputs, net, at))
+            at += net.n_out
+        self.n_kept = at
+        self.steps = []
+        pat, _, net, _ = self.patterns[self.planes[0][1]]
+        size, ranks = len(pat), net.wanted
+        for i, (_, p) in enumerate(self.planes[1:], start=2):
+            pat, _, net, _ = self.patterns[p]
+            merged = _kept_ranks(size + len(pat), n, self.k)
+            self.steps.append(_network(
+                (_truncated(ranks, size, 0), _truncated(net.wanted, len(pat), len(ranks))),
+                merged, i < len(self.planes)))
+            size, ranks = size + len(pat), merged
+        self.slice_work = max(net.n_work for net in [r[1] for r in self.rows]
+                              + [p[2] for p in self.patterns])
+        self.banks = [max((s.n_out for s in self.steps[b::2]), default=0) for b in (0, 1)]
+        self.z_work = max((s.n_work for s in self.steps), default=0)
+
+
+@functools.lru_cache(maxsize=32)
+def _morph_networks(mask_bytes: bytes, shape: tuple, op: str) -> _MorphNetworks:
+    return _MorphNetworks(np.frombuffer(mask_bytes, dtype=bool).reshape(shape), op)
+
+
+class _MorphRing:
+    """One Scratch's u8/u16 morphology state for one mask, op, slice shape
+    and dtype, and outputs per chunk.
+
+    The padded slice lies flat, its rows nx + 2 rx wide, then 2 rx zeros,
+    and every array is flat and contiguous: a row sort reads (ny, nx + 2 rx)
+    rows, plus 2 rx, shifted by whole padded rows, and a column merge
+    reads those shifted by c, so each result has 2 rx junk columns. A
+    slot of the ring holds the kept ranks of each pattern of one slice:
+    keys[s] is that slice, and a chunk of outputs fills its slices into
+    consecutive slots (mod S = chunk + kz - 1) from the slot that already
+    holds its first slice, if any; a slot frees once its slice leaves the
+    chunk's window. So a slice's in-plane sorts run once while it stays in
+    the windows of one Scratch's calls. The z merges run per run of
+    outputs whose slots do not wrap, over (outputs, ny * (nx + 2 rx))
+    arrays, merge t into bank t % 2 with a workspace; one output at a time
+    they keep their bound calls per slot. With pair, bank 0 keeps the
+    first merge across outputs, keyed on the two slices it merged.
+    """
+
+    def __init__(self, scratch: Scratch, nets: _MorphNetworks, data: np.ndarray, chunk: int):
+        kz, ky, kx = nets.shape
+        ry, rx = ky // 2, kx // 2
+        (ny, nx), width, dtype = data.shape, data.shape[1] + 2 * rx, data.dtype
+        self.key, self.chunk, self.nets = (nets, data.shape, dtype), chunk, nets
+        self.ny, self.nx, self.width, self.ry, self.rx = ny, nx, width, ry, rx
+        size, line = ny * width, ny * width + 2 * rx
+        flat = scratch.take("pad", ((ny + 2 * ry) * width + 2 * rx,), dtype)
+        flat[(ny + 2 * ry) * width:] = 0  # read only into junk columns
+        self.pad = flat[:(ny + 2 * ry) * width].reshape(-1, width)
+        self.interior = self.pad[ry:ry + ny, rx:rx + nx]
+        work = scratch.take("work", (nets.slice_work, line), dtype)
+        ysorted = scratch.take("sorted", (nets.n_sorted, line), dtype)
+        sorts, column = [], {}
+        for rows, net, at in nets.rows:
+            calls, results = net.bind([flat[b * width:b * width + line] for b in rows]
+                                      + list(ysorted[at:at + net.n_out]) + list(work))
+            sorts += calls
+            column.update(zip(((rows, r) for r in net.wanted), results))
+        slots = chunk + kz - 1
+        ring = scratch.take("ring", (slots, nets.n_kept, size), dtype)
+        self.lists, self.fills = [], [list(sorts) for _ in range(slots)]
+        for _, inputs, net, at in nets.patterns:
+            self.lists.append(ring[:, at:at + net.n_out].swapaxes(0, 1))
+            ins = [column[rows, r][c:c + size] if i in net.reads else None
+                   for i, (rows, r, c) in enumerate(inputs)]
+            for s in range(slots):
+                self.fills[s] += net.bind(ins + list(ring[s, at:at + net.n_out])
+                                          + [w[:size] for w in work])[0]
+        self.banks = [scratch.take(f"bank{b}", (n, chunk, size), dtype)
+                      for b, n in enumerate(nets.banks)]
+        self.z_work = scratch.take("zwork", (nets.z_work, chunk, size), dtype)
+        self.keys, self.next = [None] * slots, 0
+        self.bound = {}  # (t, first slot at t = 0, slot): merge t's calls, one output
+        self.paired = (None, None)  # the slices whose merge bank 0 holds
+
+    def hold(self, held) -> int:
+        """Fill the held slices into consecutive slots and return the first."""
+        keys, slots = self.keys, len(self.keys)
+        p = next((s for s, key in enumerate(keys) if key is held[0]), self.next)
+        for i in range(len(held), slots):
+            keys[(p + i) % slots] = None
+        for i, sl in enumerate(held):
+            s = (p + i) % slots
+            if keys[s] is not sl:
+                keys[s] = sl
+                self.interior[...] = sl.data
+                _clamp_edges(self.pad, self.ry, self.rx)
+                _run(self.fills[s])
+        self.next = (p + len(held)) % slots
+        return p
+
+    def _list(self, plane: int, s: int, length: int) -> list:
+        """The kept ranks of nonempty plane `plane` over length slots from s."""
+        return list(self.lists[self.nets.planes[plane][1]][:, s:s + length])
+
+    def _zmerge(self, t: int, s: int, length: int, first: int) -> list:
+        """Run z merge t, of the ranks merged so far and nonempty plane
+        t + 1's list at slot s, over length outputs; return its ranks. So
+        far is plane 0's list at slot first at t = 0, else bank (t - 1) % 2."""
+        key = (t, first if t == 0 else None, s) if length == 1 else None
+        bound = self.bound.get(key)
+        if bound is None:
+            so_far = (self._list(0, first, length) if t == 0 else list(
+                self.banks[(t - 1) % 2][:self.nets.steps[t - 1].n_out, :length]))
+            bound = self.nets.steps[t].bind(
+                so_far + self._list(t + 1, s, length) + list(self.banks[t % 2][:, :length])
+                + list(self.z_work[:, :length]))
+            if key is not None:
+                self.bound[key] = bound
+        _run(bound[0])
+        return bound[1]
+
+    def outputs(self, held, nout: int) -> list:
+        """(ny, nx) arrays of the nout outputs whose windows start at held[0],
+        new ones the caller owns."""
+        slots, kz = len(self.keys), self.nets.shape[0]
+        p = self.hold(held)
+        cuts = sorted({0, nout} | {i for i in ((-p - a) % slots for a in range(kz)) if i < nout})
+        outs = []
+        for i0, i1 in zip(cuts, cuts[1:]):
+            at, length = [(p + i0 + a) % slots for a, _ in self.nets.planes], i1 - i0
+            if self.nets.pair and self.chunk == 1:
+                first, second = self.paired
+                if first is held[0] and second is held[1]:
+                    ranks = self._zmerge(1, at[2], 1, at[0])
+                else:  # planes 1 and 2 of this output are planes 0 and 1 of the next
+                    self._zmerge(0, at[2], 1, at[1])
+                    self.paired = held[1], held[2]
+                    ranks = self._zmerge(1, at[0], 1, at[0])
+            else:
+                ranks = self._list(0, at[0], length)
+                for t in range(len(at) - 1):
+                    ranks = self._zmerge(t, at[t + 1], length, at[0])
+            outs += [row.reshape(self.ny, self.width)[:, :self.nx].copy() for row in ranks[0]]
+        return outs
 
 
 #: most bytes of one morph_window block, unless one output needs more
@@ -504,64 +773,88 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
     Even-count medians take the lower of the two middle values so integer
     volumes stay integer-closed and deterministic.
 
-    The outputs go in chunks of c, as many as MORPH_BLOCK_BYTES allows:
-    each chunk copies the c + kz - 1 slices it reads into one block of x-y
-    edge-padded slices. Erode and dilate make one in-place np.minimum or
-    np.maximum call per mask offset over a (c, ny, nx) accumulator, then
-    copy each output into its own buffer, since a view would pin the
-    accumulator. Block, accumulator and the median's buffers come from
-    scratch, so the workspace is bounded whatever w is. On a 2-vCPU Intel
-    Xeon one 64x64 u8 erode call over the r = 1 box with w = 512 takes
-    15 ms in chunks of 58 outputs, 17 ms as one block and 69 ms in chunks
-    of one output.
+    u8 and u16 select rank k of the n masked values (0 for erode, n - 1
+    for dilate, (n - 1) // 2 for the median) with pruned Batcher networks
+    (_MorphNetworks) over flat contiguous arrays, as Adams' separable
+    sorting networks do ("Fast median filters using separable sorting
+    networks", SIGGRAPH 2021): each slice sorts its padded rows along y and
+    merges its columns into each mask plane's sorted list once, keeping
+    the ranks that can still be rank k, in a ring in scratch keyed on the
+    slice object (by identity), as conv_window's plane sums are. That
+    relies on a slice's data never changing in place. Each output then
+    merges its k_z lists along z, pruned to the ranks that can still be
+    rank k: over the r = 1 box a slice's lists take 6 + 36 calls, the merge
+    of two slices' lists 48, kept across outputs, and the final select 18
+    (the network that sorted each output's 27 views took 226). Erode and
+    dilate keep one rank, so a slice takes 4 calls and an output k_z - 1,
+    made over a chunk of outputs at once. The median goes one output at a
+    time, so the ring holds k_z slices; erode and dilate go in chunks of c,
+    as many as MORPH_BLOCK_BYTES of padded slices allows, over c + k_z - 1.
+    Milliseconds per output at w = k_z on a 2-vCPU Intel Xeon, slice fill
+    and cast included (scripts/kernel_table.py, per-output networks and
+    per-offset calls over strided views -> ring):
 
-    The median of u8 and u16 runs selection_network(n, k), k = (n - 1) // 2,
-    over the n masked neighbours of each output slice: Batcher's odd-even
-    merge sort, with the comparators on +inf padding wires dropped and the
-    rest pruned to those the k-th wire depends on. Its inputs are views of
-    the block, so nothing is gathered, and its other buffers are slices of
-    one workspace, so besides the block a call holds at most n + 1 slices.
-    Each step is one np.minimum and one np.maximum call, or one when the
-    other output is never read: the r = 1 box (n = 27) takes 126 steps
-    and 226 calls, r = 2 (n = 125) 1,184 steps. An exact radix select
-    instead makes 8 * itemsize passes of about 2n + 4 slice-passes each.
-    Milliseconds per output on a 2-vCPU Intel Xeon, block fill and cast
-    included (scripts/kernel_table.py, radix select -> network):
+        op      r  dtype      64x64          128x128          256x256
+        median  1  u8    0.218 -> 0.073   0.393 -> 0.137    0.852 -> 0.403
+        median  1  u16   0.240 -> 0.087   0.494 -> 0.210    2.235 -> 0.824
+        median  2  u8    1.586 -> 0.623   3.268 -> 1.401   10.46  -> 5.244
+        median  2  u16   2.040 -> 0.880   6.343 -> 2.728   20.44  -> 11.92
+        median  3  u8    6.630 -> 4.580  16.21  -> 8.147   50.49  -> 28.51
+        median  3  u16   9.077 -> 5.270  31.27  -> 14.44  114.1   -> 58.15
+        erode   1  u8    0.069 -> 0.020   0.100 -> 0.026    0.171 -> 0.044
+        erode   1  u16   0.204 -> 0.038   0.125 -> 0.032    0.287 -> 0.073
+        erode   2  u8    0.250 -> 0.029   0.344 -> 0.038    0.600 -> 0.065
+        erode   2  u16   0.263 -> 0.031   0.497 -> 0.046    1.207 -> 0.124
+        erode   3  u8    0.696 -> 0.069   1.035 -> 0.084    1.926 -> 0.126
+        erode   3  u16   0.769 -> 0.072   1.429 -> 0.090    3.507 -> 0.263
+        dilate  1  u8    0.071 -> 0.021   0.093 -> 0.026    0.197 -> 0.052
+        dilate  1  u16   0.076 -> 0.022   0.187 -> 0.043    0.277 -> 0.074
+        dilate  2  u8    0.268 -> 0.029   0.344 -> 0.037    0.642 -> 0.070
+        dilate  2  u16   0.264 -> 0.031   0.519 -> 0.047    1.252 -> 0.129
+        dilate  3  u8    0.679 -> 0.065   0.918 -> 0.077    1.879 -> 0.131
+        dilate  3  u16   0.680 -> 0.067   1.331 -> 0.089    3.178 -> 0.205
 
-        r  dtype      64x64          128x128          256x256
-        1  u8    0.45 -> 0.41    1.05 -> 0.51     4.00 -> 1.21
-        1  u16   0.83 -> 0.47    2.19 -> 0.74     9.22 -> 3.07
-        2  u8    1.38 -> 3.39    4.38 -> 4.97    17.6  -> 16.0
-        2  u16   3.09 -> 3.64   10.1  -> 8.45    50.2  -> 30.7
+    One 64x64 call over the r = 1 box at w = 512, in chunks of 58 outputs,
+    went 8.7 -> 5.6 ms (erode, u8), 11.7 -> 7.7 (erode, u16), 7.7 -> 5.1
+    (dilate, u8) and 11.2 -> 6.6 (dilate, u16).
 
-    So r >= 2 is slower on small slices, where each of the many calls
-    costs about its dispatch.
-
-    f32 gathers the neighbours into an (n, ny, nx) stack and keeps
-    np.partition, whose order ties -0.0 with +0.0 and puts every NaN
-    last, where np.minimum and np.maximum propagate NaNs.
+    f32 keeps the per-output order: the outputs go in chunks of c, each
+    copying its c + kz - 1 slices into one block of x-y edge-padded slices.
+    Erode and dilate make one np.minimum or np.maximum call per mask offset
+    in mask order, over a (c, ny, nx) accumulator, which decides which of
+    -0.0 and +0.0 and which NaN comes out; the median gathers each
+    output's neighbours into an (n, ny, nx) stack and keeps np.partition,
+    whose order ties -0.0 with +0.0 and puts every NaN last, where
+    np.minimum and np.maximum propagate NaNs. Block, accumulator and stack
+    come from scratch, so the workspace is bounded whatever w is.
     """
     scratch = Scratch() if scratch is None else scratch
     kz, ky, kx = se.mask.shape
     ry, rx = ky // 2, kx // 2
-    ny, nx = window[0].data.shape
-    offsets = np.argwhere(se.mask).tolist()
-    dtype = window[0].data.dtype
+    data = window[0].data
+    (ny, nx), dtype = data.shape, data.dtype
     padded = (ny + 2 * ry) * (nx + 2 * rx) * dtype.itemsize
     chunk = max(1, min(hi - lo + 1, MORPH_BLOCK_BYTES // padded - kz + 1))
+    outs = []
+    if dtype.kind == "u":
+        chunk = 1 if op == "median" else chunk
+        nets = _morph_networks(se.mask.tobytes(), se.mask.shape, op)
+        ring = scratch.memo.get("morph")
+        if ring is None or ring.key != (nets, data.shape, dtype) or ring.chunk < chunk:
+            ring = scratch.memo["morph"] = _MorphRing(scratch, nets, data, chunk)
+        for first in range(lo, hi + 1, chunk):
+            nout = min(chunk, hi + 1 - first)
+            outs += map(cast, ring.outputs(window[first:first + nout + kz - 1], nout))
+        return outs
+    offsets = np.argwhere(se.mask).tolist()
     blocks = scratch.take("block", (chunk + kz - 1, ny + 2 * ry, nx + 2 * rx), dtype)
     if op != "median":
         extremum = np.minimum if op == "erode" else np.maximum
         (a0, b0, c0), rest = offsets[0], offsets[1:]
         accs = scratch.take("acc", (chunk, ny, nx), dtype)
-    elif dtype.kind == "u":
-        n = len(offsets)
-        steps, kth, slices = selection_network(n, (n - 1) // 2)
-        wires = list(scratch.take("wires", (slices, ny, nx), dtype))
     else:
         k = (len(offsets) - 1) // 2
         stack = scratch.take("stack", (len(offsets), ny, nx), dtype)
-    outs = []
     for first in range(lo, hi + 1, chunk):
         nout = min(chunk, hi + 1 - first)
         block = blocks[:nout + kz - 1]
@@ -576,15 +869,9 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
             outs += [cast(plane.copy()) for plane in acc]
             continue
         for j in range(nout):
-            views = [block[j + a, b:b + ny, c:c + nx] for a, b, c in offsets]
-            if dtype.kind == "u":
-                bufs = views + wires
-                run_network(steps, bufs)
-                outs.append(cast(bufs[kth].copy()))
-            else:
-                np.stack(views, out=stack)
-                stack.partition(k, axis=0)
-                outs.append(cast(stack[k].copy()))
+            np.stack([block[j + a, b:b + ny, c:c + nx] for a, b, c in offsets], out=stack)
+            stack.partition(k, axis=0)
+            outs.append(cast(stack[k].copy()))
     return outs
 
 
@@ -757,8 +1044,7 @@ class OpKind:
     """What the engine knows about one op kind, so about every stage of it.
 
     estimate(stage, in_meta, out_meta) is a stage's closed-form ledger
-    price, out_meta(stage, meta) the volume geometry downstream of it and
-    batch(stage) the slices it emits per window step.
+    price and out_meta(stage, meta) the volume geometry downstream of it.
     Window kinds consume a sliding z-window and emit its valid centers, a
     pointwise stage being one of depth 1: window(stage, window, lo, hi,
     scratch=, cast=) gives the output arrays of the window-relative
@@ -776,7 +1062,6 @@ class OpKind:
 
     estimate: Callable
     out_meta: Callable = lambda stage, meta: meta
-    batch: Callable = lambda stage: stage.w - stage.k_z + 1
     window: Optional[Callable] = None
     kernel_dims: Optional[Callable] = None
     spec: tuple = ()
@@ -942,7 +1227,7 @@ OPS = {
     # a window of depth 1: each output is fn of one slice
     "pointwise": OpKind(
         _window_estimate,
-        window=lambda st, win, lo, hi, cast, **_: [
+        window=lambda st, win, lo, hi, scratch, cast: [
             cast(st.params["fn"](sl.data, sl.meta.dtype)) for sl in win[lo:hi + 1]],
         spec=(_pointwise_syntax(
                   "threshold", ("t", "w"),

@@ -206,9 +206,8 @@ def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
                               stage.s, est.input_bytes, est.output_bytes,
                               est.internal_bytes, credit, running))
         if concurrent and ops.record(stage).kernel_dims and stage.name not in inline:
-            # the call one window ahead: s = batch more input slices, its outputs
-            queue_bytes += ops.record(stage).batch(stage) * (
-                slice_bytes(in_meta) + slice_bytes(metas[stage.name][1]))
+            # the call one window ahead: s more input slices and its s outputs
+            queue_bytes += stage.s * (slice_bytes(in_meta) + slice_bytes(metas[stage.name][1]))
     return rows, running, credits, queue_bytes
 
 

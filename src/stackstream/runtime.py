@@ -41,7 +41,7 @@ import numpy as np
 from . import io as sio
 from . import ops, stream as st
 from .core import (ALLOC, Budget, Dtype, EngineError, PipelineGraph,
-                   PlanStage, PlanningError, StageError, VolumeMeta)
+                   PlanStage, PlanningError, SliceMeta, StageError, VolumeMeta)
 from .planner import Plan, plan as make_plan, propagate_meta
 from .stream import Stream, release_element
 
@@ -111,21 +111,9 @@ def _initialize_stream(stage: PlanStage) -> Stream:
     return st.initialize(meta.depth, g, smeta)
 
 
-def _guarded(stage: PlanStage, z: int, fn: Callable, *args, **kwargs):
-    """fn(*args, **kwargs), with a failure that is not the engine's own
-    raised as a StageError naming the stage and the z of the output being
-    computed."""
-    try:
-        return fn(*args, **kwargs)
-    except EngineError:
-        raise
-    except Exception as exc:
-        raise StageError(stage.name, z, exc) from exc
-
-
-def _slices(out_v: VolumeMeta, arrays) -> list:
+def _slices(smeta: SliceMeta, arrays) -> list:
     """New slices of arrays already in the stage's dtype."""
-    return st.build_all(lambda arr: ALLOC.new_slice(out_v.slice_meta, arr), arrays)
+    return st.build_all(lambda arr: ALLOC.new_slice(smeta, arr), arrays)
 
 
 def _stage(stage: PlanStage, out_v: VolumeMeta, windows: Stream,
@@ -145,22 +133,35 @@ def _per_slice(stage: PlanStage, src: Stream, out_v: VolumeMeta, step: Callable,
 
 
 def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
-    """call_at(t, win) -> (call, last), asked for in window order: call(scratch=)
+    """call_at(t, win) -> (call, last), asked for in window order: call(scratch)
     gives the output arrays of stage's kernel over the w-slice window
     starting at z = t, skipping centers an earlier call produced, and last
     tells whether it reaches the output depth. Each window has a new center
     (windowed_positions' final "full" window, _shared_windows' t = d - w).
-    The kernel casts each output itself, rounding its workspace in place."""
-    fn = partial(ops.record(stage).window, stage,
-                 cast=lambda arr: _cast_array(arr, out_v.dtype, in_place=True))
+    The kernel casts each output itself, rounding its workspace in place.
+    A failure that is not the engine's own is raised as a StageError naming
+    the stage and the z of the call's first output."""
+    window = ops.record(stage).window
     hi = w - stage.k_z
     next_out = 0
+
+    def cast(arr):
+        return _cast_array(arr, out_v.dtype, in_place=True)
 
     def call_at(t, win):
         nonlocal next_out
         lo = max(t, next_out) - t
         next_out = t + hi + 1
-        return partial(_guarded, stage, t + lo, fn, win, lo, hi), next_out == out_v.depth
+
+        def call(scratch):
+            try:
+                return window(stage, win, lo, hi, scratch=scratch, cast=cast)
+            except EngineError:
+                raise
+            except Exception as exc:
+                raise StageError(stage.name, t + lo, exc) from exc
+
+        return call, next_out == out_v.depth
 
     return call_at
 
@@ -172,13 +173,14 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
     the stage's last call or else the run closes."""
     scratch = ctx.track(ops.Scratch())
     call_at = _kernel_calls(stage, w, out_v)
+    smeta = out_v.slice_meta
 
     def outputs(t, win):
         call, last = call_at(t, win)
-        arrays = call(scratch=scratch)
+        arrays = call(scratch)
         if last:
             scratch.close()
-        return _slices(out_v, arrays)
+        return _slices(smeta, arrays)
 
     return outputs
 
@@ -208,7 +210,8 @@ def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
         outputs = _kernel_outputs(stage, w, out_v, ctx)
         return _stage(stage, out_v, windows, lambda item: outputs(*item))
     handoff = _ThreadHandoff(stage.name, windows, _kernel_calls(stage, w, out_v), ctx)
-    return _stage(stage, out_v, handoff.stream(), lambda item: _slices(out_v, item[2]))
+    smeta = out_v.slice_meta
+    return _stage(stage, out_v, handoff.stream(), lambda item: _slices(smeta, item[2]))
 
 
 def _crop_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
@@ -364,7 +367,7 @@ class _ThreadHandoff:
 
     def _run(self, serial, call, scratch):
         try:
-            outcome = True, call(scratch=scratch)
+            outcome = True, call(scratch)
         except BaseException as exc:
             outcome = False, exc
         self._put((serial, outcome))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -415,42 +416,132 @@ def test_radix_select_matches_sort_oracle(case):
         assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
 
 
+def _mask_of(n):
+    """The smallest box mask that holds n values, its centre and its first
+    n - 1 other entries in raster order true: planes of every count, some
+    empty, and even counts of n."""
+    k = 1
+    while k ** 3 < n:
+        k += 2
+    flat = np.zeros(k ** 3, dtype=bool)
+    flat[k ** 3 // 2] = True
+    flat[[i for i in range(k ** 3) if i != k ** 3 // 2][:n - 1]] = True
+    return flat.reshape(k, k, k)
+
+
 @pytest.mark.parametrize("n", [*range(1, 65), 125, 343])
 def test_selection_network_selects_the_median(n):
-    """The pruned network, run over n read-only inputs and its own slices,
-    leaves the lower median in buffer out, with ties, 0 and the maximum."""
-    k = (n - 1) // 2
-    steps, out, slices = ops.selection_network(n, k)
-    assert slices <= n + 1
-    assert all(i is None or n <= i < n + slices for _, _, lo, hi in steps for i in (lo, hi))
+    """The pruned networks over a mask of n values, run over read-only
+    slices, leave the lower median in every output, with ties, 0 and the
+    maximum."""
+    mask = _mask_of(n)
+    kz = mask.shape[0]
     rng = np.random.default_rng(n)
     for dtype in (U8, U16):
         top = np.iinfo(dtype.np_dtype).max
         for values in ([0, 1, top - 1, top], [0, top], rng.integers(0, top, 8, endpoint=True)):
-            stack = rng.choice(values, size=(n, 4, 4)).astype(dtype.np_dtype)
-            stack.flags.writeable = False  # the inputs are views of a block
-            bufs = list(stack) + list(np.empty((slices, 4, 4), dtype=dtype.np_dtype))
-            ops.run_network(steps, bufs)
-            assert np.array_equal(bufs[out], np.sort(stack, axis=0)[k])
+            vol = rng.choice(values, size=(kz + 1, 4, 4)).astype(dtype.np_dtype)
+            vol.flags.writeable = False  # the networks only read the slices
+            outs = ops.morph_window(_window(vol), ops.StructuringElement(mask), "median", 0, 1)
+            assert np.array_equal(np.stack(outs), oracles.morphology(vol, mask, "median"))
 
 
 def test_selection_network_of_the_r1_box_is_pruned():
-    steps, _, slices = ops.selection_network(27, 13)
-    assert len(steps) <= 126
-    assert slices == 27 + 1
+    """Over the r = 1 box a slice's median lists take 6 + 36 calls, the
+    merge of two slices' lists 48 and the select 18; erode and dilate keep
+    one rank, 2 + 2 calls a slice and one a merge."""
+    box = ops.StructuringElement.box(1).mask
+    nets = ops._morph_networks(box.tobytes(), box.shape, "median")
+    (_, rows, _), = nets.rows
+    (_, _, plane, _), = nets.patterns
+    assert [len(rows.steps), len(plane.steps)] == [6, 36]
+    assert [len(net.steps) for net in nets.steps] == [48, 18]
+    assert nets.steps[0].wanted == tuple(range(4, 14)) and nets.pair
+    for op in ("erode", "dilate"):
+        nets = ops._morph_networks(box.tobytes(), box.shape, op)
+        assert [len(net.steps) for _, net, _ in nets.rows] == [2]
+        assert [len(net.steps) for _, _, net, _ in nets.patterns] == [2]
+        assert [len(net.steps) for net in nets.steps] == [1, 1]
+
+
+def _holds_by_the_0_1_principle(net):
+    """Run net once over every 0-1 input that keeps each of its groups
+    sorted, _LOW as 0 and _HIGH as 1, each input read-only, and check
+    every wanted rank. A min/max network commutes with thresholds, so
+    this proves it on every input whose groups are sorted."""
+    reals = [[v for v in group if v >= 0] for group in net.groups]
+    zeros = np.array(list(itertools.product(*[range(len(r) + 1) for r in reals])))
+    regs = [None] * net.n_in
+    for g, real in enumerate(reals):
+        for rank, v in enumerate(real):
+            regs[v] = (rank >= zeros[:, g]).astype(np.uint8)
+            regs[v].flags.writeable = False
+    regs += [np.empty(len(zeros), dtype=np.uint8) for _ in range(net.n_out + net.n_work)]
+    calls, results = net.bind(regs)
+    ops._run(calls)
+    below = sum(group.count(ops._LOW) for group in net.groups) + zeros.sum(axis=1)
+    for rank, got in zip(net.wanted, results):
+        assert np.array_equal(got, (rank >= below).astype(np.uint8)), (net.groups, rank)
+    return len(zeros)
+
+
+def _all_networks(mask, op):
+    nets = ops._morph_networks(mask.tobytes(), mask.shape, op)
+    return ([net for _, net, _ in nets.rows] + [net for _, _, net, _ in nets.patterns]
+            + list(nets.steps))
+
+
+@pytest.mark.parametrize("op", ["median", "erode", "dilate"])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_box_networks_hold_by_the_0_1_principle(r, op):
+    """Every row sort, plane merge and z merge of a box, exhaustively: at
+    r = 2 the plane merge of five sorted columns of five takes 6^5 inputs."""
+    mask = np.ones((2 * r + 1,) * 3, dtype=bool)
+    vectors = [_holds_by_the_0_1_principle(net) for net in _all_networks(mask, op)]
+    assert max(vectors) <= 7776
+
+
+@hst.composite
+def small_masks(draw):
+    """Masks as morph_cases draws them: edges of 1 or 3, any bits, the
+    centre true, so planes may be empty or hold an even count."""
+    shape = tuple(draw(hst.sampled_from([1, 3])) for _ in range(3))
+    bits = draw(hst.lists(hst.booleans(), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    mask[shape[0] // 2, shape[1] // 2, shape[2] // 2] = True
+    return mask
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mask=small_masks(), op=hst.sampled_from(["median", "erode", "dilate"]))
+@example(mask=np.array([[[0, 0, 0]], [[1, 1, 1]], [[0, 1, 0]]], dtype=bool), op="median")
+def test_mask_networks_hold_by_the_0_1_principle(mask, op):
+    for net in _all_networks(mask, op):
+        _holds_by_the_0_1_principle(net)
 
 
 @pytest.mark.parametrize("w", [3, 40])
-def test_median_scratch_is_its_block_and_n_plus_1_slices(w):
-    """Besides the edge-padded block, a 64x64 median call over the r = 1
-    box (n = 27) holds at most n + 1 slices of workspace."""
+def test_median_scratch_is_its_ring_banks_and_network_workspaces(w):
+    """A 64x64 u8 median call over the r = 1 box holds its padded slice,
+    the row sorts' rows and workspaces, a ring of k_z = 3 slots of 9 kept
+    ranks, bank 0 with the pair merge's 10 ranks, bank 1 with the select's
+    one, and the z merges' workspaces: 270,494 B whatever w is. Rows are
+    66 wide, so a row sort's rows hold 64 * 66 + 2 voxels and the rest
+    64 * 66."""
     kz, call = _SCRATCH_CALLS["median"]
     window = _window(np.random.default_rng(73).integers(0, 256, (w, 64, 64), dtype=np.uint8))
     scratch = ops.Scratch()
     outs = call(window, 0, w - kz, scratch)
     assert len(outs) == w - kz + 1
-    scratch.buffers.pop("block")
-    assert sum(b.nbytes for b in scratch.buffers.values()) <= (27 + 1) * 64 * 64
+    box = ops.StructuringElement.box(1).mask
+    nets = ops._morph_networks(box.tobytes(), box.shape, "median")
+    size, line = 64 * 66, 64 * 66 + 2
+    assert (nets.n_kept, nets.banks) == (9, [10, 1])
+    want = (66 * 66 + 2 + (nets.slice_work + nets.n_sorted) * line
+            + (kz * nets.n_kept + sum(nets.banks) + nets.z_work) * size)
+    assert sum(b.nbytes for b in scratch.buffers.values()) == want == 270_494
+    assert len(scratch.memo["morph"].keys) == kz
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +882,153 @@ def test_box3_convolve_runs_bit_identical_at_threads_1_2(tmp_path, monkeypatch, 
         ref = oracles.frozen_conv_window(_window(vol), box, 0, len(vol) - 3)
         _assert_same_bits(sio.read_volume(tmp_path / f"out{w}"),
                           np.stack([oracles.frozen_cast_array(r, F32) for r in ref]))
+
+
+# ---------------------------------------------------------------------------
+# the morphology ring: each slice's in-plane lists kept across one Scratch's calls
+# ---------------------------------------------------------------------------
+
+def _morph_sweep(vol, dtype, mask, op, w, scratch):
+    """Every output of vol, called as a stage at window w calls morph_window:
+    windows from windowed_positions at stride w - k_z + 1, the same slice
+    objects where they overlap, one Scratch. Each output is checked to own
+    its buffer, apart from the other outputs and the window's slices."""
+    depth, ny, nx = vol.shape
+    kz = mask.shape[0]
+    se = ops.StructuringElement(mask)
+    windows = st.windowed_positions(w, w - kz + 1, vol_stream(vol, VolumeMeta(
+        nx, ny, depth, dtype)), "full")
+    outs, next_out = [], 0
+    try:
+        while (item := windows.pull()) is not None:
+            t, win = item
+            lo, next_out = max(t, next_out) - t, t + w - kz + 1
+            try:
+                got = ops.morph_window(win, se, op, lo, w - kz, scratch=scratch,
+                                       cast=lambda a: runtime._cast_array(a, dtype))
+                for out in got:
+                    assert out.base is None and out.flags.owndata
+                    assert not any(np.shares_memory(out, sl.data) for sl in win)
+                    assert not any(np.shares_memory(out, other) for other in outs)
+                outs += got
+            finally:
+                st.release_element(win)
+    finally:
+        windows.close()
+    assert len(outs) == depth - kz + 1
+    return np.stack(outs)
+
+
+@hst.composite
+def morph_ring_cases(draw):
+    """(op, dtype, mask, volume, w): boxes r = 1, 2 and random masks, ny or
+    nx possibly 1, w = k_z .. k_z + 4 over a volume at least w deep."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    op = draw(hst.sampled_from(["median", "erode", "dilate"]))
+    dtype = draw(hst.sampled_from([U8, U16]))
+    kind = draw(hst.sampled_from(["box1", "box2", "random"]))
+    mask = draw(small_masks()) if kind == "random" else np.ones(
+        (2 * int(kind[-1]) + 1,) * 3, dtype=bool)
+    kz = mask.shape[0]
+    w = draw(hst.integers(kz, kz + 4))
+    dims = (draw(hst.integers(w, w + 6)), draw(hst.sampled_from([1, 2, 5])),
+            draw(hst.sampled_from([1, 3, 6])))
+    fill = draw(hst.sampled_from(["random", "special", "ties"]))
+    return op, dtype, mask, _fill(rng, dtype, fill, dims), w
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=morph_ring_cases())
+@example(case=("median", U8, np.ones((3, 3, 3), dtype=bool),
+               _fill(_RNG, U8, "random", (9, 4, 5)), 3))
+@example(case=("median", U16, np.ones((5, 5, 5), dtype=bool),
+               _fill(_RNG, U16, "special", (11, 1, 6)), 6))
+@example(case=("dilate", U8, np.ones((3, 3, 3), dtype=bool),
+               _fill(_RNG, U8, "ties", (12, 5, 1)), 7))
+def test_morph_sweep_with_one_scratch_matches_sort_oracle(case):
+    op, dtype, mask, vol, w = case
+    scratch = ops.Scratch()
+    got = _morph_sweep(vol, dtype, mask, op, w, scratch)
+    assert np.array_equal(got, oracles.morphology(vol, mask, op))
+    assert ALLOC.live_slices == 0
+    # the median keeps k_z slots whatever w is; a chunk of c outputs c + k_z - 1
+    ring = scratch.memo["morph"]
+    assert len(ring.keys) == ring.chunk + mask.shape[0] - 1
+    assert ring.chunk == 1 or op != "median"
+    scratch.close()
+    assert not scratch.buffers and not scratch.memo
+
+
+@pytest.mark.parametrize("op", ["median", "erode"])
+@pytest.mark.parametrize("w", [3, 5, 10])
+def test_morph_sweep_sorts_each_slice_once(monkeypatch, op, w):
+    """A sweep over d slices pads and sorts each slice once, not once per
+    window that reads it, and the median merges planes 1 and 2 of every
+    other output only: they are planes 0 and 1 of the next one."""
+    d, fills, pairs = 10, [], []
+    clamp, zmerge = ops._clamp_edges, ops._MorphRing._zmerge
+    monkeypatch.setattr(ops, "_clamp_edges", lambda *a: (fills.append(1), clamp(*a)))
+    monkeypatch.setattr(ops._MorphRing, "_zmerge", lambda ring, t, *a: (
+        pairs.append(t) if t == 0 else None, zmerge(ring, t, *a))[1])
+    vol = np.random.default_rng(89).integers(0, 256, (d, 5, 6), dtype=np.uint8)
+    box = np.ones((3, 3, 3), dtype=bool)
+    assert np.array_equal(_morph_sweep(vol, U8, box, op, w, ops.Scratch()),
+                          oracles.morphology(vol, box, op))
+    assert len(fills) == d
+    if op == "median":  # erode goes chunked over a wider window, with no pair
+        assert len(pairs) == (d - 2 + 1) // 2
+
+
+def _morph_slide(slices, se, op, scratch):
+    """morph_window's one output per w = k_z window, sliding one slice at a time."""
+    kz = se.k_z
+    return np.stack([ops.morph_window(slices[t:t + kz], se, op, 0, 0, scratch=scratch)[0]
+                     for t in range(len(slices) - kz + 1)])
+
+
+def test_morph_ring_never_reuses_another_slice_or_mask():
+    """One Scratch sweeps a volume, then new slice objects with other data
+    (likely at the addresses of the first ones), then those same slice
+    objects under another op and mask, then windows that start at the
+    first slice of the kept pair merge but go on to other slices: each
+    output is its own oracle's."""
+    rng = np.random.default_rng(87)
+    box = ops.StructuringElement.box(1)
+    scratch = ops.Scratch()
+    first = rng.integers(0, 256, (8, 6, 7), dtype=np.uint8)
+    assert np.array_equal(_morph_slide(_window(first), box, "median", scratch),
+                          oracles.morphology(first, box.mask, "median"))
+    second = rng.integers(0, 256, (8, 6, 7), dtype=np.uint8)
+    slices = _window(second)
+    cross = ops.StructuringElement(np.array([[[0, 1, 0]], [[1, 1, 1]], [[0, 1, 0]]], dtype=bool))
+    for se, op in ((box, "median"), (box, "dilate"), (cross, "median"),
+                   (ops.StructuringElement.box(1), "median")):
+        assert np.array_equal(_morph_slide(slices, se, op, scratch),
+                              oracles.morphology(second, se.mask, op))
+    for picks in ([0, 1, 2], [1, 5, 6], [1, 2, 3]):  # the merge kept is of 1, 2, then 5, 6
+        got, = ops.morph_window([slices[i] for i in picks], box, "median", 0, 0, scratch=scratch)
+        assert np.array_equal(got, oracles.morphology(second[picks], box.mask, "median")[0])
+
+
+@pytest.mark.parametrize("op", ["median", "erode", "dilate"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_morphology_runs_bit_identical_at_threads_1_2(tmp_path, monkeypatch, op, threads):
+    """read -> op r=1 -> write, every call on the pool at threads 2, where
+    two Scratches in flight keep a ring each and see every other window:
+    the output is the oracle's and nothing leaks."""
+    monkeypatch.setattr(runtime, "INLINE_WORK", 0)
+    meta = VolumeMeta(9, 7, 14, U16)
+    vol = synth_volume(meta, "random", seed=88)
+    sio.write_volume(tmp_path / "in", vol, U16)
+    want = oracles.morphology(vol, np.ones((3, 3, 3), dtype=bool), op)
+    for w in (3, 6):
+        g = chain(sio.read_stage(tmp_path / "in"), _MORPH_FACTORIES[op](1, w=w, name="m"),
+                  sio.write_stage(tmp_path / f"out{w}"))
+        p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False,
+                 concurrent=threads > 1)
+        rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+        assert rep.leaked_slices == 0
+        assert np.array_equal(sio.read_volume(tmp_path / f"out{w}"), want)
 
 
 # ---------------------------------------------------------------------------

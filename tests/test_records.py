@@ -35,7 +35,6 @@ MAXFILTER = ops.OpKind(
     estimate=lambda st, m, o: MemEstimate(st.w * slice_bytes(m),
                                           (st.w - st.k_z + 1) * slice_bytes(o)),
     out_meta=lambda st, m: VolumeMeta(m.nx, m.ny, m.depth - st.k_z + 1, m.dtype),
-    batch=lambda st: st.w - st.k_z + 1,
     window=lambda st, win, lo, hi, scratch, cast: ops.morph_window(
         win, st.params["se"], "dilate", lo, hi, scratch=scratch, cast=cast),
     kernel_dims=lambda st: st.params["se"].mask.shape[::-1],
