@@ -158,7 +158,7 @@ class SliceAllocator:
 
     Refcount updates go through the allocator so they are atomic across
     stage threads, and so tests can assert leak freedom and peak bytes.
-    Large persistent stage state (histogram bins, chunk layer buffers) is
+    Large persistent stage state (histogram bins, a permute's slab) is
     registered via internal() so it counts toward the measured peak.
     """
 

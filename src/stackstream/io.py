@@ -11,23 +11,37 @@ multi-slice file) or a grid of chunk files, described by manifest.txt:
     layout stack | chunks <cx> <cy> <cz>
     <ordered file list>
 
-A sink first makes its directory and a .partial marker. A sink with one
-file per slice or per chunk then creates its files empty, ahead of it
-and in the order it fills them, on one thread of its own, and fills each
-in place: nothing is renamed. A planner mid-write is one multi-slice
-file, also written in place slice by slice. The marker is unlinked only after the
-manifest is written, so the volume, not the file, is the unit that is
-complete or not, and an interrupted run can never be mistaken for a
-complete volume. Nothing is fsynced, so this holds against a process
-that dies, not against a power loss or an OS crash.
+Every layout is streamed as a grid of chunk files: a stack of one file
+per slice is a grid of (nx, ny, 1) chunks named by its manifest, a
+multi-slice file one (nx, ny, depth) chunk, and a chunk store its own
+ChunkGrid. A chunk file is raw C-order (dz, dy, dx), so plane z of it is
+one contiguous run of bytes, and the files of one x-y layer of chunks
+together hold cz whole slices. One reader keeps the files of the current
+layer open and reads plane z of each into a new slice; one writer keeps
+the files of its layer open and appends each slice's plane to each of
+them. Neither holds more than the one slice it streams, and each opens
+a file once per sweep. Every open layer counts its files among those
+the process holds, and raises the soft RLIMIT_NOFILE when they pass it.
+
+A sink first makes its directory and a .partial marker. It then creates
+its files empty, ahead of it and in the order it fills them, on one
+thread of its own, and appends to each in place: nothing is renamed. The
+marker is unlinked only after the manifest is written, so the volume,
+not the file, is the unit that is complete or not, and an interrupted
+run can never be mistaken for a complete volume. Nothing is fsynced, so
+this holds against a process that dies, not against a power loss or an
+OS crash.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import resource
 import threading
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
+from io import FileIO
 from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,30 +55,40 @@ from .stream import Stream
 MANIFEST = "manifest.txt"
 STACK_FILE = "stack.raw"  # the one file of a multipage stack
 PARTIAL_MARKER = ".partial"
+# descriptors left for the rest of the process beside one layer's files
+SPARE_FILES = 64
 
 
-def _write_bytes(path: Path, data: bytes):
+def _create(path: Path):
+    """Create path empty, or empty it."""
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+
+
+def _write_bytes(fh: FileIO, data: bytes):
     # single seam for fault-injection in tests
-    with open(path, "wb") as fh:
-        fh.write(data)
+    view = memoryview(data)
+    while view:
+        view = view[fh.write(view):]
 
 
-def _atomic_write(directory: Path, name: str, data: bytes):
-    """Fill one file of a volume in place. Nothing is renamed: the volume's
-    .partial marker, not a rename, is what makes the volume atomic."""
-    _write_bytes(directory / name, data)
+def _atomic_write(directory: Path, fh: FileIO, data: bytes):
+    """Append one plane, or a whole manifest, to fh, a file its sink holds
+    open in directory. Nothing is renamed: the volume's .partial marker,
+    not a rename, is what makes the volume atomic."""
+    _write_bytes(fh, data)
 
 
 class _FileCreator:
     """A sink's files, created empty ahead of it on one thread of its own.
 
     Within `with`, the thread stage-create creates name(i) in directory
-    for i in range(count), the order in which the sink fills them, and
-    holds no list of them. fill waits on one condition, with no timeout,
-    until the next file exists, then fills it in place. Leaving `with`
-    stops and joins the thread, then unlinks every file it created that
-    was never completely filled. Creating a file costs far more than
-    filling it, and this takes that cost off the pipeline's thread.
+    for i in range(count), the order in which the sink first appends to
+    them, and holds no list of them. wait waits on one condition, with no
+    timeout, until the files the sink is about to fill exist; the sink
+    counts in filled the files it has appended a whole plane to. Leaving
+    `with` stops and joins the thread, then unlinks every other file it
+    created. Creating a file costs far more than filling it, and this
+    takes that cost off the pipeline's thread.
     """
 
     def __init__(self, directory: Path, name: Callable[[int], str], count: int):
@@ -80,8 +104,7 @@ class _FileCreator:
             for i in range(self.count):
                 if self.stopped:
                     break
-                os.close(os.open(self.directory / self.name(i),
-                                 os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+                _create(self.directory / self.name(i))
                 with self.cond:
                     self.created += 1
                     self.cond.notify()
@@ -92,17 +115,13 @@ class _FileCreator:
                 self.done = True
                 self.cond.notify()
 
-    def fill(self, name: str, data: bytes):
-        """Fill the next file in creation order, which must be name."""
-        i = self.filled
-        assert name == self.name(i), f"{name} filled out of file order"
+    def wait(self, stop: int):
+        """Wait until the files before index stop exist."""
         with self.cond:
-            self.cond.wait_for(lambda: self.created > i or self.done)
-        if self.created <= i:
-            raise self.error or IOError(
-                f"{self.directory / name}: its creator ended before creating it")
-        _atomic_write(self.directory, name, data)
-        self.filled += 1
+            self.cond.wait_for(lambda: self.created >= stop or self.done)
+        if self.created < stop:
+            raise self.error or IOError(f"{self.directory / self.name(self.created)}: "
+                                        "its creator ended before creating it")
 
     def __enter__(self):
         self.thread.start()
@@ -115,31 +134,24 @@ class _FileCreator:
             (self.directory / self.name(i)).unlink(missing_ok=True)
 
 
-def _read_file(path: Path, expect: int, what: str) -> bytes:
-    """The whole of one slice or chunk file, which must hold expect bytes."""
-    if not path.exists():
-        raise IOError(f"{path}: missing {what} file, expected {expect} bytes")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) != expect:
-        raise IOError(f"{path}: expected {expect} bytes, got {len(data)}")
-    return data
-
-
-def _pad_width(depth: int) -> int:
-    return max(3, len(str(max(depth - 1, 0))))
+def _check_size(path: Path, expect: int):
+    """Fail unless the file at path holds expect bytes."""
+    try:
+        size = os.stat(path).st_size
+    except FileNotFoundError:
+        raise IOError(f"{path}: missing file, expected {expect} bytes") from None
+    if size != expect:
+        raise IOError(f"{path}: expected {expect} bytes, got {size}")
 
 
 @dataclass
 class StackManifest:
     """Ordered slice files of one volume; file order is z order."""
 
-    directory: Path
     files: list
     meta: VolumeMeta
 
     def __post_init__(self):
-        self.directory = Path(self.directory)
         if len(self.files) not in (self.meta.depth, 1):
             raise PlanningError(
                 f"manifest lists {len(self.files)} files for depth {self.meta.depth}")
@@ -186,9 +198,10 @@ class ChunkGrid:
         given indices, in file order: one x-y layer for iz, one column of
         the whole depth for ix or iy, one chunk for all three. An axis
         whose index is given counts from 0 at that chunk, the others from
-        the volume's origin, so the slices address a buffer of
-        layer_shape. Edge chunks may be partial, and the last box ends
-        where the layer or column does."""
+        the volume's origin, so a column's slices address a buffer of
+        layer_shape and a layer's y and x slices address one slice. Edge
+        chunks may be partial, and the last box ends where the layer or
+        column does."""
         axes = ((iz, self.gz, self.cz, self.meta.depth),
                 (iy, self.gy, self.cy, self.meta.ny),
                 (ix, self.gx, self.cx, self.meta.nx))
@@ -198,11 +211,6 @@ class ChunkGrid:
                 lo = 0 if i is not None else j * c
                 box.append(slice(lo, lo + min(c, n - j * c)))
             yield index, tuple(box)
-
-    def chunk_shape(self, iz: int, iy: int, ix: int):
-        """(dz, dy, dx) of a chunk, smaller on the far edges."""
-        (_, box), = self.boxes(iz, iy, ix)
-        return tuple(s.stop for s in box)
 
     def chunk_name(self, iz: int, iy: int, ix: int) -> str:
         return f"c_{iz:03d}_{iy:03d}_{ix:03d}.raw"
@@ -216,18 +224,22 @@ class ChunkGrid:
     def file_list(self):
         return [self.chunk_file(i) for i in range(self.chunk_count)]
 
-    def layer_shape(self, axis: str = "z"):
-        """(z, y, x) shape of a buffer for one layer of chunks across axis:
-        cz whole x-y slices for z, or for x or y a slab one chunk thick
-        through the whole volume, which holds one column of boxes. A
+    def layer_shape(self, axis: str):
+        """(z, y, x) shape of a buffer for one column of chunks along
+        axis x or y: a slab one chunk thick through the whole volume. A
         chunk edge past the volume is cut to the volume's extent."""
         shape = {"z": self.meta.depth, "y": self.meta.ny, "x": self.meta.nx}
-        shape[axis] = min(shape[axis], {"z": self.cz, "y": self.cy, "x": self.cx}[axis])
+        shape[axis] = min(shape[axis], {"y": self.cy, "x": self.cx}[axis])
         return shape["z"], shape["y"], shape["x"]
 
-    def layer_bytes(self, axis: str = "z") -> int:
+    def layer_bytes(self, axis: str) -> int:
         """Bytes of one buffer of layer_shape(axis)."""
         return math.prod(self.layer_shape(axis)) * self.meta.dtype.byte_width
+
+
+def _stack_grid(meta: VolumeMeta, multipage: bool) -> ChunkGrid:
+    """A stack as a grid of whole-slice chunks, one per file."""
+    return ChunkGrid(meta, meta.nx, meta.ny, meta.depth if multipage else 1)
 
 
 def save_manifest(directory, meta: VolumeMeta, files, chunks=None):
@@ -239,7 +251,8 @@ def save_manifest(directory, meta: VolumeMeta, files, chunks=None):
     else:
         lines.append(f"layout chunks {chunks[0]} {chunks[1]} {chunks[2]}")
     lines.extend(files)
-    _atomic_write(Path(directory), MANIFEST, ("\n".join(lines) + "\n").encode())
+    with FileIO(Path(directory) / MANIFEST, "w") as fh:
+        _atomic_write(Path(directory), fh, ("\n".join(lines) + "\n").encode())
 
 
 def load_manifest(directory):
@@ -258,13 +271,16 @@ def load_manifest(directory):
         _, nx, ny, depth = lines[1].split()
         _, dtype = lines[2].split()
         meta = VolumeMeta(int(nx), int(ny), int(depth), dtype_by_kind(dtype))
+        for name in files:  # a path would reach outside the volume
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise PlanningError(f"{name!r} is not a plain file name")
         if layout[:2] == ["layout", "chunks"]:
             _, _, cx, cy, cz = layout
             grid = ChunkGrid(meta, int(cx), int(cy), int(cz))
     except (ValueError, PlanningError) as exc:
         raise PlanningError(f"{path}: malformed manifest: {exc}") from exc
     if layout[:2] == ["layout", "stack"]:
-        return StackManifest(directory, files, meta)
+        return StackManifest(files, meta)
     if layout[:2] == ["layout", "chunks"]:
         if files != grid.file_list():
             raise PlanningError(f"{path}: chunk file list does not match grid")
@@ -273,85 +289,156 @@ def load_manifest(directory):
 
 
 def volume_meta(directory) -> VolumeMeta:
-    man = load_manifest(directory)
-    return man.meta
+    return load_manifest(directory).meta
 
 
 # ---------------------------------------------------------------------------
-# slice-stack backend
+# the one reader and the one writer, over a grid of chunk files
 # ---------------------------------------------------------------------------
 
-def open_slice_stream(directory) -> Stream:
-    """Stream slices in z order; every file is opened exactly once per sweep."""
-    man = load_manifest(directory)
-    if isinstance(man, ChunkGrid):
-        return open_chunk_stream(directory)
-    meta = man.meta
-    smeta = meta.slice_meta
-    nbytes = smeta.nbytes
+_held = 0  # files that the open layers of every reader and writer hold
+_held_lock = threading.Lock()
+
+
+@contextmanager
+def _holding(n: int):
+    """Count n more files held open within `with`. Raise the process's
+    soft RLIMIT_NOFILE toward the hard one if it is below them, the files
+    every other open layer holds and SPARE_FILES for the rest."""
+    global _held
+    with _held_lock:
+        need = _held + n + SPARE_FILES
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft != resource.RLIM_INFINITY and need > soft:
+            if hard != resource.RLIM_INFINITY and need > hard:
+                raise IOError(f"a layer of {n} files beside {_held} held open needs {need} "
+                              f"open files, more than the hard RLIMIT_NOFILE of {hard}")
+            resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))
+        _held += n
+    try:
+        yield
+    finally:
+        with _held_lock:
+            _held -= n
+
+
+def _open_grid_stream(directory, man, name: str) -> Stream:
+    """Stream the slices of a stack or chunk store in z order.
+
+    The files of one x-y layer of chunks stay open while their planes are
+    read: each new slice is read from plane z of each of them. Every file
+    is opened exactly once per sweep, and its size is checked first.
+    """
+    grid, file_name = (man, man.chunk_file) if isinstance(man, ChunkGrid) else (
+        _stack_grid(man.meta, man.multipage), man.files.__getitem__)
+    smeta = grid.meta.slice_meta
+    dtype, width = smeta.dtype.np_dtype, smeta.dtype.byte_width
+    planes = []  # (y, x, shape, bytes) of each chunk's plane in a layer
+    for _, (_, ys, xs) in grid.boxes(iz=0):
+        shape = (ys.stop - ys.start, xs.stop - xs.start)
+        planes.append((ys, xs, shape, math.prod(shape) * width))
     counters = {"opens": 0}
 
     def gen():
-        if man.multipage:
-            path = man.directory / man.files[0]
-            size, expected = path.stat().st_size, meta.depth * nbytes
-            if size != expected:
-                raise IOError(f"{path}: expected {expected} bytes, got {size}")
-            counters["opens"] += 1
-            with open(path, "rb") as fh:
-                for i in range(meta.depth):
-                    data = fh.read(nbytes)
-                    if len(data) != nbytes:
-                        raise IOError(f"{path}: slice {i}: expected {nbytes} bytes, "
-                                      f"got {len(data)}")
-                    arr = np.frombuffer(data, dtype=smeta.dtype.np_dtype)
-                    yield ALLOC.new_slice(smeta, data=arr.reshape(meta.ny, meta.nx))
-            return
-        for fname in man.files:
-            data = _read_file(man.directory / fname, nbytes, "slice")
-            counters["opens"] += 1
-            arr = np.frombuffer(data, dtype=smeta.dtype.np_dtype)
-            yield ALLOC.new_slice(smeta, data=arr.reshape(meta.ny, meta.nx))
+        for iz in range(grid.gz):
+            dz = min(grid.cz, grid.meta.depth - iz * grid.cz)
+            with ExitStack() as layer:
+                layer.enter_context(_holding(len(planes)))
+                files = []
+                for k, (_, _, _, nbytes) in enumerate(planes):
+                    path = os.path.join(directory, file_name(iz * len(planes) + k))
+                    _check_size(path, dz * nbytes)
+                    files.append((path, layer.enter_context(open(path, "rb"))))
+                    counters["opens"] += 1
+                for _ in range(dz):
+                    arr = np.empty((smeta.ny, smeta.nx), dtype=dtype)
+                    for (path, fh), (ys, xs, shape, nbytes) in zip(files, planes):
+                        data = fh.read(nbytes)
+                        if len(data) != nbytes:
+                            raise IOError(f"{path}: a plane of {nbytes} bytes ends "
+                                          f"after {len(data)}")
+                        arr[ys, xs] = np.frombuffer(data, dtype=dtype).reshape(shape)
+                    yield ALLOC.new_slice(smeta, data=arr)
 
-    s = Stream(gen(), meta=smeta, depth=meta.depth, name=f"read {directory}")
+    s = Stream(gen(), meta=smeta, depth=grid.meta.depth, name=f"{name} {directory}")
     s.counters = counters
     return s
 
 
-def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
-                       multipage: bool = False):
-    """Stepwise sink: one raw file per slice, created ahead of it by a
-    _FileCreator, or with multipage one file of them all in z order,
-    written in place; then a manifest.
+def open_slice_stream(directory) -> Stream:
+    """Stream the slices of a stack or a chunk store in z order."""
+    return _open_grid_stream(directory, load_manifest(directory), "read")
+
+
+def open_chunk_stream(directory) -> Stream:
+    """Stream the slices of a chunk store in z order."""
+    grid = load_manifest(directory)
+    if isinstance(grid, StackManifest):
+        raise PlanningError(f"{directory} is a slice stack, not a chunk store")
+    return _open_grid_stream(directory, grid, "readInChunks")
+
+
+def _write_grid_steps(src: Stream, directory, grid: ChunkGrid,
+                      file_name: Callable[[int], str], chunked: bool):
+    """Stepwise sink: each slice's plane of every chunk of its x-y layer
+    is appended to that chunk's file, named file_name(i) for the i-th in
+    file order and created ahead of it by a _FileCreator; then a
+    manifest, with the chunks' layout line if chunked. The files of the
+    current layer stay open until its last plane is written, so each is
+    opened once.
 
     Yields after each written slice so several sinks can be driven in
     lockstep; returns the slice count. Slices are released as they are
-    written; the .partial marker guards against truncated outputs.
+    written. A short stream is stored at the depth it reached, and an
+    empty one refused; the .partial marker guards against truncated
+    outputs.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / PARTIAL_MARKER).touch()
-    name = f"{{:0{_pad_width(meta.depth)}d}}.raw".format
+    planes = [box[1:] for _, box in grid.boxes(iz=0)]
     written = 0
-    with (open(directory / STACK_FILE, "wb") if multipage
-          else _FileCreator(directory, name, meta.depth)) as out:
+    # the layer's files close before the creator unlinks unfilled ones
+    with _FileCreator(directory, file_name, grid.chunk_count) as files, \
+            ExitStack() as sink:
         while (sl := src.pull()) is not None:
             try:
-                if multipage:
-                    out.write(sl.data.tobytes())
-                else:
-                    out.fill(name(written), sl.data.tobytes())
+                if written % grid.cz == 0:  # the first plane of a layer
+                    sink.close()
+                    stop = (written // grid.cz + 1) * len(planes)
+                    files.wait(stop)
+                    sink.enter_context(_holding(len(planes)))
+                    held = [sink.enter_context(FileIO(directory / file_name(i), "a"))
+                            for i in range(stop - len(planes), stop)]
+                for fh, (ys, xs) in zip(held, planes):
+                    _atomic_write(directory, fh, sl.data[ys, xs].tobytes())
             finally:
                 release(sl)
+            files.filled = stop
             written += 1
             yield written
+        listed = files.filled
     if written == 0:
         raise IOError(f"{directory}: refusing to write an empty volume")
-    save_manifest(directory, VolumeMeta(meta.nx, meta.ny, written, meta.dtype)
-                  if written != meta.depth else meta,
-                  [STACK_FILE] if multipage else map(name, range(written)))
+    meta = replace(grid.meta, depth=written)
+    save_manifest(directory, meta, map(file_name, range(listed)),
+                  chunks=(grid.cx, grid.cy, grid.cz) if chunked else None)
     (directory / PARTIAL_MARKER).unlink()
     return written
+
+
+def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
+                       multipage: bool = False):
+    """Stepwise sink into a stack: one raw file per slice, or with
+    multipage one file of them all in z order."""
+    width = max(3, len(str(meta.depth - 1)))
+    name = (lambda i: STACK_FILE) if multipage else f"{{:0{width}d}}.raw".format
+    return _write_grid_steps(src, directory, _stack_grid(meta, multipage), name, chunked=False)
+
+
+def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
+    """Stepwise sink into a chunk store."""
+    return _write_grid_steps(src, directory, grid, grid.chunk_file, chunked=True)
 
 
 def _drain(steps):
@@ -368,101 +455,20 @@ def write_slice_stack(src: Stream, directory, meta: VolumeMeta):
     return _drain(write_slices_steps(src, directory, meta))
 
 
-# ---------------------------------------------------------------------------
-# chunked backend
-# ---------------------------------------------------------------------------
-
-def read_chunk(directory, grid: ChunkGrid, iz: int, iy: int, ix: int) -> np.ndarray:
-    """One chunk file as a (dz, dy, dx) array, checked to be whole."""
-    shape = grid.chunk_shape(iz, iy, ix)
-    data = _read_file(Path(directory) / grid.chunk_name(iz, iy, ix),
-                      math.prod(shape) * grid.meta.dtype.byte_width, "chunk")
-    return np.frombuffer(data, dtype=grid.meta.dtype.np_dtype).reshape(shape)
-
-
-def read_block(directory, grid: ChunkGrid, out: np.ndarray, **index) -> np.ndarray:
-    """Read every chunk of one layer (iz=) or column (iy= or ix=) of grid
-    into out, a buffer of the matching layer_shape; returns the part of
-    out they fill."""
-    for (iz, iy, ix), box in grid.boxes(**index):
-        out[box] = read_chunk(directory, grid, iz, iy, ix)
-    return out[:box[0].stop, :box[1].stop, :box[2].stop]
-
-
-def open_chunk_stream(directory) -> Stream:
-    """Stream z-ordered slices assembled from chunk layers.
-
-    Keeps one x-y chunk layer resident (the buffer charged to the stage's
-    internal bytes) and yields copies of its slices; each chunk file is
-    read exactly once per sweep.
-    """
-    grid = load_manifest(directory)
-    if isinstance(grid, StackManifest):
-        raise PlanningError(f"{directory} is a slice stack, not a chunk store")
-    smeta = grid.meta.slice_meta
-    counters = {"opens": 0}
-    buf_bytes = grid.layer_bytes()
-
-    def gen():
-        ALLOC.register_internal(buf_bytes)
-        try:
-            layer = np.empty(grid.layer_shape(), dtype=smeta.dtype.np_dtype)
-            for iz in range(grid.gz):
-                block = read_block(directory, grid, layer, iz=iz)
-                counters["opens"] += grid.gy * grid.gx
-                for plane in block:
-                    yield ALLOC.new_slice(smeta, data=plane.copy())
-        finally:
-            ALLOC.unregister_internal(buf_bytes)
-
-    s = Stream(gen(), meta=smeta, depth=grid.meta.depth, name=f"readInChunks {directory}")
-    s.counters = counters
-    return s
-
-
-def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
-    """Stepwise sink into a chunk grid, buffering one x-y layer at a time; a
-    short stream is stored at the depth it reached, and an empty one refused."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / PARTIAL_MARKER).touch()
-    buf_bytes = grid.layer_bytes()
-    ALLOC.register_internal(buf_bytes)
-    written = 0
-    try:
-        with _FileCreator(directory, grid.chunk_file, grid.chunk_count) as files:
-            layer = np.zeros(grid.layer_shape(), dtype=grid.meta.dtype.np_dtype)
-
-            def flush():  # the layer of the last slice written, in file order
-                for (iz, iy, ix), box in grid.boxes(iz=(written - 1) // grid.cz):
-                    files.fill(grid.chunk_name(iz, iy, ix), layer[box].tobytes())
-
-            while (sl := src.pull()) is not None:
-                try:
-                    layer[written % grid.cz] = sl.data
-                finally:
-                    release(sl)
-                written += 1
-                if written % grid.cz == 0:
-                    flush()
-                yield written
-            if written == 0:
-                raise IOError(f"{directory}: refusing to write an empty volume")
-            # the grid of the depth written flushes the last layer and is listed
-            grid = replace(grid, meta=replace(grid.meta, depth=written))
-            if written % grid.cz:
-                flush()
-    finally:
-        ALLOC.unregister_internal(buf_bytes)
-    save_manifest(directory, grid.meta, grid.file_list(),
-                  chunks=(grid.cx, grid.cy, grid.cz))
-    (directory / PARTIAL_MARKER).unlink()
-    return written
-
-
 def write_chunk_store(src: Stream, directory, grid: ChunkGrid):
     """Drain a stream into a chunk store; returns slices written."""
     return _drain(write_chunks_steps(src, directory, grid))
+
+
+def read_column(directory, grid: ChunkGrid, out: np.ndarray, axis: str, k: int) -> np.ndarray:
+    """Read the k-th column of chunks along axis x or y of grid into out,
+    a buffer of layer_shape(axis); returns the part of out they fill."""
+    for index, box in grid.boxes(**{"i" + axis: k}):
+        chunk, path = out[box], Path(directory) / grid.chunk_name(*index)
+        _check_size(path, chunk.nbytes)
+        with open(path, "rb") as fh:
+            chunk[...] = np.frombuffer(fh.read(chunk.nbytes), out.dtype).reshape(chunk.shape)
+    return out[:box[0].stop, :box[1].stop, :box[2].stop]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +477,7 @@ def write_chunk_store(src: Stream, directory, grid: ChunkGrid):
 
 def read_stage(directory, name: Optional[str] = None) -> PlanStage:
     """A read of a stack or a chunk store; the chunks of a store are kept
-    in params, so that the chunk reader's layer is priced."""
+    in params, for the layout report of `plan --io`."""
     man = load_manifest(directory)
     params = {"dir": str(directory), "meta": man.meta}
     if isinstance(man, ChunkGrid):
@@ -552,12 +558,8 @@ def write_volume(directory, vol: np.ndarray, dtype, chunks=None):
     depth, ny, nx = vol.shape
     meta = VolumeMeta(nx, ny, depth, dtype)
     smeta = meta.slice_meta
-
-    def gen():
-        for z in range(depth):
-            yield ALLOC.new_slice(smeta, data=vol[z])
-
-    src = Stream(gen(), meta=smeta, depth=depth, name="memory")
+    src = Stream((ALLOC.new_slice(smeta, data=plane) for plane in vol),
+                 meta=smeta, depth=depth, name="memory")
     if chunks is None:
         write_slice_stack(src, directory, meta)
     else:
@@ -569,10 +571,7 @@ def read_volume(directory) -> np.ndarray:
     """Load a whole stack or chunk store into one (z, y, x) array."""
     src = open_slice_stream(Path(directory))
     planes = []
-    while True:
-        sl = src.pull()
-        if sl is None:
-            break
+    while (sl := src.pull()) is not None:
         planes.append(sl.data.copy())
         release(sl)
     return np.stack(planes)

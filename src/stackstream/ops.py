@@ -636,6 +636,9 @@ class _MorphNetworks:
                               + [p[2] for p in self.patterns])
         self.banks = [max((s.n_out for s in self.steps[b::2]), default=0) for b in (0, 1)]
         self.z_work = max((s.n_work for s in self.steps), default=0)
+        # a merge of one call (erode and dilate keep one rank) may write
+        # over what it has merged so far
+        self.in_place = all(len(s.steps) == 1 for s in self.steps)
 
 
 @functools.lru_cache(maxsize=32)
@@ -658,9 +661,10 @@ class _MorphRing:
     chunk's window. So a slice's in-plane sorts run once while it stays in
     the windows of one Scratch's calls. The z merges run per run of
     outputs whose slots do not wrap, over (outputs, ny * (nx + 2 rx))
-    arrays, merge t into bank t % 2 with a workspace; one output at a time
-    they keep their bound calls per slot. With pair, bank 0 keeps the
-    first merge across outputs, keyed on the two slices it merged.
+    arrays, merge t into bank t % 2 with a workspace, or in place in bank 0
+    when every merge is one call; one output at a time they keep their
+    bound calls per slot. With pair, bank 0 keeps the first merge across
+    outputs, keyed on the two slices it merged, and merge 1 goes to bank 1.
     """
 
     def __init__(self, scratch: Scratch, nets: _MorphNetworks, data: np.ndarray, chunk: int):
@@ -692,8 +696,9 @@ class _MorphRing:
             for s in range(slots):
                 self.fills[s] += net.bind(ins + list(ring[s, at:at + net.n_out])
                                           + [w[:size] for w in work])[0]
+        self.in_place = nets.in_place and not (nets.pair and chunk == 1)
         self.banks = [scratch.take(f"bank{b}", (n, chunk, size), dtype)
-                      for b, n in enumerate(nets.banks)]
+                      for b, n in enumerate(nets.banks[:1] if self.in_place else nets.banks)]
         self.z_work = scratch.take("zwork", (nets.z_work, chunk, size), dtype)
         self.keys, self.next = [None] * slots, 0
         self.bound = {}  # (t, first slot at t = 0, slot): merge t's calls, one output
@@ -722,14 +727,16 @@ class _MorphRing:
     def _zmerge(self, t: int, s: int, length: int, first: int) -> list:
         """Run z merge t, of the ranks merged so far and nonempty plane
         t + 1's list at slot s, over length outputs; return its ranks. So
-        far is plane 0's list at slot first at t = 0, else bank (t - 1) % 2."""
+        far is plane 0's list at slot first at t = 0, else the bank merge
+        t - 1 wrote."""
         key = (t, first if t == 0 else None, s) if length == 1 else None
         bound = self.bound.get(key)
         if bound is None:
+            into, prev = (0, 0) if self.in_place else (t % 2, (t - 1) % 2)
             so_far = (self._list(0, first, length) if t == 0 else list(
-                self.banks[(t - 1) % 2][:self.nets.steps[t - 1].n_out, :length]))
+                self.banks[prev][:self.nets.steps[t - 1].n_out, :length]))
             bound = self.nets.steps[t].bind(
-                so_far + self._list(t + 1, s, length) + list(self.banks[t % 2][:, :length])
+                so_far + self._list(t + 1, s, length) + list(self.banks[into][:, :length])
                 + list(self.z_work[:, :length]))
             if key is not None:
                 self.bound[key] = bound
@@ -1056,7 +1063,7 @@ class OpKind:
     and may share a tee's window. spec holds the kind's keywords;
     structural kinds (tee, join) and priced-only ones have none.
     algo_class says how the kind streams. The planner grows the window of
-    a tunable kind, a window kind or one marked `grows` (read, histogram),
+    a tunable kind, a window kind or one marked `grows` (the reads, histogram),
     from k_z into the budget left.
     """
 
@@ -1104,11 +1111,10 @@ def _permute_estimate(stage, meta, out):
     axis = stage.params["order"][2]
     if axis == "z":
         return MemEstimate(slice_bytes(meta), slice_bytes(out), 0)
-    # pass 1 buffers one x-y chunk layer of the input, and pass 2 then
-    # one slab: the chunk column along the axis that becomes the new z
+    # pass 1 writes chunks one slice at a time, and pass 2 reads one slab:
+    # the chunk column along the axis that becomes the new z
     grid = sio.ChunkGrid(meta, *permute_chunk_dims(stage, meta))
-    return MemEstimate(slice_bytes(meta), slice_bytes(out),
-                       max(grid.layer_bytes(), grid.layer_bytes(axis)))
+    return MemEstimate(slice_bytes(meta), slice_bytes(out), grid.layer_bytes(axis))
 
 
 def _numbers(n, conv=int):
@@ -1193,11 +1199,8 @@ def _histogram_line(st):
     return " ".join(parts)
 
 
-def _chunk_layer(stage, meta) -> int:
-    """Bytes of the one x-y chunk layer a chunk reader or writer holds;
-    0 for a slice stack."""
-    chunks = stage.params.get("chunks")
-    return sio.ChunkGrid(meta, *chunks).layer_bytes() if chunks else 0
+def _read_estimate(stage, meta, out):
+    return MemEstimate(0, stage.w * slice_bytes(out), 0)
 
 
 def _io_syntax(keyword, factory, prints=lambda st: True):
@@ -1208,15 +1211,16 @@ def _io_syntax(keyword, factory, prints=lambda st: True):
 
 #: every op kind the engine plans and runs, keyed by PlanStage.op_kind
 OPS = {
-    "read": OpKind(lambda st, m, o: MemEstimate(0, st.w * slice_bytes(o), _chunk_layer(st, o)),
-                   _source_meta, spec=(_io_syntax("read", sio.read_stage),), grows=True),
-    "read_chunks": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), _chunk_layer(st, o)),
-                          _source_meta, spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
+    # both reads run the one reader, of any layout
+    "read": OpKind(_read_estimate, _source_meta, spec=(_io_syntax("read", sio.read_stage),),
+                   grows=True),
+    "read_chunks": OpKind(_read_estimate, _source_meta, grows=True,
+                          spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
     "initialize": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), 0), _source_meta),
-    # a write holds the one slice it writes, and a chunk store's layer;
-    # one with chunks prints as writeInChunks
+    # a write holds the one slice it writes, of any layout; one with
+    # chunks prints as writeInChunks
     "write": OpKind(
-        lambda st, m, o: MemEstimate(slice_bytes(m), 0, _chunk_layer(st, m)),
+        lambda st, m, o: MemEstimate(slice_bytes(m), 0, 0),
         spec=(_io_syntax("write", sio.write_stage, lambda st: "chunks" not in st.params),
               Syntax("writeInChunks", ("dir", "chunks"),
                      lambda get, name: sio.write_chunks_stage(

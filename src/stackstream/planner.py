@@ -54,9 +54,9 @@ def estimate_stage(stage: PlanStage, meta: VolumeMeta) -> MemEstimate:
 
     The stage's kind's `ops.OPS` record prices it. Window stages hold w
     input slices and emit the w - k_z + 1 valid centers per step, all w
-    for a pointwise stage. A read is priced at its window of w slices; a
-    write at the one slice it holds. Chunk adapters charge
-    their layer assembly buffers as internal bytes.
+    for a pointwise stage. A read of any layout is priced at its window of
+    w slices; a write at the one slice it holds. A z-moving permute
+    charges its slab as internal bytes.
     """
     rec = ops.record(stage)
     return rec.estimate(stage, meta, rec.out_meta(stage, meta))

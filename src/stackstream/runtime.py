@@ -286,7 +286,7 @@ def _permute_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                 slab = np.empty(grid.layer_shape(axis), dtype=in_meta.dtype.np_dtype)
                 # one chunk column along the axis at a time, read into the slab
                 for k in range(grid.gx if axis == "x" else grid.gy):
-                    block = sio.read_block(tmp, grid, slab, **{"i" + axis: k})
+                    block = sio.read_column(tmp, grid, slab, axis, k)
                     for plane in np.moveaxis(block, "zyx".index(axis), 0):
                         yield ALLOC.new_slice(out_smeta, data=plane.transpose(to_out).copy())
             finally:
@@ -480,18 +480,13 @@ def _mean_steps(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
 def _sink_count_steps(stage: PlanStage, steps, ctx: RunContext):
     """Drive an io writer's steps; record the slices written, even on failure,
     and close the steps, which joins a writer's file-creating thread."""
-    written = 0
+    ctx.sink_counts[stage.name] = 0
     try:
-        while True:
-            try:
-                written = next(steps)
-            except StopIteration as stop:
-                ctx.sink_counts[stage.name] = stop.value
-                return
+        for written in steps:  # each step yields the slices written so far
+            ctx.sink_counts[stage.name] = written
             yield
     finally:
         steps.close()
-        ctx.sink_counts.setdefault(stage.name, written)
 
 
 def _write_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,

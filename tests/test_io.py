@@ -1,13 +1,19 @@
 import os
+import resource
+import subprocess
 import sys
+import tempfile
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from helpers import drain, vol_stream
 from stackstream import io as sio
-from stackstream.core import ALLOC, U8, U16, PlanningError, VolumeMeta
+from stackstream.core import ALLOC, F32, U8, U16, PlanningError, VolumeMeta, release
 
 
 @pytest.mark.parametrize("dtype", ["u8", "u16", "f32"])
@@ -69,6 +75,28 @@ def test_chunk_read_counts(tmp_path):
     src = sio.open_chunk_stream(tmp_path / "c")
     drain(src)
     assert src.counters["opens"] == 8  # every chunk file exactly once
+
+
+@pytest.mark.parametrize("layout, files", [("stack", 10), ("multipage", 1), ("chunks", 12)])
+def test_a_write_opens_each_file_once(tmp_path, monkeypatch, layout, files):
+    """The writer holds a layer's files open across its planes: each
+    file, and the manifest, is opened once, and each of its planes is
+    one append."""
+    meta = VolumeMeta(6, 5, 10, U8)
+    vol = sio.synth_volume(meta, "random", seed=9)
+    opened, appends = [], []
+    file_io, write = sio.FileIO, sio._atomic_write
+    monkeypatch.setattr(sio, "FileIO", lambda path, mode: (opened.append(path), file_io(path, mode))[1])
+    monkeypatch.setattr(sio, "_atomic_write", lambda *a: (appends.append(a), write(*a))[1])
+    if layout == "chunks":  # 2 x 2 chunks a layer, 3 layers, the last one 2 deep
+        grid = sio.ChunkGrid(meta, 4, 3, 4)
+        sio.write_chunk_store(vol_stream(vol, meta), tmp_path / "v", grid)
+    else:
+        sio._drain(sio.write_slices_steps(vol_stream(vol, meta), tmp_path / "v", meta,
+                                          multipage=layout == "multipage"))
+    assert len(opened) == len(set(opened)) == files + 1
+    assert len(appends) == 10 * (4 if layout == "chunks" else 1) + 1
+    assert np.array_equal(sio.read_volume(tmp_path / "v"), vol)
 
 
 def test_single_chunk_layer_degenerates_to_whole_volume(tmp_path):
@@ -354,3 +382,140 @@ def test_missing_chunk_file_names_expected_bytes(tmp_path):
         drain(src)
     assert "c_001_000_001.raw" in str(ei.value)
     assert "64 bytes" in str(ei.value)
+
+
+@pytest.mark.parametrize("name", ["../outside/secret.raw", "{tmp}/outside/secret.raw",
+                                  ".", "..", "a\0b"],
+                         ids=["relative", "absolute", "dot", "dotdot", "nul"])
+def test_manifest_names_no_file_outside_its_volume(tmp_path, name):
+    # a listed path, not a plain name, would read another file as slice data
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "secret.raw").write_bytes(bytes(4))
+    d = tmp_path / "v"
+    d.mkdir()
+    (d / "manifest.txt").write_text("version 1\ndims 2 2 1\ndtype u8\nlayout stack\n"
+                                    + name.format(tmp=tmp_path) + "\n")
+    with pytest.raises(PlanningError, match="malformed manifest: .* not a plain file name"):
+        sio.load_manifest(d)
+
+
+@hst.composite
+def layouts(draw):
+    """(meta, layout, written): a small volume, a stack, a multipage stack
+    or a chunk grid whose chunks may pass its edges and whose cz need not
+    divide its depth, and how many slices its stream holds."""
+    meta = VolumeMeta(draw(hst.integers(1, 7)), draw(hst.integers(1, 7)),
+                      draw(hst.integers(1, 9)), draw(hst.sampled_from([U8, U16, F32])))
+    kind = draw(hst.sampled_from(["stack", "multipage", "chunks"]))
+    if kind == "chunks":
+        kind = tuple(draw(hst.integers(1, n + 1)) for n in (meta.nx, meta.ny, meta.depth))
+    return meta, kind, draw(hst.integers(1, meta.depth))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=layouts())
+def test_each_layout_round_trips_through_the_one_writer_and_reader(case):
+    """Every file the writer leaves is vol[box].tobytes() of its slice or
+    chunk, for the depth the stream reached; the reader gives the volume
+    back while it holds one live slice at a time and registers nothing."""
+    meta, kind, written = case
+    vol = sio.synth_volume(meta, "random", seed=meta.voxels)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "v"
+        src = vol_stream(vol[:written], meta)
+        if kind in ("stack", "multipage"):
+            steps = sio.write_slices_steps(src, d, meta, multipage=kind == "multipage")
+        else:
+            steps = sio.write_chunks_steps(src, d, sio.ChunkGrid(meta, *kind))
+        assert sio._drain(steps) == written
+        vol = vol[:written]
+        man = sio.load_manifest(d)
+        assert man.meta == replace(meta, depth=written)
+        if kind == "stack":
+            want = {name: vol[z].tobytes() for z, name in enumerate(man.files)}
+            assert man.files == [f"{z:03d}.raw" for z in range(written)]
+        elif kind == "multipage":
+            want = {sio.STACK_FILE: vol.tobytes()}
+            assert man.files == [sio.STACK_FILE]
+        else:
+            want = {man.chunk_name(*index): vol[box].tobytes()
+                    for index, box in man.boxes()}
+            assert list(want) == man.file_list()
+        assert sorted(os.listdir(d)) == sorted([*want, sio.MANIFEST])
+        assert {name: (d / name).read_bytes() for name in want} == want
+
+        registered, live = [], []
+        register = ALLOC.register_internal
+        ALLOC.register_internal = lambda n: (registered.append(n), register(n))[1]
+        try:
+            stream = sio.open_slice_stream(d)
+            planes = []
+            while (sl := stream.pull()) is not None:
+                live.append(ALLOC.live_slices)
+                planes.append(sl.data.copy())
+                release(sl)
+        finally:
+            ALLOC.register_internal = register
+        assert np.array_equal(np.stack(planes), vol)
+        assert live == [1] * written and registered == []
+
+
+_READ_UNDER_LIMIT = """
+import resource, sys
+import numpy as np
+from stackstream import io as sio
+from stackstream.core import release
+directory, mode, hard = sys.argv[1], sys.argv[2], int(sys.argv[3])
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+try:
+    if mode == "read":
+        vol = sio.read_volume(directory)
+    elif mode == "zip":  # two readers, each holding its layer at once
+        a, b = sio.open_slice_stream(directory), sio.open_slice_stream(directory)
+        planes = []
+        while (sa := a.pull()) is not None:
+            sb = b.pull()
+            planes.append(sa.data + sb.data)
+            release(sa), release(sb)
+        vol = np.stack(planes)
+    else:  # a reader beside a writer of the same grid
+        sio.write_chunk_store(sio.open_slice_stream(directory), directory + "_copy",
+                              sio.load_manifest(directory))
+        vol = sio.read_volume(directory + "_copy")
+except IOError as exc:
+    print("IOError", exc)
+else:
+    print("read", resource.getrlimit(resource.RLIMIT_NOFILE)[0], vol.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("mode, layers, hard", [
+    ("read", 1, "kept"), ("read", 1, 64), ("zip", 2, "kept"), ("zip", 2, 200),
+    ("copy", 2, "kept"), ("copy", 2, 200)])
+def test_a_layer_wider_than_the_open_file_limit(tmp_path, mode, layers, hard):
+    """Layers of 10 x 10 chunk files against a soft limit of 64 open
+    files: one read, two reads at once, or a read beside a write. Each
+    layer raises its process's soft limit toward the hard one, counting
+    the files every other open layer holds, and names the numbers when
+    the hard limit is too low for them all."""
+    meta = VolumeMeta(10, 10, 3, U8)
+    vol = sio.synth_volume(meta, "random", seed=21)
+    sio.write_volume(tmp_path / "c", vol, "u8", chunks=(1, 1, 3))
+    need = 100 * layers + sio.SPARE_FILES
+    if hard == "kept":
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        if hard != resource.RLIM_INFINITY and hard < need:
+            pytest.skip(f"a hard limit of {hard} open files leaves no room to raise the soft one")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(sio.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", _READ_UNDER_LIMIT, str(tmp_path / "c"),
+                          mode, str(hard)], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    if hard in (64, 200):
+        assert res.stdout.strip() == (
+            f"IOError a layer of 100 files beside {100 * (layers - 1)} held open needs "
+            f"{need} open files, more than the hard RLIMIT_NOFILE of {hard}")
+    else:
+        want = vol + vol if mode == "zip" else vol
+        assert res.stdout.split() == ["read", str(need), want.tobytes().hex()]

@@ -544,6 +544,26 @@ def test_median_scratch_is_its_ring_banks_and_network_workspaces(w):
     assert len(scratch.memo["morph"].keys) == kz
 
 
+@pytest.mark.parametrize("op", ["erode", "dilate"])
+@pytest.mark.parametrize("w,banks", [(3, 2), (4, 1), (12, 1)])
+def test_one_rank_z_merges_keep_one_bank(op, w, banks):
+    """Each z merge of erode and dilate keeps one rank in one call, so it
+    writes over what it has merged so far: a chunk of c > 1 outputs holds
+    one bank of c. One output per call (w = k_z) keeps the pair merge in
+    bank 0 across outputs, and merge 1 goes to a bank 1 of one output."""
+    rng = np.random.default_rng(74)
+    vol = rng.integers(0, 256, (w + 2, 16, 16), dtype=np.uint8)
+    se, scratch = ops.StructuringElement.box(1), ops.Scratch()
+    got = [out for lo in range(0, 3, w - 2) for out in ops.morph_window(
+        _window(vol[lo:lo + w]), se, op, 0, w - 3, scratch=scratch)]
+    assert np.array_equal(np.stack(got), oracles.morphology(vol, se.mask, op)[:len(got)])
+    ring = scratch.memo["morph"]
+    assert len(ring.banks) == banks
+    assert sorted(n for n in scratch.buffers if n.startswith("bank")) == [
+        f"bank{b}" for b in range(banks)]
+    assert ring.banks[0].shape == (1, ring.chunk, 16 * 18)
+
+
 # ---------------------------------------------------------------------------
 # in-place voxel loops against the frozen loops they replaced
 # ---------------------------------------------------------------------------

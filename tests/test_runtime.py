@@ -254,12 +254,11 @@ def test_z_moving_permute_yields_slices_of_its_own(tmp_path, order, edge, hold):
 @pytest.mark.parametrize("case", ["read", "readInChunks", "permute_zyx",
                                   "permute_xzy", "writeInChunks"])
 def test_each_ledger_gamma_is_what_its_stage_registers(tmp_path, monkeypatch, case):
-    """At ε = 0, one stage registers internal bytes, in the buffers its
-    kind holds: a chunk reader or writer one x-y layer, a z-moving permute
-    a layer in its first pass and a slab in its second. Its ledger row's
-    gamma is the largest of them, every other row's is 0, and the
-    measured peak stays within the promise. A read of a chunk store runs
-    the chunk reader, so it is priced as one."""
+    """At ε = 0, only a z-moving permute registers internal bytes: the
+    slab its second pass reads, the chunk column along the new z. A read
+    or a write of any layout holds its one slice and registers nothing.
+    Each ledger row's gamma is what its stage registers, and the
+    measured peak stays within the promise."""
     store = case.startswith("read")
     meta = VolumeMeta(64, 64, 32, U8) if store else VolumeMeta(24, 20, 40, U8)
     write_input(tmp_path, meta, seed=14, chunks=(16, 16, 8) if store else None)
@@ -267,12 +266,10 @@ def test_each_ledger_gamma_is_what_its_stage_registers(tmp_path, monkeypatch, ca
         tmp_path / "in", name="src")
     if case.startswith("permute"):
         op = ops.permute_axes(case[-3:], name="op", chunk_edge=4)
-        grid = sio.ChunkGrid(meta, 4, 4, 4)
-        want, owner = [grid.layer_bytes(), grid.layer_bytes(case[-1])], "op"
+        want = [sio.ChunkGrid(meta, 4, 4, 4).layer_bytes(case[-1])]
     else:
         op = ops.threshold(9, name="op")
-        grid = sio.ChunkGrid(meta, *((16, 16, 8) if store else (8, 4, 5)))
-        want, owner = [grid.layer_bytes()], "src" if store else "snk"
+        want = []
     sink = (sio.write_chunks_stage(tmp_path / "out", chunks=(8, 4, 5), name="snk")
             if case == "writeInChunks" else sio.write_stage(tmp_path / "out", name="snk"))
     registered = []
@@ -284,15 +281,15 @@ def test_each_ledger_gamma_is_what_its_stage_registers(tmp_path, monkeypatch, ca
     rep = execute_plan(p, tmpdir=tmp_path)
     assert registered == want
     assert {r.name: r.gamma for r in p.ledger.rows} == {
-        n: max(want) if n == owner else 0 for n in ("src", "op", "snk")}
+        n: sum(want) if n == "op" else 0 for n in ("src", "op", "snk")}
     assert rep.peak_bytes <= rep.promised_peak
 
 
 def test_chunk_layers_stop_at_the_volume(tmp_path, monkeypatch):
-    """A chunk edge past the volume adds no bytes to a layer or a slab: a
-    6x5x8 store in 4,5,10 chunks is read through one 240 B layer, which
-    its ledger row prices, and a permute's x slab of 16,16,4 chunks is
-    the 240 B volume."""
+    """A chunk edge past the volume adds no bytes to a slab: a permute's
+    x slab of 16,16,4 chunks over a 6x5x8 volume is the 240 B volume,
+    which its ledger row prices. A read of the same volume as a store in
+    4,5,10 chunks registers nothing."""
     meta = VolumeMeta(6, 5, 8, U8)
     assert sio.ChunkGrid(meta, 16, 16, 4).layer_bytes("x") == 240
     vol = write_input(tmp_path, meta, seed=15, chunks=(4, 5, 10))
@@ -301,13 +298,15 @@ def test_chunk_layers_stop_at_the_volume(tmp_path, monkeypatch):
     monkeypatch.setattr(ALLOC, "register_internal",
                         lambda n: (registered.append(n), register(n))[1])
     g = chain(sio.read_chunks_stage(tmp_path / "in", name="src"),
+              ops.permute_axes("zyx", name="op", chunk_edge=16),
               sio.write_stage(tmp_path / "out", name="snk"))
     p = plan(g, Budget(1 << 20, 0), tmpdir=tmp_path, grow_windows=False)
     rep = execute_plan(p, tmpdir=tmp_path)
     assert registered == [240]
-    assert {r.name: r.gamma for r in p.ledger.rows}["src"] == 240
+    assert {r.name: r.gamma for r in p.ledger.rows} == {"src": 0, "op": 240, "snk": 0}
     assert rep.peak_bytes <= rep.promised_peak
-    assert np.array_equal(sio.read_volume(tmp_path / "out"), vol)
+    assert np.array_equal(sio.read_volume(tmp_path / "out"),
+                          oracles.permute_volume(vol, "zyx"))
 
 
 def test_failing_stage_aborts_with_index_and_no_leak(tmp_path):
@@ -549,7 +548,7 @@ def test_threaded_midwrite_plan_respects_concurrent_ledger(tmp_path):
 @pytest.mark.parametrize("sink", ["write", "writeInChunks"])
 def test_a_write_holds_one_slice(tmp_path, sink, roomy):
     # a write keeps w = 1 on any budget, and its row is the one slice it
-    # holds plus its chunk layer; the tight budget splits the chain, so the
+    # holds, of any layout; the tight budget splits the chain, so the
     # mid-write is checked too
     meta = VolumeMeta(16, 16, 12, U8)
     write_input(tmp_path, meta, seed=47)
@@ -564,11 +563,9 @@ def test_a_write_holds_one_slice(tmp_path, sink, roomy):
     assert sorted(writes) == ([out.name] if roomy else ["midwrite0", out.name])
     assert not [a for a in p.actions
                 if a.kind == "window_resize" and a.detail["stage"] in writes]
-    out_in = VolumeMeta(16, 16, 6, U8)  # what the sink takes: the 7-deep gaussian's output
-    layer = sio.ChunkGrid(out_in, 8, 8, 4).layer_bytes() if sink == "writeInChunks" else 0
     rows = {r.name: r for r in p.ledger.rows if r.name in writes}
     assert {n: (st.w, rows[n].alpha, rows[n].beta, rows[n].gamma) for n, st in writes.items()} \
-        == {n: (1, slice_bytes(meta), 0, layer if n == out.name else 0) for n in writes}
+        == {n: (1, slice_bytes(meta), 0, 0) for n in writes}
     rep = execute_plan(p, tmpdir=tmp_path)
     assert rep.leaked_slices == 0
     assert rep.peak_bytes <= rep.promised_peak
@@ -700,15 +697,16 @@ def test_truncated_permute_chunk_names_the_file(tmp_path, monkeypatch):
     write_input(tmp_path, meta, seed=31)
     real = sio._write_bytes
 
-    def truncating(path, data):
-        real(path, data[:-1] if path.name.startswith("c_") else data)
+    def truncating(fh, data):
+        real(fh, data[:-1] if os.path.basename(fh.name).startswith("c_") else data)
 
     monkeypatch.setattr(sio, "_write_bytes", truncating)
     g = chain(sio.read_stage(tmp_path / "in"),
               ops.permute_axes("zyx", name="perm", chunk_edge=3),
               sio.write_stage(tmp_path / "out"))
     p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
-    with pytest.raises(IOError, match=r"c_000_000_000\.raw: expected 27 bytes, got 26"):
+    # each of the chunk's three planes is appended one byte short
+    with pytest.raises(IOError, match=r"c_000_000_000\.raw: expected 27 bytes, got 24"):
         execute_plan(p, tmpdir=tmp_path)
     assert ALLOC.live_slices == 0
 
