@@ -50,15 +50,25 @@ class StageError(EngineError):
 
 @dataclass(frozen=True)
 class Dtype:
-    """Voxel type; byte_width is the per-voxel size b used by every formula."""
+    """Voxel type; byte_width is the per-voxel size b used by every formula.
+
+    min_value and max_value, looked up once, are the voxel range: an
+    integer type's limits, which a cast clips to, and 0 to 1.0 for f32,
+    1.0 being the value a threshold sets.
+    """
 
     kind: str
     byte_width: int
     np_dtype: np.dtype
+    min_value: float = field(init=False, repr=False, compare=False)
+    max_value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.byte_width != self.np_dtype.itemsize:
             raise PlanningError(f"dtype {self.kind}: byte width mismatch")
+        info = np.iinfo(self.np_dtype) if self.np_dtype.kind in "iu" else None
+        object.__setattr__(self, "min_value", info.min if info else 0.0)
+        object.__setattr__(self, "max_value", info.max if info else 1.0)
 
     def __str__(self):
         return self.kind
@@ -367,60 +377,77 @@ class PipelineGraph:
 
     Exactly one source; every node reachable from it and reaching a sink.
     Only tee nodes fan out (>= 2 out-edges); zip nodes join exactly two.
+
+    Construction indexes each stage's predecessors and successors once and
+    freezes `edges` as a tuple, so the index cannot go stale. The
+    topological order and the structure check run once, on first use, and
+    are kept; validate() repeats only each stage's own window checks, as
+    planning changes windows, never edges.
     """
 
     nodes: list
-    edges: list
+    edges: tuple
     shared_windows: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.edges = tuple(self.edges)
         self._by_name = {}
         for st in self.nodes:
             if st.name in self._by_name:
                 raise PlanningError(f"duplicate stage name {st.name!r}")
             self._by_name[st.name] = st
+        preds = {st.name: [] for st in self.nodes}
+        succs = {st.name: [] for st in self.nodes}
+        # an edge naming an unknown stage stays out of the index; the
+        # structure check rejects it
+        for a, b in self.edges:
+            if a in succs and b in preds:
+                succs[a].append(b)
+                preds[b].append(a)
+        self._preds = {n: tuple(p) for n, p in preds.items()}
+        self._succs = {n: tuple(s) for n, s in succs.items()}
+        self._order = None  # stages in topological order; False on a cycle
+        self._fault = None  # what the structure check found; "" when sound
 
     def node(self, name: str) -> PlanStage:
         return self._by_name[name]
 
     def predecessors(self, name: str):
-        return [a for a, b in self.edges if b == name]
+        return self._preds[name]
 
     def successors(self, name: str):
-        return [b for a, b in self.edges if a == name]
+        return self._succs[name]
+
+    def _sources(self):
+        return [st for st in self.nodes if not self._preds[st.name]]
 
     def source(self) -> PlanStage:
-        srcs = [st for st in self.nodes if not self.predecessors(st.name)]
+        srcs = self._sources()
         if len(srcs) != 1:
             raise PlanningError(f"pipeline must have exactly one source, found {len(srcs)}")
         return srcs[0]
 
     def branch_groups(self):
         """Stage-name sets fed by one tee, in graph order."""
-        groups = []
-        for st in self.nodes:
-            if len(self.successors(st.name)) >= 2:
-                groups.append(list(self.successors(st.name)))
-        return groups
+        return [list(self._succs[st.name]) for st in self.nodes
+                if len(self._succs[st.name]) >= 2]
 
     def topo_order(self):
-        indeg = {st.name: len(self.predecessors(st.name)) for st in self.nodes}
-        ready = [st.name for st in self.nodes if indeg[st.name] == 0]
-        order = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for m in self.successors(n):
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    ready.append(m)
-        if len(order) != len(self.nodes):
+        if self._order is None:
+            indeg = {n: len(p) for n, p in self._preds.items()}
+            order = [st.name for st in self._sources()]
+            for n in order:  # the list grows as stages become ready
+                for m in self._succs[n]:
+                    indeg[m] -= 1
+                    if indeg[m] == 0:
+                        order.append(m)
+            self._order = (len(order) == len(self.nodes) and
+                           [self._by_name[n] for n in order])
+        if self._order is False:
             raise PlanningError("pipeline graph has a cycle")
-        return [self._by_name[n] for n in order]
+        return list(self._order)
 
-    def validate(self):
-        for st in self.nodes:
-            st.validate()
+    def _check_structure(self):
         for a, b in self.edges:
             if a not in self._by_name or b not in self._by_name:
                 raise PlanningError(f"edge ({a!r}, {b!r}) references unknown stage")
@@ -430,8 +457,7 @@ class PipelineGraph:
         seen = {src.name}
         frontier = [src.name]
         while frontier:
-            n = frontier.pop()
-            for m in self.successors(n):
+            for m in self._succs[frontier.pop()]:
                 if m not in seen:
                     seen.add(m)
                     frontier.append(m)
@@ -439,22 +465,34 @@ class PipelineGraph:
         if dangling:
             raise PlanningError(f"stages unreachable from source: {dangling}")
         for st in self.nodes:
-            n_in = len(self.predecessors(st.name))
+            n_in = len(self._preds[st.name])
             if st.op_kind in ("zip", "zip_add") and n_in != 2:
                 raise PlanningError(f"zip stage {st.name!r} needs exactly 2 inputs, has {n_in}")
             if st.op_kind not in ("zip", "zip_add") and n_in > 1:
                 raise PlanningError(f"stage {st.name!r} cannot take {n_in} inputs")
-            n_out = len(self.successors(st.name))
+            n_out = len(self._succs[st.name])
             if st.op_kind == "tee" and n_out < 2:
                 raise PlanningError(f"tee stage {st.name!r} needs >= 2 branches")
             if st.op_kind != "tee" and n_out > 1:
                 raise PlanningError(f"stage {st.name!r} cannot feed {n_out} stages; "
                                     "only a tee fans out")
+
+    def validate(self):
+        for st in self.nodes:
+            st.validate()
+        if self._fault is None:
+            try:
+                self._check_structure()
+                self._fault = ""
+            except PlanningError as exc:
+                self._fault = str(exc)
+        if self._fault:
+            raise PlanningError(self._fault)
         return self
 
     def is_linear(self) -> bool:
-        return all(len(self.successors(st.name)) <= 1 and
-                   len(self.predecessors(st.name)) <= 1 for st in self.nodes)
+        return all(len(self._succs[st.name]) <= 1 and len(self._preds[st.name]) <= 1
+                   for st in self.nodes)
 
     def linear_order(self):
         if not self.is_linear():

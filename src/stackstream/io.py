@@ -531,18 +531,17 @@ def synth_slice_array(meta: VolumeMeta, z: int, kind: str, value=0,
         vals = xx + yy + z
         if meta.dtype.kind == "f32":
             return vals.astype(dt)
-        return (vals % (np.iinfo(dt).max + 1)).astype(dt)
+        return (vals % (meta.dtype.max_value + 1)).astype(dt)
     if kind == "impulse":
         arr = np.zeros((meta.ny, meta.nx), dtype=dt)
         if z == meta.depth // 2:
-            peak = 1.0 if meta.dtype.kind == "f32" else np.iinfo(dt).max
-            arr[meta.ny // 2, meta.nx // 2] = peak
+            arr[meta.ny // 2, meta.nx // 2] = meta.dtype.max_value
         return arr
     if kind == "random":
         if meta.dtype.kind == "f32":
             return rng.random((meta.ny, meta.nx), dtype=np.float32)
-        hi = np.iinfo(dt).max
-        return rng.integers(0, hi + 1, size=(meta.ny, meta.nx), dtype=dt)
+        return rng.integers(0, meta.dtype.max_value + 1, size=(meta.ny, meta.nx),
+                            dtype=dt)
     raise PlanningError(f"unknown synthetic kind {kind!r}")
 
 

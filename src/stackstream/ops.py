@@ -178,13 +178,9 @@ class Histogram:
 # voxel functions used by pointwise stages
 # ---------------------------------------------------------------------------
 
-def dtype_max(dtype: Dtype):
-    return 1.0 if dtype.kind == "f32" else np.iinfo(dtype.np_dtype).max
-
-
 def apply_threshold(arr: np.ndarray, t, dtype: Dtype) -> np.ndarray:
     out = (arr >= t).astype(arr.dtype)
-    out *= dtype_max(dtype)
+    out *= dtype.max_value
     return out
 
 
@@ -193,7 +189,7 @@ def _saturating(ufunc, dtype: Dtype, *args) -> np.ndarray:
     wide = ufunc(*args, dtype=np.float64 if dtype.kind == "f32"
                  else np.dtype(f"u{2 * dtype.byte_width}"))
     if dtype.kind != "f32":
-        np.minimum(wide, dtype_max(dtype), out=wide)
+        np.minimum(wide, dtype.max_value, out=wide)
     return wide.astype(dtype.np_dtype)
 
 
@@ -202,7 +198,13 @@ def apply_square(arr: np.ndarray, dtype: Dtype) -> np.ndarray:
 
 
 def saturating_add(a: np.ndarray, b: np.ndarray, dtype: Dtype) -> np.ndarray:
-    return _saturating(np.add, dtype, a, b)
+    if dtype.kind == "f32":
+        return _saturating(np.add, dtype, a, b)
+    # min(a, max - b) + b: exact in the slice dtype, as neither step wraps
+    out = np.subtract(dtype.max_value, b, dtype=dtype.np_dtype)
+    np.minimum(a, out, out=out)
+    out += b
+    return out
 
 
 # ---------------------------------------------------------------------------

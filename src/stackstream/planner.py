@@ -20,6 +20,7 @@ voxel, so a plan is explainable before any I/O is spent.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,28 +187,47 @@ class RepairAction:
         return f"share_window group={'+'.join(d['group'])} w={d['w']} strides={strides}"
 
 
+def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
+          graph: PipelineGraph, concurrent: bool):
+    """One stage's ledger term: (estimate, credit, step).
+
+    Its share of its segment's peak is est.total() - credit + step, and
+    depends on no other stage's window. A shared-window member after its
+    group's first reads the first one's window, and is credited its input.
+    step is the concurrent window step, the call one window ahead: s more
+    input slices and its s outputs. Shared-window members run inline and
+    buy none.
+    """
+    est = estimate_stage(stage, in_meta)
+    group = next((grp.members for grp in graph.shared_windows
+                  if stage.name in grp.members), ())
+    credit = est.input_bytes if stage.name in group[1:] else 0
+    step = 0
+    if concurrent and ops.record(stage).kernel_dims and not group:
+        step = stage.s * (slice_bytes(in_meta) + slice_bytes(out_meta))
+    return est, credit, step
+
+
+def _cost(term) -> int:
+    est, credit, step = term
+    return est.total() - credit + step
+
+
 def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
                   concurrent: bool):
     metas = propagate_meta(graph, meta)
-    # a group's members after its first read the first one's window
-    credited = {n for grp in graph.shared_windows for n in grp.members[1:]}
-    inline = {n for grp in graph.shared_windows for n in grp.members}
     rows = []
     running = 0
     credits = 0
     queue_bytes = 0
     for stage in graph.topo_order():
-        in_meta = metas[stage.name][0]
-        est = estimate_stage(stage, in_meta)
-        credit = est.input_bytes if stage.name in credited else 0
+        est, credit, step = _term(stage, *metas[stage.name], graph, concurrent)
         running += est.total() - credit
         credits += credit
+        queue_bytes += step
         rows.append(LedgerRow(segment, stage.name, stage.op_kind, stage.w,
                               stage.s, est.input_bytes, est.output_bytes,
                               est.internal_bytes, credit, running))
-        if concurrent and ops.record(stage).kernel_dims and stage.name not in inline:
-            # the call one window ahead: s more input slices and its s outputs
-            queue_bytes += stage.s * (slice_bytes(in_meta) + slice_bytes(metas[stage.name][1]))
     return rows, running, credits, queue_bytes
 
 
@@ -312,26 +332,26 @@ def _copy_graph(graph: PipelineGraph) -> PipelineGraph:
         c = copy.copy(st)
         c.params = dict(st.params)
         nodes.append(c)
-    return PipelineGraph(nodes, list(graph.edges),
+    return PipelineGraph(nodes, graph.edges,
                          shared_windows=list(graph.shared_windows))
 
 
 def _minimized(graph: PipelineGraph, meta: VolumeMeta):
     """Copy of the graph with every tunable window at its minimum, its k_z.
 
-    Returns (graph, tunables, caps): the copy, its stages whose op record
+    Returns (graph, tunables, metas): the copy, its stages whose op record
     is tunable in topo order (shared-window members stay fixed), and each
-    stage's window cap, the depth of its input volume.
+    stage's (input, output) geometry. A window is capped at its input
+    depth, and no geometry depends on a window.
     """
     shared_members = {n for grp in graph.shared_windows for n in grp.members}
     g = _copy_graph(graph)
     metas = propagate_meta(g, meta)
-    caps = {st.name: metas[st.name][0].depth for st in g.nodes}
     tunables = [st for st in g.topo_order()
                 if ops.record(st).tunable and st.name not in shared_members]
     for st in tunables:
-        _set_window(st, min(st.k_z, caps[st.name]))
-    return g, tunables, caps
+        _set_window(st, min(st.k_z, metas[st.name][0].depth))
+    return g, tunables, metas
 
 
 def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
@@ -346,27 +366,29 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     window_resize action goes from a given window to its grown one.
 
     Growth is solved, not searched. Every ledger term is affine and
-    nondecreasing in each window w (read and pointwise windows, the
-    w - k_z + 1 kernel outputs, the concurrent window step). So growing
-    one window never frees room for another, and the slice-by-slice
-    greedy (give the next slice to the first stage it still fits) ends
-    exactly where this does: take the stages upstream first and give each
-    the largest window that fits, up to its input depth. The slope
-    peak(w + 1) - peak(w), one ledger evaluation per stage, divides the
-    remaining headroom; one final evaluation proves the result fits.
+    nondecreasing in its own stage's window w (read and pointwise windows,
+    the w - k_z + 1 kernel outputs, the concurrent window step) and
+    independent of every other window. So growing one window never frees
+    room for another, and the slice-by-slice greedy (give the next slice
+    to the first stage it still fits) ends exactly where this does: take
+    the stages upstream first and give each the largest window that fits,
+    up to its input depth. The slope, the stage's own term at w + 1 less
+    its term at w, divides the remaining headroom, so the solve prices
+    each tunable stage twice; one final ledger proves the result fits.
     """
-    g, tunables, caps = _minimized(graph, meta)
+    g, tunables, metas = _minimized(graph, meta)
     led = estimate_pipeline(g, meta, budget, concurrent)
     if not led.fits():
         return None
     peak = led.formula_peak
     limit = budget.cap - led.overhead - 1  # largest peak that fits
     for st in tunables:
-        w, cap = st.w, caps[st.name]
+        w, cap = st.w, metas[st.name][0].depth
         if w >= cap:
             continue
+        before = _cost(_term(st, *metas[st.name], g, concurrent))
         _set_window(st, w + 1)
-        slope = estimate_pipeline(g, meta, budget, concurrent).formula_peak - peak
+        slope = _cost(_term(st, *metas[st.name], g, concurrent)) - before
         new_w = cap if slope == 0 else min(cap, w + (limit - peak) // slope)
         _set_window(st, new_w)
         peak += slope * (new_w - w)
@@ -405,42 +427,60 @@ def insert_midwrites(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     Splitting as late as possible yields the minimum number of splits
     because prefix cost grows monotonically with length. Every split costs
     one full extra write and read of the intermediate volume.
+
+    A segment's peak is the sum of its stages' ledger terms, and a stage
+    after a mid-read sees the geometry it saw before the split. So the
+    chain is priced once, and each cut j is tested in O(1): the round's
+    head, the prefix sum of the terms after it up to j, the mid-write's
+    own term, and one allowance per stage. The mid-write holds a slice of
+    the volume at the cut, which a crop, pad, permute or f32-output
+    convolve changes, so the round does not take prefix plus mid-write to
+    grow with j: it keeps the last j that fits, and stops looking once the
+    prefix alone overflows, as no term is negative.
     """
-    stages = graph.linear_order()
-    tmpdir = str(tmpdir)
+    stages = [copy.copy(st) for st in graph.validate().linear_order()]
+    whole = chain(*stages)  # shares no windows, as no segment does
+    metas = propagate_meta(whole, meta)
+
+    def cost(st, in_meta):
+        return _cost(_term(st, in_meta, ops.out_meta(st, in_meta), whole, concurrent))
+
+    def fits(peak, n_stages):
+        return peak + n_stages * budget.overhead_epsilon < budget.cap
+
+    def peak(j):  # the round's head and stages[lo:j + 1]
+        return head_cost + prefix[j + 1] - prefix[lo]
+
+    # prefix[i]: the terms of stages[:i]
+    prefix = [0, *itertools.accumulate(cost(st, metas[st.name][0]) for st in stages)]
+    n = len(stages)
     segments = []
     actions = []
-    part = 0
-    cur = [copy.copy(st) for st in stages]
-    cur_meta = meta
-
-    def seg_fits(seg_stages, m):
-        return estimate_pipeline(chain(*seg_stages), m, budget, concurrent).fits()
-
+    head, head_cost, lo = stages[0], prefix[1], 1  # a round runs head, stages[lo:]
     while True:
-        if seg_fits(cur, cur_meta):
-            segments.append(chain(*cur))
+        if fits(peak(n - 1), n - lo + 1):
+            segments.append(chain(head, *stages[lo:]))
             break
-        metas = propagate_meta(chain(*cur), cur_meta)
-        path = str(Path(tmpdir) / f"mid{part}")
+        path = str(Path(tmpdir) / f"mid{len(actions)}")
+        mid = _mk_mid_write(path, len(actions))
         best = None
-        for j in range(1, len(cur) - 1):
-            prefix = cur[:j + 1] + [_mk_mid_write(path, part)]
-            if seg_fits(prefix, cur_meta):
+        for j in range(lo, n - 1):
+            if not fits(peak(j), j - lo + 3):
+                break
+            if fits(peak(j) + cost(mid, metas[stages[j].name][1]), j - lo + 3):
                 best = j
         if best is None:
-            violating = cur[1].name if len(cur) > 1 else cur[0].name
-            return MidwriteResult(segments, actions, False, violating)
-        inter_meta = metas[cur[best].name][1]
+            violating = stages[lo] if lo < n else head
+            return MidwriteResult(segments, actions, False, violating.name)
+        inter_meta = metas[stages[best].name][1]
         inter_bytes = inter_meta.voxels * inter_meta.dtype.byte_width
-        segments.append(chain(*cur[:best + 1], _mk_mid_write(path, part)))
+        segments.append(chain(head, *stages[lo:best + 1], mid))
         # one full extra write plus read of the intermediate volume
-        actions.append(RepairAction("midwrite", {"after": cur[best].name,
+        actions.append(RepairAction("midwrite", {"after": stages[best].name,
                                                  "path": path,
                                                  "bytes": 2 * inter_bytes}))
-        cur = [_mk_mid_read(path, inter_meta, part)] + cur[best + 1:]
-        cur_meta = inter_meta
-        part += 1
+        head = _mk_mid_read(path, inter_meta, len(actions) - 1)
+        head_cost, lo = cost(head, inter_meta), best + 1
     return MidwriteResult(segments, actions, True)
 
 

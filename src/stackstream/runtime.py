@@ -53,9 +53,8 @@ def _cast_array(arr: np.ndarray, dtype: Dtype, in_place: bool = False) -> np.nda
         return arr
     if dtype.kind == "f32":
         return arr.astype(dtype.np_dtype)
-    info = np.iinfo(dtype.np_dtype)
     out = np.rint(arr, out=arr if in_place else None)
-    return np.clip(out, info.min, info.max, out=out).astype(dtype.np_dtype)
+    return np.clip(out, dtype.min_value, dtype.max_value, out=out).astype(dtype.np_dtype)
 
 
 @dataclass

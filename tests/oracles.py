@@ -2,9 +2,11 @@
 
 Everything here works on whole in-memory volumes with explicit index
 arithmetic (plain loops, coordinate clamping), deliberately sharing no
-code with the streaming operators it checks. The one planner oracle,
-greedy_windows, searches window sizes slice by slice against the
-planner's own ledger, so it checks the window solve, not the prices.
+code with the streaming operators it checks. The two planner oracles,
+greedy_windows and scan_midwrites, search window sizes slice by slice
+and mid-write cuts prefix by prefix against the planner's own full
+ledger, so they check the window solve and the split search, not the
+prices.
 The frozen_* functions are the voxel loops as they stood before they
 learned to accumulate in place and to stay in native width; they keep
 their float operations in order, so the engine must match them bit for
@@ -12,12 +14,14 @@ bit.
 """
 
 import copy
+from pathlib import Path
 
 import numpy as np
 
-from stackstream.core import PipelineGraph
+from stackstream.core import PipelineGraph, PlanStage, chain
 from stackstream.ops import KERNEL_OPS, OPS
-from stackstream.planner import RepairAction, estimate_pipeline, propagate_meta
+from stackstream.planner import (MidwriteResult, RepairAction, estimate_pipeline,
+                                 propagate_meta)
 
 
 def _clamp(i, n):
@@ -203,6 +207,47 @@ def greedy_windows(graph: PipelineGraph, meta, budget, concurrent=False):
                              "new_w": st.w})
                for st in g.topo_order() if st.w != original[st.name]]
     return g, actions
+
+
+def scan_midwrites(graph: PipelineGraph, meta, budget, tmpdir, concurrent=False):
+    """Mid-write splits by scanning: every round prices each prefix plus its
+    mid-write with a full ledger and keeps the last cut that fits, then
+    goes on from a mid-read of the volume at that cut. Returns a
+    MidwriteResult like planner.insert_midwrites."""
+    def seg_fits(seg_stages, m):
+        return estimate_pipeline(chain(*seg_stages), m, budget, concurrent).fits()
+
+    def mid_write(path, idx):
+        return PlanStage(f"midwrite{idx}", "write", params={"dir": path, "internal": True})
+
+    segments = []
+    actions = []
+    part = 0
+    cur = [copy.copy(st) for st in graph.linear_order()]
+    cur_meta = meta
+    while True:
+        if seg_fits(cur, cur_meta):
+            segments.append(chain(*cur))
+            break
+        metas = propagate_meta(chain(*cur), cur_meta)
+        path = str(Path(tmpdir) / f"mid{part}")
+        best = None
+        for j in range(1, len(cur) - 1):
+            if seg_fits(cur[:j + 1] + [mid_write(path, part)], cur_meta):
+                best = j
+        if best is None:
+            violating = cur[1].name if len(cur) > 1 else cur[0].name
+            return MidwriteResult(segments, actions, False, violating)
+        inter_meta = metas[cur[best].name][1]
+        segments.append(chain(*cur[:best + 1], mid_write(path, part)))
+        actions.append(RepairAction("midwrite", {
+            "after": cur[best].name, "path": path,
+            "bytes": 2 * inter_meta.voxels * inter_meta.dtype.byte_width}))
+        cur = [PlanStage(f"midread{part}", "read",
+                         params={"dir": path, "meta": inter_meta})] + cur[best + 1:]
+        cur_meta = inter_meta
+        part += 1
+    return MidwriteResult(segments, actions, True)
 
 
 # ---------------------------------------------------------------------------

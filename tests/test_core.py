@@ -137,6 +137,27 @@ def test_graph_rejects_dangling():
         g.validate()
 
 
+@pytest.mark.parametrize("edges, match", [
+    ([("a", "b"), ("b", "ghost")], "references unknown stage"),
+    ([("a", "b"), ("b", "c"), ("c", "b")], "has a cycle"),
+    ([("a", "c"), ("b", "c")], "exactly one source, found 2"),
+])
+def test_graph_structure_faults_raise_on_every_validate(edges, match):
+    a, b, c = ops.square(name="a"), ops.square(name="b"), ops.add_join(name="c")
+    g = PipelineGraph([a, b, c], edges)  # an unknown name is no KeyError here
+    for _ in range(2):  # the structure is checked once and the fault kept
+        with pytest.raises(PlanningError, match=match):
+            g.validate()
+
+
+def test_graph_checks_windows_on_every_validate():
+    g = chain(ops.square(name="a"), ops.erode(1, name="e"))
+    assert g.validate() is g and isinstance(g.edges, tuple)
+    g.node("e").w = 2
+    with pytest.raises(PlanningError, match="below kernel depth"):
+        g.validate()
+
+
 def test_zip_arity_and_tee_fanout():
     t = ops.tee(name="t")
     a = ops.square(name="a")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from oracles import greedy_windows
+from oracles import greedy_windows, scan_midwrites
 from stackstream import ops, planner
 from stackstream.core import (F32, MIB, U8, U16, Budget, PlanStage,
                               PlanningError, VolumeMeta, chain, slice_bytes,
@@ -477,6 +477,90 @@ def test_deep_chain_plans_in_linear_ledger_calls(monkeypatch):
     # 1 TiB holds every window at its input depth
     assert [st.w for st in p.segments[0].topo_order()] == \
         [2048, 2048, 2046, 2044, 2044, 2044, 2038, 2036, 2036, 1]
+
+
+def test_planning_work_grows_linearly(monkeypatch):
+    # each stage is priced a bounded number of times, so a chain four times
+    # as long makes at most 4.5 times the estimate_stage calls
+    real = planner.estimate_stage
+    calls = {"n": 0}
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "estimate_stage", counting)
+    meta = VolumeMeta(8, 8, 16, U8)
+    budget = Budget(1 << 40)
+    counts = {}
+    for n in (32, 128):
+        body = [ops.erode(1, name=f"e{i}") if i % 16 == 15 else
+                ops.threshold(100, name=f"t{i}") for i in range(n - 2)]
+        g = chain(mk_read(meta), *body, mk_write())
+        calls["n"] = 0
+        p = plan(g, budget)
+        counts[n] = calls["n"]
+        want, _ = greedy_windows(g, meta, budget)
+        assert [(st.name, st.w, st.s) for st in p.segments[0].nodes] == \
+            [(st.name, st.w, st.s) for st in want.nodes]
+    assert counts[128] <= 4.5 * counts[32], counts
+
+
+@hst.composite
+def split_cases(draw):
+    """(graph, meta, budget, concurrent): a chain of 3-8 ops over budget,
+    among them ops that change the slice size along the chain (crop, pad,
+    a z-moving permute, an f32-output convolve), so a mid-write's price
+    depends on where it cuts."""
+    dtype = draw(hst.sampled_from([U8, U16]))
+    meta = VolumeMeta(draw(hst.integers(4, 12)), draw(hst.integers(4, 12)),
+                      draw(hst.integers(6, 24)), dtype)
+    cur = meta
+    body = []
+    kinds = ["threshold", "square", "erode", "box3", "crop", "pad", "permute"]
+    for i, kind in enumerate(draw(hst.lists(hst.sampled_from(kinds), min_size=3,
+                                            max_size=8))):
+        name = f"s{i}"
+        if kind == "crop":
+            lo = [draw(hst.integers(0, n - 1)) for n in (cur.nx, cur.ny, cur.depth)]
+            hi = [draw(hst.integers(a + 1, n))
+                  for a, n in zip(lo, (cur.nx, cur.ny, cur.depth))]
+            st = ops.crop((*lo, *hi), name=name)
+        elif kind == "pad":
+            st = ops.pad(tuple(draw(hst.integers(0, 3)) for _ in range(6)), name=name)
+        elif kind == "permute":  # each of these orders moves z
+            st = ops.permute_axes(draw(hst.sampled_from(["zyx", "xzy", "zxy", "yzx"])),
+                                  name=name)
+        elif kind == "box3":
+            st = ops.convolve(ops.Kernel3D.box(3), name=name)
+        else:
+            st = STAGE_MAKERS[kind](name)
+        if st.k_z > cur.depth:
+            continue
+        body.append(st)
+        cur = ops.out_meta(st, cur)
+    g = chain(mk_read(meta), *body, mk_write())
+    eps = draw(hst.sampled_from([0, 16, 64]))
+    whole = estimate_pipeline(g, meta, Budget(1 << 40, eps))
+    gate = whole.formula_peak + whole.overhead
+    cap = max(1, int(gate * 2 ** -draw(hst.floats(0.01, 2))))
+    return g, meta, Budget(cap, eps), draw(hst.booleans())
+
+
+def _split_key(res):
+    segs = [[(st.name, st.op_kind, st.w, st.s, st.params.get("dir"),
+              st.params.get("meta")) for st in seg.topo_order()]
+            for seg in res.segments]
+    return segs, [a.line() for a in res.actions], res.feasible, res.violating
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(split_cases())
+def test_split_search_equals_scanning_oracle(case):
+    g, meta, budget, concurrent = case
+    got = insert_midwrites(g, meta, budget, "tmp", concurrent)
+    want = scan_midwrites(g, meta, budget, "tmp", concurrent)
+    assert _split_key(got) == _split_key(want)
 
 
 def test_plan_repairs_with_resize_then_midwrite(tmp_path):
