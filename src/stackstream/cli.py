@@ -258,11 +258,11 @@ def _tmpdir(args) -> str:
 def _io_report(graph, seed) -> str:
     src = graph.source()
     meta = src.params["meta"]
-    if "chunks" in src.params:
-        cx, cy, cz = src.params["chunks"]
-    else:
-        cx = cy = cz = max(1, min(16, meta.nx, meta.ny, meta.depth))
-    grid = ChunkGrid(meta, cx, cy, cz)
+    # a chunk store's own chunks, or cubes of edge 16 at most
+    grid = sio.load_manifest(src.params["dir"]) if src.op_kind == "read" else None
+    if not isinstance(grid, ChunkGrid):
+        edge = max(1, min(16, meta.nx, meta.ny, meta.depth))
+        grid = ChunkGrid(meta, edge, edge, edge)
     kd = (1, 1, 1)
     for stg in graph.nodes:
         dims_of = ops.record(stg).kernel_dims
@@ -270,7 +270,7 @@ def _io_report(graph, seed) -> str:
             kd = tuple(max(a, b) for a, b in zip(kd, dims_of(stg)))
     # halo analysis needs odd kernel edges no larger than a chunk
     kd = tuple(k if k <= c else (c if c % 2 else c - 1)
-               for k, c in zip(kd, (cx, cy, cz)))
+               for k, c in zip(kd, (grid.cx, grid.cy, grid.cz)))
     return layout_report(meta, grid, kd, seed=seed)
 
 
@@ -344,6 +344,9 @@ def cmd_gen(args) -> int:
     if dims is None or chunks is None:
         return 1
     meta = VolumeMeta(dims[0], dims[1], dims[2], dtype_by_kind(args.dtype))
+    if not meta.dtype.holds(args.value):
+        print(f"error: --value {args.value:g}: not a {args.dtype} voxel", file=sys.stderr)
+        return 1
     vol = sio.synth_volume(meta, args.kind, value=args.value, seed=args.seed)
     sio.write_volume(args.out, vol, meta.dtype, chunks=chunks or None)
     print(f"wrote {meta} ({args.kind}) to {args.out}")

@@ -70,6 +70,14 @@ class Dtype:
         object.__setattr__(self, "min_value", info.min if info else 0.0)
         object.__setattr__(self, "max_value", info.max if info else 1.0)
 
+    def holds(self, value: float) -> bool:
+        """Whether a voxel stores value as it is, not wrapped: within an
+        integer type's limits, or any f32 value but a finite one past its
+        largest."""
+        if self.np_dtype.kind == "f":
+            return not np.isfinite(value) or abs(value) <= float(np.finfo(self.np_dtype).max)
+        return self.min_value <= value <= self.max_value  # false for nan
+
     def __str__(self):
         return self.kind
 
@@ -284,11 +292,6 @@ class MemEstimate:
 
     def total(self) -> int:
         return self.input_bytes + self.output_bytes + self.internal_bytes
-
-    def __add__(self, other: "MemEstimate") -> "MemEstimate":
-        return MemEstimate(self.input_bytes + other.input_bytes,
-                           self.output_bytes + other.output_bytes,
-                           self.internal_bytes + other.internal_bytes)
 
 
 # ---------------------------------------------------------------------------

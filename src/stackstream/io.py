@@ -20,8 +20,10 @@ together hold cz whole slices. One reader keeps the files of the current
 layer open and reads plane z of each into a new slice; one writer keeps
 the files of its layer open and appends each slice's plane to each of
 them. Neither holds more than the one slice it streams, and each opens
-a file once per sweep. Every open layer counts its files among those
-the process holds, and raises the soft RLIMIT_NOFILE when they pass it.
+a file once per sweep. So one read kind and one write kind serve every
+layout; readInChunks is a read that refuses a slice stack. Every open
+layer counts its files among those the process holds, and raises the
+soft RLIMIT_NOFILE when they pass it.
 
 A sink first makes its directory and a .partial marker. It then creates
 its files empty, ahead of it and in the order it fills them, on one
@@ -322,13 +324,14 @@ def _holding(n: int):
             _held -= n
 
 
-def _open_grid_stream(directory, man, name: str) -> Stream:
-    """Stream the slices of a stack or chunk store in z order.
+def open_slice_stream(directory) -> Stream:
+    """Stream the slices of a stack or a chunk store in z order.
 
     The files of one x-y layer of chunks stay open while their planes are
     read: each new slice is read from plane z of each of them. Every file
     is opened exactly once per sweep, and its size is checked first.
     """
+    man = load_manifest(directory)
     grid, file_name = (man, man.chunk_file) if isinstance(man, ChunkGrid) else (
         _stack_grid(man.meta, man.multipage), man.files.__getitem__)
     smeta = grid.meta.slice_meta
@@ -360,22 +363,9 @@ def _open_grid_stream(directory, man, name: str) -> Stream:
                         arr[ys, xs] = np.frombuffer(data, dtype=dtype).reshape(shape)
                     yield ALLOC.new_slice(smeta, data=arr)
 
-    s = Stream(gen(), meta=smeta, depth=grid.meta.depth, name=f"{name} {directory}")
+    s = Stream(gen(), meta=smeta, depth=grid.meta.depth, name=f"read {directory}")
     s.counters = counters
     return s
-
-
-def open_slice_stream(directory) -> Stream:
-    """Stream the slices of a stack or a chunk store in z order."""
-    return _open_grid_stream(directory, load_manifest(directory), "read")
-
-
-def open_chunk_stream(directory) -> Stream:
-    """Stream the slices of a chunk store in z order."""
-    grid = load_manifest(directory)
-    if isinstance(grid, StackManifest):
-        raise PlanningError(f"{directory} is a slice stack, not a chunk store")
-    return _open_grid_stream(directory, grid, "readInChunks")
 
 
 def _write_grid_steps(src: Stream, directory, grid: ChunkGrid,
@@ -476,20 +466,17 @@ def read_column(directory, grid: ChunkGrid, out: np.ndarray, axis: str, k: int) 
 # ---------------------------------------------------------------------------
 
 def read_stage(directory, name: Optional[str] = None) -> PlanStage:
-    """A read of a stack or a chunk store; the chunks of a store are kept
-    in params, for the layout report of `plan --io`."""
-    man = load_manifest(directory)
-    params = {"dir": str(directory), "meta": man.meta}
-    if isinstance(man, ChunkGrid):
-        params["chunks"] = (man.cx, man.cy, man.cz)
-    return PlanStage(name=name or "read", op_kind="read", params=params)
+    """A read of a stack or a chunk store."""
+    return PlanStage(name=name or "read", op_kind="read",
+                     params={"dir": str(directory), "meta": volume_meta(directory)})
 
 
 def read_chunks_stage(directory, name: Optional[str] = None) -> PlanStage:
+    """A read of a chunk store: the read kind, with its chunks in params."""
     grid = load_manifest(directory)
     if isinstance(grid, StackManifest):
         raise PlanningError(f"{directory} is a slice stack; use read")
-    return PlanStage(name=name or "readInChunks", op_kind="read_chunks",
+    return PlanStage(name=name or "readInChunks", op_kind="read",
                      params={"dir": str(directory), "meta": grid.meta,
                              "chunks": (grid.cx, grid.cy, grid.cz)})
 

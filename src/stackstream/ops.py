@@ -74,6 +74,8 @@ class Kernel3D:
         if len(dims) < 3:
             raise PlanningError(f"kernel file {path}: missing dims header")
         kx, ky, kz = dims
+        if min(dims) < 1:
+            raise PlanningError(f"kernel file {path}: dims {kx} {ky} {kz} must be >= 1")
         if len(vals) != kx * ky * kz:
             raise PlanningError(
                 f"kernel file {path}: expected {kx * ky * kz} weights, got {len(vals)}")
@@ -1062,10 +1064,12 @@ class OpKind:
     dtype, as soon as it is made. kernel_dims(stage) is a kernel's
     (kx, ky, kz): a stage with kernel taps runs its calls on the run's
     pool when they are large enough, buys the concurrent queue allowance
-    and may share a tee's window. spec holds the kind's keywords;
-    structural kinds (tee, join) and priced-only ones have none.
+    and may share a tee's window. spec holds the kind's keywords, and a
+    stage prints back as the first whose show gives a line: a read or a
+    write with chunks in its params as readInChunks or writeInChunks.
+    Structural kinds (tee, join) and priced-only ones have none.
     algo_class says how the kind streams. The planner grows the window of
-    a tunable kind, a window kind or one marked `grows` (the reads, histogram),
+    a tunable kind, a window kind or one marked `grows` (read, histogram),
     from k_z into the budget left.
     """
 
@@ -1205,7 +1209,7 @@ def _read_estimate(stage, meta, out):
     return MemEstimate(0, stage.w * slice_bytes(out), 0)
 
 
-def _io_syntax(keyword, factory, prints=lambda st: True):
+def _io_syntax(keyword, factory, prints):
     return Syntax(keyword, ("dir",), lambda get, name: factory(get("dir"), name=name),
                   lambda st: f"{keyword} {st.params['dir']}" if prints(st) else None,
                   positional=1)
@@ -1213,11 +1217,11 @@ def _io_syntax(keyword, factory, prints=lambda st: True):
 
 #: every op kind the engine plans and runs, keyed by PlanStage.op_kind
 OPS = {
-    # both reads run the one reader, of any layout
-    "read": OpKind(_read_estimate, _source_meta, spec=(_io_syntax("read", sio.read_stage),),
-                   grows=True),
-    "read_chunks": OpKind(_read_estimate, _source_meta, grows=True,
-                          spec=(_io_syntax("readInChunks", sio.read_chunks_stage),)),
+    # a read of any layout runs the one reader; one with chunks, which
+    # refused a slice stack, prints as readInChunks
+    "read": OpKind(_read_estimate, _source_meta, grows=True, spec=(
+        _io_syntax("read", sio.read_stage, lambda st: "chunks" not in st.params),
+        _io_syntax("readInChunks", sio.read_chunks_stage, lambda st: "chunks" in st.params))),
     "initialize": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), 0), _source_meta),
     # a write holds the one slice it writes, of any layout; one with
     # chunks prints as writeInChunks

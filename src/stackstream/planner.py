@@ -374,14 +374,18 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     the stages upstream first and give each the largest window that fits,
     up to its input depth. The slope, the stage's own term at w + 1 less
     its term at w, divides the remaining headroom, so the solve prices
-    each tunable stage twice; one final ledger proves the result fits.
+    each tunable stage twice. The minima's peak and the final check are
+    each the sum of the stages' terms, as the segment's ledger sums them.
     """
     g, tunables, metas = _minimized(graph, meta)
-    led = estimate_pipeline(g, meta, budget, concurrent)
-    if not led.fits():
+
+    def segment_peak():
+        return sum(_cost(_term(st, *metas[st.name], g, concurrent)) for st in g.validate().nodes)
+
+    limit = budget.cap - len(g.nodes) * budget.overhead_epsilon - 1  # largest peak that fits
+    peak = segment_peak()
+    if peak > limit:
         return None
-    peak = led.formula_peak
-    limit = budget.cap - led.overhead - 1  # largest peak that fits
     for st in tunables:
         w, cap = st.w, metas[st.name][0].depth
         if w >= cap:
@@ -392,7 +396,7 @@ def optimize_windows(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
         new_w = cap if slope == 0 else min(cap, w + (limit - peak) // slope)
         _set_window(st, new_w)
         peak += slope * (new_w - w)
-    if not estimate_pipeline(g, meta, budget, concurrent).fits():
+    if segment_peak() > limit:
         raise PlanningError("window solve overshot the budget")
     original = {st.name: st.w for st in graph.nodes}
     actions = [RepairAction("window_resize",

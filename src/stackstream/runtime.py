@@ -521,8 +521,6 @@ class _Builder:
 # Every kind in ops.KERNEL_OPS, pointwise ones too, streams through _KERNEL.
 _BUILDERS = {
     "read": _Builder(0, lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"])),
-    "read_chunks": _Builder(
-        0, lambda stg, ins, i, o, ctx: sio.open_chunk_stream(stg.params["dir"])),
     "initialize": _Builder(0, lambda stg, ins, i, o, ctx: _initialize_stream(stg)),
     "crop": _Builder(1, lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o)),
     "pad": _Builder(1, lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o)),

@@ -86,6 +86,17 @@ def test_pretty_print_fixpoint_tee(tmp_path):
     assert pretty_print(g2, b2) == p1
 
 
+def test_each_read_prints_back_as_its_keyword(tmp_path):
+    # one read kind: a read with the store's chunks prints as readInChunks,
+    # and a read of the same store as read
+    write_vol(tmp_path, chunks=(4, 4, 4))
+    for keyword in ("read", "readInChunks"):
+        body = f"{keyword} {tmp_path}/in\nwrite {tmp_path}/out\nsink\n"
+        g, b = parse("source 64 MiB\n" + body)
+        assert g.source().op_kind == "read"
+        assert pretty_print(g, b).endswith("\n" + body)
+
+
 def run_cli(args):
     return cli.main([str(a) for a in args])
 
@@ -147,6 +158,18 @@ def test_cmd_plan_io_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "io cost model" in out
     assert "chunk_random" in out
+
+
+def test_read_in_chunks_of_a_slice_stack_is_a_planning_error(tmp_path, capsys):
+    write_vol(tmp_path)
+    with pytest.raises(PlanningError, match=r"is a slice stack; use read$"):
+        sio.read_chunks_stage(tmp_path / "in")
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source 64 MiB\nreadInChunks {tmp_path}/in\n"
+                    f"write {tmp_path}/out\nsink\n")
+    assert run_cli(["plan", spec]) == 2
+    assert capsys.readouterr().err == \
+        f"planning error: {tmp_path}/in is a slice stack; use read\n"
 
 
 def test_cmd_run_reports_and_determinism(tmp_path, capsys):
@@ -397,9 +420,10 @@ def test_malformed_cases_cover_every_keyword_and_key():
     assert keys <= covered
 
 
-@pytest.mark.parametrize("content", [None, "dir", "3 3 x\n", "1 1 1\nabc\n",
-                                     b"\xff\xfe\x00\x01"],
-                         ids=["missing", "directory", "bad-dims", "bad-weight", "binary"])
+@pytest.mark.parametrize("content", [None, "dir", "3 3 x\n", "-1 -1 1\n1\n",
+                                     "1 1 1\nabc\n", b"\xff\xfe\x00\x01"],
+                         ids=["missing", "directory", "bad-dims", "negative-dims",
+                              "bad-weight", "binary"])
 def test_unreadable_kernel_file_is_a_planning_error(tmp_path, content):
     kernel = tmp_path / "k"
     if content == "dir":
@@ -426,6 +450,26 @@ def test_cmd_gen_malformed_triple_exits_1(tmp_path, capsys, flag, value):
     assert run_cli(["gen", "--out", out, *(x for kv in args.items() for x in kv)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag} {value!r}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dtype,value", [("u8", "300"), ("u8", "-5"), ("u8", "nan"),
+                                         ("u16", "65536"), ("u16", "inf"), ("f32", "1e39")])
+def test_cmd_gen_value_the_dtype_cannot_hold_exits_1(tmp_path, capsys, dtype, value):
+    # a constant u8 300 would wrap to 44, -5 to 251
+    out = tmp_path / "v"
+    assert run_cli(["gen", "--kind", "constant", "--dtype", dtype, "--dims", "4,4,4",
+                    "--value", value, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --value {float(value):g}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dtype,value", [("u8", 255), ("u8", 0), ("u16", 65535),
+                                         ("f32", -1.5), ("f32", float("inf"))])
+def test_cmd_gen_value_the_dtype_holds_is_written(tmp_path, dtype, value):
+    out = tmp_path / "v"
+    assert run_cli(["gen", "--kind", "constant", "--dtype", dtype, "--dims", "4,4,4",
+                    "--value", value, "--out", out]) == 0
+    assert np.all(sio.read_volume(out) == value)
 
 
 @pytest.mark.parametrize("chunks,old,new", [

@@ -72,7 +72,7 @@ def test_chunk_read_counts(tmp_path):
     meta = VolumeMeta(8, 8, 8, U8)
     sio.write_volume(tmp_path / "c", sio.synth_volume(meta, "random", seed=4),
                      "u8", chunks=(4, 4, 4))
-    src = sio.open_chunk_stream(tmp_path / "c")
+    src = sio.open_slice_stream(tmp_path / "c")
     drain(src)
     assert src.counters["opens"] == 8  # every chunk file exactly once
 
@@ -377,7 +377,7 @@ def test_missing_chunk_file_names_expected_bytes(tmp_path):
     sio.write_volume(tmp_path / "c", sio.synth_volume(meta, "random", seed=20),
                      "u8", chunks=(4, 4, 4))
     (tmp_path / "c" / "c_001_000_001.raw").unlink()
-    src = sio.open_chunk_stream(tmp_path / "c")
+    src = sio.open_slice_stream(tmp_path / "c")
     with pytest.raises(IOError) as ei:
         drain(src)
     assert "c_001_000_001.raw" in str(ei.value)

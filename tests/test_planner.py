@@ -506,6 +506,32 @@ def test_planning_work_grows_linearly(monkeypatch):
     assert counts[128] <= 4.5 * counts[32], counts
 
 
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_a_plan_that_fits_builds_one_ledger_and_walks_the_graph_three_times(
+        monkeypatch, concurrent):
+    """plan prices the graph with one ledger; the window solve reads its
+    minimized start and its final check off the stages' own terms, and
+    the plan's ledger is the last walk. Each stage is priced four times,
+    and each tunable one twice more for its slope."""
+    calls = {"estimate_pipeline": 0, "propagate_meta": 0, "estimate_stage": 0}
+    for fn in calls:
+        real = getattr(planner, fn)
+        monkeypatch.setattr(planner, fn, lambda *a, _real=real, _fn=fn, **kw: (
+            calls.__setitem__(_fn, calls[_fn] + 1), _real(*a, **kw))[1])
+    meta = VolumeMeta(32, 32, 40, U8)
+    g = tee_graph([mk_read(meta), ops.tee(name="t")],
+                  [[ops.median_filter(1, name="m")], [ops.dilate(1, name="d")]],
+                  ops.add_join(name="j"),
+                  [ops.discrete_gaussian(0.8, name="g"), ops.threshold(9, name="p"),
+                   mk_write()])
+    p = plan(g, Budget(64 * slice_bytes(meta), 1024), concurrent=concurrent)
+    assert p.verdict == "fits" and p.actions
+    tunables = sum(ops.record(st).tunable for st in g.nodes)
+    assert (len(g.nodes), tunables) == (8, 5)
+    assert calls == {"estimate_pipeline": 1, "propagate_meta": 3,
+                     "estimate_stage": 4 * 8 + 2 * 5}
+
+
 @hst.composite
 def split_cases(draw):
     """(graph, meta, budget, concurrent): a chain of 3-8 ops over budget,

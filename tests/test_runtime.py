@@ -309,6 +309,35 @@ def test_chunk_layers_stop_at_the_volume(tmp_path, monkeypatch):
                           oracles.permute_volume(vol, "zyx"))
 
 
+def test_read_and_read_in_chunks_of_one_store_are_one_read(tmp_path, monkeypatch):
+    """readInChunks is a read with the store's chunks in its params: a
+    read and a readInChunks of one chunk store plan the same windows and
+    ledger figures, stream as `read <dir>` with the same pulls and opens,
+    and write the same volume."""
+    meta = VolumeMeta(32, 32, 24, U8)
+    write_input(tmp_path, meta, seed=16, chunks=(16, 16, 8))
+    opened = []
+    open_stream = sio.open_slice_stream
+    monkeypatch.setattr(sio, "open_slice_stream",
+                        lambda d: (s := open_stream(d), opened.append(s))[0])
+    runs = []
+    for reader, out in ((sio.read_stage, "a"), (sio.read_chunks_stage, "b")):
+        src = reader(tmp_path / "in", name="src")
+        assert src.op_kind == "read"
+        g = chain(src, ops.discrete_gaussian(0.8, name="g"),
+                  sio.write_stage(tmp_path / out, name="snk"))
+        p = plan(g, Budget(12 * slice_bytes(meta), 0), tmpdir=tmp_path)
+        rep = execute_plan(p, tmpdir=tmp_path)
+        runs.append((p.render(), rep.sources, rep.peak_bytes))
+    assert "chunks" not in sio.read_stage(tmp_path / "in").params
+    assert runs[0] == runs[1]
+    assert "action window_resize stage=src" in runs[0][0]  # the read's window grew
+    assert runs[0][1] == [("src", 24, 12)]  # 2x2 chunks in each of 3 layers
+    assert [(s.name, s.pulls, s.counters) for s in opened] == \
+        [(f"read {tmp_path / 'in'}", 24, {"opens": 12})] * 2
+    assert np.array_equal(sio.read_volume(tmp_path / "a"), sio.read_volume(tmp_path / "b"))
+
+
 def test_failing_stage_aborts_with_index_and_no_leak(tmp_path):
     meta = VolumeMeta(8, 8, 10, U8)
     write_input(tmp_path, meta, seed=13)

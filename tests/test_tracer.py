@@ -84,3 +84,27 @@ def test_tracer_binds_every_stage_of_a_branched_graph(tmp_path):
     assert tee_spans and {rec[tracer_mod.STAGE] for rec in tee_spans} == {"t"}
     runtime.run_graph(graph("ref"), Budget(1 << 30), tmpdir=tmp_path)
     assert np.array_equal(sio.read_volume(tmp_path / "out"), sio.read_volume(tmp_path / "ref"))
+
+
+def test_tracer_gives_a_read_in_chunks_stage_its_pulls(tmp_path):
+    """readInChunks is a read, so its stream is `read <dir>` and the
+    tracer binds it: the source stage owns every pull of the store, the
+    last one, which ends the stream, among them."""
+    tracer_mod = load_tracer()
+    meta = VolumeMeta(16, 16, 12, U8)
+    sio.write_volume(tmp_path / "in", sio.synth_volume(meta, "random", seed=51), "u8",
+                     chunks=(8, 8, 4))
+    g = chain(sio.read_chunks_stage(tmp_path / "in", name="src"),
+              ops.threshold(9, name="t"), sio.write_stage(tmp_path / "out", name="wr"))
+    tracer = tracer_mod.Tracer(str(tmp_path / "mid"), [])
+    tracer.reset(g)
+    try:
+        tracer.install(planner, runtime, ops, stream, sio, ALLOC)
+        p = planner.plan(g, Budget(1 << 30), tmpdir=str(tmp_path / "mid"))
+        runtime.execute_plan(p, tmpdir=tmp_path / "mid")
+    finally:
+        tracer.uninstall()
+    pulls = [rec for rec in tracer.spans
+             if rec[tracer_mod.NAME] == "stream.pull" and rec[tracer_mod.STAGE] == "src"]
+    assert len(pulls) == meta.depth + 1
+    assert all(rec[tracer_mod.N] == 1 for rec in pulls)  # each a stage boundary
