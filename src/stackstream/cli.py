@@ -32,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import io as sio
 from . import ops, runtime
 from .core import (Budget, EngineError, PipelineGraph, PlanningError,
@@ -344,10 +346,12 @@ def cmd_gen(args) -> int:
     if dims is None or chunks is None:
         return 1
     meta = VolumeMeta(dims[0], dims[1], dims[2], dtype_by_kind(args.dtype))
-    if not meta.dtype.holds(args.value):
+    # an integer voxel rounds, as every cast in the engine does
+    value = args.value if meta.dtype.kind == "f32" else np.rint(args.value)
+    if not meta.dtype.holds(value):
         print(f"error: --value {args.value:g}: not a {args.dtype} voxel", file=sys.stderr)
         return 1
-    vol = sio.synth_volume(meta, args.kind, value=args.value, seed=args.seed)
+    vol = sio.synth_volume(meta, args.kind, value=value, seed=args.seed)
     sio.write_volume(args.out, vol, meta.dtype, chunks=chunks or None)
     print(f"wrote {meta} ({args.kind}) to {args.out}")
     return 0

@@ -469,9 +469,9 @@ class PipelineGraph:
             raise PlanningError(f"stages unreachable from source: {dangling}")
         for st in self.nodes:
             n_in = len(self._preds[st.name])
-            if st.op_kind in ("zip", "zip_add") and n_in != 2:
+            if st.op_kind == "zip_add" and n_in != 2:
                 raise PlanningError(f"zip stage {st.name!r} needs exactly 2 inputs, has {n_in}")
-            if st.op_kind not in ("zip", "zip_add") and n_in > 1:
+            if st.op_kind != "zip_add" and n_in > 1:
                 raise PlanningError(f"stage {st.name!r} cannot take {n_in} inputs")
             n_out = len(self._succs[st.name])
             if st.op_kind == "tee" and n_out < 2:

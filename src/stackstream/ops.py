@@ -151,11 +151,13 @@ class Histogram:
         return self.counts.nbytes
 
     def add_array(self, arr: np.ndarray):
+        """Count arr's voxels: an f32 value past the range, +-inf too, in the
+        edge bin, and NaN in none, as np.histogram over a range leaves it out."""
         if self.dtype.kind == "f32":
             lo, hi = self.value_range
-            idx = ((arr.astype(np.float64) - lo) * (len(self.counts) / (hi - lo)))
-            idx = np.clip(idx.astype(np.int64), 0, len(self.counts) - 1)
-            self.counts += np.bincount(idx.ravel(), minlength=len(self.counts))
+            idx = (arr[~np.isnan(arr)].astype(np.float64) - lo) * (len(self.counts) / (hi - lo))
+            idx = np.clip(idx, 0, len(self.counts) - 1).astype(np.int64)
+            self.counts += np.bincount(idx, minlength=len(self.counts))
         else:
             self.counts += np.bincount(arr.ravel().astype(np.int64),
                                        minlength=len(self.counts))
@@ -220,7 +222,7 @@ class Scratch:
     memory the first call that names it allocates and later calls reuse,
     growing it only for a larger shape, so a stage faults its workspaces in
     once, not on every call. memo holds what a kernel builds over those
-    buffers and keeps between calls (the convolve's taps and ring). close()
+    buffers and keeps between calls (a ring kernel's _SliceRing). close()
     drops them all.
     """
 
@@ -264,75 +266,101 @@ def _accumulate(acc: np.ndarray, taps, term: np.ndarray):
     return acc
 
 
-class _ConvPlanes:
+class _SliceRing:
+    """Per-slice results of a (kz, ky, kx) kernel that one Scratch keeps
+    across the kernel's calls, made from one padded slice.
+
+    The padded slice lies flat, its rows (pad) nx + 2 rx wide, then 2 rx
+    zeros read only into junk columns. Slot s holds the results of slice
+    keys[s], by identity: hold(held) puts a window's slices in consecutive
+    slots (mod their number) from the slot that already holds its first
+    slice, if any, and frees the rest; each slice new to its slot is
+    padded and _fill(s) makes its results. So a slice's results are made
+    once while it stays in the windows of one Scratch's calls, as its data
+    never changes in place: core.Slice.data is set once, then cleared.
+    """
+
+    def __init__(self, scratch: Scratch, data: np.ndarray, shape: tuple, slots: int, dtype):
+        (ny, nx), ry, rx = data.shape, shape[1] // 2, shape[2] // 2
+        width = nx + 2 * rx
+        self.flat = scratch.take("pad", ((ny + 2 * ry) * width + 2 * rx,), dtype)
+        self.flat[(ny + 2 * ry) * width:] = 0
+        self.pad, self.ry, self.rx = self.flat[:(ny + 2 * ry) * width].reshape(-1, width), ry, rx
+        self.interior = self.pad[ry:ry + ny, rx:rx + nx]
+        self.keys, self.next = [None] * slots, 0
+
+    def padded(self, data: np.ndarray):
+        self.interior[...] = data
+        _clamp_edges(self.pad, self.ry, self.rx)
+
+    def hold(self, held) -> int:
+        """Fill the held slices into consecutive slots and return the first."""
+        keys, slots = self.keys, len(self.keys)
+        p = next((s for s, key in enumerate(keys) if key is held[0]), self.next)
+        for i in range(len(held), slots):
+            keys[(p + i) % slots] = None
+        for i, sl in enumerate(held):
+            s = (p + i) % slots
+            if keys[s] is not sl:
+                keys[s] = sl
+                self.padded(sl.data)
+                self._fill(s)
+        self.next = (p + len(held)) % slots
+        return p
+
+
+class _ConvPlanes(_SliceRing):
     """One Scratch's convolve state for one kernel, slice shape and dtype.
 
     Plane a filters like plane first[a], the first plane with the same
-    weights bit for bit. The padded slice lies flat, its rows nx + 2 rx
-    wide, then 2 rx zeros. On an integer slice each tap is a contiguous
-    shifted (ny, nx + 2 rx) view of it, and each sum has 2 rx junk columns.
-    On a float slice, or under a NaN weight, a NaN can meet one of the
-    other sign, and which of the two an add returns depends on the length
-    of numpy's loop; there the taps are the frozen loops' strided (ny, nx)
-    views. (Elsewhere every NaN is the default one that inf - inf and
-    0 * inf give, so the layout cannot change a bit.)
-    ring[b] holds the sums of a recurring plane b, slot i the sum of slice
-    keys[b][i]; a slot frees once its slice leaves the output's window.
+    weights bit for bit. On an integer slice each tap is a contiguous
+    shifted (ny, nx + 2 rx) view of the flat padded slice, and each sum has
+    2 rx junk columns. On a float slice, or under a NaN weight, a NaN can
+    meet one of the other sign, and which of the two an add returns depends
+    on the length of numpy's loop; there the taps are the frozen loops'
+    strided (ny, nx) views. (Elsewhere every NaN is the default one that
+    inf - inf and 0 * inf give, so the layout cannot change a bit.)
+    The ring has k_z slots, an output's window, and ring[b][s] holds the
+    sum of slice keys[s] filtered by recurring plane b: every recurring
+    plane is filtered when a slice enters the ring.
     """
 
     def __init__(self, scratch: Scratch, kernel: Kernel3D, data: np.ndarray):
         weights = kernel.weights
         kz, ky, kx = weights.shape
-        ry, rx = ky // 2, kx // 2
-        (ny, nx), width = data.shape, data.shape[1] + 2 * rx
+        super().__init__(scratch, data, weights.shape, kz, np.float64)
+        (ny, nx), ry, rx, width = data.shape, self.ry, self.rx, self.pad.shape[1]
         cols = width if data.dtype.kind in "ui" and not np.isnan(weights).any() else nx
         self.key = (kernel, data.shape, data.dtype)
-        flat = scratch.take("pad", ((ny + 2 * ry) * width + 2 * rx,))
-        flat[(ny + 2 * ry) * width:] = 0.0  # read by the junk columns
-        self.pad, self.ry, self.rx = flat[:(ny + 2 * ry) * width].reshape(-1, width), ry, rx
-        self.interior = self.pad[ry:ry + ny, rx:rx + nx]
         self.term = scratch.take("term", (ny, cols))
         self.sums = scratch.take("sums", (2, ny, cols))
-        self.valid = self.sums[(kz - 1) % 2, :, :nx]  # what each output casts
         planes = [plane.tobytes() for plane in weights]
         self.first = [planes.index(plane) for plane in planes]
-        views = {(r, c): flat[(2 * ry - r) * width + 2 * rx - c:][:ny * width].reshape(
+        views = {(r, c): self.flat[(2 * ry - r) * width + 2 * rx - c:][:ny * width].reshape(
             ny, width)[:, :cols] for r in range(ky) for c in range(kx)}
         self.taps = {b: [(wgt, views[rc]) for rc, wgt in np.ndenumerate(weights[b]) if wgt != 0.0]
                      for b in set(self.first)}
         recurring = sorted(b for b in self.taps if self.first.count(b) > 1)
-        self.ring = dict(zip(recurring, scratch.take("ring", (len(recurring), kz, ny, cols)))
-                         ) if recurring else {}
-        self.keys = {b: [None] * kz for b in recurring}
+        self.ring = dict(zip(recurring, scratch.take("ring", (len(recurring), kz, ny, cols))))
         self.plane = (scratch.take("plane", (ny, cols)) if any(
             self.first.count(self.first[a]) == 1 for a in range(1, kz)) else None)
 
-    def _filter(self, b: int, data: np.ndarray, dest: np.ndarray) -> np.ndarray:
-        self.interior[...] = data
-        _clamp_edges(self.pad, self.ry, self.rx)
+    def _filter(self, b: int, dest: np.ndarray) -> np.ndarray:
         dest.fill(0.0)
         return _accumulate(dest, self.taps[b], self.term)
 
-    def evict(self, held):
-        """Free the ring slots whose slice is not among held, by identity."""
-        for keys in self.keys.values():
-            for i, key in enumerate(keys):
-                if key is not None and not any(key is sl for sl in held):
-                    keys[i] = None
+    def _fill(self, s: int):
+        for b, sums in self.ring.items():
+            self._filter(b, sums[s])
 
-    def filtered(self, a: int, sl, plain: np.ndarray) -> np.ndarray:
-        """The sum of sl filtered by plane a: from the ring when its recurring
-        plane already holds sl, else filtered into the ring or into plain."""
-        b = self.first[a]
-        keys = self.keys.get(b)
-        if keys is None:
-            return self._filter(b, sl.data, plain)
-        for i, key in enumerate(keys):
-            if key is sl:
-                return self.ring[b][i]
-        i = keys.index(None)
-        keys[i] = sl
-        return self._filter(b, sl.data, self.ring[b][i])
+    def filtered(self, a: int, held, p: int, plain: np.ndarray) -> np.ndarray:
+        """Plane a's sum of held[kz - 1 - a], held from slot p: its slot's
+        when the plane recurs, else filtered into plain."""
+        i, b = len(held) - 1 - a, self.first[a]
+        if b in self.ring:
+            return self.ring[b][(p + i) % len(self.keys)]
+        self.padded(held[i].data)
+        return self._filter(b, plain)
 
 
 def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
@@ -349,12 +377,11 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
 
     Planes with equal weights give equal sums, so a plane that recurs (all
     three of box3's, a and kz - 1 - a of a mirror-symmetric kernel)
-    filters each slice once. Its sums stay in a ring in scratch, kz per
-    recurring plane, keyed on the slice object (by identity) and the
-    kernel, until the slice leaves the output's window, so the next call
-    on the same Scratch reuses them too. That relies on a slice's data
-    never changing in place: core.Slice.data is set once and only ever
-    cleared. A plane that occurs once filters into a plain workspace.
+    filters each slice once: each output holds its window in a _SliceRing
+    of k_z slots in scratch, keyed on the slice object and the kernel,
+    whose slots keep every recurring plane's sum of their slice, so the
+    next output and the next call on the same Scratch reuse them. A plane
+    that occurs once filters into a plain workspace.
 
     The sum is a workspace the next output reuses, so cast must return an
     array of its own (np.copy by default); it gets the sum's (ny, nx)
@@ -370,12 +397,12 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
     kz, sums = kernel.k_z, planes.sums
     outs = []
     for j in range(lo, hi + 1):
-        planes.evict(window[j:j + kz])
-        acc = planes.filtered(0, window[j + kz - 1], sums[0])
+        held = window[j:j + kz]
+        p = planes.hold(held) if planes.ring else 0
+        acc = planes.filtered(0, held, p, sums[0])
         for a in range(1, kz):
-            acc = np.add(acc, planes.filtered(a, window[j + kz - 1 - a], planes.plane),
-                         out=sums[a % 2])
-        outs.append(cast(planes.valid))
+            acc = np.add(acc, planes.filtered(a, held, p, planes.plane), out=sums[a % 2])
+        outs.append(cast(acc[:, :data.shape[1]]))
     return outs
 
 
@@ -650,38 +677,30 @@ def _morph_networks(mask_bytes: bytes, shape: tuple, op: str) -> _MorphNetworks:
     return _MorphNetworks(np.frombuffer(mask_bytes, dtype=bool).reshape(shape), op)
 
 
-class _MorphRing:
+class _MorphRing(_SliceRing):
     """One Scratch's u8/u16 morphology state for one mask, op, slice shape
     and dtype, and outputs per chunk.
 
-    The padded slice lies flat, its rows nx + 2 rx wide, then 2 rx zeros,
-    and every array is flat and contiguous: a row sort reads (ny, nx + 2 rx)
-    rows, plus 2 rx, shifted by whole padded rows, and a column merge
-    reads those shifted by c, so each result has 2 rx junk columns. A
-    slot of the ring holds the kept ranks of each pattern of one slice:
-    keys[s] is that slice, and a chunk of outputs fills its slices into
-    consecutive slots (mod S = chunk + kz - 1) from the slot that already
-    holds its first slice, if any; a slot frees once its slice leaves the
-    chunk's window. So a slice's in-plane sorts run once while it stays in
-    the windows of one Scratch's calls. The z merges run per run of
-    outputs whose slots do not wrap, over (outputs, ny * (nx + 2 rx))
-    arrays, merge t into bank t % 2 with a workspace, or in place in bank 0
-    when every merge is one call; one output at a time they keep their
-    bound calls per slot. With pair, bank 0 keeps the first merge across
-    outputs, keyed on the two slices it merged, and merge 1 goes to bank 1.
+    Every array is flat and contiguous: a row sort reads (ny, nx + 2 rx)
+    rows of the padded slice, plus 2 rx, shifted by whole padded rows, and
+    a column merge reads those shifted by c, so each result has 2 rx junk
+    columns. A slot of the ring holds the kept ranks of each pattern of
+    one slice, and a chunk of outputs holds its window in S = chunk + kz - 1
+    slots. So a slice's in-plane sorts run once while it stays in the
+    windows of one Scratch's calls. The z merges run per run of outputs
+    whose slots do not wrap, over (outputs, ny * (nx + 2 rx)) arrays, merge
+    t into bank t % 2 with a workspace, or in place in bank 0 when every
+    merge is one call; one output at a time they keep their bound calls
+    per slot. With pair, bank 0 keeps the first merge across outputs,
+    keyed on the two slices it merged, and merge 1 goes to bank 1.
     """
 
     def __init__(self, scratch: Scratch, nets: _MorphNetworks, data: np.ndarray, chunk: int):
-        kz, ky, kx = nets.shape
-        ry, rx = ky // 2, kx // 2
-        (ny, nx), width, dtype = data.shape, data.shape[1] + 2 * rx, data.dtype
+        super().__init__(scratch, data, nets.shape, chunk + nets.shape[0] - 1, data.dtype)
+        (ny, nx), width, dtype = data.shape, self.pad.shape[1], data.dtype
         self.key, self.chunk, self.nets = (nets, data.shape, dtype), chunk, nets
-        self.ny, self.nx, self.width, self.ry, self.rx = ny, nx, width, ry, rx
-        size, line = ny * width, ny * width + 2 * rx
-        flat = scratch.take("pad", ((ny + 2 * ry) * width + 2 * rx,), dtype)
-        flat[(ny + 2 * ry) * width:] = 0  # read only into junk columns
-        self.pad = flat[:(ny + 2 * ry) * width].reshape(-1, width)
-        self.interior = self.pad[ry:ry + ny, rx:rx + nx]
+        self.ny, self.nx, self.width = ny, nx, width
+        size, line, flat = ny * width, ny * width + 2 * self.rx, self.flat
         work = scratch.take("work", (nets.slice_work, line), dtype)
         ysorted = scratch.take("sorted", (nets.n_sorted, line), dtype)
         sorts, column = [], {}
@@ -690,7 +709,7 @@ class _MorphRing:
                                       + list(ysorted[at:at + net.n_out]) + list(work))
             sorts += calls
             column.update(zip(((rows, r) for r in net.wanted), results))
-        slots = chunk + kz - 1
+        slots = len(self.keys)
         ring = scratch.take("ring", (slots, nets.n_kept, size), dtype)
         self.lists, self.fills = [], [list(sorts) for _ in range(slots)]
         for _, inputs, net, at in nets.patterns:
@@ -704,25 +723,11 @@ class _MorphRing:
         self.banks = [scratch.take(f"bank{b}", (n, chunk, size), dtype)
                       for b, n in enumerate(nets.banks[:1] if self.in_place else nets.banks)]
         self.z_work = scratch.take("zwork", (nets.z_work, chunk, size), dtype)
-        self.keys, self.next = [None] * slots, 0
         self.bound = {}  # (t, first slot at t = 0, slot): merge t's calls, one output
         self.paired = (None, None)  # the slices whose merge bank 0 holds
 
-    def hold(self, held) -> int:
-        """Fill the held slices into consecutive slots and return the first."""
-        keys, slots = self.keys, len(self.keys)
-        p = next((s for s, key in enumerate(keys) if key is held[0]), self.next)
-        for i in range(len(held), slots):
-            keys[(p + i) % slots] = None
-        for i, sl in enumerate(held):
-            s = (p + i) % slots
-            if keys[s] is not sl:
-                keys[s] = sl
-                self.interior[...] = sl.data
-                _clamp_edges(self.pad, self.ry, self.rx)
-                _run(self.fills[s])
-        self.next = (p + len(held)) % slots
-        return p
+    def _fill(self, s: int):
+        _run(self.fills[s])
 
     def _list(self, plane: int, s: int, length: int) -> list:
         """The kept ranks of nonempty plane `plane` over length slots from s."""
@@ -790,9 +795,8 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
     sorting networks do ("Fast median filters using separable sorting
     networks", SIGGRAPH 2021): each slice sorts its padded rows along y and
     merges its columns into each mask plane's sorted list once, keeping
-    the ranks that can still be rank k, in a ring in scratch keyed on the
-    slice object (by identity), as conv_window's plane sums are. That
-    relies on a slice's data never changing in place. Each output then
+    the ranks that can still be rank k, in a _SliceRing in scratch, as
+    conv_window keeps its plane sums. Each output then
     merges its k_z lists along z, pruned to the ranks that can still be
     rank k: over the r = 1 box a slice's lists take 6 + 36 calls, the merge
     of two slices' lists 48, kept across outputs, and the final select 18
@@ -1067,7 +1071,7 @@ class OpKind:
     and may share a tee's window. spec holds the kind's keywords, and a
     stage prints back as the first whose show gives a line: a read or a
     write with chunks in its params as readInChunks or writeInChunks.
-    Structural kinds (tee, join) and priced-only ones have none.
+    Structural kinds (tee, join) and ones no spec line builds have none.
     algo_class says how the kind streams. The planner grows the window of
     a tunable kind, a window kind or one marked `grows` (read, histogram),
     from k_z into the budget left.
@@ -1293,11 +1297,6 @@ OPS = {
                      _histogram_line),), algo_class=GLOBAL_REDUCTION, grows=True),
     "sampled_mean": OpKind(lambda st, m, o: MemEstimate(slice_bytes(m), 0, 0),
                            algo_class=GLOBAL_REDUCTION),
-    # Priced only. This is the price of the stream.zip functional, which
-    # holds one slice of each input and emits the pair itself, and it has
-    # no builder: a stream of pairs is no volume a downstream stage or
-    # sink could take. The join a spec can name is zip_add.
-    "zip": OpKind(lambda st, m, o: MemEstimate(2 * slice_bytes(m), 0, 0)),
     "zip_add": OpKind(lambda st, m, o: MemEstimate(2 * slice_bytes(m), slice_bytes(o), 0)),
     "tee": OpKind(lambda st, m, o: MemEstimate(0, 0, 0)),
 }

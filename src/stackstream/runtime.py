@@ -541,14 +541,10 @@ _KERNEL = _Builder(1, lambda stg, ins, i, o, ctx: _kernel_stream(stg, ins[0], i,
 def _builder(stage: PlanStage, inputs: int, sink: bool = False) -> _Builder:
     """The table entry for a stage with `inputs` inputs, at a sink or not."""
     kind = stage.op_kind
-    if kind in ops.KERNEL_OPS:
-        b = _KERNEL
-    elif kind in _BUILDERS:
-        b = _BUILDERS[kind]
-    else:
+    b = _KERNEL if kind in ops.KERNEL_OPS else _BUILDERS.get(kind)
+    if b is None:
         ops.record(stage)  # a kind unknown to ops fails as unknown
-        raise PlanningError(f"stage {stage.name!r}: op kind {kind!r} is priced "
-                            f"only; it has no stream builder")
+        raise PlanningError(f"stage {stage.name!r}: op kind {kind!r} has no stream builder")
     if (b.inputs, b.sink) != (inputs, sink):
         ends = "ends" if b.sink else "cannot end"
         raise PlanningError(f"stage {stage.name!r} ({kind}) takes {b.inputs} "

@@ -453,9 +453,10 @@ def test_cmd_gen_malformed_triple_exits_1(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("dtype,value", [("u8", "300"), ("u8", "-5"), ("u8", "nan"),
-                                         ("u16", "65536"), ("u16", "inf"), ("f32", "1e39")])
+                                         ("u16", "65536"), ("u16", "inf"), ("f32", "1e39"),
+                                         ("u8", "255.6")])
 def test_cmd_gen_value_the_dtype_cannot_hold_exits_1(tmp_path, capsys, dtype, value):
-    # a constant u8 300 would wrap to 44, -5 to 251
+    # a constant u8 300 would wrap to 44, -5 to 251; 255.6 rounds to 256
     out = tmp_path / "v"
     assert run_cli(["gen", "--kind", "constant", "--dtype", dtype, "--dims", "4,4,4",
                     "--value", value, "--out", out]) == 1
@@ -464,12 +465,15 @@ def test_cmd_gen_value_the_dtype_cannot_hold_exits_1(tmp_path, capsys, dtype, va
 
 
 @pytest.mark.parametrize("dtype,value", [("u8", 255), ("u8", 0), ("u16", 65535),
-                                         ("f32", -1.5), ("f32", float("inf"))])
+                                         ("f32", -1.5), ("f32", float("inf")),
+                                         ("u8", 2.7), ("u8", 2.5), ("u16", 3.5)])
 def test_cmd_gen_value_the_dtype_holds_is_written(tmp_path, dtype, value):
+    # an integer voxel rounds, ties to even, as the engine's casts do
+    want = {2.7: 3, 2.5: 2, 3.5: 4}.get(value, value)
     out = tmp_path / "v"
     assert run_cli(["gen", "--kind", "constant", "--dtype", dtype, "--dims", "4,4,4",
                     "--value", value, "--out", out]) == 0
-    assert np.all(sio.read_volume(out) == value)
+    assert np.all(sio.read_volume(out) == want)
 
 
 @pytest.mark.parametrize("chunks,old,new", [

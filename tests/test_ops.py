@@ -68,6 +68,17 @@ def test_histogram_bins_and_range():
     assert h.counts[255] == 2  # top edge clips into the last bin
 
 
+def test_f32_histogram_puts_infinities_in_the_edge_bins_and_nan_in_none():
+    """+-inf land in the edge bins, as the finite values past the range do."""
+    def bins(values):
+        h = ops.Histogram.empty(F32, (0.0, 1.0))
+        h.add_array(np.array(values, dtype=np.float32))
+        return {int(i): int(h.counts[i]) for i in np.nonzero(h.counts)[0]}
+
+    assert bins([np.nan, np.inf, -np.inf, 0.5]) == {0: 1, 128: 1, 255: 1}
+    assert bins([2.0, -3.0, 0.5]) == {0: 1, 128: 1, 255: 1}
+
+
 # ---------------------------------------------------------------------------
 # pointwise
 # ---------------------------------------------------------------------------
@@ -880,6 +891,31 @@ def test_box3_sweep_filters_each_slice_once(monkeypatch, w):
     for got, _, ref in _conv_sweep(vol, U8, ops.Kernel3D.box(3), w, ops.Scratch()):
         _assert_same_bits(got, ref)
     assert calls == [9] * d  # 3 x 3 taps per plane filter
+
+
+@pytest.mark.parametrize("w", [3, 5, 10])
+def test_mirror_sweep_filters_each_slice_once_by_its_recurring_plane(monkeypatch, w):
+    """A sweep over d slices by a kernel whose planes 0 and 2 are equal
+    does d filters by them, each as its slice enters the ring, and d - 2
+    by the centre plane, one per output; the ring has k_z slots."""
+    d, calls = 10, []
+    real = ops._accumulate
+
+    def counting(acc, taps, term):
+        calls.append(len(taps))
+        return real(acc, taps, term)
+
+    monkeypatch.setattr(ops, "_accumulate", counting)
+    rng = np.random.default_rng(90)
+    outer, centre = rng.uniform(0.5, 1.0, (3, 3)), np.zeros((3, 3))
+    centre[1, 1] = -2.0
+    kernel = ops.Kernel3D(np.stack([outer, centre, outer]))
+    vol = rng.integers(0, 256, (d, 5, 6), dtype=np.uint8)
+    scratch = ops.Scratch()
+    for got, _, ref in _conv_sweep(vol, U8, kernel, w, scratch):
+        _assert_same_bits(got, ref)
+    assert sorted(calls) == [1] * (d - 2) + [9] * d
+    assert len(scratch.memo["conv"].keys) == kernel.k_z
 
 
 @pytest.mark.parametrize("threads", [1, 2])

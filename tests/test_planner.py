@@ -90,8 +90,7 @@ def test_estimate_zero_stream():
     assert estimate_stage(st, META64).total() == SB
 
 
-def test_estimate_zip_and_read_write():
-    assert estimate_stage(PlanStage(name="z", op_kind="zip"), META64).total() == 2 * SB
+def test_estimate_read_and_write():
     assert estimate_stage(mk_read(META64), META64).total() == 1 * SB
     assert estimate_stage(mk_write(), META64).total() == 1 * SB
 

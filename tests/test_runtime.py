@@ -628,21 +628,21 @@ def test_a_run_leaves_a_midwrite_directory_it_did_not_make(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the plain zip kind is priced only
+# the one join is zip_add
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_executing_a_plain_zip_names_it_priced_only(tmp_path, threads):
+def test_planning_a_plain_zip_fails_the_graph_check(tmp_path, threads):
+    """A two-input stage of kind zip is no join: plan refuses the graph."""
     write_input(tmp_path, VolumeMeta(8, 8, 6, U8))
     graph = tee_graph([sio.read_stage(tmp_path / "in"), ops.tee(name="t")],
                       [[ops.square(name="a")], [ops.square(name="b")]],
                       join=PlanStage(name="z", op_kind="zip"),
                       post=[sio.write_stage(tmp_path / "out")])
-    p = plan(graph, Budget(1 << 30), tmpdir=str(tmp_path), grow_windows=False)
-    assert p.verdict == "fits"
     threads_before = threading.active_count()
-    with pytest.raises(PlanningError, match="'zip' is priced only"):
-        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    with pytest.raises(PlanningError, match="stage 'z' cannot take 2 inputs"):
+        plan(graph, Budget(1 << 30), tmpdir=str(tmp_path), grow_windows=False,
+             concurrent=threads > 1)
     assert threading.active_count() == threads_before
     assert not (tmp_path / "out").exists()
 
@@ -1157,8 +1157,8 @@ CHAIN_OPS = {"square": lambda n: ops.square(name=n),
 def chain_cases(draw):
     """(kinds, meta, seed, budget slices, io): 0-6 kernel and pointwise ops
     over a u8 volume deep enough for every kernel, a budget of 2 slices
-    (infeasible) to 8 per stage or none at all, on top of the chunk layers
-    the io holds, and io = (input chunks, source keyword, output chunks).
+    (infeasible) to 8 per stage or none at all, and io = (input chunks,
+    source keyword, output chunks).
     The input is a slice stack (None) or a chunk store, which `read` or
     `readInChunks` reads, and `write` (None) or `writeInChunks` writes
     the output; chunk dims run from 1 to beyond the volume's."""
@@ -1181,7 +1181,7 @@ def chain_cases(draw):
                (None, "read", None)))  # infeasible
 @example(case=(["square", "gauss5", "box3", "erode"], VolumeMeta(7, 6, 20, U8), 2, 40,
                (None, "read", None)))
-# a read of a store holds the chunk reader's layer, deeper here than the volume
+# a store whose chunks are deeper than the volume
 @example(case=(["square"], VolumeMeta(6, 5, 8, U8), 3, 6, ((4, 5, 10), "read", None)))
 def test_generated_chains_keep_their_promises(tmp_path_factory, case):
     kinds, meta, seed, slices, (store, source, out_chunks) = case
@@ -1200,8 +1200,7 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
                  tmpdir=d)
     ref = sio.read_volume(d / "ref")
     eps = 8
-    layers = sum(c[2] for c in (store, out_chunks) if c)
-    budget = Budget((slices + layers) * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
+    budget = Budget(slices * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
     for threads in (1, 2):
         p = plan(graph(f"out{threads}"), budget, tmpdir=d / f"mid{threads}",
                  concurrent=threads > 1)
@@ -1209,7 +1208,74 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
             with pytest.raises(PlanningError):
                 execute_plan(p, threads=threads, tmpdir=d)
             continue
-        rep = execute_plan(p, threads=threads, tmpdir=d)
+        # at threads 2 every kernel call goes to the pool, so both of a
+        # stage's in-flight Scratches run
+        with pytest.MonkeyPatch.context() as mp:
+            if threads > 1:
+                mp.setattr(runtime, "INLINE_WORK", 0)
+            rep = execute_plan(p, threads=threads, tmpdir=d)
         assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
         assert rep.leaked_slices == 0 and ALLOC.internal_bytes == 0
         assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
+
+
+# ---------------------------------------------------------------------------
+# generated tee/join graphs: the promises at threads 1 and 2
+# ---------------------------------------------------------------------------
+
+RING_OPS = ("median", "dilate", "erode", "box3")
+
+
+@hst.composite
+def tee_join_cases(draw):
+    """(branch kinds, meta, seed, budget slices): read -> tee -> two ring
+    kernels -> join add -> write over a u8 volume, at a budget of 2 of a
+    branch's output slices (infeasible), through ones the share_window
+    repair makes fit, to none at all. box3 emits f32, so it joins only
+    box3."""
+    a = draw(hst.sampled_from(RING_OPS))
+    b = draw(hst.sampled_from(["box3"] if a == "box3" else RING_OPS[:3]))
+    meta = VolumeMeta(draw(hst.integers(3, 10)), draw(hst.integers(3, 10)),
+                      draw(hst.integers(3, 14)), U8)
+    slices = draw(hst.sampled_from([2, *range(7, 20), 1 << 20]))
+    return (a, b), meta, draw(hst.integers(0, 99)), slices
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=tee_join_cases())
+@example(case=(("median", "dilate"), VolumeMeta(6, 5, 9, U8), 1, 2))  # infeasible
+@example(case=(("erode", "median"), VolumeMeta(7, 6, 12, U8), 2, 12))  # share_window
+@example(case=(("box3", "box3"), VolumeMeta(5, 7, 10, U8), 3, 8))  # share_window
+@example(case=(("dilate", "erode"), VolumeMeta(8, 4, 11, U8), 4, 1 << 20))
+def test_generated_tee_join_graphs_keep_their_promises(tmp_path_factory, case):
+    (a, b), meta, seed, slices = case
+    d = tmp_path_factory.mktemp("teejoin")
+    write_input(d, meta, seed=seed)
+
+    def graph(out):
+        return tee_graph([sio.read_stage(d / "in"), ops.tee(name="t")],
+                         [[CHAIN_OPS[a]("a")], [CHAIN_OPS[b]("b")]],
+                         join=ops.add_join(name="add"), post=[sio.write_stage(d / out)])
+
+    # the reference: declared windows, roomy budget, in order
+    execute_plan(plan(graph("ref"), Budget(1 << 40), tmpdir=d, grow_windows=False),
+                 tmpdir=d)
+    ref = sio.read_volume(d / "ref")
+    eps, sb = 8, slice_bytes(meta) * (4 if a == "box3" else 1)  # a branch's output slice
+    budget = Budget(slices * sb + 6 * eps, eps)
+    for threads in (1, 2):
+        p = plan(graph(f"out{threads}"), budget, tmpdir=d, concurrent=threads > 1)
+        with pytest.MonkeyPatch.context() as mp:
+            if threads > 1:  # every kernel call on the pool
+                mp.setattr(runtime, "INLINE_WORK", 0)
+            if p.verdict == "infeasible":
+                with pytest.raises(PlanningError):
+                    execute_plan(p, threads=threads, tmpdir=d)
+                assert not (d / f"out{threads}").exists()
+            else:
+                rep = execute_plan(p, threads=threads, tmpdir=d)
+                assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+                assert rep.leaked_slices == 0 and ALLOC.internal_bytes == 0
+                assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("stage-") and t.is_alive()]
