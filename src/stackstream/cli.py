@@ -39,7 +39,6 @@ from . import ops, runtime
 from .core import (Budget, EngineError, PipelineGraph, PlanningError,
                    StageError, VolumeMeta, chain, dtype_by_kind, tee_graph)
 from .costmodel import layout_report
-from .io import ChunkGrid
 from .planner import plan as make_plan
 
 TMPDIR_ENV = "STACKSTREAM_TMPDIR"
@@ -261,10 +260,10 @@ def _io_report(graph, seed) -> str:
     src = graph.source()
     meta = src.params["meta"]
     # a chunk store's own chunks, or cubes of edge 16 at most
-    grid = sio.load_manifest(src.params["dir"]) if src.op_kind == "read" else None
-    if not isinstance(grid, ChunkGrid):
+    grid = sio.load_manifest(src.params["dir"])
+    if grid.files is not None:
         edge = max(1, min(16, meta.nx, meta.ny, meta.depth))
-        grid = ChunkGrid(meta, edge, edge, edge)
+        grid = sio.ChunkGrid(meta, edge, edge, edge)
     kd = (1, 1, 1)
     for stg in graph.nodes:
         dims_of = ops.record(stg).kernel_dims
@@ -279,7 +278,8 @@ def _io_report(graph, seed) -> str:
 def _plan(args, tmpdir):
     """Parse the spec and plan it with the command's options, its
     mid-writes under tmpdir. A stage in the wrong place (a sink mid-chain,
-    a chain that ends in no sink) fails here, as the run would fail it."""
+    a chain that ends in no sink) or a write into a directory its segment
+    reads fails here, as the run would fail it."""
     graph, budget = _load_spec(args.spec)
     for stage in graph.topo_order():
         if stage.op_kind != "tee":
@@ -287,9 +287,10 @@ def _plan(args, tmpdir):
                              sink=not graph.successors(stage.name))
     if args.epsilon is not None:
         budget = Budget(budget.cap, args.epsilon)
-    return graph, make_plan(graph, budget, tmpdir=tmpdir,
-                            grow_windows=not args.force_exact_windows,
-                            concurrent=args.threads > 1)
+    p = make_plan(graph, budget, tmpdir=tmpdir, grow_windows=not args.force_exact_windows,
+                  concurrent=args.threads > 1)
+    runtime.check_directories(p)
+    return graph, p
 
 
 def cmd_plan(args) -> int:
@@ -351,8 +352,11 @@ def cmd_gen(args) -> int:
     if not meta.dtype.holds(value):
         print(f"error: --value {args.value:g}: not a {args.dtype} voxel", file=sys.stderr)
         return 1
-    vol = sio.synth_volume(meta, args.kind, value=value, seed=args.seed)
-    sio.write_volume(args.out, vol, meta.dtype, chunks=chunks or None)
+    # slice by slice, from one rng drawn in z order as synth_volume draws it,
+    # so a volume larger than memory can be made
+    rng = np.random.default_rng(args.seed)
+    sio.write_planes(args.out, (sio.synth_slice_array(meta, z, args.kind, value, rng)
+                                for z in range(meta.depth)), meta, chunks or None)
     print(f"wrote {meta} ({args.kind}) to {args.out}")
     return 0
 

@@ -11,19 +11,19 @@ multi-slice file) or a grid of chunk files, described by manifest.txt:
     layout stack | chunks <cx> <cy> <cz>
     <ordered file list>
 
-Every layout is streamed as a grid of chunk files: a stack of one file
-per slice is a grid of (nx, ny, 1) chunks named by its manifest, a
-multi-slice file one (nx, ny, depth) chunk, and a chunk store its own
-ChunkGrid. A chunk file is raw C-order (dz, dy, dx), so plane z of it is
-one contiguous run of bytes, and the files of one x-y layer of chunks
-together hold cz whole slices. One reader keeps the files of the current
-layer open and reads plane z of each into a new slice; one writer keeps
-the files of its layer open and appends each slice's plane to each of
-them. Neither holds more than the one slice it streams, and each opens
-a file once per sweep. So one read kind and one write kind serve every
-layout; readInChunks is a read that refuses a slice stack. Every open
-layer counts its files among those the process holds, and raises the
-soft RLIMIT_NOFILE when they pass it.
+Every layout is one ChunkGrid: a stack of one file per slice is a grid
+of (nx, ny, 1) chunks and a multi-slice file one (nx, ny, depth) chunk,
+both named by the manifest's files, and a chunk store a grid of its own
+chunks, named by index. A chunk file is raw C-order (dz, dy, dx), so
+plane z of it is one contiguous run of bytes, and the files of one x-y
+layer of chunks together hold cz whole slices. One reader keeps the
+files of the current layer open and reads plane z of each into a new
+slice; one writer keeps the files of its layer open and appends each
+slice's plane to each of them. Neither holds more than the one slice it
+streams, and each opens a file once per sweep. So one read kind and one
+write kind serve every layout; readInChunks is a read that refuses a
+slice stack. Every open layer counts its files among those the process
+holds, and raises the soft RLIMIT_NOFILE when they pass it.
 
 A sink first makes its directory and a .partial marker. It then creates
 its files empty, ahead of it and in the order it fills them, on one
@@ -147,36 +147,31 @@ def _check_size(path: Path, expect: int):
 
 
 @dataclass
-class StackManifest:
-    """Ordered slice files of one volume; file order is z order."""
-
-    files: list
-    meta: VolumeMeta
-
-    def __post_init__(self):
-        if len(self.files) not in (self.meta.depth, 1):
-            raise PlanningError(
-                f"manifest lists {len(self.files)} files for depth {self.meta.depth}")
-        if sorted(self.files) != list(self.files):
-            raise PlanningError("slice files must sort lexicographically in z order")
-
-    @property
-    def multipage(self) -> bool:
-        return len(self.files) == 1 and self.meta.depth > 1
-
-
-@dataclass
 class ChunkGrid:
-    """Geometry of a chunked store; edge chunks may be partial."""
+    """Geometry of a volume's chunk files; edge chunks may be partial.
+
+    files is None for a chunk store, whose files are named by grid index,
+    and otherwise a stack's file names in z order."""
 
     meta: VolumeMeta
     cx: int
     cy: int
     cz: int
+    files: Optional[list] = None
 
     def __post_init__(self):
         if min(self.cx, self.cy, self.cz) < 1:
             raise PlanningError("chunk dims must be >= 1")
+
+    @classmethod
+    def stack(cls, meta: VolumeMeta, files) -> "ChunkGrid":
+        """A stack as a grid of whole-slice chunks, one per file: a file
+        per slice, or one file of them all."""
+        if len(files) not in (meta.depth, 1):
+            raise PlanningError(f"manifest lists {len(files)} files for depth {meta.depth}")
+        if sorted(files) != files:
+            raise PlanningError("slice files must sort lexicographically in z order")
+        return cls(meta, meta.nx, meta.ny, meta.depth if len(files) == 1 else 1, files)
 
     @property
     def gx(self) -> int:
@@ -218,7 +213,9 @@ class ChunkGrid:
         return f"c_{iz:03d}_{iy:03d}_{ix:03d}.raw"
 
     def chunk_file(self, i: int) -> str:
-        """Name of the i-th chunk file in file order: by z, then y, then x."""
+        """Name of the i-th file in file order: by z, then y, then x."""
+        if self.files is not None:
+            return self.files[i]
         rest, ix = divmod(i, self.gx)
         iz, iy = divmod(rest, self.gy)
         return self.chunk_name(iz, iy, ix)
@@ -239,11 +236,6 @@ class ChunkGrid:
         return math.prod(self.layer_shape(axis)) * self.meta.dtype.byte_width
 
 
-def _stack_grid(meta: VolumeMeta, multipage: bool) -> ChunkGrid:
-    """A stack as a grid of whole-slice chunks, one per file."""
-    return ChunkGrid(meta, meta.nx, meta.ny, meta.depth if multipage else 1)
-
-
 def save_manifest(directory, meta: VolumeMeta, files, chunks=None):
     lines = ["version 1",
              f"dims {meta.nx} {meta.ny} {meta.depth}",
@@ -258,7 +250,7 @@ def save_manifest(directory, meta: VolumeMeta, files, chunks=None):
 
 
 def load_manifest(directory):
-    """Parse manifest.txt; returns StackManifest or ChunkGrid."""
+    """Parse manifest.txt into the ChunkGrid of any layout."""
     directory = Path(directory)
     path = directory / MANIFEST
     if not path.exists():
@@ -282,7 +274,7 @@ def load_manifest(directory):
     except (ValueError, PlanningError) as exc:
         raise PlanningError(f"{path}: malformed manifest: {exc}") from exc
     if layout[:2] == ["layout", "stack"]:
-        return StackManifest(files, meta)
+        return ChunkGrid.stack(meta, files)
     if layout[:2] == ["layout", "chunks"]:
         if files != grid.file_list():
             raise PlanningError(f"{path}: chunk file list does not match grid")
@@ -331,9 +323,7 @@ def open_slice_stream(directory) -> Stream:
     read: each new slice is read from plane z of each of them. Every file
     is opened exactly once per sweep, and its size is checked first.
     """
-    man = load_manifest(directory)
-    grid, file_name = (man, man.chunk_file) if isinstance(man, ChunkGrid) else (
-        _stack_grid(man.meta, man.multipage), man.files.__getitem__)
+    grid = load_manifest(directory)
     smeta = grid.meta.slice_meta
     dtype, width = smeta.dtype.np_dtype, smeta.dtype.byte_width
     planes = []  # (y, x, shape, bytes) of each chunk's plane in a layer
@@ -349,7 +339,7 @@ def open_slice_stream(directory) -> Stream:
                 layer.enter_context(_holding(len(planes)))
                 files = []
                 for k, (_, _, _, nbytes) in enumerate(planes):
-                    path = os.path.join(directory, file_name(iz * len(planes) + k))
+                    path = os.path.join(directory, grid.chunk_file(iz * len(planes) + k))
                     _check_size(path, dz * nbytes)
                     files.append((path, layer.enter_context(open(path, "rb"))))
                     counters["opens"] += 1
@@ -368,14 +358,13 @@ def open_slice_stream(directory) -> Stream:
     return s
 
 
-def _write_grid_steps(src: Stream, directory, grid: ChunkGrid,
-                      file_name: Callable[[int], str], chunked: bool):
-    """Stepwise sink: each slice's plane of every chunk of its x-y layer
-    is appended to that chunk's file, named file_name(i) for the i-th in
-    file order and created ahead of it by a _FileCreator; then a
-    manifest, with the chunks' layout line if chunked. The files of the
-    current layer stay open until its last plane is written, so each is
-    opened once.
+def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
+    """Stepwise sink into the files of grid, a chunk store or a stack:
+    each slice's plane of every chunk of its x-y layer is appended to that
+    chunk's file, grid.chunk_file(i) for the i-th in file order, created
+    ahead of it by a _FileCreator; then a manifest, with the chunks'
+    layout line for a chunk store. The files of the current layer stay
+    open until its last plane is written, so each is opened once.
 
     Yields after each written slice so several sinks can be driven in
     lockstep; returns the slice count. Slices are released as they are
@@ -389,7 +378,7 @@ def _write_grid_steps(src: Stream, directory, grid: ChunkGrid,
     planes = [box[1:] for _, box in grid.boxes(iz=0)]
     written = 0
     # the layer's files close before the creator unlinks unfilled ones
-    with _FileCreator(directory, file_name, grid.chunk_count) as files, \
+    with _FileCreator(directory, grid.chunk_file, grid.chunk_count) as files, \
             ExitStack() as sink:
         while (sl := src.pull()) is not None:
             try:
@@ -398,7 +387,7 @@ def _write_grid_steps(src: Stream, directory, grid: ChunkGrid,
                     stop = (written // grid.cz + 1) * len(planes)
                     files.wait(stop)
                     sink.enter_context(_holding(len(planes)))
-                    held = [sink.enter_context(FileIO(directory / file_name(i), "a"))
+                    held = [sink.enter_context(FileIO(directory / grid.chunk_file(i), "a"))
                             for i in range(stop - len(planes), stop)]
                 for fh, (ys, xs) in zip(held, planes):
                     _atomic_write(directory, fh, sl.data[ys, xs].tobytes())
@@ -411,8 +400,8 @@ def _write_grid_steps(src: Stream, directory, grid: ChunkGrid,
     if written == 0:
         raise IOError(f"{directory}: refusing to write an empty volume")
     meta = replace(grid.meta, depth=written)
-    save_manifest(directory, meta, map(file_name, range(listed)),
-                  chunks=(grid.cx, grid.cy, grid.cz) if chunked else None)
+    save_manifest(directory, meta, map(grid.chunk_file, range(listed)),
+                  chunks=(grid.cx, grid.cy, grid.cz) if grid.files is None else None)
     (directory / PARTIAL_MARKER).unlink()
     return written
 
@@ -422,13 +411,8 @@ def write_slices_steps(src: Stream, directory, meta: VolumeMeta,
     """Stepwise sink into a stack: one raw file per slice, or with
     multipage one file of them all in z order."""
     width = max(3, len(str(meta.depth - 1)))
-    name = (lambda i: STACK_FILE) if multipage else f"{{:0{width}d}}.raw".format
-    return _write_grid_steps(src, directory, _stack_grid(meta, multipage), name, chunked=False)
-
-
-def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
-    """Stepwise sink into a chunk store."""
-    return _write_grid_steps(src, directory, grid, grid.chunk_file, chunked=True)
+    files = [STACK_FILE] if multipage else [f"{z:0{width}d}.raw" for z in range(meta.depth)]
+    return write_chunks_steps(src, directory, ChunkGrid.stack(meta, files))
 
 
 def _drain(steps):
@@ -474,7 +458,7 @@ def read_stage(directory, name: Optional[str] = None) -> PlanStage:
 def read_chunks_stage(directory, name: Optional[str] = None) -> PlanStage:
     """A read of a chunk store: the read kind, with its chunks in params."""
     grid = load_manifest(directory)
-    if isinstance(grid, StackManifest):
+    if grid.files is not None:
         raise PlanningError(f"{directory} is a slice stack; use read")
     return PlanStage(name=name or "readInChunks", op_kind="read",
                      params={"dir": str(directory), "meta": grid.meta,
@@ -490,13 +474,6 @@ def write_chunks_stage(directory, chunks=(16, 16, 16),
     """A write into a chunk store: the write kind, with its chunks in params."""
     return PlanStage(name=name or "writeInChunks", op_kind="write",
                      params={"dir": str(directory), "chunks": tuple(chunks)})
-
-
-def initialize_stage(meta: VolumeMeta, kind: str = "zero", value=0, seed=0,
-                     name: Optional[str] = None) -> PlanStage:
-    return PlanStage(name=name or "initialize", op_kind="initialize",
-                     params={"meta": meta, "kind": kind, "value": value,
-                             "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -538,18 +515,23 @@ def synth_volume(meta: VolumeMeta, kind: str, value=0, seed: int = 0) -> np.ndar
                      for z in range(meta.depth)])
 
 
+def write_planes(directory, planes, meta: VolumeMeta, chunks=None):
+    """Write the (ny, nx) arrays of meta's slices, in z order, as a stack
+    or a chunk store; returns slices written. Each array becomes a slice
+    as the writer pulls it, so planes may be made one at a time."""
+    smeta = meta.slice_meta
+    src = Stream((ALLOC.new_slice(smeta, data=plane) for plane in planes),
+                 meta=smeta, depth=meta.depth, name="memory")
+    if chunks is None:
+        return write_slice_stack(src, directory, meta)
+    return write_chunk_store(src, directory, ChunkGrid(meta, *chunks))
+
+
 def write_volume(directory, vol: np.ndarray, dtype, chunks=None):
     """Write an in-memory (z, y, x) array as a stack or chunk store."""
     dtype = dtype_by_kind(dtype) if isinstance(dtype, str) else dtype
-    depth, ny, nx = vol.shape
-    meta = VolumeMeta(nx, ny, depth, dtype)
-    smeta = meta.slice_meta
-    src = Stream((ALLOC.new_slice(smeta, data=plane) for plane in vol),
-                 meta=smeta, depth=depth, name="memory")
-    if chunks is None:
-        write_slice_stack(src, directory, meta)
-    else:
-        write_chunk_store(src, directory, ChunkGrid(meta, *chunks))
+    meta = VolumeMeta(vol.shape[2], vol.shape[1], vol.shape[0], dtype)
+    write_planes(directory, vol, meta, chunks)
     return meta
 
 

@@ -127,6 +127,24 @@ def histogram_bin_count(dtype: Dtype) -> int:
     return 256 ** dtype.byte_width
 
 
+def check_histogram_range(dtype: Dtype, value_range: Optional[tuple]):
+    """Refuse the range of an f32 histogram unless its bounds are finite,
+    hi > lo and its bin scale, bins / (hi - lo), is positive and finite.
+    An integer histogram bins by value and ignores the range."""
+    if dtype.kind != "f32":
+        return
+    if value_range is None:
+        raise PlanningError("f32 histograms need an explicit value range")
+    lo, hi = value_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PlanningError(f"histogram range {lo:g},{hi:g} must be finite")
+    if not hi > lo:
+        raise PlanningError("histogram range must satisfy hi > lo")
+    if not 0 < histogram_bin_count(dtype) / (hi - lo) < math.inf:
+        raise PlanningError(f"histogram range {lo:g},{hi:g}: its bin scale "
+                            f"{histogram_bin_count(dtype)} / (hi - lo) is not positive and finite")
+
+
 @dataclass(eq=False)
 class Histogram:
     """Voxel-count histogram; sums of per-slice histograms merge exactly."""
@@ -137,12 +155,7 @@ class Histogram:
 
     @classmethod
     def empty(cls, dtype: Dtype, value_range: Optional[tuple] = None) -> "Histogram":
-        if dtype.kind == "f32":
-            if value_range is None:
-                raise PlanningError("f32 histograms need an explicit value range")
-            lo, hi = value_range
-            if not hi > lo:
-                raise PlanningError("histogram range must satisfy hi > lo")
+        check_histogram_range(dtype, value_range)
         return cls(np.zeros(histogram_bin_count(dtype), dtype=np.int64),
                    dtype, value_range)
 
@@ -1090,8 +1103,9 @@ class OpKind:
         return self.grows or self.window is not None
 
 
-def _source_meta(stage, meta):
-    return stage.params["meta"]
+def _histogram_meta(stage, meta):
+    check_histogram_range(meta.dtype, stage.params.get("value_range"))
+    return meta
 
 
 def _crop_meta(stage, meta):
@@ -1223,10 +1237,9 @@ def _io_syntax(keyword, factory, prints):
 OPS = {
     # a read of any layout runs the one reader; one with chunks, which
     # refused a slice stack, prints as readInChunks
-    "read": OpKind(_read_estimate, _source_meta, grows=True, spec=(
+    "read": OpKind(_read_estimate, lambda st, m: st.params["meta"], grows=True, spec=(
         _io_syntax("read", sio.read_stage, lambda st: "chunks" not in st.params),
         _io_syntax("readInChunks", sio.read_chunks_stage, lambda st: "chunks" in st.params))),
-    "initialize": OpKind(lambda st, m, o: MemEstimate(0, slice_bytes(o), 0), _source_meta),
     # a write holds the one slice it writes, of any layout; one with
     # chunks prints as writeInChunks
     "write": OpKind(
@@ -1289,7 +1302,7 @@ OPS = {
         algo_class=GEOMETRIC),
     "histogram": OpKind(
         lambda st, m, o: MemEstimate(st.w * slice_bytes(m), 0,
-                                     2 * histogram_bin_count(m.dtype)),
+                                     2 * histogram_bin_count(m.dtype)), _histogram_meta,
         spec=(Syntax("histogram", ("out", "w", "range"),
                      lambda get, name: histogram_op(
                          w=get("w", int, 1), value_range=get("range", _numbers(2, float), None),

@@ -94,22 +94,6 @@ class RunContext:
 # stage stream builders
 # ---------------------------------------------------------------------------
 
-def _initialize_stream(stage: PlanStage) -> Stream:
-    meta = stage.params["meta"]
-    rng = np.random.default_rng(stage.params.get("seed", 0))
-    smeta = meta.slice_meta
-    gen_kind = stage.params.get("kind", "constant")
-    value = stage.params.get("value", 0)
-    if gen_kind == "zero":
-        gen_kind, value = "constant", 0
-
-    def g(i):
-        arr = sio.synth_slice_array(meta, i, gen_kind, value, rng)
-        return ALLOC.new_slice(smeta, data=arr)
-
-    return st.initialize(meta.depth, g, smeta)
-
-
 def _slices(smeta: SliceMeta, arrays) -> list:
     """New slices of arrays already in the stage's dtype."""
     return st.build_all(lambda arr: ALLOC.new_slice(smeta, arr), arrays)
@@ -521,7 +505,6 @@ class _Builder:
 # Every kind in ops.KERNEL_OPS, pointwise ones too, streams through _KERNEL.
 _BUILDERS = {
     "read": _Builder(0, lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"])),
-    "initialize": _Builder(0, lambda stg, ins, i, o, ctx: _initialize_stream(stg)),
     "crop": _Builder(1, lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o)),
     "pad": _Builder(1, lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o)),
     "permute": _Builder(
@@ -654,9 +637,25 @@ class RunReport:
         return "\n".join(lines)
 
 
+def check_directories(plan: Plan):
+    """Refuse a plan with a segment that writes into a directory it also
+    reads, or into one directory twice: the writer would empty files that
+    the segment's reader or other writer still needs. A later segment may
+    rewrite a directory an earlier one read, which has read it through."""
+    for seg in plan.segments:
+        seen = {Path(s.params["dir"]).resolve(): "reads" for s in seg.nodes if s.op_kind == "read"}
+        for stage in (s for s in seg.nodes if s.op_kind == "write"):
+            d = Path(stage.params["dir"]).resolve()
+            if d in seen:
+                raise PlanningError(f"stage {stage.name!r} writes into {d}, "
+                                    f"which its segment also {seen[d]}")
+            seen[d] = "writes"
+
+
 def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
     """Run every segment of a plan, one after another, and report
-    instrumented usage, gated by the plan's ledger.
+    instrumented usage, gated by the plan's ledger. A plan that
+    check_directories refuses is refused before any directory is made.
 
     A run makes each mid-write directory before its first segment and
     removes only those; one that already exists is an error, left as it
@@ -669,6 +668,7 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
         raise PlanningError("refusing to execute an infeasible plan")
     if threads < 1:
         raise PlanningError(f"threads must be >= 1, got {threads}")
+    check_directories(plan)
     tmpdir = Path(tmpdir) if tmpdir is not None else Path(".")
     ctx = RunContext(tmpdir=tmpdir, threads=threads)
     ALLOC.reset_peaks()
@@ -684,8 +684,7 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
         ctx.close_all()
         for d in made:
             shutil.rmtree(d, ignore_errors=True)
-    sources = [(name, s.pulls, getattr(s, "counters", {}).get("opens", s.pulls))
-               for name, s in ctx.sources]
+    sources = [(name, s.pulls, s.counters["opens"]) for name, s in ctx.sources]
     sinks = sorted(ctx.sink_counts.items())
     sweeps = sorted(ctx.stage_sweeps.items())
     return RunReport(

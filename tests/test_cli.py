@@ -1,3 +1,7 @@
+import os
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -498,3 +502,70 @@ def test_malformed_manifest_is_a_planning_error(tmp_path, capsys, chunks, old, n
     spec.write_text(spec_text(tmp_path, ""))
     assert cli.main(["plan", str(spec)]) == 2
     assert str(man) in capsys.readouterr().err
+
+
+def test_write_into_the_directory_its_read_streams_exits_2(tmp_path, capsys):
+    d = tmp_path / "D"
+    assert run_cli(["gen", "--dims", "64,64,64", "--out", d]) == 0
+    vol = sio.read_volume(d)
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source 100 KiB\nread {d}\ngaussian sigma=0.8\nwrite {d}\nsink\n")
+    capsys.readouterr()
+    for cmd in ("plan", "run"):
+        assert run_cli([cmd, spec, "--epsilon", 64]) == 2
+        assert capsys.readouterr().err == (f"planning error: stage 'write3' writes into {d}, "
+                                           "which its segment also reads\n")
+    assert not (d / sio.PARTIAL_MARKER).exists()
+    assert np.array_equal(sio.read_volume(d), vol)
+
+
+@pytest.mark.parametrize("range_, message", [
+    ("range=5,1", "histogram range must satisfy hi > lo"),
+    ("", "f32 histograms need an explicit value range"),
+    ("range=-inf,inf", "histogram range -inf,inf must be finite"),
+    ("range=0,inf", "histogram range 0,inf must be finite"),
+    ("range=nan,1", "histogram range nan,1 must be finite"),
+    ("range=0,1e-320", "histogram range 0,9.99989e-321: its bin scale 256 / (hi - lo) "
+                       "is not positive and finite"),
+    ("range=-1e308,1e308", "histogram range -1e+308,1e+308: its bin scale 256 / (hi - lo) "
+                           "is not positive and finite"),
+])
+def test_histogram_range_is_refused_by_plan_and_run(tmp_path, capsys, range_, message):
+    assert run_cli(["gen", "--dims", "8,8,4", "--dtype", "f32", "--out", tmp_path / "in"]) == 0
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source 64 MiB\nread {tmp_path}/in\nhistogram {range_}\nsink\n")
+    capsys.readouterr()
+    for cmd in ("plan", "run"):
+        assert run_cli([cmd, spec]) == 2
+        assert capsys.readouterr().err == f"planning error: {message}\n"
+
+
+@pytest.mark.parametrize("dtype", ["u8", "u16", "f32"])
+@pytest.mark.parametrize("kind", sio.GEN_KINDS)
+def test_cmd_gen_writes_the_bytes_of_synth_volume(tmp_path, kind, dtype):
+    meta = VolumeMeta(6, 5, 7, sio.dtype_by_kind(dtype))
+    for seed, chunks in ((0, None), (9, (4, 2, 3))):
+        args = ["--chunks", ",".join(map(str, chunks))] if chunks else []
+        assert run_cli(["gen", "--kind", kind, "--dtype", dtype, "--dims", "6,5,7",
+                        "--value", 3, "--seed", seed, "--out", tmp_path / "gen", *args]) == 0
+        sio.write_volume(tmp_path / "ref", sio.synth_volume(meta, kind, value=3, seed=seed),
+                         dtype, chunks=chunks)
+        files = sorted(os.listdir(tmp_path / "ref"))
+        assert sorted(os.listdir(tmp_path / "gen")) == files
+        for name in files:
+            assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        shutil.rmtree(tmp_path / "gen")
+        shutil.rmtree(tmp_path / "ref")
+
+
+def test_cmd_gen_holds_a_few_slices_not_the_volume(tmp_path):
+    # 64x64x256 u8 is 1 MiB; the generator and the writer hold one 4 KiB slice
+    assert run_cli(["gen", "--dims", "8,8,8", "--out", tmp_path / "warm"]) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(["gen", "--dims", "64,64,256", "--out", tmp_path / "v"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert sio.load_manifest(tmp_path / "v").meta == VolumeMeta(64, 64, 256, U8)

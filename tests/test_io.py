@@ -77,6 +77,23 @@ def test_chunk_read_counts(tmp_path):
     assert src.counters["opens"] == 8  # every chunk file exactly once
 
 
+@pytest.mark.parametrize("layout", ["stack", "multipage", "chunks"])
+def test_every_layout_loads_as_one_chunk_grid(tmp_path, layout):
+    meta = VolumeMeta(6, 5, 10, U8)
+    src = vol_stream(sio.synth_volume(meta, "random", seed=12), meta)
+    if layout == "chunks":
+        sio.write_chunk_store(src, tmp_path / "v", sio.ChunkGrid(meta, 4, 3, 4))
+    else:
+        sio._drain(sio.write_slices_steps(src, tmp_path / "v", meta,
+                                          multipage=layout == "multipage"))
+    grid = sio.load_manifest(tmp_path / "v")
+    assert isinstance(grid, sio.ChunkGrid)
+    listed = (tmp_path / "v" / sio.MANIFEST).read_text().splitlines()[4:]
+    assert [grid.chunk_file(i) for i in range(grid.chunk_count)] == listed
+    assert grid.cz == {"stack": 1, "multipage": 10, "chunks": 4}[layout]
+    assert grid.files == (None if layout == "chunks" else listed)
+
+
 @pytest.mark.parametrize("layout, files", [("stack", 10), ("multipage", 1), ("chunks", 12)])
 def test_a_write_opens_each_file_once(tmp_path, monkeypatch, layout, files):
     """The writer holds a layer's files open across its planes: each

@@ -85,11 +85,6 @@ def test_estimate_histogram():
     assert est.total() == 2 * SB + 2 * 256
 
 
-def test_estimate_zero_stream():
-    st = PlanStage(name="z", op_kind="initialize", params={"meta": META64})
-    assert estimate_stage(st, META64).total() == SB
-
-
 def test_estimate_read_and_write():
     assert estimate_stage(mk_read(META64), META64).total() == 1 * SB
     assert estimate_stage(mk_write(), META64).total() == 1 * SB

@@ -685,18 +685,49 @@ def test_stage_in_the_wrong_place_is_a_planning_error(tmp_path, stages, message)
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
+def test_a_segment_writing_a_directory_twice_is_refused(tmp_path):
+    vol = write_input(tmp_path, VolumeMeta(8, 8, 6, U8))
+    g = tee_graph([sio.read_stage(tmp_path / "in"), ops.tee(name="t")],
+                  [[sio.write_stage(tmp_path / "out", name="wa")],
+                   [sio.write_stage(tmp_path / ".." / tmp_path.name / "out", name="wb")]])
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path)
+    with pytest.raises(PlanningError, match=f"stage 'wb' writes into {tmp_path / 'out'}, "
+                                            "which its segment also writes"):
+        execute_plan(p, tmpdir=tmp_path)
+    assert not (tmp_path / "out").exists()
+    assert np.array_equal(sio.read_volume(tmp_path / "in"), vol)
+
+
+def test_a_split_chain_may_rewrite_the_directory_it_read(tmp_path):
+    # the mid-write ends the segment that reads in, so the write that
+    # replaces it runs after in is read through
+    meta = VolumeMeta(12, 12, 8, U8)
+    vol = write_input(tmp_path, meta, seed=47)
+    stages = [sio.read_stage(tmp_path / "in")]
+    stages += [ops.square(name=f"f{i}") for i in range(4)]
+    g = chain(*stages, sio.write_stage(tmp_path / "in"))
+    eps = 128
+    p = plan(g, Budget(9 * slice_bytes(meta) + 6 * eps + 1, eps), tmpdir=tmp_path)
+    assert len(p.segments) == 2
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0
+    for _ in range(4):  # four saturating squares
+        vol = np.minimum(vol.astype(np.int64) ** 2, 255).astype(np.uint8)
+    assert np.array_equal(sio.read_volume(tmp_path / "in"), vol)
+
+
 # ---------------------------------------------------------------------------
-# the initialize source
+# a generated volume, read back through the pipeline
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["zero", "ramp", "random"])
-def test_initialize_source_runs_end_to_end(tmp_path, kind, threads):
+def test_erode_of_a_generated_volume_runs_end_to_end(tmp_path, kind, threads):
     meta = VolumeMeta(9, 7, 11, U8)
-    g = chain(sio.initialize_stage(meta, kind, seed=3), ops.erode(1, name="e"),
+    vol = write_input(tmp_path, meta, seed=3, kind="constant" if kind == "zero" else kind)
+    g = chain(sio.read_stage(tmp_path / "in"), ops.erode(1, name="e"),
               sio.write_stage(tmp_path / "out"))
     rep = execute_plan(plan(g, Budget(1 << 30)), threads=threads, tmpdir=tmp_path)
-    vol = sio.synth_volume(meta, "constant" if kind == "zero" else kind, seed=3)
     ref = oracles.morphology(vol, ops.StructuringElement.box(1).mask, "erode")
     assert np.array_equal(sio.read_volume(tmp_path / "out"), ref)
     assert rep.leaked_slices == 0
@@ -1091,7 +1122,7 @@ def test_midwrite_intermediate_is_one_file(tmp_path, monkeypatch):
     def build(seg, *args):
         if seg.source().name.startswith("midread"):
             listed.append(sorted(os.listdir(mid)))
-            assert sio.load_manifest(mid).multipage
+            assert sio.load_manifest(mid).files == [sio.STACK_FILE]
         return real(seg, *args)
 
     monkeypatch.setattr(runtime, "_build_segment", build)
