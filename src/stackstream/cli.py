@@ -277,14 +277,10 @@ def _io_report(graph, seed) -> str:
 
 def _plan(args, tmpdir):
     """Parse the spec and plan it with the command's options, its
-    mid-writes under tmpdir. A stage in the wrong place (a sink mid-chain,
-    a chain that ends in no sink) or a write into a directory its segment
-    reads fails here, as the run would fail it."""
+    mid-writes under tmpdir. The planner refuses a stage in the wrong place
+    (a sink mid-chain, a chain that ends in no sink); a write into a
+    directory its segment reads fails here, as the run would fail it."""
     graph, budget = _load_spec(args.spec)
-    for stage in graph.topo_order():
-        if stage.op_kind != "tee":
-            runtime._builder(stage, len(graph.predecessors(stage.name)),
-                             sink=not graph.successors(stage.name))
     if args.epsilon is not None:
         budget = Budget(budget.cap, args.epsilon)
     p = make_plan(graph, budget, tmpdir=tmpdir, grow_windows=not args.force_exact_windows,
@@ -328,6 +324,7 @@ def cmd_explain(args) -> int:
     if not args.io:
         print("nothing to explain (use --io)", file=sys.stderr)
         return 1
+    ops.check_roles(graph)  # the table reads the geometry off the read source
     print(_io_report(graph, args.seed))
     return 0
 

@@ -357,13 +357,13 @@ class PlanStage:
     params: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.w < 1 or self.s < 1:
-            raise PlanningError(f"stage {self.name!r}: need w >= 1, s >= 1")
         # a window smaller than the kernel depth is a planning error,
-        # never a silent clamp
-        if self.w < self.k_z:
+        # never a silent clamp, and named before the bad stride it implies
+        if 1 <= self.w < self.k_z:
             raise PlanningError(
                 f"stage {self.name!r}: window w={self.w} below kernel depth k_z={self.k_z}")
+        if self.w < 1 or self.s < 1:
+            raise PlanningError(f"stage {self.name!r}: need w >= 1, s >= 1")
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,9 @@ class ChunkGrid:
         per slice, or one file of them all."""
         if len(files) not in (meta.depth, 1):
             raise PlanningError(f"manifest lists {len(files)} files for depth {meta.depth}")
-        if sorted(files) != files:
-            raise PlanningError("slice files must sort lexicographically in z order")
+        if any(a >= b for a, b in zip(files, files[1:])):
+            raise PlanningError("slice files must sort lexicographically in z order, "
+                                "each listed once")
         return cls(meta, meta.nx, meta.ny, meta.depth if len(files) == 1 else 1, files)
 
     @property

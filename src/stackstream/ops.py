@@ -23,8 +23,8 @@ import numpy as np
 
 from . import io as sio
 from .core import (F32, GEOMETRIC, GLOBAL_REDUCTION, LOCAL_NEIGHBOURHOOD,
-                   SINGLE_PIXEL, AlgorithmClass, Dtype, MemEstimate, PlanStage,
-                   PlanningError, VolumeMeta, slice_bytes)
+                   SINGLE_PIXEL, AlgorithmClass, Dtype, MemEstimate, PipelineGraph,
+                   PlanStage, PlanningError, VolumeMeta, slice_bytes)
 
 # ---------------------------------------------------------------------------
 # kernels, structuring elements, histograms
@@ -115,6 +115,8 @@ class StructuringElement:
 
     @classmethod
     def box(cls, r: int = 1) -> "StructuringElement":
+        if r < 0:
+            raise PlanningError(f"structuring element radius must be >= 0, got {r}")
         k = 2 * r + 1
         return cls(np.ones((k, k, k), dtype=bool))
 
@@ -421,8 +423,8 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Truncated at radius ceil(3*sigma), renormalized to unit sum."""
-    if sigma <= 0:
-        raise PlanningError("gaussian sigma must be positive")
+    if not 0 < sigma < math.inf:  # NaN compares false
+        raise PlanningError(f"gaussian sigma must be finite and positive, got {sigma}")
     r = math.ceil(3.0 * sigma)
     xs = np.arange(-r, r + 1, dtype=np.float64)
     g = np.exp(-0.5 * (xs / sigma) ** 2)
@@ -1087,7 +1089,9 @@ class OpKind:
     Structural kinds (tee, join) and ones no spec line builds have none.
     algo_class says how the kind streams. The planner grows the window of
     a tunable kind, a window kind or one marked `grows` (read, histogram),
-    from k_z into the budget left.
+    from k_z into the budget left. A stage takes `inputs` streams (a read
+    none, a join two) and ends its pipeline just when its kind is a `sink`:
+    check_roles holds each stage of a graph to that.
     """
 
     estimate: Callable
@@ -1097,6 +1101,8 @@ class OpKind:
     spec: tuple = ()
     algo_class: AlgorithmClass = SINGLE_PIXEL
     grows: bool = False
+    inputs: int = 1
+    sink: bool = False
 
     @property
     def tunable(self) -> bool:
@@ -1237,7 +1243,7 @@ def _io_syntax(keyword, factory, prints):
 OPS = {
     # a read of any layout runs the one reader; one with chunks, which
     # refused a slice stack, prints as readInChunks
-    "read": OpKind(_read_estimate, lambda st, m: st.params["meta"], grows=True, spec=(
+    "read": OpKind(_read_estimate, lambda st, m: st.params["meta"], grows=True, inputs=0, spec=(
         _io_syntax("read", sio.read_stage, lambda st: "chunks" not in st.params),
         _io_syntax("readInChunks", sio.read_chunks_stage, lambda st: "chunks" in st.params))),
     # a write holds the one slice it writes, of any layout; one with
@@ -1250,7 +1256,7 @@ OPS = {
                          get("dir"), get("chunks", _numbers(3), (16, 16, 16)), name),
                      lambda st: "writeInChunks {} chunks={},{},{}".format(
                          st.params["dir"], *st.params["chunks"]),
-                     positional=1))),
+                     positional=1)), sink=True),
     # a window of depth 1: each output is fn of one slice
     "pointwise": OpKind(
         _window_estimate,
@@ -1307,24 +1313,13 @@ OPS = {
                      lambda get, name: histogram_op(
                          w=get("w", int, 1), value_range=get("range", _numbers(2, float), None),
                          out=get("out", str, None), name=name),
-                     _histogram_line),), algo_class=GLOBAL_REDUCTION, grows=True),
+                     _histogram_line),), algo_class=GLOBAL_REDUCTION, grows=True, sink=True),
     "sampled_mean": OpKind(lambda st, m, o: MemEstimate(slice_bytes(m), 0, 0),
-                           algo_class=GLOBAL_REDUCTION),
-    "zip_add": OpKind(lambda st, m, o: MemEstimate(2 * slice_bytes(m), slice_bytes(o), 0)),
+                           algo_class=GLOBAL_REDUCTION, sink=True),
+    "zip_add": OpKind(lambda st, m, o: MemEstimate(2 * slice_bytes(m), slice_bytes(o), 0),
+                      inputs=2),
     "tee": OpKind(lambda st, m, o: MemEstimate(0, 0, 0)),
 }
-
-
-class _KernelKinds:
-    """The op kinds in OPS with a window function, read at lookup time."""
-
-    def __contains__(self, kind):
-        rec = OPS.get(kind)
-        return rec is not None and rec.window is not None
-
-
-#: op kinds that consume a sliding z-window and emit valid centers
-KERNEL_OPS = _KernelKinds()
 
 
 def record(stage: PlanStage) -> OpKind:
@@ -1338,3 +1333,15 @@ def record(stage: PlanStage) -> OpKind:
 def out_meta(stage: PlanStage, meta: VolumeMeta) -> VolumeMeta:
     """Volume geometry downstream of a stage."""
     return record(stage).out_meta(stage, meta)
+
+
+def check_roles(graph: PipelineGraph):
+    """Refuse a stage in the wrong place: each stage must take as many
+    inputs as its record says, and end the graph exactly when it is a sink."""
+    for stage in graph.topo_order():
+        rec = record(stage)
+        placed = (len(graph.predecessors(stage.name)), not graph.successors(stage.name))
+        if placed != (rec.inputs, rec.sink):
+            ends = "ends" if rec.sink else "cannot end"
+            raise PlanningError(f"stage {stage.name!r} ({stage.op_kind}) takes {rec.inputs} "
+                                f"input(s) and {ends} a pipeline")

@@ -494,12 +494,16 @@ def insert_midwrites(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
 
 @dataclass
 class Plan:
-    """Executable result of planning: budget-checked pipeline segments, the
-    volume geometry each one reads, and the ledger that proves them."""
+    """Executable result of planning: budget-checked pipeline segments and
+    the ledger that proves them."""
 
     segments: list
-    segment_metas: list
     ledger: MemoryLedger
+
+    @property
+    def segment_metas(self) -> list:
+        """The volume geometry each segment reads, off the read it starts at."""
+        return [seg.source().params["meta"] for seg in self.segments]
 
     @property
     def verdict(self) -> str:
@@ -513,10 +517,13 @@ class Plan:
         return self.ledger.render()
 
 
-def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None,
-         tmpdir: str = ".", grow_windows: bool = True,
-         concurrent: bool = False) -> Plan:
+def plan(graph: PipelineGraph, budget: Budget, tmpdir: str = ".",
+         grow_windows: bool = True, concurrent: bool = False) -> Plan:
     """Prove the pipeline fits the budget, or repair it.
+
+    A stage in the wrong place (ops.check_roles: a sink mid-chain, a chain
+    that starts at no read or ends in no sink) is refused first, before
+    any split, directory or voxel. The geometry is the source read's.
 
     Repair order, each step only while the plan still overflows: share
     branch windows, take every tunable window at its minimum (with
@@ -529,9 +536,8 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
     windows, and a note names why.
     """
     graph.validate()
-    meta = meta or graph.source().params.get("meta")
-    if meta is None:
-        raise PlanningError("no volume geometry: pass meta or use a read source")
+    ops.check_roles(graph)
+    meta = graph.source().params["meta"]
     actions = []
     led = estimate_pipeline(graph, meta, budget, concurrent)
     verdict = "fits"
@@ -555,7 +561,7 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
                     f"violating stage {res.violating}: no feasible split" if res
                     else "branched pipeline over budget; midwrites apply to chains only")
                 led.actions = actions
-                return Plan([graph], [meta], led)
+                return Plan([graph], led)
             actions += res.actions
             segments = res.segments
             # the split ran on the minima; as growth starts from them, each
@@ -563,8 +569,8 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
             declared = {st.name: (st.w, st.s) for st in graph.nodes}
             for st in (st for seg in segments for st in seg.nodes):
                 st.w, st.s = declared.get(st.name, (st.w, st.s))
-    # a segment after a mid-write starts at a mid-read that carries its meta
-    metas = [seg.source().params.get("meta", meta) for seg in segments]
+    # each segment starts at a read with its meta, after a mid-write the mid-read
+    metas = [seg.source().params["meta"] for seg in segments]
     if grow_windows:
         grown = [optimize_windows(seg, m, budget, concurrent)
                  for seg, m in zip(segments, metas)]
@@ -573,4 +579,4 @@ def plan(graph: PipelineGraph, budget: Budget, meta: Optional[VolumeMeta] = None
     ledger = _ledger(segments, metas, budget, concurrent)
     ledger.verdict = verdict
     ledger.actions = actions
-    return Plan(segments, metas, ledger)
+    return Plan(segments, ledger)

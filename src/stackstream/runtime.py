@@ -4,10 +4,12 @@ Stage descriptors become stream transformers here, each composed from the
 `stream` functionals: a stage is flatten(map(step, windowed_positions(...)))
 whose step turns one window into the stage's new slices, a sink folds its
 windows one per drive step, and a tee or a shared-window branch group is
-one `FanOut`. A segment is wired in one pass over its topological order,
-each stage built once from what its predecessors left for it. No stage
-buffers slices itself, so release-on-close lives in `stream` alone. A
-z-moving permute spills to a directory of its own under the run's tmpdir.
+one `FanOut`. Where a stage may stand is its `ops.OPS` record's to say,
+which the planner checks; the builder table says only how it streams. A
+segment is wired in one pass over its topological order, each stage
+built once from what its predecessors left for it. No stage buffers
+slices itself, so release-on-close lives in `stream` alone. A z-moving
+permute spills to a directory of its own under the run's tmpdir.
 Every stage runs on the calling thread; a sink with one file per slice or
 chunk creates its files ahead of it on one thread of its own (`io`). With
 threads = 1 each window call runs on the calling thread too, which is the
@@ -490,62 +492,47 @@ def _write_chunks_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
 # the builder table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Builder:
-    """build(stage, inputs, in_meta, out_meta, ctx) makes a stage's stream
-    from its `inputs` input streams, or for a sink the steps _drive runs."""
-
-    inputs: int
-    build: Callable
-    sink: bool = False
-
-
-# Entries name the functions they call, so a function replaced on its
-# module at run time (as perfbench/tracer.py does) is the one called.
-# Every kind in ops.KERNEL_OPS, pointwise ones too, streams through _KERNEL.
+# build(stage, inputs, in_meta, out_meta, ctx) makes a stage's stream from
+# its input streams, or for a sink the steps _drive runs; a kind whose
+# record has a window function, pointwise too, streams through
+# _kernel_stream. Entries name the functions they call, so a function
+# replaced on its module at run time (as perfbench/tracer.py does) is the
+# one called.
 _BUILDERS = {
-    "read": _Builder(0, lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"])),
-    "crop": _Builder(1, lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o)),
-    "pad": _Builder(1, lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o)),
-    "permute": _Builder(
-        1, lambda stg, ins, i, o, ctx: _permute_stream(stg, ins[0], i, o, ctx)),
-    "zip_add": _Builder(2, lambda stg, ins, i, o, ctx: _zip_add_stream(stg, *ins, o)),
-    "write": _Builder(1, lambda stg, ins, i, o, ctx: (
+    "read": lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"]),
+    "crop": lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o),
+    "pad": lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o),
+    "permute": lambda stg, ins, i, o, ctx: _permute_stream(stg, ins[0], i, o, ctx),
+    "zip_add": lambda stg, ins, i, o, ctx: _zip_add_stream(stg, *ins, o),
+    "write": lambda stg, ins, i, o, ctx: (
         _write_chunks_steps if "chunks" in stg.params else _write_steps)(stg, ins[0], o, ctx),
-        sink=True),
-    "histogram": _Builder(
-        1, lambda stg, ins, i, o, ctx: _histogram_steps(stg, ins[0], i, ctx), sink=True),
-    "sampled_mean": _Builder(
-        1, lambda stg, ins, i, o, ctx: _mean_steps(stg, ins[0], i, ctx), sink=True),
+    "histogram": lambda stg, ins, i, o, ctx: _histogram_steps(stg, ins[0], i, ctx),
+    "sampled_mean": lambda stg, ins, i, o, ctx: _mean_steps(stg, ins[0], i, ctx),
 }
-_KERNEL = _Builder(1, lambda stg, ins, i, o, ctx: _kernel_stream(stg, ins[0], i, o, ctx))
 
 
-def _builder(stage: PlanStage, inputs: int, sink: bool = False) -> _Builder:
-    """The table entry for a stage with `inputs` inputs, at a sink or not."""
-    kind = stage.op_kind
-    b = _KERNEL if kind in ops.KERNEL_OPS else _BUILDERS.get(kind)
-    if b is None:
-        ops.record(stage)  # a kind unknown to ops fails as unknown
-        raise PlanningError(f"stage {stage.name!r}: op kind {kind!r} has no stream builder")
-    if (b.inputs, b.sink) != (inputs, sink):
-        ends = "ends" if b.sink else "cannot end"
-        raise PlanningError(f"stage {stage.name!r} ({kind}) takes {b.inputs} "
-                            f"input(s) and {ends} a pipeline")
-    return b
+def _builder(stage: PlanStage) -> Callable:
+    """The build function of a stage's kind."""
+    if ops.record(stage).window is not None:  # a kind unknown to ops fails as unknown
+        return lambda stg, ins, i, o, ctx: _kernel_stream(stg, ins[0], i, o, ctx)
+    build = _BUILDERS.get(stage.op_kind)
+    if build is None:
+        raise PlanningError(f"stage {stage.name!r}: op kind {stage.op_kind!r} "
+                            "has no stream builder")
+    return build
 
 
 def stage_stream(stage: PlanStage, upstream: Stream, in_meta: VolumeMeta,
                  out_v: VolumeMeta, ctx: RunContext) -> Stream:
     """The stream transformer for one mid-pipeline stage."""
-    return _builder(stage, 1).build(stage, [upstream], in_meta, out_v, ctx)
+    return _builder(stage)(stage, [upstream], in_meta, out_v, ctx)
 
 
 # ---------------------------------------------------------------------------
 # graph assembly and the drive loop
 # ---------------------------------------------------------------------------
 
-def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
+def _build_segment(graph: PipelineGraph, ctx: RunContext):
     """Wire the segment's stages into streams; returns the sink steppers.
 
     One pass over the topological order builds each stage once, from the
@@ -554,7 +541,7 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
     members' outputs. A sink's stepper is collected where the pass meets
     it, and every stream and stepper is closed with the run.
     """
-    metas = propagate_meta(graph, graph.source().params.get("meta", in_meta))
+    metas = propagate_meta(graph, graph.source().params["meta"])
     shared = {name for grp in graph.shared_windows for name in grp.members}
     feeds = {}  # (stage, consumer) -> the stream the consumer reads
     steppers = []
@@ -564,8 +551,6 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
         ins = [feeds.pop((p, name)) for p in graph.predecessors(name)]
         ctx.stage_sweeps[name] = 1
         if stage.op_kind == "tee":
-            if len(ins) != 1:
-                raise PlanningError(f"stage {name!r} needs exactly one input here")
             if all(s in shared for s in succs):
                 fan = _shared_windows(ins[0], [graph.node(s) for s in succs], metas, ctx)
                 ports = [fan.port(s, f"shared->{s}", metas[s][1].slice_meta,
@@ -576,9 +561,8 @@ def _build_segment(graph: PipelineGraph, in_meta: VolumeMeta, ctx: RunContext):
             ctx.track(fan)
             feeds.update(((name, s), port) for s, port in zip(succs, ports))
             continue
-        builder = _builder(stage, len(ins), sink=not succs)
         # a shared member's port is its output: the group applies its op
-        out = ins[0] if name in shared else builder.build(stage, ins, *metas[name], ctx)
+        out = ins[0] if name in shared else _builder(stage)(stage, ins, *metas[name], ctx)
         if not ins:
             ctx.sources.append((name, out))
         ctx.track(out)
@@ -677,8 +661,8 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
         for d in (Path(a.detail["path"]) for a in plan.actions if a.kind == "midwrite"):
             d.mkdir(parents=True)  # FileExistsError names a path already there
             made.append(d)
-        for seg, seg_meta in zip(plan.segments, plan.segment_metas):
-            _drive(_build_segment(seg, seg_meta, ctx))
+        for seg in plan.segments:
+            _drive(_build_segment(seg, ctx))
             ctx.close_all()
     finally:
         ctx.close_all()

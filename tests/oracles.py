@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from stackstream.core import PipelineGraph, PlanStage, chain
-from stackstream.ops import KERNEL_OPS, OPS
+from stackstream.ops import OPS
 from stackstream.planner import (MidwriteResult, RepairAction, estimate_pipeline,
                                  propagate_meta)
 
@@ -169,7 +169,7 @@ def greedy_windows(graph: PipelineGraph, meta, budget, concurrent=False):
     """
     def set_window(st, w):
         st.w = w
-        st.s = (w - st.k_z + 1) if st.op_kind in KERNEL_OPS else w
+        st.s = (w - st.k_z + 1) if OPS[st.op_kind].window is not None else w
 
     def fits():
         return estimate_pipeline(g, meta, budget, concurrent).fits()

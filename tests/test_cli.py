@@ -137,20 +137,43 @@ def test_cmd_plan_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    ("histogram\nsquare\nwrite {d}/o\n",
+    ("read {d}/in\nhistogram\nsquare\nwrite {d}/o\n",
      "stage 'histogram2' (histogram) takes 1 input(s) and ends a pipeline"),
-    ("square\n", "stage 'square2' (pointwise) takes 1 input(s) and cannot end a pipeline"),
-], ids=["sink_mid_chain", "no_sink_at_end"])
-@pytest.mark.parametrize("command", ["plan", "run"])
+    ("read {d}/in\nsquare\n",
+     "stage 'square2' (pointwise) takes 1 input(s) and cannot end a pipeline"),
+    ("gaussian sigma=1\nwrite {d}/o\n",
+     "stage 'gaussian1' (gaussian) takes 1 input(s) and cannot end a pipeline"),
+], ids=["sink_mid_chain", "no_sink_at_end", "no_read_first"])
+@pytest.mark.parametrize("command", ["plan", "run", "explain"])
 def test_stage_in_the_wrong_place_fails_plan_as_run(tmp_path, capsys, body, message,
                                                     command):
     write_vol(tmp_path, dims=(8, 8, 4))
     spec = tmp_path / "p.spec"
-    spec.write_text(f"source 1 GiB\nread {tmp_path}/in\n{body.format(d=tmp_path)}sink\n")
-    assert run_cli([command, spec]) == 2
+    spec.write_text(f"source 1 GiB\n{body.format(d=tmp_path)}sink\n")
+    assert run_cli([command, spec] + (["--io"] if command == "explain" else [])) == 2
     captured = capsys.readouterr()
     assert captured.err == f"planning error: {message}\n"
-    assert "verdict" not in captured.out
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("median r=-1", "structuring element radius must be >= 0, got -1"),
+    ("erode r=-1", "structuring element radius must be >= 0, got -1"),
+    ("dilate r=-1", "structuring element radius must be >= 0, got -1"),
+    ("gaussian sigma=nan", "gaussian sigma must be finite and positive, got nan"),
+    ("gaussian sigma=inf", "gaussian sigma must be finite and positive, got inf"),
+    ("gaussian sigma=0", "gaussian sigma must be finite and positive, got 0.0"),
+    ("gaussian sigma=1 w=2", "stage 'gaussian2': window w=2 below kernel depth k_z=7"),
+], ids=["median", "erode", "dilate", "sigma_nan", "sigma_inf", "sigma_0", "gaussian_w"])
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_out_of_range_spec_values_are_planning_errors(tmp_path, capsys, line, message,
+                                                      command):
+    write_vol(tmp_path, dims=(8, 8, 8))
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, line + "\n"))
+    assert run_cli([command, spec]) == 2
+    assert capsys.readouterr().err == f"planning error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_plan_io_table(tmp_path, capsys):

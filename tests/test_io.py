@@ -389,6 +389,21 @@ def test_manifest_lexicographic_order_enforced(tmp_path):
         sio.load_manifest(d)
 
 
+def test_manifest_listing_a_file_twice_is_refused(tmp_path, capsys):
+    # the names sort, but z = 1 would read slice 0 again
+    from stackstream import cli
+    sio.write_volume(tmp_path / "v", sio.synth_volume(VolumeMeta(4, 4, 2, U8), "random"), "u8")
+    man = tmp_path / "v" / sio.MANIFEST
+    man.write_text(man.read_text().replace("001.raw", "000.raw"))
+    message = "slice files must sort lexicographically in z order, each listed once"
+    with pytest.raises(PlanningError, match=f"^{message}$"):
+        sio.load_manifest(tmp_path / "v")
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source 1 MiB\nread {tmp_path}/v\nwrite {tmp_path}/o\nsink\n")
+    assert cli.main(["plan", str(spec)]) == 2
+    assert capsys.readouterr().err == f"planning error: {message}\n"
+
+
 def test_missing_chunk_file_names_expected_bytes(tmp_path):
     meta = VolumeMeta(8, 8, 8, U8)
     sio.write_volume(tmp_path / "c", sio.synth_volume(meta, "random", seed=20),

@@ -173,11 +173,14 @@ def test_ledger_monotone_in_window():
 # shared windows
 # ---------------------------------------------------------------------------
 
-def shared_branch_graph(k, l, meta):
+def shared_branch_graph(k, l, meta, sinks=False):
+    """A tee into two convolve branches; with sinks, each ends in a write,
+    as plan requires."""
     t = ops.tee(name="t")
     a = ops.convolve(ops.Kernel3D(np.ones((k, 1, 1)) / k), name="bk")
     b = ops.convolve(ops.Kernel3D(np.ones((l, 1, 1)) / l), name="bl")
-    return tee_graph([mk_read(meta, "r"), t], [[a], [b]])
+    tails = ([mk_write("wk")], [mk_write("wl")]) if sinks else ([], [])
+    return tee_graph([mk_read(meta, "r"), t], [[a, *tails[0]], [b, *tails[1]]])
 
 
 def test_share_windows_unequal_kernels():
@@ -661,7 +664,7 @@ def test_split_plan_fits_when_each_segment_fits(tmp_path):
 def test_plan_branched_pipeline_over_budget_at_its_minima_is_infeasible(tmp_path,
                                                                         grow_windows):
     meta = VolumeMeta(16, 16, 12, F32)
-    g = shared_branch_graph(5, 3, meta)
+    g = shared_branch_graph(5, 3, meta, sinks=True)
     p = plan(g, budget_slices(2, meta, stages=3), tmpdir=tmp_path,
              grow_windows=grow_windows)
     assert p.verdict == "infeasible"

@@ -54,7 +54,7 @@ def test_one_record_is_enough_for_a_new_kernel_op(tmp_path, monkeypatch, capsys,
     assert printed.splitlines()[2] == "maxfilter r=1 w=3"
     assert pretty_print(*parse(printed)) == printed
 
-    assert "maxfilter" in ops.KERNEL_OPS
+    assert ops.OPS["maxfilter"].window is not None
     p = planner.plan(graph, budget, tmpdir=str(tmp_path), concurrent=threads > 1)
     stage = p.segments[0].node("maxfilter2")
     assert (stage.w, stage.s) == (10, 8)  # grown to the stack, as a kernel
@@ -106,6 +106,18 @@ def test_one_record_is_enough_for_a_new_voxel_op(tmp_path, monkeypatch):
     assert report.leaked_slices == 0 and report.within_budget
     assert threads_seen and set(threads_seen) == {threading.current_thread()}
     assert np.array_equal(sio.read_volume(tmp_path / "out"), 255 - vol)
+
+
+def test_each_kind_streams_one_way_and_its_record_gives_its_role():
+    # a window function or a stream builder, never both; a tee has neither
+    for kind, rec in ops.OPS.items():
+        ways = (rec.window is not None) + (kind in runtime._BUILDERS)
+        assert ways == (kind != "tee"), kind
+    assert set(runtime._BUILDERS) <= set(ops.OPS)
+    roles = {kind: (rec.inputs, rec.sink) for kind, rec in ops.OPS.items()}
+    assert roles == {**dict.fromkeys(ops.OPS, (1, False)), "read": (0, False),
+                     "zip_add": (2, False), "write": (1, True), "histogram": (1, True),
+                     "sampled_mean": (1, True)}
 
 
 # ---------------------------------------------------------------------------

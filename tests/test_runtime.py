@@ -408,7 +408,7 @@ def test_sampled_mean_results(tmp_path):
     p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
     from stackstream.runtime import RunContext, _build_segment, _drive
     ctx = RunContext(tmpdir=tmp_path)
-    _drive(_build_segment(p.segments[0], meta, ctx))
+    _drive(_build_segment(p.segments[0], ctx))
     import math
     assert math.isclose(ctx.results["mean"], vol.mean(), rel_tol=1e-9)
 
@@ -423,7 +423,7 @@ def test_sampled_mean_aliases_periodic_volumes(tmp_path):
     p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
     from stackstream.runtime import RunContext, _build_segment, _drive
     ctx = RunContext(tmpdir=tmp_path)
-    _drive(_build_segment(p.segments[0], meta, ctx))
+    _drive(_build_segment(p.segments[0], ctx))
     assert ctx.results["mean"] == 0.0
 
 
@@ -437,7 +437,7 @@ def test_histogram_independent_of_window(tmp_path):
         p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
         from stackstream.runtime import RunContext, _build_segment, _drive
         ctx = RunContext(tmpdir=tmp_path)
-        _drive(_build_segment(p.segments[0], meta, ctx))
+        _drive(_build_segment(p.segments[0], ctx))
         results.append(ctx.results["h"].counts.copy())
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], np.bincount(vol.ravel(), minlength=256))
@@ -676,13 +676,31 @@ def test_threads_below_one_is_a_planning_error(tmp_path, threads):
     (lambda d: [ops.square(name="sq"), sio.write_stage(d / "b")], "'sq' \\(pointwise\\) takes 1"),
 ])
 def test_stage_in_the_wrong_place_is_a_planning_error(tmp_path, stages, message):
-    meta = VolumeMeta(8, 8, 6, U8)
-    write_input(tmp_path, meta)
-    p = plan(chain(*stages(tmp_path)), Budget(1 << 30), meta=meta, tmpdir=tmp_path,
-             grow_windows=False)
+    write_input(tmp_path, VolumeMeta(8, 8, 6, U8))
     with pytest.raises(PlanningError, match=message):
-        execute_plan(p, tmpdir=tmp_path)
+        plan(chain(*stages(tmp_path)), Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_a_misplaced_stage_in_a_split_chain_is_refused_before_any_io(tmp_path):
+    # the budget splits the chain; a chain that ends in a square is refused
+    # by plan, before the split, so no segment runs and no slice is made
+    meta = VolumeMeta(16, 16, 40, U8)
+    write_input(tmp_path, meta, seed=49)
+    budget = Budget(10 * slice_bytes(meta) + 5 * 64, 64)
+    tmp = tmp_path / "tmp"
+
+    def gaussians(end):
+        return chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.5, name="g1"),
+                     ops.discrete_gaussian(0.5, name="g2"), end)
+
+    split = plan(gaussians(sio.write_stage(tmp_path / "out")), budget, tmpdir=tmp)
+    assert [a.kind for a in split.actions].count("midwrite") == 1
+    ALLOC.reset_peaks()
+    with pytest.raises(PlanningError, match=r"^stage 'sq' \(pointwise\) takes 1 input\(s\) "
+                                            "and cannot end a pipeline$"):
+        plan(gaussians(ops.square(name="sq")), budget, tmpdir=tmp)
+    assert not tmp.exists() and ALLOC.peak_slices == 0
 
 
 def test_a_segment_writing_a_directory_twice_is_refused(tmp_path):
@@ -843,7 +861,7 @@ def test_close_mid_sweep_releases_everything(tmp_path, case, threads):
     p = plan(_close_case(tmp_path, case), Budget(1 << 30), tmpdir=tmp_path,
              grow_windows=False, concurrent=threads > 1)
     ctx = RunContext(tmpdir=tmp_path, threads=threads)
-    steppers = _build_segment(p.segments[0], p.segment_metas[0], ctx)
+    steppers = _build_segment(p.segments[0], ctx)
     try:
         next(steppers[0])  # the sink takes the stage's first output
         if threads == 1:  # with stage threads, what is held at this moment varies
