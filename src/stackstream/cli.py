@@ -260,7 +260,7 @@ def _io_report(graph, seed) -> str:
     src = graph.source()
     meta = src.params["meta"]
     # a chunk store's own chunks, or cubes of edge 16 at most
-    grid = sio.load_manifest(src.params["dir"])
+    grid = src.params["grid"]
     if grid.files is not None:
         edge = max(1, min(16, meta.nx, meta.ny, meta.depth))
         grid = sio.ChunkGrid(meta, edge, edge, edge)

@@ -250,14 +250,18 @@ def save_manifest(directory, meta: VolumeMeta, files, chunks=None):
         _atomic_write(Path(directory), fh, ("\n".join(lines) + "\n").encode())
 
 
+def _check_complete(directory: Path):
+    if (directory / PARTIAL_MARKER).exists():
+        raise PlanningError(f"{directory} holds a partial write (marker present)")
+
+
 def load_manifest(directory):
     """Parse manifest.txt into the ChunkGrid of any layout."""
     directory = Path(directory)
     path = directory / MANIFEST
     if not path.exists():
         raise PlanningError(f"no {MANIFEST} in {directory}")
-    if (directory / PARTIAL_MARKER).exists():
-        raise PlanningError(f"{directory} holds a partial write (marker present)")
+    _check_complete(directory)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     if len(lines) < 4 or lines[0] != "version 1":
         raise PlanningError(f"{path}: unsupported manifest header")
@@ -317,14 +321,20 @@ def _holding(n: int):
             _held -= n
 
 
-def open_slice_stream(directory) -> Stream:
+def open_slice_stream(directory, grid: Optional[ChunkGrid] = None) -> Stream:
     """Stream the slices of a stack or a chunk store in z order.
 
-    The files of one x-y layer of chunks stay open while their planes are
-    read: each new slice is read from plane z of each of them. Every file
-    is opened exactly once per sweep, and its size is checked first.
+    grid is the directory's manifest as load_manifest parsed it, loaded
+    here when not given; when given, only the .partial marker is checked
+    again. The files of one x-y layer of chunks stay open while their
+    planes are read: each new slice is read from plane z of each of them.
+    Every file is opened exactly once per sweep, and its size is checked
+    first.
     """
-    grid = load_manifest(directory)
+    if grid is None:
+        grid = load_manifest(directory)
+    else:
+        _check_complete(Path(directory))
     smeta = grid.meta.slice_meta
     dtype, width = smeta.dtype.np_dtype, smeta.dtype.byte_width
     planes = []  # (y, x, shape, bytes) of each chunk's plane in a layer
@@ -451,19 +461,21 @@ def read_column(directory, grid: ChunkGrid, out: np.ndarray, axis: str, k: int) 
 # ---------------------------------------------------------------------------
 
 def read_stage(directory, name: Optional[str] = None) -> PlanStage:
-    """A read of a stack or a chunk store."""
+    """A read of a stack or a chunk store, carrying its parsed manifest,
+    which the reader opens from."""
+    grid = load_manifest(directory)
     return PlanStage(name=name or "read", op_kind="read",
-                     params={"dir": str(directory), "meta": volume_meta(directory)})
+                     params={"dir": str(directory), "meta": grid.meta, "grid": grid})
 
 
 def read_chunks_stage(directory, name: Optional[str] = None) -> PlanStage:
     """A read of a chunk store: the read kind, with its chunks in params."""
-    grid = load_manifest(directory)
+    stage = read_stage(directory, name or "readInChunks")
+    grid = stage.params["grid"]
     if grid.files is not None:
         raise PlanningError(f"{directory} is a slice stack; use read")
-    return PlanStage(name=name or "readInChunks", op_kind="read",
-                     params={"dir": str(directory), "meta": grid.meta,
-                             "chunks": (grid.cx, grid.cy, grid.cz)})
+    stage.params["chunks"] = (grid.cx, grid.cy, grid.cz)
+    return stage
 
 
 def write_stage(directory, name: Optional[str] = None) -> PlanStage:

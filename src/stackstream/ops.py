@@ -103,11 +103,10 @@ class StructuringElement:
         for n in self.mask.shape:
             if n < 1 or n % 2 == 0:
                 raise PlanningError("structuring element dims must be odd")
-        if not self.mask.any():
-            raise PlanningError("structuring element needs at least one true entry")
         kz, ky, kx = self.mask.shape
-        if not self.mask[kz // 2, ky // 2, kx // 2]:
-            raise PlanningError("structuring element center must be true")
+        if not self.mask[kz // 2, ky // 2, kx // 2]:  # a true center has any() hold
+            raise PlanningError("structuring element center must be true" if self.mask.any()
+                                else "structuring element needs at least one true entry")
 
     @property
     def k_z(self) -> int:
@@ -115,10 +114,13 @@ class StructuringElement:
 
     @classmethod
     def box(cls, r: int = 1) -> "StructuringElement":
+        """The (2r + 1)^3 cube, as a read-only view of one true value: the
+        planner refuses a cube deeper than its stack before a run ever
+        lays one out."""
         if r < 0:
             raise PlanningError(f"structuring element radius must be >= 0, got {r}")
         k = 2 * r + 1
-        return cls(np.ones((k, k, k), dtype=bool))
+        return cls(np.broadcast_to(np.True_, (k, k, k)))
 
 
 def histogram_bin_count(dtype: Dtype) -> int:
@@ -421,14 +423,23 @@ def conv_window(window, kernel: Kernel3D, lo: int, hi: int,
     return outs
 
 
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Truncated at radius ceil(3*sigma), renormalized to unit sum."""
+def gaussian_radius(sigma: float) -> int:
+    """ceil(3*sigma), the radius the kernel is truncated at."""
     if not 0 < sigma < math.inf:  # NaN compares false
         raise PlanningError(f"gaussian sigma must be finite and positive, got {sigma}")
-    r = math.ceil(3.0 * sigma)
+    return math.ceil(3.0 * sigma)
+
+
+@functools.lru_cache(maxsize=32)
+def gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    """Truncated at radius ceil(3*sigma), renormalized to unit sum; read-only,
+    as every call with one sigma shares it."""
+    r = gaussian_radius(sigma)
     xs = np.arange(-r, r + 1, dtype=np.float64)
     g = np.exp(-0.5 * (xs / sigma) ** 2)
-    return g / g.sum()
+    g /= g.sum()
+    g.flags.writeable = False
+    return g
 
 
 def gaussian_window(window, g1d: np.ndarray, lo: int, hi: int,
@@ -951,8 +962,9 @@ def convolve(kernel: Kernel3D, w: Optional[int] = None,
 
 def discrete_gaussian(sigma: float, w: Optional[int] = None,
                       name: Optional[str] = None) -> PlanStage:
-    g = gaussian_kernel_1d(sigma)
-    return _kernel_stage("gaussian", len(g), w, name, sigma=sigma, g1d=g)
+    # the kernel is made by the call that needs it, after planning, so a
+    # sigma too deep for the stack never lays one out
+    return _kernel_stage("gaussian", 2 * gaussian_radius(sigma) + 1, w, name, sigma=sigma)
 
 
 def _morph_stage(kind: str, se, w, name) -> PlanStage:
@@ -1081,9 +1093,11 @@ class OpKind:
     centers lo..hi, taking its workspaces from the stage's Scratch and
     passing each output through cast, which gives it in the stage's
     dtype, as soon as it is made. kernel_dims(stage) is a kernel's
-    (kx, ky, kz): a stage with kernel taps runs its calls on the run's
-    pool when they are large enough, buys the concurrent queue allowance
-    and may share a tee's window. spec holds the kind's keywords, and a
+    (kx, ky, kz): a stage with kernel taps may share a tee's window, and
+    the plan may put its calls on the run's pool, charging it the
+    concurrent queue allowance. taps(stage) is the work per output voxel
+    that decision counts (planner.INLINE_WORK), every kernel tap when
+    unset. spec holds the kind's keywords, and a
     stage prints back as the first whose show gives a line: a read or a
     write with chunks in its params as readInChunks or writeInChunks.
     Structural kinds (tee, join) and ones no spec line builds have none.
@@ -1098,6 +1112,7 @@ class OpKind:
     out_meta: Callable = lambda stage, meta: meta
     window: Optional[Callable] = None
     kernel_dims: Optional[Callable] = None
+    taps: Optional[Callable] = None
     spec: tuple = ()
     algo_class: AlgorithmClass = SINGLE_PIXEL
     grows: bool = False
@@ -1170,7 +1185,7 @@ def _window_estimate(st, m, o):
     return MemEstimate(st.w * slice_bytes(m), (st.w - st.k_z + 1) * slice_bytes(o), 0)
 
 
-def _kernel_kind(window, kernel_dims, syntax, dtype=None):
+def _kernel_kind(window, kernel_dims, syntax, dtype=None, taps=None):
     """Record of a kernel kind; its outputs are in `dtype`, else the input's."""
     def out_meta(stage, meta):
         depth = meta.depth - stage.k_z + 1
@@ -1179,7 +1194,7 @@ def _kernel_kind(window, kernel_dims, syntax, dtype=None):
         return VolumeMeta(meta.nx, meta.ny, depth, dtype or meta.dtype)
 
     return OpKind(_window_estimate, out_meta, window=window, kernel_dims=kernel_dims,
-                  spec=(syntax,), algo_class=LOCAL_NEIGHBOURHOOD)
+                  taps=taps, spec=(syntax,), algo_class=LOCAL_NEIGHBOURHOOD)
 
 
 def _parse_convolve(get, name):
@@ -1279,13 +1294,17 @@ OPS = {
                lambda st: (f"convolve kernel={st.params['file']} w={st.w}"
                            if "file" in st.params else None)),
         dtype=F32),
+    # three separable passes of k_z taps, counted as 49 k_z: k_z^3 at the
+    # sigma = 0.8 gaussian INLINE_WORK was calibrated on (k_z = 7)
     "gaussian": _kernel_kind(
-        lambda st, win, lo, hi, **kw: gaussian_window(win, st.params["g1d"], lo, hi, **kw),
+        lambda st, win, lo, hi, **kw: gaussian_window(
+            win, gaussian_kernel_1d(st.params["sigma"]), lo, hi, **kw),
         lambda st: (st.k_z,) * 3,
         Syntax("gaussian", ("sigma", "w"),
                lambda get, name: discrete_gaussian(get("sigma", float),
                                                    w=get("w", int, None), name=name),
-               lambda st: f"gaussian sigma={st.params['sigma']} w={st.w}")),
+               lambda st: f"gaussian sigma={st.params['sigma']} w={st.w}"),
+        taps=lambda st: 49 * st.k_z),
     "median": _morph_kind("median"),
     "erode": _morph_kind("erode"),
     "dilate": _morph_kind("dilate"),

@@ -13,6 +13,11 @@ that spill an intermediate volume to disk and read it back. Then every
 segment's windows grow into the budget left. A caller that keeps the
 declared windows skips the minima and the growth.
 
+The plan also decides how each stage runs. In a plan made for a
+concurrent run, a kernel stage whose calls pay for a handoff (`_pools`)
+computes one window ahead on the run's pool. Only those stages are
+charged the window step, and the runtime pools exactly them.
+
 Planning is static: it consumes volume geometry only and never reads a
 voxel, so a plan is explainable before any I/O is spent.
 """
@@ -97,6 +102,7 @@ class LedgerRow:
     gamma: int
     credit: int
     running: int
+    step: int = 0  # the concurrent window step charged, in queue_allowance
 
     def line(self) -> str:
         return (f"stage {self.name} op={self.op} w={self.w} s={self.s} "
@@ -187,8 +193,29 @@ class RepairAction:
         return f"share_window group={'+'.join(d['group'])} w={d['w']} strides={strides}"
 
 
+# A kernel stage whose calls each come to fewer output voxels x counted
+# taps than this runs them on the pipeline thread at any thread count:
+# below it, handing a call to a worker and back costs more than running
+# it alongside the pipeline saves. With every call on the pool, a
+# sigma = 0.8 gaussian (343 taps) took 1.06x the inline time at 192^2
+# (12.6M) and 0.85x at 224^2 (17.2M) on 2 vCPUs (scripts/threads_table.py).
+INLINE_WORK = 1 << 24
+
+
+def _pools(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta) -> bool:
+    """Whether a concurrent run hands a kernel stage's calls to the pool:
+    it makes more than one call per sweep (w below its input depth), as a
+    single call has nothing to overlap, and each call comes to at least
+    INLINE_WORK output voxels x the taps its record counts."""
+    rec = ops.record(stage)
+    taps = rec.taps(stage) if rec.taps else math.prod(rec.kernel_dims(stage))
+    outputs = stage.w - stage.k_z + 1
+    return (stage.w < in_meta.depth
+            and outputs * out_meta.nx * out_meta.ny * taps >= INLINE_WORK)
+
+
 def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
-          graph: PipelineGraph, concurrent: bool):
+          graph: PipelineGraph, concurrent: bool, final: bool = False):
     """One stage's ledger term: (estimate, credit, step).
 
     Its share of its segment's peak is est.total() - credit + step, and
@@ -196,14 +223,17 @@ def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
     group's first reads the first one's window, and is credited its input.
     step is the concurrent window step, the call one window ahead: s more
     input slices and its s outputs. Shared-window members run inline and
-    buy none.
+    buy none. Every other kernel stage buys it while windows are solved
+    and split; the final ledger charges it only to the stages _pools
+    sends to the pool, and the run pools just those.
     """
     est = estimate_stage(stage, in_meta)
     group = next((grp.members for grp in graph.shared_windows
                   if stage.name in grp.members), ())
     credit = est.input_bytes if stage.name in group[1:] else 0
     step = 0
-    if concurrent and ops.record(stage).kernel_dims and not group:
+    if (concurrent and ops.record(stage).kernel_dims and not group
+            and (not final or _pools(stage, in_meta, out_meta))):
         step = stage.s * (slice_bytes(in_meta) + slice_bytes(out_meta))
     return est, credit, step
 
@@ -214,20 +244,20 @@ def _cost(term) -> int:
 
 
 def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
-                  concurrent: bool):
+                  concurrent: bool, final: bool):
     metas = propagate_meta(graph, meta)
     rows = []
     running = 0
     credits = 0
     queue_bytes = 0
     for stage in graph.topo_order():
-        est, credit, step = _term(stage, *metas[stage.name], graph, concurrent)
+        est, credit, step = _term(stage, *metas[stage.name], graph, concurrent, final)
         running += est.total() - credit
         credits += credit
         queue_bytes += step
         rows.append(LedgerRow(segment, stage.name, stage.op_kind, stage.w,
                               stage.s, est.input_bytes, est.output_bytes,
-                              est.internal_bytes, credit, running))
+                              est.internal_bytes, credit, running, step))
     return rows, running, credits, queue_bytes
 
 
@@ -238,8 +268,9 @@ def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     Memory across co-resident stages adds; shared-window groups credit the
     duplicated input windows back. In concurrent mode every kernel stage
     also buys one window step for the call it computes one window ahead:
-    s = w - k_z + 1 input slices and its batch of outputs. Shared-window
-    groups run inline and buy none.
+    s = w - k_z + 1 input slices and its batch of outputs, whether or not
+    the plan then pools it: this is the reservation that windows are
+    solved and split under. Shared-window groups run inline and buy none.
     """
     graph.validate()
     led = _ledger([graph], [meta], budget, concurrent)
@@ -247,16 +278,17 @@ def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
     return led
 
 
-def _ledger(segments, metas, budget, concurrent) -> MemoryLedger:
+def _ledger(segments, metas, budget, concurrent, final=False) -> MemoryLedger:
     """The ledger of segments run one after another, each from its meta:
     its peak is the largest segment peak, and its gate the largest segment
-    peak plus allowances, on a tie the one with the larger peak."""
+    peak plus allowances, on a tie the one with the larger peak. A final
+    ledger charges the window step to the stages the run pools alone."""
     rows = []
     peaks = []
     credits = 0
     queues = 0
     for i, (g, m) in enumerate(zip(segments, metas), start=1):
-        seg_rows, peak, cr, qb = _segment_rows(g, m, i, concurrent)
+        seg_rows, peak, cr, qb = _segment_rows(g, m, i, concurrent, final)
         rows.extend(seg_rows)
         peaks.append(peak + qb)
         credits += cr
@@ -506,6 +538,12 @@ class Plan:
         return [seg.source().params["meta"] for seg in self.segments]
 
     @property
+    def pooled(self) -> frozenset:
+        """The stages whose calls a run at threads > 1 hands to the pool,
+        one window ahead: those the ledger charges the window step."""
+        return frozenset(row.name for row in self.ledger.rows if row.step)
+
+    @property
     def verdict(self) -> str:
         return self.ledger.verdict
 
@@ -534,6 +572,13 @@ def plan(graph: PipelineGraph, budget: Budget, tmpdir: str = ".",
     its declared window, in a split chain too. Infeasible is a
     verdict, not an error: the plan keeps the graph with its shared
     windows, and a note names why.
+
+    With concurrent on, every step above reserves the window step for
+    each kernel stage outside a shared-window group. Then the plan pools
+    (Plan.pooled) the ones whose calls pay for a handoff at their final
+    windows: more than one call per sweep, each of at least INLINE_WORK
+    output voxels x counted taps. The ledger charges the step to those
+    alone, and a run at threads > 1 pools exactly them.
     """
     graph.validate()
     ops.check_roles(graph)
@@ -576,7 +621,7 @@ def plan(graph: PipelineGraph, budget: Budget, tmpdir: str = ".",
                  for seg, m in zip(segments, metas)]
         segments = [seg for seg, _ in grown]
         actions += [act for _, acts in grown for act in acts]
-    ledger = _ledger(segments, metas, budget, concurrent)
+    ledger = _ledger(segments, metas, budget, concurrent, final=True)
     ledger.verdict = verdict
     ledger.actions = actions
     return Plan(segments, ledger)

@@ -13,10 +13,9 @@ permute spills to a directory of its own under the run's tmpdir.
 Every stage runs on the calling thread; a sink with one file per slice or
 chunk creates its files ahead of it on one thread of its own (`io`). With
 threads = 1 each window call runs on the calling thread too, which is the
-determinism reference. So does every call of a stage with no kernel taps
-(a pointwise stage, a window op of depth 1) and of a stage whose calls
-are too small to pay for a handoff (INLINE_WORK).
-Otherwise a kernel stage keeps one window ahead: while call j computes
+determinism reference. With threads > 1 the plan says which kernel
+stages go to the pool (Plan.pooled), and every other stage's calls run
+inline. A pooled stage keeps one window ahead: while call j computes
 on the run's pool of worker threads, the pipeline pulls window j + 1 and
 submits its call, and it builds each call's slices itself in window
 order, so outputs are bit-identical to the reference mode. Whatever
@@ -26,7 +25,6 @@ before control returns: success, planning abort or mid-sweep failure.
 
 from __future__ import annotations
 
-import math
 import shutil
 import tempfile
 import threading
@@ -68,6 +66,7 @@ class RunContext:
     sink_counts: dict = field(default_factory=dict)
     stage_sweeps: dict = field(default_factory=dict)
     streams: list = field(default_factory=list)     # everything closable
+    pooled: frozenset = frozenset()  # stages whose calls go to the pool
     _pool: Optional[ThreadPoolExecutor] = None
 
     def track(self, s):
@@ -170,28 +169,11 @@ def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
     return outputs
 
 
-# A kernel stage whose calls each come to fewer output voxels x kernel
-# taps than this runs them on the pipeline thread at any thread count:
-# below it, handing a call to a worker and back costs more than running
-# it alongside the pipeline saves. With every call on the pool, a
-# sigma = 0.8 gaussian (343 taps) took 1.06x the inline time at 192^2
-# (12.6M) and 0.85x at 224^2 (17.2M) on 2 vCPUs (scripts/threads_table.py).
-INLINE_WORK = 1 << 24
-
-
-def _call_work(stage: PlanStage, w: int, out_v: VolumeMeta) -> int:
-    """Output voxels x kernel taps of one kernel call over a w-slice window."""
-    taps = math.prod(ops.record(stage).kernel_dims(stage))
-    return (w - stage.k_z + 1) * out_v.nx * out_v.ny * taps
-
-
 def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
                    out_v: VolumeMeta, ctx: RunContext) -> Stream:
     w = min(stage.w, in_meta.depth)
     windows = st.windowed_positions(w, w - stage.k_z + 1, src, "full")
-    # a stage without kernel taps (pointwise) always runs inline
-    if (ctx.threads == 1 or ops.record(stage).kernel_dims is None
-            or _call_work(stage, w, out_v) < INLINE_WORK):
+    if stage.name not in ctx.pooled:
         outputs = _kernel_outputs(stage, w, out_v, ctx)
         return _stage(stage, out_v, windows, lambda item: outputs(*item))
     handoff = _ThreadHandoff(stage.name, windows, _kernel_calls(stage, w, out_v), ctx)
@@ -499,7 +481,8 @@ def _write_chunks_steps(stage: PlanStage, src: Stream, out_v: VolumeMeta,
 # replaced on its module at run time (as perfbench/tracer.py does) is the
 # one called.
 _BUILDERS = {
-    "read": lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"]),
+    "read": lambda stg, ins, i, o, ctx: sio.open_slice_stream(stg.params["dir"],
+                                                              stg.params.get("grid")),
     "crop": lambda stg, ins, i, o, ctx: _crop_stream(stg, ins[0], i, o),
     "pad": lambda stg, ins, i, o, ctx: _pad_stream(stg, ins[0], i, o),
     "permute": lambda stg, ins, i, o, ctx: _permute_stream(stg, ins[0], i, o, ctx),
@@ -640,6 +623,8 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
     """Run every segment of a plan, one after another, and report
     instrumented usage, gated by the plan's ledger. A plan that
     check_directories refuses is refused before any directory is made.
+    With threads > 1 the stages in plan.pooled, and no others, run their
+    calls on a pool of `threads` workers, one window ahead.
 
     A run makes each mid-write directory before its first segment and
     removes only those; one that already exists is an error, left as it
@@ -654,7 +639,8 @@ def execute_plan(plan: Plan, threads: int = 1, tmpdir=None) -> RunReport:
         raise PlanningError(f"threads must be >= 1, got {threads}")
     check_directories(plan)
     tmpdir = Path(tmpdir) if tmpdir is not None else Path(".")
-    ctx = RunContext(tmpdir=tmpdir, threads=threads)
+    ctx = RunContext(tmpdir=tmpdir, threads=threads,
+                     pooled=plan.pooled if threads > 1 else frozenset())
     ALLOC.reset_peaks()
     made = []  # the mid-write directories this run made, and so removes
     try:

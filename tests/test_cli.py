@@ -317,6 +317,43 @@ def test_tmpdir_env_var_used_for_midwrites(tmp_path, monkeypatch):
     assert list(scratch.iterdir()) == []
 
 
+@pytest.mark.parametrize("budget, loaded", [("64 MiB", ["in"]),
+                                             (f"{9 * 256 + 6 * 512 + 1} B", ["in", "mid0"])])
+def test_run_loads_each_read_manifest_once(tmp_path, monkeypatch, capsys, budget, loaded):
+    """The read stage carries the manifest the spec's parse loaded, and its
+    reader opens from it; a mid-read, written by the run, loads its own
+    when it opens. So a run loads one manifest per read, split or not."""
+    write_vol(tmp_path, dims=(16, 16, 12))
+    load, loads = sio.load_manifest, []
+    monkeypatch.setattr(sio, "load_manifest",
+                        lambda d: (loads.append(os.path.basename(d)), load(d))[1])
+    spec = tmp_path / "p.spec"
+    spec.write_text(f"source {budget}\nread {tmp_path}/in\n"
+                    f"square\nsquare\nsquare\nsquare\nwrite {tmp_path}/out\nsink\n")
+    assert run_cli(["run", spec, "--epsilon", "512", "--tmpdir", tmp_path / "scratch"]) == 0
+    assert ("action midwrite" in capsys.readouterr().out) == (len(loaded) == 2)
+    assert loads == loaded
+
+
+@pytest.mark.parametrize("line", ["erode r=1000", "gaussian sigma=1e9"])
+def test_a_kernel_deeper_than_the_stack_is_refused_before_it_is_laid_out(
+        tmp_path, capsys, line):
+    """erode r=1000 would be an 8 GB mask and sigma = 1e9 a 48 GB kernel:
+    plan refuses each by its depth, 2r + 1 or 2 ceil(3 sigma) + 1, against
+    an 8-slice stack, and lays out neither."""
+    write_vol(tmp_path, dims=(8, 8, 8))
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, line + "\n"))
+    tracemalloc.start()
+    try:
+        assert run_cli(["plan", spec]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert capsys.readouterr().err.endswith(": kernel depth exceeds stack\n")
+
+
 def test_run_works_in_a_private_directory_under_the_tmpdir(tmp_path):
     # a split run beside a mid0 it did not make: the run neither fails on
     # it nor touches it, and leaves nothing else behind

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as hst
 
 import oracles
 from helpers import apply_stage, vol_stream
-from stackstream import io as sio, ops, runtime, stream as st
+from stackstream import io as sio, ops, planner, runtime, stream as st
 from stackstream.core import (ALLOC, F32, U8, U16, Budget, PlanningError, VolumeMeta,
                               chain, release)
 from stackstream.io import synth_volume
@@ -923,7 +923,7 @@ def test_box3_convolve_runs_bit_identical_at_threads_1_2(tmp_path, monkeypatch, 
     """read -> convolve box3 -> write, every call on the pool at threads 2,
     where two Scratches in flight keep a ring each: the output is the
     frozen loops' and nothing leaks."""
-    monkeypatch.setattr(runtime, "INLINE_WORK", 0)
+    monkeypatch.setattr(planner, "INLINE_WORK", 0)
     meta = VolumeMeta(9, 7, 14, U8)
     vol = synth_volume(meta, "random", seed=85)
     sio.write_volume(tmp_path / "in", vol, U8)
@@ -1072,7 +1072,7 @@ def test_morphology_runs_bit_identical_at_threads_1_2(tmp_path, monkeypatch, op,
     """read -> op r=1 -> write, every call on the pool at threads 2, where
     two Scratches in flight keep a ring each and see every other window:
     the output is the oracle's and nothing leaks."""
-    monkeypatch.setattr(runtime, "INLINE_WORK", 0)
+    monkeypatch.setattr(planner, "INLINE_WORK", 0)
     meta = VolumeMeta(9, 7, 14, U16)
     vol = synth_volume(meta, "random", seed=88)
     sio.write_volume(tmp_path / "in", vol, U16)

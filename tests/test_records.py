@@ -88,7 +88,7 @@ def _invert_record(threads_seen):
 def test_one_record_is_enough_for_a_new_voxel_op(tmp_path, monkeypatch):
     threads_seen = []
     monkeypatch.setitem(ops.OPS, "invert", _invert_record(threads_seen))
-    monkeypatch.setattr(runtime, "INLINE_WORK", 0)  # a kernel call would go to the pool
+    monkeypatch.setattr(planner, "INLINE_WORK", 0)  # a kernel call would go to the pool
     vol = write_vol(tmp_path / "in")
     text = f"source 1 GiB\nread {tmp_path}/in\n{{}}\nwrite {tmp_path}/out\nsink\n"
     graph, budget = parse(text.format("invert"))

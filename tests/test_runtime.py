@@ -1,6 +1,8 @@
 import gc
+import importlib.util
 import os
 import re
+import sys
 import threading
 import weakref
 from contextlib import nullcontext
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings, strategies as hst
 
 import oracles
 from helpers import measure_peak
-from stackstream import io as sio, ops, runtime, stream as st
+from stackstream import cli, io as sio, ops, planner, runtime, stream as st
 from stackstream.core import (ALLOC, F32, U8, Budget, PlanningError, PlanStage,
                               StageError, VolumeMeta, chain, slice_bytes, tee_graph)
 from stackstream.planner import plan, share_windows
@@ -319,7 +321,7 @@ def test_read_and_read_in_chunks_of_one_store_are_one_read(tmp_path, monkeypatch
     opened = []
     open_stream = sio.open_slice_stream
     monkeypatch.setattr(sio, "open_slice_stream",
-                        lambda d: (s := open_stream(d), opened.append(s))[0])
+                        lambda *a: (s := open_stream(*a), opened.append(s))[0])
     runs = []
     for reader, out in ((sio.read_stage, "a"), (sio.read_chunks_stage, "b")):
         src = reader(tmp_path / "in", name="src")
@@ -972,7 +974,7 @@ def test_repaired_midwrite_plan_bit_identical_at_threads_1_2_4(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_ledger_prices_one_window_step_ahead(tmp_path, threads):
+def test_ledger_prices_one_window_step_ahead(tmp_path, every_call_on_the_pool, threads):
     # the gaussian's stride (6) exceeds the batch of the square feeding it (1)
     meta = VolumeMeta(16, 16, 30, U8)
     write_input(tmp_path, meta, seed=42)
@@ -991,13 +993,14 @@ def test_ledger_prices_one_window_step_ahead(tmp_path, threads):
     assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
 
 
-def test_shared_window_group_is_priced_inline(tmp_path):
+def test_shared_window_group_is_priced_inline(tmp_path, every_call_on_the_pool):
     meta = VolumeMeta(13, 11, 24, U8)
     write_input(tmp_path, meta)
     p = plan(_threads_case(tmp_path, "shared", "out"), Budget(1 << 30),
              grow_windows=False, concurrent=True)
     # only the median after the join (w = 5, k_z = 3) computes one window ahead
     assert p.ledger.queue_bytes == (3 + 3) * slice_bytes(meta)
+    assert p.pooled == {"m"}
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -1045,20 +1048,127 @@ def test_large_kernel_calls_stay_on_the_pool(tmp_path, monkeypatch):
     # workload at threads = 2, is worth a handoff
     meta = VolumeMeta(256, 256, 8, U8)
     write_input(tmp_path, meta, seed=48)
-    g = gauss_graph(tmp_path, out="o2")
-    stage = g.node("g")
-    assert runtime._call_work(stage, stage.w, ops.out_meta(stage, meta)) >= runtime.INLINE_WORK
     names = _call_threads(monkeypatch)
-    run_graph(g, Budget(1 << 30), threads=2, tmpdir=tmp_path)
+    p, _ = run_graph(gauss_graph(tmp_path, out="o2"), Budget(1 << 30), threads=2,
+                     tmpdir=tmp_path)
+    assert p.pooled == {"g"}
     assert names and all(n.startswith("stage-worker") for n in names)
     run_graph(gauss_graph(tmp_path, out="o1"), Budget(1 << 30), tmpdir=tmp_path)
     assert np.array_equal(sio.read_volume(tmp_path / "o2"), sio.read_volume(tmp_path / "o1"))
 
 
+@pytest.mark.parametrize("sigma, n, pooled", [(0.8, 256, True), (1.5, 128, False)])
+def test_the_plan_pools_a_gaussian_by_its_counted_work(tmp_path, sigma, n, pooled):
+    """A gaussian counts 49 k_z taps per output voxel: sigma = 0.8 (k_z = 7)
+    at 256^2 comes to 65,536 x 343 = 22.5M >= INLINE_WORK, sigma = 1.5
+    (k_z = 11) at 128^2 to 16,384 x 539 = 8.8M, below it. Only a pooled
+    stage is charged the window step."""
+    meta = VolumeMeta(n, n, 12, U8)
+    write_input(tmp_path, meta, seed=50)
+    p = plan(gauss_graph(tmp_path, sigma=sigma), Budget(1 << 30), tmpdir=tmp_path,
+             grow_windows=False, concurrent=True)
+    assert p.pooled == ({"g"} if pooled else set())
+    assert p.ledger.queue_bytes == (2 * slice_bytes(meta) if pooled else 0)
+
+
+def _handed_to_the_pool(monkeypatch):
+    """The names of the stages a run hands to _ThreadHandoff."""
+    init, names = runtime._ThreadHandoff.__init__, []
+
+    def recording(self, name, *args):
+        names.append(name)
+        init(self, name, *args)
+
+    monkeypatch.setattr(runtime._ThreadHandoff, "__init__", recording)
+    return names
+
+
+def _load_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, pooled", [("denoise", set()), ("deep_small", set()),
+                                          ("midwrite_chunks", {"gaussian4"})])
+def test_threads_2_pools_exactly_the_planned_stages_of_each_workload(
+        tmp_path, monkeypatch, name, pooled):
+    """Each benchmark workload with its slices a quarter as wide and high,
+    so its budget, allowance and INLINE_WORK are cut 16x to plan the same
+    windows in slices and the same pool decisions. At threads 2 the run
+    hands exactly plan.pooled to _ThreadHandoff: denoise's calls are too
+    small (its sigma = 1.5 gaussian counts 539 taps), deep_small's kernels
+    make one call per sweep each, so its promise is its threads-1 promise,
+    and midwrite_chunks pools its gaussian. Every output equals threads 1."""
+    wl = _load_workloads(monkeypatch).WORKLOADS[name]
+    nx, ny, depth = wl.dims
+    meta = VolumeMeta(nx // 4, ny // 4, depth, U8)
+    write_input(tmp_path, meta, chunks=wl.chunks and (16, 16, wl.chunks[2]))
+    ops.Kernel3D.box(3).save(tmp_path / "box3.kernel")
+    body = [line.replace("chunks=64,64,", "chunks=16,16,") for line in wl.body]
+    text = "\n".join([f"source {cli.parse_bytes(wl.budget) // 16} B",
+                      *(line.format(inp=tmp_path / "in", out="{out}",
+                                    kernel=tmp_path / "box3.kernel") for line in body),
+                      "sink"]) + "\n"
+    eps = (wl.epsilon or Budget(1).overhead_epsilon) // 16
+    monkeypatch.setattr(planner, "INLINE_WORK", planner.INLINE_WORK // 16)
+    handed = _handed_to_the_pool(monkeypatch)
+    plans = {}
+    for threads in (1, 2):
+        graph, budget = cli.parse(text.replace("{out}", str(tmp_path / f"out{threads}")))
+        p = plan(graph, Budget(budget.cap, eps), tmpdir=tmp_path / f"mid{threads}",
+                 concurrent=threads > 1)
+        rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+        assert rep.within_budget and rep.leaked_slices == 0
+        plans[threads] = p
+    assert p.pooled == set(handed) == pooled
+    if name == "deep_small":
+        assert p.ledger.formula_peak == plans[1].ledger.formula_peak
+    assert np.array_equal(sio.read_volume(tmp_path / "out2"), sio.read_volume(tmp_path / "out1"))
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_a_serial_plan_runs_no_call_on_the_pool(tmp_path, monkeypatch, every_call_on_the_pool,
+                                                threads):
+    """A plan made without concurrent pools nothing, whatever the run's
+    thread count: every call runs on the pipeline thread, within the
+    promise, which charges no window step."""
+    write_input(tmp_path, VolumeMeta(16, 16, 20, U8), seed=51)
+    names, handed = _call_threads(monkeypatch), _handed_to_the_pool(monkeypatch)
+    p = plan(gauss_graph(tmp_path), Budget(1 << 30), tmpdir=tmp_path, grow_windows=False)
+    assert p.pooled == set() and p.ledger.queue_bytes == 0
+    rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert rep.within_budget and rep.leaked_slices == 0
+    assert not handed and names and set(names) == {threading.current_thread().name}
+
+
+def test_a_stage_of_one_call_per_sweep_is_never_pooled(tmp_path, monkeypatch,
+                                                       every_call_on_the_pool):
+    """A kernel stage whose window is its whole input makes one call per
+    sweep, which has nothing to overlap: it is not pooled and not charged
+    the window step, while a stage of more calls is."""
+    meta = VolumeMeta(16, 16, 20, U8)
+    write_input(tmp_path, meta, seed=52)
+    names = _call_threads(monkeypatch)
+    g = chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.8, w=20, name="g"),
+              ops.erode(1, w=5, name="e"), sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False, concurrent=True)
+    assert p.pooled == {"e"}
+    assert {row.name: row.step for row in p.ledger.rows if row.step} == {
+        "e": (3 + 3) * slice_bytes(meta)}
+    rep = execute_plan(p, threads=2, tmpdir=tmp_path)
+    assert rep.within_budget
+    assert names == [threading.current_thread().name]
+
+
 @pytest.fixture
 def every_call_on_the_pool(monkeypatch):
-    """Hand every kernel call at threads > 1 to the pool, however small."""
-    monkeypatch.setattr(runtime, "INLINE_WORK", 0)
+    """Plan every kernel stage that makes more than one call per sweep onto
+    the pool at threads > 1, however small its calls."""
+    monkeypatch.setattr(planner, "INLINE_WORK", 0)
 
 
 @pytest.mark.parametrize("case", ["kz", "grown", "tee_join", "shared"])
@@ -1251,18 +1361,17 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
     eps = 8
     budget = Budget(slices * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
     for threads in (1, 2):
-        p = plan(graph(f"out{threads}"), budget, tmpdir=d / f"mid{threads}",
-                 concurrent=threads > 1)
+        # at threads 2 the plan pools every kernel stage that makes more
+        # than one call per sweep, so both of its in-flight Scratches run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "INLINE_WORK", 0)
+            p = plan(graph(f"out{threads}"), budget, tmpdir=d / f"mid{threads}",
+                     concurrent=threads > 1)
         if p.verdict == "infeasible":
             with pytest.raises(PlanningError):
                 execute_plan(p, threads=threads, tmpdir=d)
             continue
-        # at threads 2 every kernel call goes to the pool, so both of a
-        # stage's in-flight Scratches run
-        with pytest.MonkeyPatch.context() as mp:
-            if threads > 1:
-                mp.setattr(runtime, "INLINE_WORK", 0)
-            rep = execute_plan(p, threads=threads, tmpdir=d)
+        rep = execute_plan(p, threads=threads, tmpdir=d)
         assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
         assert rep.leaked_slices == 0 and ALLOC.internal_bytes == 0
         assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
@@ -1313,18 +1422,17 @@ def test_generated_tee_join_graphs_keep_their_promises(tmp_path_factory, case):
     eps, sb = 8, slice_bytes(meta) * (4 if a == "box3" else 1)  # a branch's output slice
     budget = Budget(slices * sb + 6 * eps, eps)
     for threads in (1, 2):
-        p = plan(graph(f"out{threads}"), budget, tmpdir=d, concurrent=threads > 1)
-        with pytest.MonkeyPatch.context() as mp:
-            if threads > 1:  # every kernel call on the pool
-                mp.setattr(runtime, "INLINE_WORK", 0)
-            if p.verdict == "infeasible":
-                with pytest.raises(PlanningError):
-                    execute_plan(p, threads=threads, tmpdir=d)
-                assert not (d / f"out{threads}").exists()
-            else:
-                rep = execute_plan(p, threads=threads, tmpdir=d)
-                assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
-                assert rep.leaked_slices == 0 and ALLOC.internal_bytes == 0
-                assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
+        with pytest.MonkeyPatch.context() as mp:  # at threads 2, pool what may be
+            mp.setattr(planner, "INLINE_WORK", 0)
+            p = plan(graph(f"out{threads}"), budget, tmpdir=d, concurrent=threads > 1)
+        if p.verdict == "infeasible":
+            with pytest.raises(PlanningError):
+                execute_plan(p, threads=threads, tmpdir=d)
+            assert not (d / f"out{threads}").exists()
+        else:
+            rep = execute_plan(p, threads=threads, tmpdir=d)
+            assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
+            assert rep.leaked_slices == 0 and ALLOC.internal_bytes == 0
+            assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("stage-") and t.is_alive()]
