@@ -5,11 +5,11 @@ For each square slice size and each sigma (0.8, k_z = 7, and 1.5,
 k_z = 11) no deeper than --depth, a random u8 stack is streamed through read -> gaussian ->
 write at its declared window (one output per kernel call), and
 execute_plan runs --repeats times at each thread count, the counts
-interleaved. Each row gives the call's counted work (output voxels x
-the 49 k_z taps the gaussian's record counts), whether the plan pools
-the stage (planner.INLINE_WORK), and the median of each run's wall
-time, CPU time of all threads and voluntary context switches
-(getrusage), so the slice size from which kernel workers pay off stays
+interleaved. Each row gives the call's counted work
+(planner.call_work: output voxels x the taps the gaussian's record
+counts), whether the plan pools the stage (planner.INLINE_WORK), and
+the median of each run's wall time, CPU time of all threads and
+voluntary context switches (getrusage), so the slice size from which kernel workers pay off stays
 measurable. A stage the plan does not pool runs its calls inline at
 every thread count; to time the pool at any size, set
 planner.INLINE_WORK = 0 before calling run(), which plans.
@@ -24,15 +24,16 @@ from pathlib import Path
 
 from stackstream import io as sio, ops
 from stackstream.core import U8, Budget, VolumeMeta, chain
-from stackstream.planner import plan
+from stackstream.planner import call_work, plan, propagate_meta
 from stackstream.runtime import execute_plan
 
 SIGMAS = (0.8, 1.5)
 
 
 def run(d: Path, sigma: float, threads: int):
-    """(wall s, CPU s, voluntary context switches, pooled) of one
-    execute_plan, pooled telling whether the plan pools the gaussian."""
+    """(wall s, CPU s, voluntary context switches, work, pooled) of one
+    execute_plan: the gaussian's counted work per call, and whether the
+    plan pools it."""
     g = chain(sio.read_stage(d / "in"), ops.discrete_gaussian(sigma, name="g"),
               sio.write_stage(d / f"out{threads}"))
     p = plan(g, Budget(1 << 40), tmpdir=str(d), grow_windows=False,
@@ -41,7 +42,9 @@ def run(d: Path, sigma: float, threads: int):
     execute_plan(p, threads=threads, tmpdir=d)
     wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    return wall, cpu, after.ru_nvcsw - before.ru_nvcsw, "g" in p.pooled
+    seg = p.segments[0]
+    work = call_work(seg.node("g"), propagate_meta(seg, p.segment_metas[0])["g"][1])
+    return wall, cpu, after.ru_nvcsw - before.ru_nvcsw, work, "g" in p.pooled
 
 
 def main():
@@ -69,10 +72,9 @@ def main():
                     for t in counts:
                         runs[s, t].append(run(d, s, t))
         for s in sigmas:
-            work = n * n * 49 * (2 * ops.gaussian_radius(s) + 1)
             for t in counts:
-                wall, cpu, csw, _ = (statistics.median(col) for col in zip(*runs[s, t]))
-                pooled = "yes" if runs[s, t][0][3] else "no"
+                wall, cpu, csw = (statistics.median(col) for col in list(zip(*runs[s, t]))[:3])
+                work, pooled = runs[s, t][0][3], "yes" if runs[s, t][0][4] else "no"
                 print(f"{n:>5}{s:>7}{work:>12}{t:>9}{pooled:>8}{wall:>10.3f}{cpu:>10.3f}"
                       f"{csw:>10.0f}")
 

@@ -202,16 +202,20 @@ class RepairAction:
 INLINE_WORK = 1 << 24
 
 
+def call_work(stage: PlanStage, out_meta: VolumeMeta) -> int:
+    """One kernel call's work: its output voxels x the taps its record
+    counts per output voxel (its kernel's taps unless the record says)."""
+    rec = ops.record(stage)
+    taps = rec.taps(stage) if rec.taps else math.prod(rec.kernel_dims(stage))
+    return (stage.w - stage.k_z + 1) * out_meta.nx * out_meta.ny * taps
+
+
 def _pools(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta) -> bool:
     """Whether a concurrent run hands a kernel stage's calls to the pool:
     it makes more than one call per sweep (w below its input depth), as a
-    single call has nothing to overlap, and each call comes to at least
-    INLINE_WORK output voxels x the taps its record counts."""
-    rec = ops.record(stage)
-    taps = rec.taps(stage) if rec.taps else math.prod(rec.kernel_dims(stage))
-    outputs = stage.w - stage.k_z + 1
-    return (stage.w < in_meta.depth
-            and outputs * out_meta.nx * out_meta.ny * taps >= INLINE_WORK)
+    single call has nothing to overlap, and each call_work is at least
+    INLINE_WORK."""
+    return stage.w < in_meta.depth and call_work(stage, out_meta) >= INLINE_WORK
 
 
 def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
@@ -540,7 +544,10 @@ class Plan:
     @property
     def pooled(self) -> frozenset:
         """The stages whose calls a run at threads > 1 hands to the pool,
-        one window ahead: those the ledger charges the window step."""
+        one window ahead: those the final ledger charges the window step.
+        An infeasible plan keeps the solve's reservation and pools none."""
+        if self.verdict == "infeasible":
+            return frozenset()
         return frozenset(row.name for row in self.ledger.rows if row.step)
 
     @property

@@ -611,6 +611,16 @@ def test_plan_infeasible_verdict():
     assert "violating" in "\n".join(p.ledger.notes)
 
 
+def test_infeasible_concurrent_plan_pools_nothing(tmp_path):
+    # the gaussian's one call per sweep keeps the solve's window step in the
+    # infeasible ledger, which the run would refuse; the plan pools none
+    g = chain(mk_read(META64), ops.discrete_gaussian(0.8, w=64, name="g"), mk_write())
+    p = plan(g, Budget(SB, 1024), tmpdir=tmp_path, grow_windows=False, concurrent=True)
+    assert p.verdict == "infeasible"
+    assert any(row.step for row in p.ledger.rows)
+    assert p.pooled == frozenset()
+
+
 def test_plan_resizes_each_declared_window_once(tmp_path):
     # declared w = 8 overflows and the minima fit: the grow step takes each
     # window from its declared size straight to its grown one

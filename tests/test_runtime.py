@@ -862,7 +862,8 @@ def test_close_mid_sweep_releases_everything(tmp_path, case, threads):
     write_input(tmp_path, meta, seed=33)
     p = plan(_close_case(tmp_path, case), Budget(1 << 30), tmpdir=tmp_path,
              grow_windows=False, concurrent=threads > 1)
-    ctx = RunContext(tmpdir=tmp_path, threads=threads)
+    ctx = RunContext(tmpdir=tmp_path, threads=threads,
+                     pooled=p.pooled if threads > 1 else frozenset())
     steppers = _build_segment(p.segments[0], ctx)
     try:
         next(steppers[0])  # the sink takes the stage's first output
@@ -1197,8 +1198,12 @@ def test_pool_workers_never_exceed_threads(tmp_path, monkeypatch, every_call_on_
 
 
 @pytest.mark.parametrize("case", ["kernel", "shared"])
-def test_pool_close_mid_sweep_releases_everything(tmp_path, every_call_on_the_pool, case):
+def test_pool_close_mid_sweep_releases_everything(tmp_path, monkeypatch, every_call_on_the_pool,
+                                                  case):
+    # the median is pooled; a shared-window group runs inline
+    handed = _handed_to_the_pool(monkeypatch)
     test_close_mid_sweep_releases_everything(tmp_path, case, threads=2)
+    assert handed == (["op"] if case == "kernel" else [])
 
 
 def test_pool_failing_call_raises_stage_error_and_releases_everything(
