@@ -9,9 +9,13 @@ given number of stages over a 64x64 u8 stack, two ways:
 - split: a budget of --split-slices slices and no per-stage allowance,
   so the chain splits at mid-writes, each segment growing into its rest.
 
-The table gives the median wall time of --repeats plan calls and the
+Each threshold after an erode folds into it (planner.fuse_pointwise), so
+a plan prices only about half the chain's stages: the `fused` column is
+the stage count after fusion, mid-writes and mid-reads not included. The
+table gives it, the median wall time of --repeats plan calls and the
 number of planner.estimate_stage calls one plan makes. Work that grows
-linearly in the stage count doubles its calls when the chain doubles.
+linearly in the stage count doubles its calls when the fused chain
+doubles.
 """
 
 import argparse
@@ -30,7 +34,8 @@ def build(stages: int, meta: VolumeMeta):
 
 
 def measure(stages: int, meta: VolumeMeta, budget: Budget, repeats: int):
-    """(median plan seconds, estimate_stage calls per plan, segments)."""
+    """(median plan seconds, estimate_stage calls per plan, stages after
+    fusion, segments)."""
     real = planner.estimate_stage
     calls = 0
 
@@ -50,7 +55,8 @@ def measure(stages: int, meta: VolumeMeta, budget: Budget, repeats: int):
         t0 = time.perf_counter()
         planner.plan(g, budget, tmpdir="unused")
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), calls, len(p.segments)
+    fused = stages - sum(a.kind == "fuse" for a in p.actions)
+    return statistics.median(times), calls, fused, len(p.segments)
 
 
 def main():
@@ -65,14 +71,15 @@ def main():
     args = ap.parse_args()
 
     meta = VolumeMeta(64, 64, args.depth, U8)
-    print(f"{'chain':<6} {'stages':>6} {'plan ms':>10} {'estimate_stage':>15} "
-          f"{'segments':>9}")
+    print(f"{'chain':<6} {'stages':>6} {'fused':>6} {'plan ms':>10} "
+          f"{'estimate_stage':>15} {'segments':>9}")
     for n in (int(v) for v in args.stages.split(",")):
         plain = Budget(1 << 40)
         split = Budget(args.split_slices * slice_bytes(meta), 0)
         for label, budget in (("plain", plain), ("split", split)):
-            s, calls, segments = measure(n, meta, budget, args.repeats)
-            print(f"{label:<6} {n:>6} {s * 1e3:>10.2f} {calls:>15} {segments:>9}")
+            s, calls, fused, segments = measure(n, meta, budget, args.repeats)
+            print(f"{label:<6} {n:>6} {fused:>6} {s * 1e3:>10.2f} {calls:>15} "
+                  f"{segments:>9}")
 
 
 if __name__ == "__main__":

@@ -344,25 +344,26 @@ def open_slice_stream(directory, grid: Optional[ChunkGrid] = None) -> Stream:
     counters = {"opens": 0}
 
     def gen():
-        for iz in range(grid.gz):
-            dz = min(grid.cz, grid.meta.depth - iz * grid.cz)
-            with ExitStack() as layer:
-                layer.enter_context(_holding(len(planes)))
-                files = []
-                for k, (_, _, _, nbytes) in enumerate(planes):
-                    path = os.path.join(directory, grid.chunk_file(iz * len(planes) + k))
-                    _check_size(path, dz * nbytes)
-                    files.append((path, layer.enter_context(open(path, "rb"))))
-                    counters["opens"] += 1
-                for _ in range(dz):
-                    arr = np.empty((smeta.ny, smeta.nx), dtype=dtype)
-                    for (path, fh), (ys, xs, shape, nbytes) in zip(files, planes):
-                        data = fh.read(nbytes)
-                        if len(data) != nbytes:
-                            raise IOError(f"{path}: a plane of {nbytes} bytes ends "
-                                          f"after {len(data)}")
-                        arr[ys, xs] = np.frombuffer(data, dtype=dtype).reshape(shape)
-                    yield ALLOC.new_slice(smeta, data=arr)
+        # one layer's files are open at a time, as many in every layer
+        with _holding(len(planes)):
+            for iz in range(grid.gz):
+                dz = min(grid.cz, grid.meta.depth - iz * grid.cz)
+                with ExitStack() as layer:
+                    files = []
+                    for k, (_, _, _, nbytes) in enumerate(planes):
+                        path = os.path.join(directory, grid.chunk_file(iz * len(planes) + k))
+                        _check_size(path, dz * nbytes)
+                        files.append((path, layer.enter_context(open(path, "rb"))))
+                        counters["opens"] += 1
+                    for _ in range(dz):
+                        arr = np.empty((smeta.ny, smeta.nx), dtype=dtype)
+                        for (path, fh), (ys, xs, shape, nbytes) in zip(files, planes):
+                            data = fh.read(nbytes)
+                            if len(data) != nbytes:
+                                raise IOError(f"{path}: a plane of {nbytes} bytes ends "
+                                              f"after {len(data)}")
+                            arr[ys, xs] = np.frombuffer(data, dtype=dtype).reshape(shape)
+                        yield ALLOC.new_slice(smeta, data=arr)
 
     s = Stream(gen(), meta=smeta, depth=grid.meta.depth, name=f"read {directory}")
     s.counters = counters
@@ -389,7 +390,9 @@ def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
     planes = [box[1:] for _, box in grid.boxes(iz=0)]
     written = 0
     # the layer's files close before the creator unlinks unfilled ones
-    with _FileCreator(directory, grid.chunk_file, grid.chunk_count) as files, \
+    # one layer's files are open at a time, as many in every layer
+    with _holding(len(planes)), \
+            _FileCreator(directory, grid.chunk_file, grid.chunk_count) as files, \
             ExitStack() as sink:
         while (sl := src.pull()) is not None:
             try:
@@ -397,7 +400,6 @@ def write_chunks_steps(src: Stream, directory, grid: ChunkGrid):
                     sink.close()
                     stop = (written // grid.cz + 1) * len(planes)
                     files.wait(stop)
-                    sink.enter_context(_holding(len(planes)))
                     held = [sink.enter_context(FileIO(directory / grid.chunk_file(i), "a"))
                             for i in range(stop - len(planes), stop)]
                 for fh, (ys, xs) in zip(held, planes):

@@ -1092,10 +1092,11 @@ class OpKind:
     scratch=, cast=) gives the output arrays of the window-relative
     centers lo..hi, taking its workspaces from the stage's Scratch and
     passing each output through cast, which gives it in the stage's
-    dtype, as soon as it is made. kernel_dims(stage) is a kernel's
-    (kx, ky, kz): a stage with kernel taps may share a tee's window, and
-    the plan may put its calls on the run's pool, charging it the
-    concurrent queue allowance. taps(stage) is the work per output voxel
+    dtype, as soon as it is made and in z order. kernel_dims(stage) is a kernel's
+    (kx, ky, kz): a stage with kernel taps may share a tee's window, takes
+    in the pointwise stages after it (planner.fuse_pointwise), and the plan
+    may put its calls on the run's pool, charging it the concurrent queue
+    allowance. taps(stage) is the work per output voxel
     that decision counts (planner.INLINE_WORK), every kernel tap when
     unset. spec holds the kind's keywords, and a
     stage prints back as the first whose show gives a line: a read or a

@@ -6,12 +6,15 @@ explicit sharing credits from shared-window branch groups. A plan fits
 when each of its segments does: its additive peak plus one fixed overhead
 allowance per stage stays inside the budget.
 
-`plan` is one pass. A pipeline over budget is repaired in this order, each
-step only while it still overflows: tee branches share one window, tunable
-windows drop to their minima, and a chain splits at mid-write checkpoints
-that spill an intermediate volume to disk and read it back. Then every
-segment's windows grow into the budget left. A caller that keeps the
-declared windows skips the minima and the growth.
+`plan` is one pass. It first folds each pointwise stage that follows a
+kernel stage into that kernel (`fuse_pointwise`), on any budget, so every
+later step sees the fused graph and no mid-write cuts between a kernel
+and its folded stages. A pipeline over budget is then repaired in this
+order, each step only while it still overflows: tee branches share one
+window, tunable windows drop to their minima, and a chain splits at
+mid-write checkpoints that spill an intermediate volume to disk and read
+it back. Then every segment's windows grow into the budget left. A caller
+that keeps the declared windows skips the minima and the growth.
 
 The plan also decides how each stage runs. In a plan made for a
 concurrent run, a kernel stage whose calls pay for a handoff (`_pools`)
@@ -177,13 +180,17 @@ class MemoryLedger:
 
 @dataclass(frozen=True)
 class RepairAction:
-    """One semantics-preserving plan rewrite."""
+    """One semantics-preserving plan rewrite: a pointwise stage folded into
+    the kernel before it (fuse), a mid-write split, a window grown from its
+    declared size (window_resize) or tee branches sharing one window."""
 
-    kind: str   # midwrite | window_resize | share_window
+    kind: str   # fuse | midwrite | window_resize | share_window
     detail: dict
 
     def line(self) -> str:
         d = self.detail
+        if self.kind == "fuse":
+            return f"fuse stage={d['stage']} into={d['into']}"
         if self.kind == "midwrite":
             extra = f" extra_io={d['bytes']} B" if "bytes" in d else ""
             return f"midwrite after {d['after']} path={d['path']}{extra}"
@@ -331,6 +338,40 @@ def fuse_convolutions(first: Kernel3D, second: Kernel3D) -> Kernel3D:
                 if a[z, y, x] != 0.0:
                     out[z:z + bz, y:y + by, x:x + bx] += a[z, y, x] * b
     return Kernel3D(out)
+
+
+def fuse_pointwise(graph: PipelineGraph):
+    """Fold each pointwise stage whose one producer is a kernel stage into
+    that kernel: the kernel's params carry the folded stages as `post`,
+    (name, fn) pairs in stream order, which the runtime applies to each
+    output after its cast, so each output is the one the stage would have
+    made. Only a tee feeds two stages, so the kernel feeds nothing else.
+    One walk in topological order folds a run of pointwise stages after a
+    kernel in turn. Returns (graph, fuse actions); the graph is the one
+    given, not a copy, when nothing folds.
+    """
+    into = {}  # folded stage -> the kernel stage it folds into
+    for stage in graph.topo_order():
+        if stage.op_kind != "pointwise":
+            continue
+        (pred,) = graph.predecessors(stage.name)  # as ops.check_roles holds it
+        kernel = into.get(pred, pred)
+        if ops.record(graph.node(kernel)).kernel_dims:
+            into[stage.name] = kernel
+    if not into:
+        return graph, []
+    fused = {}
+    for name, kernel in into.items():
+        if kernel not in fused:
+            fused[kernel] = copy.copy(graph.node(kernel))
+            fused[kernel].params = dict(fused[kernel].params)
+        params = fused[kernel].params
+        params["post"] = params.get("post", ()) + ((name, graph.node(name).params["fn"]),)
+    nodes = [fused.get(st.name, st) for st in graph.nodes if st.name not in into]
+    edges = [(into.get(a, a), b) for a, b in graph.edges if b not in into]
+    actions = [RepairAction("fuse", {"stage": name, "into": kernel})
+               for name, kernel in into.items()]
+    return PipelineGraph(nodes, edges, shared_windows=list(graph.shared_windows)), actions
 
 
 def share_windows(graph: PipelineGraph, group):
@@ -570,6 +611,12 @@ def plan(graph: PipelineGraph, budget: Budget, tmpdir: str = ".",
     that starts at no read or ends in no sink) is refused first, before
     any split, directory or voxel. The geometry is the source read's.
 
+    Then, on any budget, each pointwise stage whose one producer is a
+    kernel stage folds into it (fuse_pointwise), with a fuse action each,
+    and every step below plans the fused graph. A pointwise stage after a
+    read, a tee, a join, a crop, a pad, a permute or an unfused pointwise
+    stage stays a stage of its own.
+
     Repair order, each step only while the plan still overflows: share
     branch windows, take every tunable window at its minimum (with
     grow_windows off, keep the declared windows), then split the chain
@@ -589,8 +636,8 @@ def plan(graph: PipelineGraph, budget: Budget, tmpdir: str = ".",
     """
     graph.validate()
     ops.check_roles(graph)
+    graph, actions = fuse_pointwise(graph)
     meta = graph.source().params["meta"]
-    actions = []
     led = estimate_pipeline(graph, meta, budget, concurrent)
     verdict = "fits"
     segments = [graph]

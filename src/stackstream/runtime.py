@@ -122,24 +122,44 @@ def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
     starting at z = t, skipping centers an earlier call produced, and last
     tells whether it reaches the output depth. Each window has a new center
     (windowed_positions' final "full" window, _shared_windows' t = d - w).
-    The kernel casts each output itself, rounding its workspace in place.
-    A failure that is not the engine's own is raised as a StageError naming
-    the stage and the z of the call's first output."""
+    The kernel casts each output itself, rounding its workspace in place,
+    and then applies the pointwise stages the plan folded into it (its
+    params' post), each with its own cast, so each output is the array the
+    separate stages would have made. A failure that is not the engine's
+    own is raised as a StageError naming the stage and the z of the call's
+    first output, or a folded stage and the z of the output it was given."""
     window = ops.record(stage).window
     hi = w - stage.k_z
+    dtype = out_v.dtype
+    post = stage.params.get("post", ())
     next_out = 0
 
     def cast(arr):
-        return _cast_array(arr, out_v.dtype, in_place=True)
+        return _cast_array(arr, dtype, in_place=True)
 
     def call_at(t, win):
         nonlocal next_out
         lo = max(t, next_out) - t
         next_out = t + hi + 1
+        z = t + lo  # the output cast_post is given next, as they come in z order
+
+        def cast_post(arr):
+            nonlocal z
+            out = cast(arr)
+            for name, fn in post:
+                try:
+                    out = cast(fn(out, dtype))
+                except EngineError:
+                    raise
+                except Exception as exc:
+                    raise StageError(name, z, exc) from exc
+            z += 1
+            return out
 
         def call(scratch):
             try:
-                return window(stage, win, lo, hi, scratch=scratch, cast=cast)
+                return window(stage, win, lo, hi, scratch=scratch,
+                              cast=cast_post if post else cast)
             except EngineError:
                 raise
             except Exception as exc:
@@ -503,12 +523,6 @@ def _builder(stage: PlanStage) -> Callable:
         raise PlanningError(f"stage {stage.name!r}: op kind {stage.op_kind!r} "
                             "has no stream builder")
     return build
-
-
-def stage_stream(stage: PlanStage, upstream: Stream, in_meta: VolumeMeta,
-                 out_v: VolumeMeta, ctx: RunContext) -> Stream:
-    """The stream transformer for one mid-pipeline stage."""
-    return _builder(stage)(stage, [upstream], in_meta, out_v, ctx)
 
 
 # ---------------------------------------------------------------------------

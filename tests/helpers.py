@@ -4,7 +4,7 @@ import numpy as np
 
 from stackstream import stream as st
 from stackstream.core import ALLOC, VolumeMeta, release
-from stackstream.runtime import RunContext, stage_stream
+from stackstream.runtime import RunContext, _builder
 from stackstream import ops
 
 
@@ -32,6 +32,12 @@ def drain(stream) -> np.ndarray:
     finally:
         stream.close()
     return np.stack(planes) if planes else np.empty((0, 0, 0))
+
+
+def stage_stream(stage, upstream: st.Stream, in_meta: VolumeMeta, out_v: VolumeMeta,
+                 ctx: RunContext) -> st.Stream:
+    """The stream transformer the runtime builds for one mid-pipeline stage."""
+    return _builder(stage)(stage, [upstream], in_meta, out_v, ctx)
 
 
 def apply_stage(stage, vol: np.ndarray, meta: VolumeMeta, tmpdir=".") -> np.ndarray:

@@ -551,3 +551,26 @@ def test_a_layer_wider_than_the_open_file_limit(tmp_path, mode, layers, hard):
     else:
         want = vol + vol if mode == "zip" else vol
         assert res.stdout.split() == ["read", str(need), want.tobytes().hex()]
+
+
+def test_a_sweep_counts_its_held_files_once(tmp_path, monkeypatch):
+    """A reader and a writer each count the files of a layer once per
+    sweep, not once per layer, as one layer's files are open at a time and
+    every layer has as many: a read -> threshold -> write run over a
+    64-slice stack, whose layers are one file each, asks for the open file
+    limit twice."""
+    from stackstream import ops
+    from stackstream.core import Budget, chain
+    from stackstream.runtime import run_graph
+
+    meta = VolumeMeta(8, 8, 64, U8)
+    vol = sio.synth_volume(meta, "random", seed=22)
+    sio.write_volume(tmp_path / "in", vol, "u8")
+    calls = []
+    real = resource.getrlimit
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (calls.append(which), real(which))[1])
+    run_graph(chain(sio.read_stage(tmp_path / "in"), ops.threshold(100),
+                    sio.write_stage(tmp_path / "out")), Budget(1 << 30), tmpdir=tmp_path)
+    assert calls == [resource.RLIMIT_NOFILE] * 2
+    assert np.array_equal(sio.read_volume(tmp_path / "out"), (vol >= 100) * np.uint8(255))

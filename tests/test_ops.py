@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 import oracles
-from helpers import apply_stage, vol_stream
+from helpers import apply_stage, stage_stream, vol_stream
 from stackstream import io as sio, ops, planner, runtime, stream as st
 from stackstream.core import (ALLOC, F32, U8, U16, Budget, PlanningError, VolumeMeta,
                               chain, release)
 from stackstream.io import synth_volume
 from stackstream.planner import fuse_convolutions, plan
-from stackstream.runtime import RunContext, execute_plan, stage_stream
+from stackstream.runtime import RunContext, execute_plan
 
 
 def rand_vol(meta, seed):

@@ -452,6 +452,30 @@ def test_window_solve_raises_when_ledger_is_not_affine(monkeypatch):
         optimize_windows(g, meta, budget_slices(20, meta, stages=1))
 
 
+def test_fuse_pointwise_folds_only_what_follows_a_kernel():
+    """A run of pointwise stages after a kernel folds into it, in stream
+    order; one after a read, a crop, a tee or the join stays. The graph
+    given is never changed, and comes back as it is when nothing folds."""
+    meta = VolumeMeta(8, 8, 12, U8)
+    g = tee_graph([mk_read(meta), ops.threshold(9, name="t0"),
+                   ops.crop((0, 0, 0, 8, 8, 12), name="c"), ops.square(name="q0"),
+                   ops.tee(name="t")],
+                  [[ops.square(name="q1")],
+                   [ops.erode(1, name="e"), ops.threshold(5, name="t1"),
+                    ops.square(name="q2")]],
+                  ops.add_join(name="j"), [ops.square(name="q3"), mk_write()])
+    fused, actions = planner.fuse_pointwise(g)
+    assert [a.line() for a in actions] == ["fuse stage=t1 into=e", "fuse stage=q2 into=e"]
+    assert [st.name for st in fused.topo_order()] == \
+        ["read", "t0", "c", "q0", "t", "q1", "e", "j", "q3", "write"]
+    assert fused.predecessors("j") == ("q1", "e")
+    assert [name for name, _ in fused.node("e").params["post"]] == ["t1", "q2"]
+    assert "post" not in g.node("e").params and len(g.nodes) == 12
+    kept = chain(mk_read(meta), ops.threshold(9), ops.erode(1), mk_write())
+    same, none = planner.fuse_pointwise(kept)
+    assert same is kept and none == []
+
+
 def test_deep_chain_plans_in_linear_ledger_calls(monkeypatch):
     depth = 2048
     meta = VolumeMeta(64, 64, depth, U8)
@@ -468,12 +492,15 @@ def test_deep_chain_plans_in_linear_ledger_calls(monkeypatch):
 
     monkeypatch.setattr(planner, "estimate_pipeline", counting)
     p = plan(g, Budget(1 << 40))
-    tunables = sum(ops.record(st).tunable for st in g.nodes)
-    assert tunables == 9
+    # t0 and sq fold into d0, and t1 into m
+    fused = p.segments[0]
+    tunables = sum(ops.record(st).tunable for st in fused.nodes)
+    assert tunables == 6
     assert calls["n"] <= 2 * tunables + 4  # the stepping greedy made 20,396
     # 1 TiB holds every window at its input depth
-    assert [st.w for st in p.segments[0].topo_order()] == \
-        [2048, 2048, 2046, 2044, 2044, 2044, 2038, 2036, 2036, 1]
+    assert [(st.name, st.w) for st in fused.topo_order()] == \
+        [("read", 2048), ("e0", 2048), ("d0", 2046), ("g", 2044), ("m", 2038),
+         ("e1", 2036), ("write", 1)]
 
 
 def test_planning_work_grows_linearly(monkeypatch):
@@ -491,12 +518,16 @@ def test_planning_work_grows_linearly(monkeypatch):
     budget = Budget(1 << 40)
     counts = {}
     for n in (32, 128):
-        body = [ops.erode(1, name=f"e{i}") if i % 16 == 15 else
-                ops.threshold(100, name=f"t{i}") for i in range(n - 2)]
+        # the erodes come last, so that no threshold follows a kernel and
+        # folds into it: the plan keeps all n stages
+        kernels = (n - 2) // 16
+        body = ([ops.threshold(100, name=f"t{i}") for i in range(n - 2 - kernels)]
+                + [ops.erode(1, name=f"e{i}") for i in range(kernels)])
         g = chain(mk_read(meta), *body, mk_write())
         calls["n"] = 0
         p = plan(g, budget)
         counts[n] = calls["n"]
+        assert len(p.segments[0].nodes) == n
         want, _ = greedy_windows(g, meta, budget)
         assert [(st.name, st.w, st.s) for st in p.segments[0].nodes] == \
             [(st.name, st.w, st.s) for st in want.nodes]
@@ -523,10 +554,13 @@ def test_a_plan_that_fits_builds_one_ledger_and_walks_the_graph_three_times(
                    mk_write()])
     p = plan(g, Budget(64 * slice_bytes(meta), 1024), concurrent=concurrent)
     assert p.verdict == "fits" and p.actions
-    tunables = sum(ops.record(st).tunable for st in g.nodes)
-    assert (len(g.nodes), tunables) == (8, 5)
+    assert p.actions[0].line() == "fuse stage=p into=g"
+    # the plan prices the fused graph, whose gaussian carries the threshold
+    fused = p.segments[0]
+    tunables = sum(ops.record(st).tunable for st in fused.nodes)
+    assert (len(fused.nodes), tunables) == (7, 4)
     assert calls == {"estimate_pipeline": 1, "propagate_meta": 3,
-                     "estimate_stage": 4 * 8 + 2 * 5}
+                     "estimate_stage": 4 * 7 + 2 * 4}
 
 
 @hst.composite

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 import oracles
-from helpers import measure_peak
+from helpers import apply_stage, measure_peak
 from stackstream import cli, io as sio, ops, planner, runtime, stream as st
 from stackstream.core import (ALLOC, F32, U8, Budget, PlanningError, PlanStage,
                               StageError, VolumeMeta, chain, slice_bytes, tee_graph)
@@ -580,15 +580,16 @@ def test_threaded_midwrite_plan_respects_concurrent_ledger(tmp_path):
 def test_a_write_holds_one_slice(tmp_path, sink, roomy):
     # a write keeps w = 1 on any budget, and its row is the one slice it
     # holds, of any layout; the tight budget splits the chain, so the
-    # mid-write is checked too
+    # mid-write is checked too. f1 folds into g, so the split falls after
+    # f0: a mid-write after g would hold as much as the write does.
     meta = VolumeMeta(16, 16, 12, U8)
     write_input(tmp_path, meta, seed=47)
     out = (sio.write_chunks_stage(tmp_path / "out", chunks=(8, 8, 4))
            if sink == "writeInChunks" else sio.write_stage(tmp_path / "out"))
-    g = chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.8, name="g"),
-              ops.square(name="f0"), ops.square(name="f1"), out)
+    g = chain(sio.read_stage(tmp_path / "in"), ops.square(name="f0"),
+              ops.discrete_gaussian(0.8, name="g"), ops.square(name="f1"), out)
     eps = 256
-    cap = 1 << 40 if roomy else 11 * slice_bytes(meta) + 6 * eps + 1
+    cap = 1 << 40 if roomy else 11 * slice_bytes(meta) + 4 * eps + 1
     p = plan(g, Budget(cap, eps), tmpdir=tmp_path)
     writes = {st.name: st for seg in p.segments for st in seg.nodes if st.op_kind == "write"}
     assert sorted(writes) == ([out.name] if roomy else ["midwrite0", out.name])
@@ -819,6 +820,39 @@ def test_failing_kernel_raises_stage_error_at_its_first_output(tmp_path, monkeyp
     assert ALLOC.live_slices == 0
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_folded_stage_that_fails_is_named_with_its_output_z(tmp_path, monkeypatch,
+                                                              threads):
+    """A pointwise stage folded into the kernel before it still fails as
+    itself, on the pipeline thread and on a pool worker alike: the
+    StageError names it and the z of the output it was given."""
+    meta = VolumeMeta(8, 8, 16, U8)
+    # slice z is all 10 z, so the median's output z is all 10 (z + 1)
+    ramp = np.arange(0, 160, 10, dtype=np.uint8)
+    sio.write_volume(tmp_path / "in", np.broadcast_to(ramp[:, None, None], (16, 8, 8)), U8)
+
+    def bad(arr, dtype):
+        if arr[0, 0] == 60:
+            raise RuntimeError("injected")
+        return arr
+
+    monkeypatch.setattr(planner, "INLINE_WORK", 0)
+    # w = 6 and k_z = 3: each call computes four outputs
+    g = chain(sio.read_stage(tmp_path / "in"), ops.median_filter(1, w=6, name="m"),
+              ops.pointwise(bad, name="bad"), ops.square(name="sq"),
+              sio.write_stage(tmp_path / "out"))
+    p = plan(g, Budget(1 << 30), tmpdir=tmp_path, grow_windows=False,
+             concurrent=threads > 1)
+    assert [a.line() for a in p.actions] == ["fuse stage=bad into=m",
+                                             "fuse stage=sq into=m"]
+    assert p.pooled == ({"m"} if threads > 1 else set())
+    with pytest.raises(StageError) as ei:
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert (ei.value.stage, ei.value.index) == ("bad", 5)
+    assert isinstance(ei.value.cause, RuntimeError)
+    assert ALLOC.live_slices == 0
+
+
 def _close_case(d, case):
     """The case's graph. Per-slice stages and the join hold nothing of their
     own between pulls, so crop, permute_in_plane and zip_add feed a median
@@ -962,11 +996,14 @@ def test_repaired_midwrite_plan_bit_identical_at_threads_1_2_4(tmp_path):
 
     run_graph(graph("ref"), Budget(1 << 30), tmpdir=tmp_path)
     eps = 64
-    # whole, the chain needs 16 slices (20 with its calls one window ahead)
-    tight = Budget(15 * slice_bytes(meta) + 5 * eps + 1, eps)
+    # sq folds into g, and whole, the chain needs 14 slices (18 with its
+    # calls one window ahead)
+    tight = Budget(13 * slice_bytes(meta) + 4 * eps + 1, eps)
     for threads in (1, 2, 4):
         p = plan(graph(f"out{threads}"), tight, tmpdir=tmp_path, concurrent=threads > 1)
-        assert [a.kind for a in p.actions].count("midwrite") == 1
+        assert [a.line() for a in p.actions if a.kind != "window_resize"] == [
+            "fuse stage=sq into=g",
+            f"midwrite after g path={tmp_path / 'mid0'} extra_io={2 * 10 * 12 * 12} B"]
         rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
         assert rep.leaked_slices == 0
         assert rep.peak_bytes <= p.ledger.formula_peak + p.ledger.overhead
@@ -1002,6 +1039,43 @@ def test_shared_window_group_is_priced_inline(tmp_path, every_call_on_the_pool):
     # only the median after the join (w = 5, k_z = 3) computes one window ahead
     assert p.ledger.queue_bytes == (3 + 3) * slice_bytes(meta)
     assert p.pooled == {"m"}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_folded_stages_run_in_a_shared_window_and_on_the_pool(tmp_path, monkeypatch,
+                                                              threads):
+    """Pointwise stages after both members of a shared-window group and
+    after the median past the join fold into them, and the output equals
+    the unfused plan's, which runs each as a stage of its own. At threads
+    2 the median's calls, and its threshold, run on the pool. The halves
+    keep the join's sums below saturation."""
+    write_input(tmp_path, VolumeMeta(13, 11, 24, U8), seed=52)
+    monkeypatch.setattr(planner, "INLINE_WORK", 0)
+
+    def graph(out):
+        g = tee_graph([sio.read_stage(tmp_path / "in"), ops.tee(name="t")],
+                      [[ops.discrete_gaussian(0.3, name="a"),
+                        ops.pointwise(lambda arr, _: arr // 2, name="ha")],
+                       [ops.dilate(1, w=4, name="b"),
+                        ops.pointwise(lambda arr, _: arr // 2, name="hb")]],
+                      ops.add_join(name="j"),
+                      [ops.median_filter(1, w=5, name="m"), ops.threshold(160, name="tm"),
+                       sio.write_stage(tmp_path / out)])
+        return share_windows(g, ["a", "b"])[0]
+
+    p = plan(graph("out"), Budget(1 << 30), tmpdir=tmp_path, grow_windows=False,
+             concurrent=threads > 1)
+    assert [a.line() for a in p.actions] == [
+        "fuse stage=ha into=a", "fuse stage=hb into=b", "fuse stage=tm into=m"]
+    assert p.pooled == ({"m"} if threads > 1 else set())
+    rep = execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0 and rep.within_budget
+    monkeypatch.setattr(planner, "fuse_pointwise", lambda g: (g, []))
+    execute_plan(plan(graph("ref"), Budget(1 << 30), tmpdir=tmp_path, grow_windows=False),
+                 tmpdir=tmp_path)
+    out = sio.read_volume(tmp_path / "out")
+    assert 0 < np.count_nonzero(out) < out.size
+    assert np.array_equal(out, sio.read_volume(tmp_path / "ref"))
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -1093,17 +1167,11 @@ def _load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name, pooled", [("denoise", set()), ("deep_small", set()),
-                                          ("midwrite_chunks", {"gaussian4"})])
-def test_threads_2_pools_exactly_the_planned_stages_of_each_workload(
-        tmp_path, monkeypatch, name, pooled):
-    """Each benchmark workload with its slices a quarter as wide and high,
-    so its budget, allowance and INLINE_WORK are cut 16x to plan the same
-    windows in slices and the same pool decisions. At threads 2 the run
-    hands exactly plan.pooled to _ThreadHandoff: denoise's calls are too
-    small (its sigma = 1.5 gaussian counts 539 taps), deep_small's kernels
-    make one call per sweep each, so its promise is its threads-1 promise,
-    and midwrite_chunks pools its gaussian. Every output equals threads 1."""
+def _scaled_workload(tmp_path, monkeypatch, name):
+    """(spec text with {out} open, allowance) of a benchmark workload
+    with its slices a quarter as wide and high, its input written under
+    tmp_path: its budget, allowance and INLINE_WORK are cut 16x, so it
+    plans the same windows in slices and the same pool decisions."""
     wl = _load_workloads(monkeypatch).WORKLOADS[name]
     nx, ny, depth = wl.dims
     meta = VolumeMeta(nx // 4, ny // 4, depth, U8)
@@ -1114,8 +1182,21 @@ def test_threads_2_pools_exactly_the_planned_stages_of_each_workload(
                       *(line.format(inp=tmp_path / "in", out="{out}",
                                     kernel=tmp_path / "box3.kernel") for line in body),
                       "sink"]) + "\n"
-    eps = (wl.epsilon or Budget(1).overhead_epsilon) // 16
     monkeypatch.setattr(planner, "INLINE_WORK", planner.INLINE_WORK // 16)
+    return text, (wl.epsilon or Budget(1).overhead_epsilon) // 16
+
+
+@pytest.mark.parametrize("name, pooled", [("denoise", set()), ("deep_small", set()),
+                                          ("midwrite_chunks", {"gaussian4"})])
+def test_threads_2_pools_exactly_the_planned_stages_of_each_workload(
+        tmp_path, monkeypatch, name, pooled):
+    """Each benchmark workload, scaled down by _scaled_workload. At threads
+    2 the run hands exactly plan.pooled to _ThreadHandoff: denoise's calls
+    are too small (its sigma = 1.5 gaussian counts 539 taps), deep_small's
+    kernels make one call per sweep each, so its promise is its threads-1
+    promise, and midwrite_chunks pools its gaussian. Every output equals
+    threads 1."""
+    text, eps = _scaled_workload(tmp_path, monkeypatch, name)
     handed = _handed_to_the_pool(monkeypatch)
     plans = {}
     for threads in (1, 2):
@@ -1129,6 +1210,29 @@ def test_threads_2_pools_exactly_the_planned_stages_of_each_workload(
     if name == "deep_small":
         assert p.ledger.formula_peak == plans[1].ledger.formula_peak
     assert np.array_equal(sio.read_volume(tmp_path / "out2"), sio.read_volume(tmp_path / "out1"))
+
+
+@pytest.mark.parametrize("name", ["denoise", "deep_small", "midwrite_chunks"])
+def test_only_deep_small_folds_stages_into_its_kernels(tmp_path, monkeypatch, name):
+    """Each benchmark workload, scaled down by _scaled_workload. deep_small
+    folds its square into the dilate and its second threshold into the
+    gaussian, and their two rows leave its promise: 7,609 slices drop to
+    5,589, as on the full workload (31,166,464 -> 22,892,544 B). denoise
+    and midwrite_chunks have no pointwise stage after a kernel, so their
+    plans render as they do with fusion off."""
+    text, eps = _scaled_workload(tmp_path, monkeypatch, name)
+    graph, budget = cli.parse(text.replace("{out}", str(tmp_path / "out")))
+    p = plan(graph, Budget(budget.cap, eps), tmpdir=tmp_path / "mid")
+    monkeypatch.setattr(planner, "fuse_pointwise", lambda g: (g, []))
+    unfused = plan(graph, Budget(budget.cap, eps), tmpdir=tmp_path / "mid")
+    fuses = [a.line() for a in p.actions if a.kind == "fuse"]
+    if name != "deep_small":
+        assert fuses == [] and p.render() == unfused.render()
+        return
+    assert fuses == ["fuse stage=square5 into=dilate4",
+                     "fuse stage=threshold7 into=gaussian6"]
+    assert (unfused.ledger.peak_slices(), p.ledger.peak_slices()) == (7609, 5589)
+    assert len(p.ledger.rows) == len(unfused.ledger.rows) - 2
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -1359,10 +1463,12 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
                      sio.write_stage(d / out) if out_chunks is None
                      else sio.write_chunks_stage(d / out, chunks=out_chunks))
 
-    # the reference: declared windows, roomy budget, in order
-    execute_plan(plan(graph("ref"), Budget(1 << 40), tmpdir=d, grow_windows=False),
-                 tmpdir=d)
-    ref = sio.read_volume(d / "ref")
+    # the reference: each op on its own, in order, over the whole volume,
+    # so that a plan that folds a stage into its kernel meets the stage
+    ref, cur = sio.read_volume(d / "in"), meta
+    for i, k in enumerate(kinds):
+        stage = CHAIN_OPS[k](f"s{i}")
+        ref, cur = apply_stage(stage, ref, cur, tmpdir=d), ops.out_meta(stage, cur)
     eps = 8
     budget = Budget(slices * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
     for threads in (1, 2):

@@ -26,12 +26,13 @@ def test_tracer_wraps_every_seam_and_puts_each_back(tmp_path):
     sio.write_volume(tmp_path / "in", sio.synth_volume(meta, "random", seed=49), "u8")
 
     def graph(out):
-        return chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(0.8, name="g"),
-                     ops.square(name="f0"), ops.square(name="f1"),
+        return chain(sio.read_stage(tmp_path / "in"), ops.square(name="f0"),
+                     ops.discrete_gaussian(0.8, name="g"), ops.square(name="f1"),
                      sio.write_chunks_stage(tmp_path / out, chunks=(8, 8, 4), name="snk"))
 
     eps = 256
-    tight = Budget(11 * slice_bytes(meta) + 6 * eps + 1, eps)  # splits at a mid-write
+    # f1 folds into g, and the chain splits at a mid-write after f0
+    tight = Budget(11 * slice_bytes(meta) + 4 * eps + 1, eps)
     seams = [(runtime, "_write_steps"), (runtime, "_write_chunks_steps"),
              (runtime, "execute_plan"), (sio, "_atomic_write"), (ops, "gaussian_window"),
              (planner, "plan"), (planner, "optimize_windows"), (stream.Stream, "pull")]
