@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from helpers import drain, vol_stream
-from stackstream import io as sio
-from stackstream.core import ALLOC, F32, U8, U16, PlanningError, VolumeMeta, release
+from stackstream import io as sio, ops
+from stackstream.core import (ALLOC, F32, U8, U16, Budget, PlanningError, VolumeMeta, chain,
+                              release)
+from stackstream.runtime import run_graph
 
 
 @pytest.mark.parametrize("dtype", ["u8", "u16", "f32"])
@@ -559,10 +561,6 @@ def test_a_sweep_counts_its_held_files_once(tmp_path, monkeypatch):
     every layer has as many: a read -> threshold -> write run over a
     64-slice stack, whose layers are one file each, asks for the open file
     limit twice."""
-    from stackstream import ops
-    from stackstream.core import Budget, chain
-    from stackstream.runtime import run_graph
-
     meta = VolumeMeta(8, 8, 64, U8)
     vol = sio.synth_volume(meta, "random", seed=22)
     sio.write_volume(tmp_path / "in", vol, "u8")
