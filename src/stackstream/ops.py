@@ -200,7 +200,19 @@ class Histogram:
 # ---------------------------------------------------------------------------
 
 def apply_threshold(arr: np.ndarray, t, dtype: Dtype) -> np.ndarray:
-    out = (arr >= t).astype(arr.dtype)
+    """dtype's maximum where arr >= t, else 0. An integer slice compares in
+    its own dtype against ceil(t), as an integer is >= t just when it is
+    >= ceil(t), so the slice is not widened to float64 for a float t. A t
+    above the dtype's range, +inf or NaN (which compares false) gives 0s;
+    one at or below its least value, -inf too, keeps every voxel."""
+    if arr.dtype.kind == "f":
+        mask = arr >= t
+    else:
+        info = np.iinfo(arr.dtype)
+        if not t <= info.max:
+            return np.zeros_like(arr)
+        mask = arr >= arr.dtype.type(info.min if t <= info.min else math.ceil(t))
+    out = mask.astype(arr.dtype)
     out *= dtype.max_value
     return out
 
@@ -803,8 +815,17 @@ class _MorphRing(_SliceRing):
         return outs
 
 
-#: most bytes of one morph_window block, unless one output needs more
-MORPH_BLOCK_BYTES = 1 << 18
+#: the engine's one block: most bytes of input slices that one block of a
+#: window call reads, unless one output needs more (block_outputs)
+BLOCK_BYTES = 1 << 18
+
+
+def block_outputs(slice_bytes: int, k_z: int) -> int:
+    """Outputs per block of a k_z-deep window over slices of slice_bytes:
+    as many as BLOCK_BYTES of slices covers, and at least one. An inline
+    window call of more outputs runs block by block (runtime._kernel_outputs),
+    and erode and dilate chunk their outputs by it over padded slices."""
+    return max(1, BLOCK_BYTES // slice_bytes - k_z + 1)
 
 
 def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
@@ -830,7 +851,8 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
     dilate keep one rank, so a slice takes 4 calls and an output k_z - 1,
     made over a chunk of outputs at once. The median goes one output at a
     time, so the ring holds k_z slices; erode and dilate go in chunks of c,
-    as many as MORPH_BLOCK_BYTES of padded slices allows, over c + k_z - 1.
+    as many as one block of padded slices allows (block_outputs), over
+    c + k_z - 1.
     Milliseconds per output at w = k_z on a 2-vCPU Intel Xeon, slice fill
     and cast included (scripts/kernel_table.py, per-output networks and
     per-offset calls over strided views -> ring):
@@ -875,7 +897,7 @@ def morph_window(window, se: StructuringElement, op: str, lo: int, hi: int,
     data = window[0].data
     (ny, nx), dtype = data.shape, data.dtype
     padded = (ny + 2 * ry) * (nx + 2 * rx) * dtype.itemsize
-    chunk = max(1, min(hi - lo + 1, MORPH_BLOCK_BYTES // padded - kz + 1))
+    chunk = min(hi - lo + 1, block_outputs(padded, kz))
     outs = []
     if dtype.kind == "u":
         chunk = 1 if op == "median" else chunk

@@ -19,7 +19,10 @@ that keeps the declared windows skips the minima and the growth.
 The plan also decides how each stage runs. In a plan made for a
 concurrent run, a kernel stage whose calls pay for a handoff (`_pools`)
 computes one window ahead on the run's pool. Only those stages are
-charged the window step, and the runtime pools exactly them.
+charged the window step, and the runtime pools exactly them. Every other
+window stage outside a shared window runs its calls block by block, and
+the final ledger charges it what such a call holds (`_held`), where the
+solve and the split reserve the whole window.
 
 Planning is static: it consumes volume geometry only and never reads a
 voxel, so a plan is explainable before any I/O is spent.
@@ -225,6 +228,25 @@ def _pools(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta) -> bool:
     return stage.w < in_meta.depth and call_work(stage, out_meta) >= INLINE_WORK
 
 
+def _held(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
+          est: MemEstimate) -> MemEstimate:
+    """The most an inline window call holds as it runs block by block
+    (runtime._kernel_outputs), given its window estimate est: its
+    n = w - k_z + 1 outputs go in blocks of b = ops.block_outputs, and each
+    block's inputs that no later block reads go as it ends. At its first
+    block the call holds its w inputs and b outputs, at its last its n
+    outputs and at most b + k_z - 1 inputs, and at any block in between no
+    more than at one of the two. A call of one block (b >= n) holds what
+    est prices, w inputs and n outputs."""
+    sin = slice_bytes(in_meta)
+    n, b = stage.w - stage.k_z + 1, ops.block_outputs(sin, stage.k_z)
+    if n <= b:
+        return est
+    sout = slice_bytes(out_meta)
+    first, last = (stage.w * sin, b * sout), ((b + stage.k_z - 1) * sin, n * sout)
+    return MemEstimate(*max(first, last, key=sum))
+
+
 def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
           graph: PipelineGraph, concurrent: bool, final: bool = False):
     """One stage's ledger term: (estimate, credit, step).
@@ -237,6 +259,12 @@ def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
     buy none. Every other kernel stage buys it while windows are solved
     and split; the final ledger charges it only to the stages _pools
     sends to the pool, and the run pools just those.
+
+    The solve and the split price a window stage at its whole window, a
+    term affine in w. The final ledger charges a window stage that runs
+    inline outside a shared window what its call holds running block by
+    block (_held), which is that price when the call is one block: the
+    solve reserves, and the final ledger charges what the run holds.
     """
     est = estimate_stage(stage, in_meta)
     group = next((grp.members for grp in graph.shared_windows
@@ -246,6 +274,8 @@ def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
     if (concurrent and ops.record(stage).kernel_dims and not group
             and (not final or _pools(stage, in_meta, out_meta))):
         step = stage.s * (slice_bytes(in_meta) + slice_bytes(out_meta))
+    if final and not group and not step and ops.record(stage).window is not None:
+        est = _held(stage, in_meta, out_meta, est)
     return est, credit, step
 
 

@@ -8,7 +8,10 @@ one `FanOut`. Where a stage may stand is its `ops.OPS` record's to say,
 which the planner checks; the builder table says only how it streams. A
 segment is wired in one pass over its topological order, each stage
 built once from what its predecessors left for it. No stage buffers
-slices itself, so release-on-close lives in `stream` alone. A z-moving
+slices itself, so release-on-close lives in `stream` alone. An inline
+window call of more outputs than one block (ops.block_outputs) runs
+block by block, and between blocks releases the window's slices that no
+later block reads; map releases the rest once the outputs exist. A z-moving
 permute spills to a directory of its own under the run's tmpdir.
 Every stage runs on the calling thread; a sink with one file per slice or
 chunk creates its files ahead of it on one thread of its own (`io`). With
@@ -41,7 +44,8 @@ import numpy as np
 from . import io as sio
 from . import ops, stream as st
 from .core import (ALLOC, Budget, Dtype, EngineError, PipelineGraph,
-                   PlanStage, PlanningError, SliceMeta, StageError, VolumeMeta)
+                   PlanStage, PlanningError, SliceMeta, StageError, VolumeMeta,
+                   slice_bytes)
 from .planner import Plan, plan as make_plan, propagate_meta
 from .stream import Stream, release_element
 
@@ -117,17 +121,22 @@ def _per_slice(stage: PlanStage, src: Stream, out_v: VolumeMeta, step: Callable,
 
 
 def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
-    """call_at(t, win) -> (call, last), asked for in window order: call(scratch)
-    gives the output arrays of stage's kernel over the w-slice window
-    starting at z = t, skipping centers an earlier call produced, and last
-    tells whether it reaches the output depth. Each window has a new center
-    (windowed_positions' final "full" window, _shared_windows' t = d - w).
-    The kernel casts each output itself, rounding its workspace in place,
-    and then applies the pointwise stages the plan folded into it (its
-    params' post), each with its own cast, so each output is the array the
-    separate stages would have made. A failure that is not the engine's
-    own is raised as a StageError naming the stage and the z of the call's
-    first output, or a folded stage and the z of the output it was given."""
+    """call_at(t, win) -> (call, lo, last), asked for in window order:
+    call(scratch, first=lo, stop=hi) gives the output arrays of stage's
+    kernel for the centers first..stop of the w-slice window starting at
+    z = t, asked for in z order. lo is the first center no earlier call
+    produced, hi = w - k_z the window's last, and last tells whether the
+    call reaches the output depth. Centers count from the window's start
+    even after a caller has dropped its first entries between blocks
+    (_kernel_outputs): the window function is given what is left, so its
+    first slice is live. Each window has a new center (windowed_positions'
+    final "full" window, _shared_windows' t = d - w). The kernel casts
+    each output itself, rounding its workspace in place, and then applies
+    the pointwise stages the plan folded into it (its params' post), each
+    with its own cast, so each output is the array the separate stages
+    would have made. A failure that is not the engine's own is raised as a
+    StageError naming the stage and the z of the first output asked for,
+    or a folded stage and the z of the output it was given."""
     window = ops.record(stage).window
     hi = w - stage.k_z
     dtype = out_v.dtype
@@ -156,35 +165,57 @@ def _kernel_calls(stage: PlanStage, w: int, out_v: VolumeMeta) -> Callable:
             z += 1
             return out
 
-        def call(scratch):
+        def call(scratch, first=lo, stop=hi):
+            cut = w - len(win)  # the entries earlier blocks released
             try:
-                return window(stage, win, lo, hi, scratch=scratch,
+                return window(stage, win, first - cut, stop - cut, scratch=scratch,
                               cast=cast_post if post else cast)
             except EngineError:
                 raise
             except Exception as exc:
-                raise StageError(stage.name, t + lo, exc) from exc
+                raise StageError(stage.name, t + first, exc) from exc
 
-        return call, next_out == out_v.depth
+        return call, lo, next_out == out_v.depth
 
     return call_at
 
 
-def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta,
-                    ctx: RunContext) -> Callable:
+def _kernel_outputs(stage: PlanStage, w: int, out_v: VolumeMeta, ctx: RunContext,
+                    block: Optional[int] = None) -> Callable:
     """outputs(t, win): the new slices of the call at window t, computed on
     the calling thread. Every call works in the stage's one Scratch, which
-    the stage's last call or else the run closes."""
+    the stage's last call or else the run closes.
+
+    With block set, a call of more outputs than that runs block outputs at
+    a time, and each block's outputs become slices as it ends. Between
+    blocks the call releases the window's slices that no later block reads
+    and drops them from the window's list, so map releases only the rest:
+    the last block's inputs, once its outputs are slices. A call of one
+    block, or any call without block (a shared window, which other
+    branches read too), releases nothing itself."""
     scratch = ctx.track(ops.Scratch())
     call_at = _kernel_calls(stage, w, out_v)
     smeta = out_v.slice_meta
+    hi = w - stage.k_z
+    step = block or w
 
     def outputs(t, win):
-        call, last = call_at(t, win)
-        arrays = call(scratch)
+        call, lo, last = call_at(t, win)
+        made, gone = [], 0  # gone: the window's entries released so far
+        try:
+            for first in range(lo, hi + 1, step):
+                stop = min(first + step, hi + 1)
+                made += _slices(smeta, call(scratch, first, stop - 1))
+                if stop <= hi:  # later blocks read from the window's entry stop on
+                    release_element(win[:stop - gone])
+                    del win[:stop - gone]
+                    gone = stop
+        except BaseException:
+            release_element(made)
+            raise
         if last:
             scratch.close()
-        return _slices(smeta, arrays)
+        return made
 
     return outputs
 
@@ -194,7 +225,8 @@ def _kernel_stream(stage: PlanStage, src: Stream, in_meta: VolumeMeta,
     w = min(stage.w, in_meta.depth)
     windows = st.windowed_positions(w, w - stage.k_z + 1, src, "full")
     if stage.name not in ctx.pooled:
-        outputs = _kernel_outputs(stage, w, out_v, ctx)
+        block = ops.block_outputs(slice_bytes(in_meta), stage.k_z)
+        outputs = _kernel_outputs(stage, w, out_v, ctx, block)
         return _stage(stage, out_v, windows, lambda item: outputs(*item))
     handoff = _ThreadHandoff(stage.name, windows, _kernel_calls(stage, w, out_v), ctx)
     smeta = out_v.slice_meta

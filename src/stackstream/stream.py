@@ -13,7 +13,11 @@ queues of `FanOut`. Each of them releases what it holds when its stream
 is closed, so the runtime builds every stage from these functionals and
 keeps no buffer of its own. A window buffer also drops each slice before
 it yields the window that is the last to read it, so a stage's input is
-gone by the time its outputs flow downstream.
+gone by the time its outputs flow downstream. A yielded window is its
+consumer's: a kernel call that runs block by block releases the window's
+first slices as no later block reads them, and takes them out of the
+window's list, so map releases only what is left
+(runtime._kernel_outputs).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -90,6 +91,25 @@ def test_threshold_boundary():
     st = ops.threshold(100)
     assert np.all(apply_stage(st, v99, meta) == 0)
     assert np.all(apply_stage(ops.threshold(100), v100, meta) == 255)
+
+
+@pytest.mark.parametrize("dtype", [U8, U16])
+def test_integer_threshold_equals_the_float_compare(dtype):
+    """An integer slice compares in its own dtype against ceil(t): every
+    voxel value of u8, or a spread of u16's with both ends, against NaN,
+    +-inf, the halves from -0.5 to 65535.5, huge, tiny and 200 random t,
+    equals the float64 compare, in the slice's dtype."""
+    top = dtype.max_value
+    arr = np.unique(np.r_[0, top, np.linspace(0, top, 4096).astype(np.int64)])
+    arr = arr.astype(dtype.np_dtype).reshape(1, -1)
+    rng = np.random.default_rng(62)
+    ts = [math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, -5e-324, 0, -0.0, 100]
+    ts += list(np.arange(-0.5, 65536, 0.5)[::97]) + [254.5, 255.5, 65534.5, 65535.5]
+    ts += list(rng.uniform(-10, 70000, 200))
+    for t in ts:
+        out = ops.apply_threshold(arr, t, dtype)
+        assert out.dtype == arr.dtype
+        assert np.array_equal(out, oracles.frozen_threshold(arr, t, dtype)), t
 
 
 def test_square_f32():

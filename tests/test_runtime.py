@@ -1397,6 +1397,130 @@ def test_user_write_named_midwrite_is_one_file_per_slice(tmp_path):
         "000.raw", "001.raw", "002.raw", "manifest.txt"]
 
 
+# ---------------------------------------------------------------------------
+# wide window calls, block by block
+# ---------------------------------------------------------------------------
+
+def _blocks_of(monkeypatch, slices, meta):
+    """Make the engine's block `slices` slices of meta's."""
+    monkeypatch.setattr(ops, "BLOCK_BYTES", slices * slice_bytes(meta))
+
+
+BLOCK_META = VolumeMeta(16, 16, 64, U8)
+
+
+def _block_chain(d, out, post=None):
+    """read -> erode r=1 -> gaussian sigma=0.8 -> post -> write, the
+    threshold by default, which folds into the gaussian."""
+    return chain(sio.read_stage(d / "in"), ops.erode(1, name="e"),
+                 ops.discrete_gaussian(0.8, name="g"),
+                 post or ops.threshold(120, name="t"), sio.write_stage(d / out))
+
+
+def _gaussian_blocks(monkeypatch):
+    """The number of outputs each gaussian_window call is asked for."""
+    real, sizes = ops.gaussian_window, []
+
+    def recording(window, g1d, lo, hi, **kw):
+        sizes.append(hi - lo + 1)
+        return real(window, g1d, lo, hi, **kw)
+
+    monkeypatch.setattr(ops, "gaussian_window", recording)
+    return sizes
+
+
+def test_a_wide_call_runs_block_by_block_and_holds_less(tmp_path, monkeypatch):
+    """At 1 TiB every window grows to its input: one call per stage. In
+    blocks of 8 slices the erode (k_z = 3) goes 6 outputs a block and the
+    gaussian (k_z = 7) 2, each call freeing the inputs no later block
+    reads. The output equals the one-block run's bit for bit; the measured
+    peak stays under the final ledger's promise, and both fall: the
+    promise from 309 slices (the read's 64, e's 64 + 62, g's 62 + 56 and
+    the write's 1) to 199 (e: 64 + 6, g: 56 outputs + 8 inputs)."""
+    write_input(tmp_path, BLOCK_META, seed=60)
+    sb = slice_bytes(BLOCK_META)
+    sizes = _gaussian_blocks(monkeypatch)
+    runs = {}
+    for case in ("one", "blocks"):
+        if case == "blocks":
+            _blocks_of(monkeypatch, 8, BLOCK_META)
+        sizes.clear()
+        p = plan(_block_chain(tmp_path, case), Budget(1 << 40), tmpdir=tmp_path)
+        rep = execute_plan(p, tmpdir=tmp_path)
+        assert rep.leaked_slices == 0
+        assert rep.peak_bytes <= p.ledger.formula_peak
+        runs[case] = p.ledger.peak_slices(), rep.peak_bytes, list(sizes)
+    assert runs["one"][0] == 309 and runs["one"][2] == [56]
+    assert runs["blocks"][0] == 199 and runs["blocks"][2] == [2] * 28
+    assert runs["blocks"][1] < runs["one"][1]
+    # the erode's 64 inputs and its first block's 6 outputs
+    assert runs["blocks"][1] == (64 + 6) * sb
+    assert np.array_equal(sio.read_volume(tmp_path / "blocks"),
+                          sio.read_volume(tmp_path / "one"))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_folded_stage_that_fails_mid_call_is_named_and_leaks_nothing(
+        tmp_path, monkeypatch, threads):
+    """The gaussian's folded stage fails in the call's third block, at
+    output z = 4, after two blocks have made their slices and freed their
+    inputs: the StageError names it at that z and no slice leaks. Each
+    slice z of the input is all z, so erode output z is all z and gaussian
+    output z all z + 3."""
+    ramp = np.arange(64, dtype=np.uint8)
+    sio.write_volume(tmp_path / "in", np.broadcast_to(ramp[:, None, None], (64, 16, 16)), U8)
+    _blocks_of(monkeypatch, 8, BLOCK_META)
+    sizes = _gaussian_blocks(monkeypatch)
+
+    def bad(arr, dtype):
+        if arr[0, 0] == 4 + 3:
+            raise RuntimeError("injected")
+        return arr
+
+    p = plan(_block_chain(tmp_path, "out", ops.pointwise(bad, name="bad")), Budget(1 << 40),
+             tmpdir=tmp_path, concurrent=threads > 1)
+    assert p.pooled == set()  # one call per sweep runs inline at any thread count
+    with pytest.raises(StageError) as ei:
+        execute_plan(p, threads=threads, tmpdir=tmp_path)
+    assert (ei.value.stage, ei.value.index) == ("bad", 4)
+    assert isinstance(ei.value.cause, RuntimeError)
+    assert sizes == [2, 2, 2]
+    assert ALLOC.live_slices == 0 and ALLOC.live_refs == 0
+
+
+def test_shared_windows_and_pooled_calls_keep_whole_windows(tmp_path, monkeypatch,
+                                                            every_call_on_the_pool):
+    """A shared-window group's window feeds each of its branches in turn,
+    the dilate's first, and a pooled call computes on a worker: neither
+    runs block by block. With one-slice blocks, which would split the
+    dilate's 5 outputs and the median's 10, the run at threads 2 holds
+    what it holds with the default block, its ledger rows are the same,
+    and so is its output."""
+    write_input(tmp_path, BLOCK_META, seed=61)
+
+    def graph(out):
+        g = tee_graph([sio.read_stage(tmp_path / "in"), ops.tee(name="t")],
+                      [[ops.dilate(1, name="b"), ops.erode(2, name="b2")],
+                       [ops.discrete_gaussian(0.8, name="a")]],
+                      ops.add_join(name="j"),
+                      [ops.median_filter(1, w=12, name="m"), sio.write_stage(tmp_path / out)])
+        return share_windows(g, ["b", "a"])[0]
+
+    runs = {}
+    for case in ("one", "blocks"):
+        if case == "blocks":
+            _blocks_of(monkeypatch, 1, BLOCK_META)
+        p = plan(graph(case), Budget(1 << 40), tmpdir=tmp_path, grow_windows=False,
+                 concurrent=True)
+        assert p.pooled == {"b2", "m"}
+        rep = execute_plan(p, threads=2, tmpdir=tmp_path)
+        assert rep.leaked_slices == 0 and rep.within_budget
+        runs[case] = rep.peak_bytes, [row.line() for row in p.ledger.rows]
+    assert runs["blocks"] == runs["one"]
+    assert np.array_equal(sio.read_volume(tmp_path / "blocks"),
+                          sio.read_volume(tmp_path / "one"))
+
+
 def test_cast_rounds_in_place_only_when_asked():
     arr = np.array([[-3.5, 0.5, 1.5], [254.5, 255.6, 300.0]])
     keep = arr.copy()
@@ -1488,6 +1612,14 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
         assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
 
 
+def test_generated_chains_keep_their_promises_in_small_blocks(tmp_path_factory, monkeypatch):
+    """The generated chains again, in blocks of 256 B: 2 to 28 of their u8
+    slices, so that a grown window's call runs in several blocks, one
+    output a block in some."""
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 256)
+    test_generated_chains_keep_their_promises(tmp_path_factory)
+
+
 # ---------------------------------------------------------------------------
 # generated tee/join graphs: the promises at threads 1 and 2
 # ---------------------------------------------------------------------------
@@ -1547,3 +1679,13 @@ def test_generated_tee_join_graphs_keep_their_promises(tmp_path_factory, case):
             assert np.array_equal(sio.read_volume(d / f"out{threads}"), ref)
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("stage-") and t.is_alive()]
+
+
+def test_generated_tee_join_graphs_keep_their_promises_in_small_blocks(tmp_path_factory,
+                                                                       monkeypatch):
+    """The generated tee/join graphs again, in blocks of 64 B, so that
+    unshared branches run their grown calls in several blocks, most of
+    them one output a block, while shared windows and pooled calls stay
+    whole."""
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 64)
+    test_generated_tee_join_graphs_keep_their_promises(tmp_path_factory)
