@@ -16,6 +16,11 @@ table gives it, the median wall time of --repeats plan calls and the
 number of planner.estimate_stage calls one plan makes. Work that grows
 linearly in the stage count doubles its calls when the fused chain
 doubles.
+
+The last two columns are the plan's memory in bytes: `promised`, its
+final ledger's peak, charged at what the run holds (a read one slice, a
+segment's one-call stages in turns), and `reserved`, the largest segment
+peak the window solve and the split priced it at.
 """
 
 import argparse
@@ -35,7 +40,7 @@ def build(stages: int, meta: VolumeMeta):
 
 def measure(stages: int, meta: VolumeMeta, budget: Budget, repeats: int):
     """(median plan seconds, estimate_stage calls per plan, stages after
-    fusion, segments)."""
+    fusion, segments, promised bytes, reserved bytes)."""
     real = planner.estimate_stage
     calls = 0
 
@@ -56,7 +61,10 @@ def measure(stages: int, meta: VolumeMeta, budget: Budget, repeats: int):
         planner.plan(g, budget, tmpdir="unused")
         times.append(time.perf_counter() - t0)
     fused = stages - sum(a.kind == "fuse" for a in p.actions)
-    return statistics.median(times), calls, fused, len(p.segments)
+    reserved = max(planner.estimate_pipeline(seg, m, budget).formula_peak
+                   for seg, m in zip(p.segments, p.segment_metas))
+    return (statistics.median(times), calls, fused, len(p.segments),
+            p.ledger.formula_peak, reserved)
 
 
 def main():
@@ -72,14 +80,15 @@ def main():
 
     meta = VolumeMeta(64, 64, args.depth, U8)
     print(f"{'chain':<6} {'stages':>6} {'fused':>6} {'plan ms':>10} "
-          f"{'estimate_stage':>15} {'segments':>9}")
+          f"{'estimate_stage':>15} {'segments':>9} {'promised':>12} {'reserved':>12}")
     for n in (int(v) for v in args.stages.split(",")):
         plain = Budget(1 << 40)
         split = Budget(args.split_slices * slice_bytes(meta), 0)
         for label, budget in (("plain", plain), ("split", split)):
-            s, calls, fused, segments = measure(n, meta, budget, args.repeats)
+            s, calls, fused, segments, promised, reserved = measure(n, meta, budget,
+                                                                    args.repeats)
             print(f"{label:<6} {n:>6} {fused:>6} {s * 1e3:>10.2f} {calls:>15} "
-                  f"{segments:>9}")
+                  f"{segments:>9} {promised:>12} {reserved:>12}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """Static memory estimation, budget checking and plan repair.
 
-Estimates are closed-form per stage and purely additive across a pipeline
-(an upper bound that is always sound); the only subtractive entries are
-explicit sharing credits from shared-window branch groups. A plan fits
-when each of its segments does: its additive peak plus one fixed overhead
-allowance per stage stays inside the budget.
+Estimates are closed-form per stage. The window solve and the split add
+them across a segment (an upper bound that is always sound); the only
+subtractive entries are explicit sharing credits from shared-window
+branch groups. The final ledger charges what a segment holds at once: a
+read one slice, and in a linear segment the stages that make one call
+per sweep take turns, so its peak is its largest phase (`_turns`), which
+is never more than the sum. A plan fits when each of its segments does:
+its peak plus one fixed overhead allowance per stage stays inside the
+budget.
 
 `plan` is one pass. It first folds each pointwise stage that follows a
 kernel stage into that kernel (`fuse_pointwise`), on any budget, so every
@@ -67,7 +71,8 @@ def estimate_stage(stage: PlanStage, meta: VolumeMeta) -> MemEstimate:
     The stage's kind's `ops.OPS` record prices it. Window stages hold w
     input slices and emit the w - k_z + 1 valid centers per step, all w
     for a pointwise stage. A read of any layout is priced at its window of
-    w slices; a write at the one slice it holds. A z-moving permute
+    w slices, which the solve reserves and the final ledger does not
+    charge (_term); a write at the one slice it holds. A z-moving permute
     charges its slab as internal bytes.
     """
     rec = ops.record(stage)
@@ -123,7 +128,8 @@ class MemoryLedger:
     formula_peak, the promise, is the largest segment peak. overhead is
     what the gate adds to it: the gate is the largest segment peak plus
     that segment's stage_count allowances, so the plan fits when each
-    segment does.
+    segment does. A final ledger names in segment_phases the phase that
+    sets each segment's peak (_turns), which render gives as a note.
     """
 
     rows: list
@@ -138,6 +144,7 @@ class MemoryLedger:
     actions: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     segment_peaks: list = field(default_factory=list)
+    segment_phases: list = field(default_factory=list)
 
     @property
     def peak_estimate(self) -> int:
@@ -176,6 +183,8 @@ class MemoryLedger:
         lines.append(f"verdict {self.verdict}")
         for act in self.actions:
             lines.append("action " + act.line())
+        for i, phase in enumerate(self.segment_phases, start=1):
+            lines.append(f"note segment {i} peaks {phase}")
         for note in self.notes:
             lines.append("note " + note)
         return "\n".join(lines)
@@ -236,14 +245,20 @@ def _held(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
     block's inputs that no later block reads go as it ends. At its first
     block the call holds its w inputs and b outputs, at its last its n
     outputs and at most b + k_z - 1 inputs, and at any block in between no
-    more than at one of the two. A call of one block (b >= n) holds what
-    est prices, w inputs and n outputs."""
+    more than at one of the two. The window buffer keeps inputs too: when
+    the stride n leaves r = (depth - w) mod n > 0, the last window shifts
+    back by n - r (stream._window_positions), and through the call before
+    it the buffer keeps the w - r slices that window reads again, so the
+    last block holds max(b + k_z - 1, w - r) inputs. A call of one block
+    (b >= n) holds what est prices, w inputs and n outputs."""
     sin = slice_bytes(in_meta)
-    n, b = stage.w - stage.k_z + 1, ops.block_outputs(sin, stage.k_z)
+    w, k = stage.w, stage.k_z
+    n, b = w - k + 1, ops.block_outputs(sin, k)
     if n <= b:
         return est
+    r = (in_meta.depth - w) % n if w < in_meta.depth else 0
     sout = slice_bytes(out_meta)
-    first, last = (stage.w * sin, b * sout), ((b + stage.k_z - 1) * sin, n * sout)
+    first, last = (w * sin, b * sout), (max(b + k - 1, w - r if r else 0) * sin, n * sout)
     return MemEstimate(*max(first, last, key=sum))
 
 
@@ -260,11 +275,13 @@ def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
     and split; the final ledger charges it only to the stages _pools
     sends to the pool, and the run pools just those.
 
-    The solve and the split price a window stage at its whole window, a
-    term affine in w. The final ledger charges a window stage that runs
-    inline outside a shared window what its call holds running block by
-    block (_held), which is that price when the call is one block: the
-    solve reserves, and the final ledger charges what the run holds.
+    The solve and the split price a read at its window and a window stage
+    at its whole window, terms affine in w. The solve reserves, and the
+    final ledger charges what the run holds: a read one slice, as the one
+    reader yields one slice at a time whatever its w, and a window stage
+    that runs inline outside a shared window what its call holds running
+    block by block (_held), which is that price when the call is one
+    block.
     """
     est = estimate_stage(stage, in_meta)
     group = next((grp.members for grp in graph.shared_windows
@@ -274,7 +291,9 @@ def _term(stage: PlanStage, in_meta: VolumeMeta, out_meta: VolumeMeta,
     if (concurrent and ops.record(stage).kernel_dims and not group
             and (not final or _pools(stage, in_meta, out_meta))):
         step = stage.s * (slice_bytes(in_meta) + slice_bytes(out_meta))
-    if final and not group and not step and ops.record(stage).window is not None:
+    if final and stage.op_kind == "read":
+        est = MemEstimate(0, slice_bytes(out_meta), 0)
+    elif final and not group and not step and ops.record(stage).window is not None:
         est = _held(stage, in_meta, out_meta, est)
     return est, credit, step
 
@@ -284,22 +303,76 @@ def _cost(term) -> int:
     return est.total() - credit + step
 
 
+def _turns(graph: PipelineGraph, metas, terms):
+    """(peak, phase) of a final ledger's segment from its stages' terms,
+    in topological order.
+
+    In a linear segment, a one-call stage (an inline window stage, not
+    pooled, whose window covers its input) starts its call only once its
+    buffer holds its whole input, and its outputs leave only after the
+    call returns. So the one-call stages B_1..B_m and the streaming runs
+    S_0..S_m between them take turns, and the peak is the largest phase:
+    filling B_1, S_0 and B_1's window; and for each B_k, S_k-1 (suspended
+    after its last slice until B_k's buffer pulls end-of-stream), B_k and
+    S_k, with B_k+1's filling window when S_k is not empty (when it is,
+    that window is B_k's own outputs). Each phase charges every stage
+    outside it its internal bytes, which a sink and a z-moving permute
+    hold out of turn. A branched segment, or one with a crop that stops
+    short of its input's depth, which leaves the stages above it
+    suspended mid-sweep, peaks at the sum of its terms.
+    """
+    order = graph.topo_order()
+    costs = [_cost(t) for t in terms]
+    calls = [i for i, (st, (_, _, step)) in enumerate(zip(order, terms))
+             if ops.record(st).window is not None and not step
+             and st.w >= metas[st.name][0].depth]
+    if (not calls or not graph.is_linear()
+            or any(st.op_kind == "crop" and st.params["box"][5] < metas[st.name][0].depth
+                   for st in order)):
+        return sum(costs), "with all its stages at once"
+    n = len(order)
+    full = [0, *itertools.accumulate(costs)]
+    idle = [0, *itertools.accumulate(est.internal_bytes for est, _, _ in terms)]
+
+    def phase(a, c, fill):  # stages a..c-1 in full, and fill's buffer its whole input
+        held = full[c] - full[a] + idle[n] - idle[c] + idle[a]
+        if fill is None:
+            return held
+        in_meta = metas[order[fill].name][0]
+        return held + in_meta.depth * slice_bytes(in_meta)
+
+    bounds = [-1, *calls, n]
+    phases = [(phase(0, calls[0], calls[0]), f"filling {order[calls[0]].name}'s window")]
+    for k, b in enumerate(calls):
+        a, c = bounds[k] + 1, bounds[k + 2]
+        phases.append((phase(a, c, c if b + 1 < c < n else None),
+                       f"in {order[b].name}'s call"))
+    return max(phases, key=lambda p: p[0])
+
+
 def _segment_rows(graph: PipelineGraph, meta: VolumeMeta, segment: int,
                   concurrent: bool, final: bool):
+    """(rows, peak, phase, credits, queue bytes) of one segment's ledger:
+    a final ledger's peak is its largest phase (_turns), any other's the
+    sum of its terms, with no phase named."""
     metas = propagate_meta(graph, meta)
     rows = []
+    terms = []
     running = 0
     credits = 0
     queue_bytes = 0
     for stage in graph.topo_order():
-        est, credit, step = _term(stage, *metas[stage.name], graph, concurrent, final)
+        est, credit, step = term = _term(stage, *metas[stage.name], graph, concurrent, final)
+        terms.append(term)
         running += est.total() - credit
         credits += credit
         queue_bytes += step
         rows.append(LedgerRow(segment, stage.name, stage.op_kind, stage.w,
                               stage.s, est.input_bytes, est.output_bytes,
                               est.internal_bytes, credit, running, step))
-    return rows, running, credits, queue_bytes
+    peak, phase = (_turns(graph, metas, terms) if final
+                   else (running + queue_bytes, None))
+    return rows, peak, phase, credits, queue_bytes
 
 
 def estimate_pipeline(graph: PipelineGraph, meta: VolumeMeta, budget: Budget,
@@ -323,15 +396,20 @@ def _ledger(segments, metas, budget, concurrent, final=False) -> MemoryLedger:
     """The ledger of segments run one after another, each from its meta:
     its peak is the largest segment peak, and its gate the largest segment
     peak plus allowances, on a tie the one with the larger peak. A final
-    ledger charges the window step to the stages the run pools alone."""
+    ledger charges what the run holds (_term) and the window step to the
+    stages the run pools alone, and takes each segment's peak at its
+    largest phase (_turns); any other is the sum of the stages' terms."""
     rows = []
     peaks = []
+    phases = []
     credits = 0
     queues = 0
     for i, (g, m) in enumerate(zip(segments, metas), start=1):
-        seg_rows, peak, cr, qb = _segment_rows(g, m, i, concurrent, final)
+        seg_rows, peak, phase, cr, qb = _segment_rows(g, m, i, concurrent, final)
         rows.extend(seg_rows)
-        peaks.append(peak + qb)
+        peaks.append(peak)
+        if phase:
+            phases.append(phase)
         credits += cr
         queues += qb
     gate, _, stages = max((p + len(g.nodes) * budget.overhead_epsilon, p, len(g.nodes))
@@ -339,7 +417,7 @@ def _ledger(segments, metas, budget, concurrent, final=False) -> MemoryLedger:
     led = MemoryLedger(rows=rows, budget=budget, volume=metas[0],
                        credits=credits, formula_peak=max(peaks),
                        overhead=gate - max(peaks), stage_count=stages,
-                       queue_bytes=queues, segment_peaks=peaks)
+                       queue_bytes=queues, segment_peaks=peaks, segment_phases=phases)
     led.notes += [f"stage {st.name} stride {st.s} exceeds window {st.w} (slice gaps)"
                   for g in segments for st in g.topo_order() if st.s > st.w]
     return led

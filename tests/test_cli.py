@@ -136,6 +136,28 @@ def test_cmd_plan_exit_codes(tmp_path, capsys):
     assert "violating stage" in out
 
 
+@pytest.mark.parametrize("budget, notes", [
+    ("64 MiB", ["in threshold2's call"]),
+    ("1800 B", ["with all its stages at once"] * 2),
+], ids=["one_call_each", "split"])
+def test_cmd_plan_names_what_sets_each_segment_peak(tmp_path, capsys, budget, notes):
+    """At 64 MiB every window grows to its input, so each kernel and
+    pointwise stage makes one call, and the one segment peaks in the
+    threshold's call, its 10 inputs and outputs beside the read's slice.
+    At 1800 B the chain splits after the threshold, and each segment's
+    stages stream together: each peaks at the sum of its rows."""
+    write_vol(tmp_path)
+    spec = tmp_path / "p.spec"
+    spec.write_text(spec_text(tmp_path, "threshold t=100\ngaussian sigma=0.8\n")
+                    .replace("64 MiB", budget))
+    assert run_cli(["plan", spec, "--epsilon", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("note ")] == [
+        f"note segment {i} peaks {note}" for i, note in enumerate(notes, start=1)]
+    if budget == "64 MiB":
+        assert "segment_peak 1 3024 B" in lines  # (1 + 2 x 10) slices of 144 B
+
+
 @pytest.mark.parametrize("body, message", [
     ("read {d}/in\nhistogram\nsquare\nwrite {d}/o\n",
      "stage 'histogram2' (histogram) takes 1 input(s) and ends a pipeline"),

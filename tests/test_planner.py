@@ -691,17 +691,37 @@ def test_split_chain_lists_each_declared_window_resize(tmp_path):
 
 
 def test_split_plan_fits_when_each_segment_fits(tmp_path):
-    # segment 1 peaks at 2,560 B over 5 stages, segment 2 at 4,608 B over
-    # 3: with 1,024 B per stage each comes to 7,680 B, under the 7,681 B cap
-    meta = VolumeMeta(16, 16, 16, U8)
-    p = plan(pointwise_chain(meta, 4, w=8), budget_slices(6, meta, stages=6),
+    # segment 1 peaks at 2,048 B over 5 stages, segment 2 at 3,072 B over
+    # 3 (f3's one call: its 5 inputs and outputs, the mid-read's slice and
+    # the write's): with 1,024 B per stage they come to 7,168 B and 6,144 B,
+    # so the gate is segment 1's, under the 7,169 B cap, while the larger
+    # peak plus the most allowances, 8,192 B, is not
+    meta = VolumeMeta(16, 16, 5, U8)
+    p = plan(pointwise_chain(meta, 4, w=8), budget_slices(4, meta, stages=6),
              tmpdir=tmp_path)
     led = p.ledger
-    assert led.segment_peaks == [2560, 4608]
+    assert len(p.segments) == 2
+    assert led.segment_peaks == [2048, 3072]
     assert led.fits()
-    assert led.formula_peak == 4608
-    assert led.overhead == 3 * 1024
+    assert led.formula_peak == 3072
+    assert led.overhead == 4 * 1024
+    assert led.formula_peak + 5 * 1024 > led.budget.cap
     assert "headroom 1 B" in led.render().splitlines()
+
+
+def test_a_grown_read_is_charged_one_slice(tmp_path):
+    """The solve grows the read first, to 7 slices of a 10-slice budget,
+    and reserves them; the final ledger charges the read the one slice the
+    reader yields at a time, so the promise is 4 slices: the read's, the
+    square's input and output and the write's."""
+    meta = VolumeMeta(16, 16, 16, U8)
+    sb = slice_bytes(meta)
+    p = plan(pointwise_chain(meta, 1), budget_slices(10, meta, stages=3), tmpdir=tmp_path)
+    assert [a.line() for a in p.actions] == ["window_resize stage=read w=1->7"]
+    read = p.ledger.rows[0]
+    assert (read.name, read.w, read.alpha, read.beta) == ("read", 7, 0, sb)
+    assert p.ledger.formula_peak == 4 * sb
+    assert estimate_pipeline(p.segments[0], meta, p.ledger.budget).formula_peak == 10 * sb
 
 
 @pytest.mark.parametrize("grow_windows", [False, True])

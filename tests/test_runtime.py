@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import os
 import re
+import shutil
 import sys
 import threading
 import weakref
@@ -17,7 +18,7 @@ from helpers import apply_stage, measure_peak
 from stackstream import cli, io as sio, ops, planner, runtime, stream as st
 from stackstream.core import (ALLOC, F32, U8, Budget, PlanningError, PlanStage,
                               StageError, VolumeMeta, chain, slice_bytes, tee_graph)
-from stackstream.planner import plan, share_windows
+from stackstream.planner import plan, propagate_meta, share_windows
 from stackstream.runtime import execute_plan, run_graph
 
 
@@ -1216,10 +1217,13 @@ def test_threads_2_pools_exactly_the_planned_stages_of_each_workload(
 def test_only_deep_small_folds_stages_into_its_kernels(tmp_path, monkeypatch, name):
     """Each benchmark workload, scaled down by _scaled_workload. deep_small
     folds its square into the dilate and its second threshold into the
-    gaussian, and their two rows leave its promise: 7,609 slices drop to
-    5,589, as on the full workload (31,166,464 -> 22,892,544 B). denoise
-    and midwrite_chunks have no pointwise stage after a kernel, so their
-    plans render as they do with fusion off."""
+    gaussian, and their two rows leave its ledger: the sum of its rows
+    drops from 7,098 slices to 5,078. Its promise is its largest phase,
+    threshold2's one call of 512 inputs and 512 outputs beside the read's
+    slice, 1,025 slices with fusion and without, as the fused stages take
+    their turns after it. denoise and midwrite_chunks have no pointwise
+    stage after a kernel, so their plans render as they do with fusion
+    off."""
     text, eps = _scaled_workload(tmp_path, monkeypatch, name)
     graph, budget = cli.parse(text.replace("{out}", str(tmp_path / "out")))
     p = plan(graph, Budget(budget.cap, eps), tmpdir=tmp_path / "mid")
@@ -1231,7 +1235,10 @@ def test_only_deep_small_folds_stages_into_its_kernels(tmp_path, monkeypatch, na
         return
     assert fuses == ["fuse stage=square5 into=dilate4",
                      "fuse stage=threshold7 into=gaussian6"]
-    assert (unfused.ledger.peak_slices(), p.ledger.peak_slices()) == (7609, 5589)
+    sb = slice_bytes(p.ledger.volume)
+    assert (unfused.ledger.rows[-1].running // sb, p.ledger.rows[-1].running // sb) == (7098, 5078)
+    assert (unfused.ledger.peak_slices(), p.ledger.peak_slices()) == (1025, 1025)
+    assert p.ledger.segment_phases == unfused.ledger.segment_phases == ["in threshold2's call"]
     assert len(p.ledger.rows) == len(unfused.ledger.rows) - 2
 
 
@@ -1434,9 +1441,9 @@ def test_a_wide_call_runs_block_by_block_and_holds_less(tmp_path, monkeypatch):
     blocks of 8 slices the erode (k_z = 3) goes 6 outputs a block and the
     gaussian (k_z = 7) 2, each call freeing the inputs no later block
     reads. The output equals the one-block run's bit for bit; the measured
-    peak stays under the final ledger's promise, and both fall: the
-    promise from 309 slices (the read's 64, e's 64 + 62, g's 62 + 56 and
-    the write's 1) to 199 (e: 64 + 6, g: 56 outputs + 8 inputs)."""
+    peak stays under the final ledger's promise, and both fall. The
+    promise is e's call, the larger of the two, beside the read's slice:
+    127 slices in one block (e's 64 + 62) and 71 in blocks (e's 64 + 6)."""
     write_input(tmp_path, BLOCK_META, seed=60)
     sb = slice_bytes(BLOCK_META)
     sizes = _gaussian_blocks(monkeypatch)
@@ -1450,8 +1457,8 @@ def test_a_wide_call_runs_block_by_block_and_holds_less(tmp_path, monkeypatch):
         assert rep.leaked_slices == 0
         assert rep.peak_bytes <= p.ledger.formula_peak
         runs[case] = p.ledger.peak_slices(), rep.peak_bytes, list(sizes)
-    assert runs["one"][0] == 309 and runs["one"][2] == [56]
-    assert runs["blocks"][0] == 199 and runs["blocks"][2] == [2] * 28
+    assert runs["one"][0] == 127 and runs["one"][2] == [56]
+    assert runs["blocks"][0] == 71 and runs["blocks"][2] == [2] * 28
     assert runs["blocks"][1] < runs["one"][1]
     # the erode's 64 inputs and its first block's 6 outputs
     assert runs["blocks"][1] == (64 + 6) * sb
@@ -1521,6 +1528,153 @@ def test_shared_windows_and_pooled_calls_keep_whole_windows(tmp_path, monkeypatc
                           sio.read_volume(tmp_path / "one"))
 
 
+# ---------------------------------------------------------------------------
+# the final ledger: what a segment holds at once
+# ---------------------------------------------------------------------------
+
+WIDE = {"square": lambda w: ops.square(w=w, name="op"),
+        "erode": lambda w: ops.erode(1, w=w, name="op"),
+        "gaussian": lambda w: ops.discrete_gaussian(0.8, w=w, name="op")}
+
+
+@pytest.mark.parametrize("op, measured, promised", [("square", 170, 172), ("erode", 168, 170),
+                                                    ("gaussian", 164, 166)])
+def test_a_shifted_last_window_is_charged_the_slices_the_buffer_keeps(tmp_path, op, measured,
+                                                                      promised):
+    """read -> op w=90 -> write over 64x64x100 u8, windows declared: the
+    stride leaves r = 10, so the last window shifts back, and through the
+    first call the window buffer keeps the 80 slices it reads again. The
+    call's last block holds those 80 beside all its outputs (90 for the
+    square, 88 for the erode, 84 for the gaussian), more than its first
+    block's 90 inputs and one block of outputs; the promise adds the
+    read's and the write's slice. It holds with no allowance."""
+    meta = VolumeMeta(64, 64, 100, U8)
+    write_input(tmp_path, meta, seed=62)
+    p = plan(chain(sio.read_stage(tmp_path / "in"), WIDE[op](90), sio.write_stage(tmp_path / "out")),
+             Budget(1 << 40), tmpdir=tmp_path, grow_windows=False)
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0
+    assert rep.peak_bytes <= p.ledger.formula_peak
+    assert (rep.peak_bytes // slice_bytes(meta), p.ledger.peak_slices()) == (measured, promised)
+
+
+def test_declared_windows_keep_their_promises_in_one_output_blocks(tmp_path, monkeypatch):
+    """read -> op w -> write over 5x9xd u8 in 64 B blocks, one output a
+    block, for the square, the erode and the sigma = 0.8 gaussian, every
+    depth d from 7 to 20 and every declared window w from k_z to d, so
+    with and without a shifted last window: each run stays within its
+    promise, with no allowance."""
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 64)
+    for depth in range(7, 21):
+        d = tmp_path / f"d{depth}"
+        write_input(d, VolumeMeta(5, 9, depth, U8), seed=depth)
+        for op, make in WIDE.items():
+            for w in range(make(depth).k_z, depth + 1):
+                p = plan(chain(sio.read_stage(d / "in"), make(w), sio.write_stage(d / "out")),
+                         Budget(1 << 40), tmpdir=d, grow_windows=False)
+                rep = execute_plan(p, tmpdir=d)
+                assert rep.peak_bytes <= p.ledger.formula_peak, (op, depth, w)
+                assert rep.leaked_slices == 0
+                shutil.rmtree(d / "out")
+
+
+def test_a_chain_of_one_call_stages_is_promised_its_largest_phase(tmp_path, monkeypatch):
+    """deep_small's chain over 16x16x64 u8 at 1 TiB, in blocks of 8
+    slices: every window grows to its input, so each kernel makes one
+    call, which starts once its buffer holds its whole input. The calls
+    take turns, and the promise is the largest phase: filling t's window,
+    or a call beside the streaming stages on each side of it, here t's
+    call beside the read's slice. It is far below the sum of the rows,
+    and the run stays under it."""
+    meta = VolumeMeta(16, 16, 64, U8)
+    write_input(tmp_path, meta, seed=63)
+    _blocks_of(monkeypatch, 8, meta)
+    p = plan(chain(sio.read_stage(tmp_path / "in"), ops.threshold(100, name="t"),
+                   ops.erode(1, name="e"), ops.dilate(1, name="d"), ops.square(name="sq"),
+                   ops.discrete_gaussian(0.8, name="g"), ops.threshold(10, name="t2"),
+                   ops.erode(1, name="e2"), sio.write_stage(tmp_path / "out")),
+             Budget(1 << 40), tmpdir=tmp_path)
+    rows = {row.name: row.alpha + row.beta for row in p.ledger.rows}
+    assert list(rows) == ["read", "t", "e", "d", "g", "e2", "write"]  # sq and t2 fold
+    sb = slice_bytes(meta)
+    phases = [rows["read"] + 64 * sb, rows["read"] + rows["t"], rows["e"], rows["d"],
+              rows["g"], rows["e2"] + rows["write"]]
+    assert p.ledger.formula_peak == max(phases) == rows["read"] + rows["t"] == 73 * sb
+    assert p.ledger.rows[-1].running == 334 * sb
+    assert p.ledger.segment_phases == ["in t's call"]
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0 and rep.peak_bytes <= p.ledger.formula_peak
+
+
+@pytest.mark.parametrize("between", [ops.pad((0, 0, 0, 0, 1, 1), "clamp", name="mid"),
+                                     ops.permute_axes("yxz", name="mid")],
+                         ids=["pad", "permute"])
+def test_a_stage_between_two_calls_is_charged_with_the_next_filling_window(
+        tmp_path, monkeypatch, between):
+    """read -> gaussian sigma=2.5 (k_z = 17) -> pad or permute -> box3 ->
+    write over 6x6x20 u8 at 1 TiB, one output a block: both kernels make
+    one call. While the gaussian's outputs stream through the stage
+    between, box3's buffer fills with its whole input, so the gaussian's
+    phase charges the read, the gaussian, the stage between and that
+    whole input. It is the largest phase, and the run stays under it."""
+    meta = VolumeMeta(6, 6, 20, U8)
+    write_input(tmp_path, meta, seed=64)
+    _blocks_of(monkeypatch, 2, meta)
+    p = plan(chain(sio.read_stage(tmp_path / "in"), ops.discrete_gaussian(2.5, name="g"),
+                   between, ops.convolve(ops.Kernel3D.box(3), name="box"),
+                   sio.write_stage(tmp_path / "out")),
+             Budget(1 << 40), tmpdir=tmp_path)
+    rows = {row.name: row.alpha + row.beta + row.gamma for row in p.ledger.rows}
+    box_in = propagate_meta(p.segments[0], meta)["box"][0]
+    filling = box_in.depth * slice_bytes(box_in)
+    assert p.ledger.formula_peak == rows["read"] + rows["g"] + rows["mid"] + filling
+    assert p.ledger.segment_phases == ["in g's call"]
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0 and rep.peak_bytes <= p.ledger.formula_peak
+
+
+def test_a_permute_slab_is_charged_in_every_phase(tmp_path):
+    """read -> permute zyx -> square -> box3 -> write over 20x4x3 u8 at
+    1 TiB: the permute holds its slab from its first slice until the
+    square's buffer pulls its end of stream, which comes after box3's
+    call. So box3's phase charges the slab too, and the run, which
+    measures more than box3's phase without it, stays under the promise."""
+    meta = VolumeMeta(20, 4, 3, U8)
+    write_input(tmp_path, meta, seed=65)
+    p = plan(chain(sio.read_stage(tmp_path / "in"), ops.permute_axes("zyx", name="p"),
+                   ops.square(name="sq"), ops.convolve(ops.Kernel3D.box(3), name="box"),
+                   sio.write_stage(tmp_path / "out")),
+             Budget(1 << 40), tmpdir=tmp_path)
+    rows = {row.name: row for row in p.ledger.rows}
+    box_phase = sum(rows[n].alpha + rows[n].beta for n in ("box", "write"))
+    assert p.ledger.segment_phases == ["in box's call"]
+    assert p.ledger.formula_peak == box_phase + rows["p"].gamma
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0
+    assert box_phase < rep.peak_bytes <= p.ledger.formula_peak
+
+
+def test_a_crop_that_stops_short_keeps_the_sum(tmp_path):
+    """read -> square -> crop of the first 20 of 30 slices -> box3 -> write
+    at 1 TiB: the crop stops pulling at z = 20, so the square's last 10
+    outputs stay with it through box3's call. Taking turns would charge
+    box3's phase less than the run holds; the segment keeps the sum of
+    its rows, and the run stays under it."""
+    meta = VolumeMeta(4, 4, 30, U8)
+    write_input(tmp_path, meta, seed=66)
+    p = plan(chain(sio.read_stage(tmp_path / "in"), ops.square(name="sq"),
+                   ops.crop((0, 0, 0, 4, 4, 20), name="c"),
+                   ops.convolve(ops.Kernel3D.box(3), name="box"),
+                   sio.write_stage(tmp_path / "out")),
+             Budget(1 << 40), tmpdir=tmp_path)
+    rows = {row.name: row.alpha + row.beta for row in p.ledger.rows}
+    assert p.ledger.segment_phases == ["with all its stages at once"]
+    assert p.ledger.formula_peak == p.ledger.rows[-1].running == sum(rows.values())
+    rep = execute_plan(p, tmpdir=tmp_path)
+    assert rep.leaked_slices == 0
+    assert rows["c"] + rows["box"] + rows["write"] < rep.peak_bytes <= p.ledger.formula_peak
+
+
 def test_cast_rounds_in_place_only_when_asked():
     arr = np.array([[-3.5, 0.5, 1.5], [254.5, 255.6, 300.0]])
     keep = arr.copy()
@@ -1545,20 +1699,83 @@ CHAIN_OPS = {"square": lambda n: ops.square(name=n),
              "box3": lambda n: ops.convolve(ops.Kernel3D.box(3), name=n)}
 
 
+GEOMETRIC_OPS = {"crop": lambda n, box: ops.crop(box, name=n),
+                 "pad": lambda n, amounts_mode: ops.pad(*amounts_mode, name=n),
+                 "permute": lambda n, oe: ops.permute_axes(oe[0], name=n, chunk_edge=oe[1])}
+
+
+def chain_stage(kind, name):
+    """The stage of a chain_cases kind: a CHAIN_OPS name; or a pair, a
+    CHAIN_OPS name and its declared window or a GEOMETRIC_OPS name and its
+    params."""
+    if isinstance(kind, str):
+        return CHAIN_OPS[kind](name)
+    op, arg = kind
+    if op in GEOMETRIC_OPS:
+        return GEOMETRIC_OPS[op](name, arg)
+    stage = CHAIN_OPS[op](name)
+    stage.w, stage.s = arg, arg - stage.k_z + 1
+    return stage
+
+
+def reference_of(kind, stage, vol, meta, tmpdir):
+    """The output of one chain_cases stage over a whole volume: numpy's
+    for a crop, pad or permute, the engine's for the op on its own, at
+    its default window, for a window op."""
+    op = kind if isinstance(kind, str) else kind[0]
+    if op == "crop":
+        x0, y0, z0, x1, y1, z1 = stage.params["box"]
+        return vol[z0:z1, y0:y1, x0:x1]
+    if op == "pad":
+        xlo, xhi, ylo, yhi, zlo, zhi = stage.params["amounts"]
+        return np.pad(vol, ((zlo, zhi), (ylo, yhi), (xlo, xhi)),
+                      mode="edge" if stage.params["mode"] == "clamp" else "constant")
+    if op == "permute":
+        order = stage.params["order"]
+        return vol.transpose(*("zyx".index(a) for a in order[::-1]))
+    return apply_stage(CHAIN_OPS[op](stage.name), vol, meta, tmpdir=tmpdir)
+
+
 @hst.composite
 def chain_cases(draw):
-    """(kinds, meta, seed, budget slices, io): 0-6 kernel and pointwise ops
-    over a u8 volume deep enough for every kernel, a budget of 2 slices
-    (infeasible) to 8 per stage or none at all, and io = (input chunks,
-    source keyword, output chunks).
+    """(kinds, meta, seed, budget slices, io): 0-6 kernel, pointwise and
+    geometric ops over a u8 volume deep enough for every kernel, a budget
+    of 2 slices (infeasible) to 8 per stage or none at all, and io =
+    (input chunks, source keyword, output chunks).
+    A kind is as chain_stage takes it. A crop keeps at least the depth
+    the kernels after it need, a pad adds 0-2 slices or rows at each end,
+    and a permute moves z only to an axis that long. Some chains declare
+    every window op's window, from its k_z to its input depth, and are
+    planned with their declared windows; the others grow theirs.
     The input is a slice stack (None) or a chunk store, which `read` or
     `readInChunks` reads, and `write` (None) or `writeInChunks` writes
     the output; chunk dims run from 1 to beyond the volume's."""
-    kinds = [draw(hst.sampled_from(sorted(CHAIN_OPS)))
+    names = [draw(hst.sampled_from(sorted(CHAIN_OPS) + sorted(GEOMETRIC_OPS)))
              for _ in range(draw(hst.integers(0, 6)))]
-    reduction = sum(CHAIN_OPS[k]("probe").k_z - 1 for k in kinds)
+    k_z = [CHAIN_OPS[k]("probe").k_z if k in CHAIN_OPS else 1 for k in names]
     meta = VolumeMeta(draw(hst.integers(3, 10)), draw(hst.integers(3, 10)),
-                      reduction + draw(hst.integers(1, 12)), U8)
+                      sum(k_z) - len(k_z) + draw(hst.integers(1, 12)), U8)
+    declared, cur, kinds = draw(hst.booleans()), meta, []
+    for i, k in enumerate(names):
+        rest = sum(k_z[i + 1:]) - len(k_z[i + 1:])  # the depth the kernels after it take
+        if k == "crop":
+            z0 = draw(hst.integers(0, cur.depth - rest - 1))
+            z1 = draw(hst.integers(z0 + rest + 1, cur.depth))
+            x0, y0 = draw(hst.integers(0, cur.nx - 1)), draw(hst.integers(0, cur.ny - 1))
+            kind = k, (x0, y0, z0, draw(hst.integers(x0 + 1, cur.nx)),
+                       draw(hst.integers(y0 + 1, cur.ny)), z1)
+        elif k == "pad":
+            kind = k, (tuple(draw(hst.integers(0, 2)) for _ in range(6)),
+                       draw(hst.sampled_from(ops.PAD_MODES)))
+        elif k == "permute":
+            sizes = {"x": cur.nx, "y": cur.ny, "z": cur.depth}
+            kind = k, (draw(hst.sampled_from([o for o in ops.PERMUTE_ORDERS
+                                              if sizes[o[2]] > rest])),
+                       draw(hst.sampled_from([2, 4, 16])))
+        else:
+            kind = (k, draw(hst.integers(k_z[i], cur.depth))) if declared else k
+        kinds.append(kind)
+        cur = ops.out_meta(chain_stage(kind, "probe"), cur)
     slices = draw(hst.sampled_from([*range(2, 8 * (len(kinds) + 2)), 1 << 20]))
     chunks = hst.none() | hst.tuples(*(hst.integers(1, n + 2)
                                        for n in (meta.nx, meta.ny, meta.depth)))
@@ -1583,7 +1800,7 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
 
     def graph(out):
         return chain(reader(d / "in"),
-                     *[CHAIN_OPS[k](f"s{i}") for i, k in enumerate(kinds)],
+                     *[chain_stage(k, f"s{i}") for i, k in enumerate(kinds)],
                      sio.write_stage(d / out) if out_chunks is None
                      else sio.write_chunks_stage(d / out, chunks=out_chunks))
 
@@ -1591,8 +1808,9 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
     # so that a plan that folds a stage into its kernel meets the stage
     ref, cur = sio.read_volume(d / "in"), meta
     for i, k in enumerate(kinds):
-        stage = CHAIN_OPS[k](f"s{i}")
-        ref, cur = apply_stage(stage, ref, cur, tmpdir=d), ops.out_meta(stage, cur)
+        stage = chain_stage(k, f"s{i}")
+        ref, cur = reference_of(k, stage, ref, cur, d), ops.out_meta(stage, cur)
+    grow = not any(isinstance(k, tuple) and k[0] in CHAIN_OPS for k in kinds)
     eps = 8
     budget = Budget(slices * slice_bytes(meta) + (len(kinds) + 2) * eps, eps)
     for threads in (1, 2):
@@ -1601,7 +1819,7 @@ def test_generated_chains_keep_their_promises(tmp_path_factory, case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(planner, "INLINE_WORK", 0)
             p = plan(graph(f"out{threads}"), budget, tmpdir=d / f"mid{threads}",
-                     concurrent=threads > 1)
+                     grow_windows=grow, concurrent=threads > 1)
         if p.verdict == "infeasible":
             with pytest.raises(PlanningError):
                 execute_plan(p, threads=threads, tmpdir=d)
